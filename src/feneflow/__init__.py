@@ -50,11 +50,9 @@ from .flowspace import (                                 # noqa: E402
     FlowGrid,
     build_flow_grid,
     convection_matrix,
-    convection_trilinear,
     dual_norm_sq,
     poincare_constant,
     project_divergence_free,
-    scalar_dirichlet_stiffness,
     smooth_initial_velocity,
 )
 from .stepping import (                                  # noqa: E402
@@ -93,7 +91,6 @@ from .scenarios import (                                 # noqa: E402
     RunConfig,
     RunResult,
     emit_config,
-    emit_ledger,
     parse_config,
     run_scenario,
 )

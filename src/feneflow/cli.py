@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="run the built-in structural property suite")
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--out-dir", default=None, help="optional report destination")
-    selftest.add_argument("--strict", action="store_true",
-                          help="fail on warnings as well (currently no-op)")
     return p
 
 

@@ -1,6 +1,8 @@
-"""Configuration-space grids and operators for the spring ball ``D = B(0, sqrt(b))``.
+"""Configuration-space grid and operators for the spring disc ``D = B(0, sqrt(b))``.
 
-The single-spring planar grid is polar: radii are mapped Gauss-Jacobi nodes
+Connectors are planar (``d = 2``) and the chain is a single spring: the
+coupled run discretizes nothing else, so the grid builder rejects other
+geometries.  The grid is polar: radii are mapped Gauss-Jacobi nodes
 (no node at the origin or on the sphere ``|q| = sqrt(b)``), angles are
 uniform.  The Jacobi weight exponent is chosen as ``b/2 - 1`` so that after
 the substitution ``t = 2 r^2 / b - 1`` *both* families of moments that the
@@ -15,8 +17,11 @@ two flavours:
 * edge differences (Dirichlet stiffness, drag pairing, Fisher information),
 
 where every edge carries a positive weight, so the stiffness is a symmetric
-M-matrix whose kernel is exactly the constants.  Node-wise spectral/4th-order
-gradients are provided separately for the integration-by-parts diagnostics.
+M-matrix whose kernel is exactly the constants.  The assembled operators
+carry the eigenbasis of the mass-weighted stiffness, computed once per grid,
+which the stepper's Kronecker solves and the spectral gap both read.
+Node-wise spectral/4th-order gradients are provided separately for the
+integration-by-parts diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,7 +107,7 @@ def _radial_diff_matrix(r: np.ndarray, order: int = 4) -> sp.csr_matrix:
 
 @dataclass
 class ConfigGrid:
-    """Polar (d=2) or spherical (d=3) quadrature/difference grid for one spring.
+    """Polar quadrature/difference grid for one planar spring.
 
     Attributes
     ----------
@@ -112,11 +116,11 @@ class ConfigGrid:
     w:             normalized node weights: ``sum(w * g)`` approximates
                    ``int_D M g dq`` (exactly, for polynomial ``g``).
     uprime:        ``U'(|q|^2/2)`` at the nodes.
-    qx, qy[, qz]:  Cartesian node coordinates, flattened C-order.
+    qx, qy:        Cartesian node coordinates, flattened C-order.
     edges_a/b:     endpoint node indices of the difference edges.
     edge_w:        positive Dirichlet weights: ``sum(edge_w * dpsi^2)``
                    approximates ``int_D M |grad psi|^2 dq``.
-    edge_gamma:    per-edge ``d x d`` geometric factors (flattened) such that
+    edge_gamma:    per-edge ``2 x 2`` geometric factors (flattened) such that
                    ``sum_e (sigma : Gamma_e) * dpsi_e`` approximates
                    ``int_D M (sigma q) . grad psi dq``.
     Z:             Maxwellian normalizer (cross-checked against closed form).
@@ -125,31 +129,24 @@ class ConfigGrid:
     geometry: ChainGeometry
     N_r: int
     N_theta: int
-    N_phi: int
     r: np.ndarray
     theta: np.ndarray
     w: np.ndarray
     uprime: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
-    qz: Optional[np.ndarray]
     edges_a: np.ndarray
     edges_b: np.ndarray
     edge_w: np.ndarray
-    edge_gamma: Optional[np.ndarray]
+    edge_gamma: np.ndarray
     Z: float
     mass_defect: float
     moment_defect: float
     _radial_D: sp.csr_matrix
-    _extra: dict
 
     @property
     def n_nodes(self) -> int:
         return self.w.size
-
-    @property
-    def d(self) -> int:
-        return self.geometry.d
 
     @property
     def b(self) -> float:
@@ -219,14 +216,12 @@ def _build_polar(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
         geometry=geometry,
         N_r=N_r,
         N_theta=N_theta,
-        N_phi=0,
         r=r,
         theta=theta,
         w=w,
         uprime=uprime,
         qx=qx,
         qy=qy,
-        qz=None,
         edges_a=edges_a,
         edges_b=edges_b,
         edge_w=edge_w,
@@ -235,121 +230,35 @@ def _build_polar(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
         mass_defect=0.0,
         moment_defect=0.0,
         _radial_D=_radial_diff_matrix(r),
-        _extra={},
     )
     return grid
 
 
-def _build_spherical(geometry: ChainGeometry, N_r: int, N_theta: int, N_phi: int) -> ConfigGrid:
-    """d=3 grid: Gauss-Jacobi radii x Gauss-Legendre polar x uniform azimuth."""
-    b = geometry.b[0]
-    Z = maxwellian_normalizer(b, 3)
-
-    t, wt = roots_jacobi(N_r, b / 2.0 - 1.0, 0.5)
-    order = np.argsort(t)
-    t, wt = t[order], wt[order]
-    r = np.sqrt(b * (1.0 + t) / 2.0)
-    # int g Mtilde r^2 dr = (b/4) 2^{-b/2} sqrt(b/2) int (1-t)^{b/2} (1+t)^{1/2} g dt
-    w_rad = (b / 4.0) * 2.0 ** (-b / 2.0) * math.sqrt(b / 2.0) * wt * (1.0 - t)
-
-    mu, wmu = np.polynomial.legendre.leggauss(N_theta)  # mu = cos(polar angle)
-    phi = 2.0 * math.pi * np.arange(N_phi) / N_phi
-    dphi = 2.0 * math.pi / N_phi
-
-    R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
-    WR, WMU, _ = np.meshgrid(w_rad, wmu, np.full(N_phi, dphi), indexing="ij")
-    w = (WR * WMU * dphi / Z).ravel()
-    rr = R.ravel()
-    st = np.sqrt(1.0 - MU.ravel() ** 2)
-    qx = rr * st * np.cos(PH.ravel())
-    qy = rr * st * np.sin(PH.ravel())
-    qz = rr * MU.ravel()
-    _, uprime = fene_potential(0.5 * rr * rr, b)
-
-    def mtil(rad):
-        return (1.0 - rad * rad / b) ** (b / 2.0)
-
-    def nid(i, j, k):
-        return (i * N_theta + j) * N_phi + k
-
-    I, J, K = np.meshgrid(np.arange(N_r - 1), np.arange(N_theta), np.arange(N_phi), indexing="ij")
-    a_r = nid(I, J, K).ravel()
-    b_r = nid(I + 1, J, K).ravel()
-    rbar = 0.5 * (r[I] + r[I + 1]).ravel()
-    dr = (r[I + 1] - r[I]).ravel()
-    w_edge_r = mtil(rbar) * rbar**2 * np.repeat(np.tile(wmu, N_r - 1), N_phi) * dphi / (Z * dr)
-
-    I, J, K = np.meshgrid(np.arange(N_r), np.arange(N_theta - 1), np.arange(N_phi), indexing="ij")
-    a_m = nid(I, J, K).ravel()
-    b_m = nid(I, J + 1, K).ravel()
-    # (1/r^2) |d_theta|^2 with mu = cos(theta) becomes ((1-mu^2)/r^2) |d_mu|^2
-    mubar = 0.5 * (mu[J] + mu[J + 1]).ravel()
-    dmu = (mu[J + 1] - mu[J]).ravel()
-    w_edge_m = w_rad[I.ravel()] * (1.0 - mubar**2) * dphi / (Z * r[I.ravel()] ** 2 * dmu)
-
-    I, J, K = np.meshgrid(np.arange(N_r), np.arange(N_theta), np.arange(N_phi), indexing="ij")
-    a_p = nid(I, J, K).ravel()
-    b_p = nid(I, J, (K + 1) % N_phi).ravel()
-    sin2 = 1.0 - mu[J.ravel()] ** 2
-    w_edge_p = w_rad[I.ravel()] * wmu[J.ravel()] / (Z * r[I.ravel()] ** 2 * sin2 * dphi)
-
-    edges_a = np.concatenate([a_r, a_m, a_p])
-    edges_b = np.concatenate([b_r, b_m, b_p])
-    edge_w = np.concatenate([w_edge_r, w_edge_m, w_edge_p])
-
-    return ConfigGrid(
-        geometry=geometry,
-        N_r=N_r,
-        N_theta=N_theta,
-        N_phi=N_phi,
-        r=r,
-        theta=np.arccos(mu[::-1]),
-        w=w,
-        uprime=uprime,
-        qx=qx,
-        qy=qy,
-        qz=qz,
-        edges_a=edges_a,
-        edges_b=edges_b,
-        edge_w=edge_w,
-        edge_gamma=None,
-        Z=Z,
-        mass_defect=0.0,
-        moment_defect=0.0,
-        _radial_D=_radial_diff_matrix(r),
-        _extra={"mu": mu, "wmu": wmu, "phi": phi},
-    )
-
-
-def build_config_grid(
-    geometry: ChainGeometry, N_r: int, N_theta: int, N_phi: Optional[int] = None
-) -> ConfigGrid:
-    """Build and self-check the quadrature/difference grid for one spring.
+def build_config_grid(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
+    """Build and self-check the quadrature/difference grid for one planar spring.
 
     Raises
     ------
+    ValueError
+        If the geometry is not a single spring (``K = 1``) with planar
+        connectors (``d = 2``), or a direction has fewer than 8 nodes.
     GridConstructionError
         If the normalized mass misses 1 by more than 1e-8 or the second
-        moment misses its closed form ``d*b/(b+d+2)`` by more than 1e-6
+        moment misses its closed form ``2b/(b+4)`` by more than 1e-6
         (the raised message reports the measured defect).
     """
     if geometry.K != 1:
-        raise ValueError("build_config_grid discretizes a single spring; use tensor products for chains")
+        raise ValueError(f"build_config_grid discretizes a single spring (K = 1), got K={geometry.K}")
+    if geometry.d != 2:
+        raise ValueError(f"build_config_grid discretizes planar connectors (d = 2), got d={geometry.d}")
     if N_r < 8 or N_theta < 8:
         raise ValueError(f"need at least 8 nodes per direction, got N_r={N_r}, N_theta={N_theta}")
-    if geometry.d == 2:
-        grid = _build_polar(geometry, N_r, N_theta)
-    else:
-        N_phi = N_phi if N_phi is not None else N_theta
-        if N_phi < 8:
-            raise ValueError(f"need at least 8 azimuthal bands, got {N_phi}")
-        grid = _build_spherical(geometry, N_r, N_theta, N_phi)
+    grid = _build_polar(geometry, N_r, N_theta)
 
-    b, d = grid.b, grid.d
+    b = grid.b
     mass = float(np.sum(grid.w))
-    rr2 = grid.qx**2 + grid.qy**2 + (grid.qz**2 if grid.qz is not None else 0.0)
-    m2 = float(np.sum(grid.w * rr2))
-    m2_exact = d * b / (b + d + 2.0)
+    m2 = float(np.sum(grid.w * (grid.qx**2 + grid.qy**2)))
+    m2_exact = 2.0 * b / (b + 4.0)
     grid.mass_defect = abs(mass - 1.0)
     grid.moment_defect = abs(m2 - m2_exact)
     if grid.mass_defect > MASS_TOL:
@@ -381,20 +290,19 @@ def kramers_stress(grid: ConfigGrid, psi_hat: np.ndarray, k: float) -> np.ndarra
     """Kramers stress ``tau = k (int M psi U' q q^T dq - rho I)`` (symmetric).
 
     ``psi_hat`` may carry leading axes (e.g. one row per flow cell); the
-    result then has shape ``(..., d, d)``.
+    result then has shape ``(..., 2, 2)``.
     """
     psi_hat = np.asarray(psi_hat, dtype=float)
-    d = grid.d
-    coords = [grid.qx, grid.qy] + ([grid.qz] if d == 3 else [])
+    coords = (grid.qx, grid.qy)
     wU = grid.w * grid.uprime
     rho = psi_hat @ grid.w
-    tau = np.empty(psi_hat.shape[:-1] + (d, d))
-    for a in range(d):
-        for c in range(a, d):
+    tau = np.empty(psi_hat.shape[:-1] + (2, 2))
+    for a in range(2):
+        for c in range(a, 2):
             moment = psi_hat @ (wU * coords[a] * coords[c])
             tau[..., a, c] = moment
             tau[..., c, a] = moment
-    for a in range(d):
+    for a in range(2):
         tau[..., a, a] -= rho
     return k * tau
 
@@ -405,41 +313,22 @@ def kramers_stress(grid: ConfigGrid, psi_hat: np.ndarray, k: float) -> np.ndarra
 
 
 def node_gradient(grid: ConfigGrid, field: np.ndarray) -> np.ndarray:
-    """Cartesian gradient of a node field: spectral in the periodic angle(s),
+    """Cartesian gradient of a node field: spectral in the periodic angle,
     fourth-order one-sided-at-the-rim finite differences radially.
 
-    Returns shape ``(d, n_nodes)``.
+    Returns shape ``(2, n_nodes)``.
     """
     field = np.asarray(field, dtype=float)
-    if grid.d == 2:
-        F = field.reshape(grid.N_r, grid.N_theta)
-        dFr = (grid._radial_D @ F).reshape(-1)
-        k = np.fft.rfftfreq(grid.N_theta, d=1.0 / grid.N_theta) * 1j
-        dFth = np.fft.irfft(k * np.fft.rfft(F, axis=1), n=grid.N_theta, axis=1).reshape(-1)
-        rr = np.repeat(grid.r, grid.N_theta)
-        th = np.tile(grid.theta, grid.N_r)
-        cs, sn = np.cos(th), np.sin(th)
-        gx = cs * dFr - sn * dFth / rr
-        gy = sn * dFr + cs * dFth / rr
-        return np.stack([gx, gy])
-    # d = 3: Fornberg in r and mu, FFT in phi
-    mu = grid._extra["mu"]
-    F = field.reshape(grid.N_r, grid.N_theta, grid.N_phi)
-    dFr = np.einsum("ij,jkl->ikl", grid._radial_D.toarray(), F)
-    Dmu = _radial_diff_matrix(mu).toarray()
-    dFmu = np.einsum("jk,ikl->ijl", Dmu, F)
-    k = np.fft.rfftfreq(grid.N_phi, d=1.0 / grid.N_phi) * 1j
-    dFph = np.fft.irfft(k * np.fft.rfft(F, axis=2), n=grid.N_phi, axis=2)
-    R = grid.r[:, None, None]
-    MU = mu[None, :, None]
-    PH = grid._extra["phi"][None, None, :]
-    st = np.sqrt(1.0 - MU**2)
-    # grad = e_r d_r - (st/r) d_mu e_theta + e_phi / (r st) d_phi  (mu = cos theta)
-    er = np.stack([st * np.cos(PH) + 0 * R, st * np.sin(PH) + 0 * R, MU + 0 * R * PH])
-    eth = np.stack([MU * np.cos(PH) + 0 * R, MU * np.sin(PH) + 0 * R, -st + 0 * R * PH])
-    eph = np.stack([-np.sin(PH) + 0 * R * MU, np.cos(PH) + 0 * R * MU, 0 * R * MU * PH])
-    grad = er * dFr + eth * (-st / R) * dFmu + eph * dFph / (R * st)
-    return grad.reshape(3, -1)
+    F = field.reshape(grid.N_r, grid.N_theta)
+    dFr = (grid._radial_D @ F).reshape(-1)
+    k = np.fft.rfftfreq(grid.N_theta, d=1.0 / grid.N_theta) * 1j
+    dFth = np.fft.irfft(k * np.fft.rfft(F, axis=1), n=grid.N_theta, axis=1).reshape(-1)
+    rr = np.repeat(grid.r, grid.N_theta)
+    th = np.tile(grid.theta, grid.N_r)
+    cs, sn = np.cos(th), np.sin(th)
+    gx = cs * dFr - sn * dFth / rr
+    gy = sn * dFr + cs * dFth / rr
+    return np.stack([gx, gy])
 
 
 @dataclass(frozen=True)
@@ -465,13 +354,12 @@ def ibp_residual(grid: ConfigGrid, B: np.ndarray, phi_hat: np.ndarray) -> IbpRes
         density part).
     """
     B = np.asarray(B, dtype=float)
-    d = grid.d
-    if B.shape != (d, d):
-        raise ValueError(f"B must be {d}x{d}, got {B.shape}")
+    if B.shape != (2, 2):
+        raise ValueError(f"B must be 2x2, got {B.shape}")
     if abs(np.trace(B)) > 1e-12 * (1.0 + np.abs(B).max()):
         raise DomainError(f"integration-by-parts identity needs trace(B)=0, got trace {np.trace(B)!r}")
     phi_hat = np.asarray(phi_hat, dtype=float)
-    coords = np.stack([grid.qx, grid.qy] + ([grid.qz] if d == 3 else []))
+    coords = np.stack([grid.qx, grid.qy])
     Bq = np.tensordot(B, coords, axes=1)
     grad = node_gradient(grid, phi_hat)
     lhs = float(np.sum(grid.w * np.sum(Bq * grad, axis=0)))
@@ -497,6 +385,13 @@ class ConfigOperators:
                   (symmetric positive semidefinite, kernel = constants).
     grid:         the underlying grid (edge arrays drive the drag pairing).
     rouse, lam, eps: coupling matrix and the scheme parameters they scale.
+    evals, Q:     eigenpairs ``S_hat = Q diag(evals) Q^T`` of the mass-weighted
+                  stiffness ``S_hat = M^{-1/2} S M^{-1/2}`` (evals clipped at 0);
+                  in this basis ``K_x Psi M + c M_x Psi S = R`` splits into
+                  one x-system per mode.
+    inv_sqrt_m:   ``M^{-1/2}`` as a node vector.
+    scatter:      (nodes x edges) CSR, +1 at each edge's head, -1 at its tail.
+    gamma_T:      ``edge_gamma`` transposed, ``(4, n_edges)`` contiguous.
     """
 
     grid: ConfigGrid
@@ -505,24 +400,37 @@ class ConfigOperators:
     rouse: RouseMatrix
     lam: float
     eps: float
+    evals: np.ndarray
+    Q: np.ndarray
+    inv_sqrt_m: np.ndarray
+    scatter: sp.csr_matrix
+    gamma_T: np.ndarray
+
+    def to_modes(self, rhs_nodal: np.ndarray) -> np.ndarray:
+        """Rows of a mass-weighted nodal right-hand side ``R`` -> mode
+        coefficients ``R M^{-1/2} Q``."""
+        return (rhs_nodal * self.inv_sqrt_m[None, :]) @ self.Q
+
+    def to_nodes(self, modes: np.ndarray) -> np.ndarray:
+        """Mode coefficients ``Phi`` -> nodal values ``Phi Q^T M^{-1/2}``, so
+        ``to_nodes(to_modes(R)) = R M^{-1}``."""
+        return (modes @ self.Q.T) * self.inv_sqrt_m[None, :]
 
     def drag_rhs(self, sigma: np.ndarray, coeff_edges: np.ndarray) -> np.ndarray:
-        """Assembled drag functional for one flow cell.
+        """Assembled drag functional, batched over leading axes (one row per
+        flow cell in the stepper).
 
         Parameters
         ----------
-        sigma : (d, d) velocity gradient at the cell.
-        coeff_edges : per-edge cut-off coefficients (previous iterate).
+        sigma : ``(..., 2, 2)`` velocity gradients.
+        coeff_edges : ``(..., n_edges)`` per-edge cut-off coefficients.
 
-        Returns the vector ``v`` with ``v . phi = int_D M (sigma q) beta . grad phi dq``
+        Returns ``v`` with ``v . phi = int_D M (sigma q) beta . grad phi dq``
         in edge form, i.e. ``sum_e (sigma : Gamma_e) c_e (phi_b - phi_a)``.
         """
-        g = self.grid
-        flux = (g.edge_gamma @ sigma.reshape(4)) * coeff_edges
-        v = np.zeros(g.n_nodes)
-        np.add.at(v, g.edges_b, flux)
-        np.add.at(v, g.edges_a, -flux)
-        return v
+        sigma = np.asarray(sigma, dtype=float)
+        sg = sigma.reshape(sigma.shape[:-2] + (4,)) @ self.gamma_T   # sigma : Gamma_e
+        return (sg * coeff_edges) @ self.scatter.T                  # scatter +head/-tail
 
     def stress_matrix(self, psi_hat: np.ndarray) -> np.ndarray:
         """Edge-difference stress ``C_hat`` with ``sigma : C_hat(psi)`` equal to the
@@ -540,7 +448,8 @@ class ConfigOperators:
 def assemble_fp_operators(
     grid: ConfigGrid, rouse: RouseMatrix, lam: float, eps: float
 ) -> ConfigOperators:
-    """Assemble the Maxwellian-weighted mass and stiffness forms for one spring.
+    """Assemble the Maxwellian-weighted mass and stiffness forms for one
+    spring, the stiffness eigenbasis and the edge scatter.
 
     The stiffness is built edge-wise, so symmetry is structural and constants
     are annihilated exactly; both facts are re-verified here (defect beyond
@@ -561,18 +470,27 @@ def assemble_fp_operators(
         raise InternalConsistencyError(
             f"stiffness defects: symmetry {sym_defect:.2e}, kernel {kernel_defect:.2e}"
         )
+    inv_sqrt_m = 1.0 / np.sqrt(grid.w)
+    S_hat = S.multiply(inv_sqrt_m[:, None]).multiply(inv_sqrt_m[None, :])
+    evals, Q = np.linalg.eigh(S_hat.toarray())
+    n_e = a.size
+    scatter = sp.coo_matrix(
+        (np.concatenate([np.ones(n_e), -np.ones(n_e)]),
+         (np.concatenate([bidx, a]), np.concatenate([np.arange(n_e), np.arange(n_e)]))),
+        shape=(n, n_e),
+    ).tocsr()
     return ConfigOperators(
-        grid=grid, mass_diag=grid.w.copy(), q_stiffness=S, rouse=rouse, lam=lam, eps=eps
+        grid=grid, mass_diag=grid.w.copy(), q_stiffness=S, rouse=rouse, lam=lam, eps=eps,
+        evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
+        Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m, scatter=scatter,
+        gamma_T=np.ascontiguousarray(grid.edge_gamma.T),
     )
 
 
 def spectral_gap(ops: ConfigOperators) -> float:
     """Smallest nonzero Rayleigh quotient of (stiffness, mass): the discrete
     configuration-space relaxation rate surrogate."""
-    M12 = 1.0 / np.sqrt(ops.mass_diag)
-    S = ops.q_stiffness.toarray() * M12[:, None] * M12[None, :]
-    eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
-    positive = eigs[eigs > 1e-10 * max(eigs.max(), 1.0)]
+    positive = ops.evals[ops.evals > 1e-10 * max(ops.evals.max(), 1.0)]
     if positive.size == 0:
         raise InternalConsistencyError("stiffness has no positive spectrum")
     return float(positive[0])
@@ -587,11 +505,9 @@ def grid_metadata_json(grid: ConfigGrid) -> str:
     """Structured-text description of the grid (counts, b, Z, defects, tolerances)."""
     meta = {
         "kind": "fene-config-grid",
-        "d": grid.d,
         "b": grid.b,
         "N_r": grid.N_r,
         "N_theta": grid.N_theta,
-        "N_phi": grid.N_phi,
         "n_nodes": grid.n_nodes,
         "Z": grid.Z,
         "mass_defect": grid.mass_defect,

@@ -29,7 +29,6 @@ __all__ = [
     "project_divergence_free",
     "smooth_initial_velocity",
     "convection_matrix",
-    "convection_trilinear",
     "poincare_constant",
     "dual_norm_sq",
 ]
@@ -101,135 +100,84 @@ class FlowGrid:
         return np.concatenate([fx(self.xu, self.yu), fy(self.xv, self.yv)])
 
 
-def _u_index(N: int):
-    # x-velocity on interior vertical faces: i = 0..N-2 (x=(i+1)h), j = 0..N-1
-    return lambda i, j: i * N + j
+def _scaled(M, denom: float) -> sp.csr_matrix:
+    """Canonical CSR of ``M / denom``, dividing each stored entry (so an
+    integer stencil value ``v`` becomes exactly ``v / denom``), with explicit
+    zeros dropped."""
+    M = sp.csr_matrix(M, copy=True)
+    M.sum_duplicates()
+    M.data = M.data / denom
+    M.eliminate_zeros()
+    return M
 
 
-def _v_index(N: int, n_u: int):
-    # y-velocity on interior horizontal faces: i = 0..N-1, j = 0..N-2
-    return lambda i, j: n_u + i * (N - 1) + j
+def _face_difference(N: int) -> sp.csr_matrix:
+    """``(N, N-1)``: cell ``i`` takes interior face ``i`` minus interior face
+    ``i-1`` (a missing face is a wall face, where the normal velocity is zero)."""
+    return (sp.eye(N, N - 1) - sp.eye(N, N - 1, k=-1)).tocsr()
+
+
+def _face_sum(N: int) -> sp.csr_matrix:
+    """``(N, N-1)``: cell ``i`` sums its interior faces ``i-1`` and ``i``."""
+    return (sp.eye(N, N - 1) + sp.eye(N, N - 1, k=-1)).tocsr()
+
+
+def _centred_difference(n: int, ghost: bool) -> sp.csr_matrix:
+    """``(n, n)``: ``w[i+1] - w[i-1]``; with ``ghost`` the missing neighbour at
+    a wall is the reflection ``-w[i]`` of the wall-adjacent value."""
+    C = sp.eye(n, k=1) - sp.eye(n, k=-1)
+    if ghost:
+        C = C + sp.diags([[1.0] + [0.0] * (n - 2) + [-1.0]], [0], shape=(n, n))
+    return C.tocsr()
+
+
+def _second_difference(n: int, ghost: bool) -> sp.csr_matrix:
+    """``(n, n)``: ``2 w[i] - w[i-1] - w[i+1]``; zero Dirichlet neighbours
+    beyond the ends, or with ``ghost`` reflected ones (diagonal 3 at the ends)."""
+    main = np.full(n, 2.0)
+    if ghost:
+        main[0] = main[-1] = 3.0
+    return sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1], format="csr")
 
 
 def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
-    """Assemble divergence/gradient/viscous/tensor-gradient operators."""
+    """Assemble divergence/gradient/viscous/tensor-gradient operators.
+
+    Face arrays are ordered x-index-major: ``u`` faces as ``(N-1, N)``,
+    ``v`` faces as ``(N, N-1)``, cells as ``(N, N)``, so each 2D operator
+    is a Kronecker product of 1D stencils ``(x stencil) (x) (y stencil)``.
+    """
     if N < 4:
         raise ValueError(f"flow grid needs at least 4 cells per side, got {N}")
     h = side / N
     n_u = (N - 1) * N
     n_v = N * (N - 1)
     n_c = N * N
-    uid = _u_index(N)
-    vid = _v_index(N, n_u)
+    I_c, I_f = sp.identity(N), sp.identity(N - 1)
+    zero_u, zero_v = sp.csr_matrix((n_c, n_u)), sp.csr_matrix((n_c, n_v))
 
-    # ---- divergence -------------------------------------------------------
-    rows, cols, vals = [], [], []
-    for ci in range(N):
-        for cj in range(N):
-            c = ci * N + cj
-            if ci <= N - 2:  # east u-face
-                rows.append(c), cols.append(uid(ci, cj)), vals.append(1.0 / h)
-            if ci >= 1:  # west u-face
-                rows.append(c), cols.append(uid(ci - 1, cj)), vals.append(-1.0 / h)
-            if cj <= N - 2:  # north v-face
-                rows.append(c), cols.append(vid(ci, cj)), vals.append(1.0 / h)
-            if cj >= 1:  # south v-face
-                rows.append(c), cols.append(vid(ci, cj - 1)), vals.append(-1.0 / h)
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(n_c, n_u + n_v))
+    # divergence: each cell differences its east/west u faces and its
+    # north/south v faces; the gradient is its exact negative adjoint
+    Du = sp.kron(_face_difference(N), I_c)
+    Dv = sp.kron(I_c, _face_difference(N))
+    D = _scaled(sp.hstack([Du, Dv]), h)
     G = (-D.T).tocsr()
 
-    # ---- viscous (minus vector Laplacian, ghost-reflected no-slip) --------
-    rows, cols, vals = [], [], []
+    # viscous (minus vector Laplacian): no-slip walls are zero normal faces
+    # (Dirichlet) and ghost-reflected tangential values, u(-h/2) = -u(h/2)
+    Ku = sp.kron(_second_difference(N - 1, False), I_c) + sp.kron(I_f, _second_difference(N, True))
+    Kv = sp.kron(_second_difference(N, True), I_f) + sp.kron(I_c, _second_difference(N - 1, False))
+    K = _scaled(sp.block_diag([Ku, Kv]), h * h)
 
-    def lap_entry(r, c, v):
-        rows.append(r), cols.append(c), vals.append(v / (h * h))
-
-    for i in range(N - 1):
-        for j in range(N):
-            r = uid(i, j)
-            diag = 4.0
-            if i > 0:
-                lap_entry(r, uid(i - 1, j), -1.0)
-            if i < N - 2:
-                lap_entry(r, uid(i + 1, j), -1.0)
-            if j > 0:
-                lap_entry(r, uid(i, j - 1), -1.0)
-            else:
-                diag += 1.0  # ghost u(-h/2) = -u(h/2) across the wall
-            if j < N - 1:
-                lap_entry(r, uid(i, j + 1), -1.0)
-            else:
-                diag += 1.0
-            lap_entry(r, r, diag)
-    for i in range(N):
-        for j in range(N - 1):
-            r = vid(i, j)
-            diag = 4.0
-            if j > 0:
-                lap_entry(r, vid(i, j - 1), -1.0)
-            if j < N - 2:
-                lap_entry(r, vid(i, j + 1), -1.0)
-            if i > 0:
-                lap_entry(r, vid(i - 1, j), -1.0)
-            else:
-                diag += 1.0
-            if i < N - 1:
-                lap_entry(r, vid(i + 1, j), -1.0)
-            else:
-                diag += 1.0
-            lap_entry(r, r, diag)
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(n_u + n_v, n_u + n_v))
-
-    # ---- cell velocity-gradient tensor ------------------------------------
-    # diagonal entries are the exact divergence pieces, off-diagonal entries
-    # are centred differences of face-pair averages with ghost reflection
-    rows_xx, cols_xx, vals_xx = [], [], []
-    rows_yy, cols_yy, vals_yy = [], [], []
-    for ci in range(N):
-        for cj in range(N):
-            c = ci * N + cj
-            if ci <= N - 2:
-                rows_xx.append(c), cols_xx.append(uid(ci, cj)), vals_xx.append(1.0 / h)
-            if ci >= 1:
-                rows_xx.append(c), cols_xx.append(uid(ci - 1, cj)), vals_xx.append(-1.0 / h)
-            if cj <= N - 2:
-                rows_yy.append(c), cols_yy.append(vid(ci, cj)), vals_yy.append(1.0 / h)
-            if cj >= 1:
-                rows_yy.append(c), cols_yy.append(vid(ci, cj - 1)), vals_yy.append(-1.0 / h)
-    Txx = sp.csr_matrix((vals_xx, (rows_xx, cols_xx)), shape=(n_c, n_u + n_v))
-    Tyy = sp.csr_matrix((vals_yy, (rows_yy, cols_yy)), shape=(n_c, n_u + n_v))
-
-    rows_xy, cols_xy, vals_xy = [], [], []
-    rows_yx, cols_yx, vals_yx = [], [], []
-    for ci in range(N):
-        for cj in range(N):
-            c = ci * N + cj
-            # du/dy at cell: difference of row-averaged u over rows cj+1, cj-1
-            for jj, s in ((cj + 1, 1.0), (cj - 1, -1.0)):
-                if 0 <= jj <= N - 1:
-                    wgt = s / (4.0 * h)
-                    refl = 1.0
-                else:
-                    jj = cj  # ghost row reflects the wall-adjacent row
-                    wgt = s / (4.0 * h)
-                    refl = -1.0
-                for ii in (ci - 1, ci):
-                    if 0 <= ii <= N - 2:
-                        rows_xy.append(c), cols_xy.append(uid(ii, jj)), vals_xy.append(wgt * refl)
-            # dv/dx at cell: difference of column-averaged v over columns ci+1, ci-1
-            for ii, s in ((ci + 1, 1.0), (ci - 1, -1.0)):
-                if 0 <= ii <= N - 1:
-                    wgt = s / (4.0 * h)
-                    refl = 1.0
-                else:
-                    ii = ci
-                    wgt = s / (4.0 * h)
-                    refl = -1.0
-                for jj in (cj - 1, cj):
-                    if 0 <= jj <= N - 2:
-                        rows_yx.append(c), cols_yx.append(vid(ii, jj)), vals_yx.append(wgt * refl)
-    Txy = sp.csr_matrix((vals_xy, (rows_xy, cols_xy)), shape=(n_c, n_u + n_v))
-    Tyx = sp.csr_matrix((vals_yx, (rows_yx, cols_yx)), shape=(n_c, n_u + n_v))
+    # cell velocity-gradient tensor: diagonal entries are the exact
+    # divergence pieces, off-diagonal entries centred differences of
+    # face-pair sums with ghost reflection at the walls
+    Txx = _scaled(sp.hstack([Du, zero_v]), h)
+    Tyy = _scaled(sp.hstack([zero_u, Dv]), h)
+    Txy = _scaled(sp.hstack([sp.kron(_face_sum(N), _centred_difference(N, True)), zero_v]),
+                  4.0 * h)
+    Tyx = _scaled(sp.hstack([zero_u, sp.kron(_centred_difference(N, True), _face_sum(N))]),
+                  4.0 * h)
 
     ih = np.arange(1, N) * h
     jh = (np.arange(N) + 0.5) * h
@@ -298,70 +246,34 @@ def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.nda
 # --------------------------------------------------------------------------
 
 
+def _cross_average(w: np.ndarray) -> np.ndarray:
+    """Average of the four other-family faces around each face.
+
+    ``w`` holds the other family as ``(n, n-1)``; the result is ``(n-1, n)``,
+    and the faces beyond a wall contribute zero (normal no-slip faces).
+    """
+    pair = np.zeros((w.shape[0] - 1, w.shape[0] + 1))
+    pair[:, 1:-1] = w[:-1] + w[1:]
+    return (pair[:, :-1] + pair[:, 1:]) * 0.25
+
+
 def _plain_advection_matrix(grid: FlowGrid, vfield: np.ndarray) -> sp.csr_matrix:
-    """Centred matrix of ``w -> (v . grad) w`` on faces (before antisymmetrization)."""
-    N, h = grid.N, grid.h
-    n = grid.n_u + grid.n_v
-    uid = _u_index(N)
-    vid = _v_index(N, grid.n_u)
-    u = vfield[: grid.n_u].reshape(N - 1, N)
-    v = vfield[grid.n_u :].reshape(N, N - 1)
+    """Centred matrix of ``w -> (v . grad) w`` on faces (before antisymmetrization).
 
-    rows, cols, vals = [], [], []
-
-    def add(r, c, val):
-        if val != 0.0:
-            rows.append(r), cols.append(c), vals.append(val)
-
-    # --- u rows: vx = u at the face, vy = average of 4 neighbours ---
-    for i in range(N - 1):
-        for j in range(N):
-            r = uid(i, j)
-            vx = u[i, j]
-            vy = 0.0
-            for jv in (j - 1, j):
-                if 0 <= jv <= N - 2:
-                    vy += v[i, jv] + v[i + 1, jv]
-            vy *= 0.25
-            # vx * dw_u/dx (centred; boundary u-faces are zero)
-            if i - 1 >= 0:
-                add(r, uid(i - 1, j), -vx / (2 * h))
-            if i + 1 <= N - 2:
-                add(r, uid(i + 1, j), vx / (2 * h))
-            # vy * dw_u/dy with ghost reflection at the walls
-            if j - 1 >= 0:
-                add(r, uid(i, j - 1), -vy / (2 * h))
-            else:
-                add(r, uid(i, j), vy / (2 * h))
-            if j + 1 <= N - 1:
-                add(r, uid(i, j + 1), vy / (2 * h))
-            else:
-                add(r, uid(i, j), -vy / (2 * h))
-
-    # --- v rows: vy = v at the face, vx = average of 4 neighbours ---
-    for i in range(N):
-        for j in range(N - 1):
-            r = vid(i, j)
-            vy = v[i, j]
-            vx = 0.0
-            for iu in (i - 1, i):
-                if 0 <= iu <= N - 2:
-                    vx += u[iu, j] + u[iu, j + 1]
-            vx *= 0.25
-            if j - 1 >= 0:
-                add(r, vid(i, j - 1), -vy / (2 * h))
-            if j + 1 <= N - 2:
-                add(r, vid(i, j + 1), vy / (2 * h))
-            if i - 1 >= 0:
-                add(r, vid(i - 1, j), -vx / (2 * h))
-            else:
-                add(r, vid(i, j), vx / (2 * h))
-            if i + 1 <= N - 1:
-                add(r, vid(i + 1, j), vx / (2 * h))
-            else:
-                add(r, vid(i, j), -vx / (2 * h))
-
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    Each face row is its advecting velocity times a centred difference:
+    along the face normal between interior faces, across it with ghost
+    reflection at the walls.
+    """
+    N, n_u = grid.N, grid.n_u
+    u = vfield[:n_u].reshape(N - 1, N)
+    v = vfield[n_u:].reshape(N, N - 1)
+    I_c, I_f = sp.identity(N), sp.identity(N - 1)
+    C_wall, C_ghost = _centred_difference(N - 1, False), _centred_difference(N, True)
+    A_u = sp.diags(u.ravel()) @ sp.kron(C_wall, I_c) \
+        + sp.diags(_cross_average(v).ravel()) @ sp.kron(I_f, C_ghost)
+    A_v = sp.diags(_cross_average(u.T).T.ravel()) @ sp.kron(C_ghost, I_f) \
+        + sp.diags(v.ravel()) @ sp.kron(I_c, C_wall)
+    return _scaled(sp.block_diag([A_u, A_v]), 2 * grid.h)
 
 
 def convection_matrix(grid: FlowGrid, vfield: np.ndarray) -> sp.csr_matrix:
@@ -374,38 +286,22 @@ def convection_matrix(grid: FlowGrid, vfield: np.ndarray) -> sp.csr_matrix:
     return ((A - A.T) * 0.5).tocsr()
 
 
-def convection_trilinear(grid: FlowGrid, vfield, w1, w2) -> float:
-    C = convection_matrix(grid, vfield)
-    return grid.ip(np.asarray(w2, dtype=float), C @ np.asarray(w1, dtype=float))
-
-
 # --------------------------------------------------------------------------
 # Poincare constant and dual norm
 # --------------------------------------------------------------------------
 
 
-def scalar_dirichlet_stiffness(N: int, side: float = 1.0) -> sp.csr_matrix:
-    """Cell-centred scalar minus-Laplacian with ghost-reflected walls."""
-    h = side / N
-    rows, cols, vals = [], [], []
-    for i in range(N):
-        for j in range(N):
-            r = i * N + j
-            diag = 4.0
-            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if 0 <= ii < N and 0 <= jj < N:
-                    rows.append(r), cols.append(ii * N + jj), vals.append(-1.0 / (h * h))
-                else:
-                    diag += 1.0
-            rows.append(r), cols.append(r), vals.append(diag / (h * h))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
-
-
 def poincare_constant(N: int, side: float = 1.0) -> Tuple[float, float]:
     """Discrete Poincare constant ``C_P = 1/sqrt(lambda_1)`` of the Dirichlet
-    Laplacian on the side-``side`` square, together with ``lambda_1``."""
-    S = scalar_dirichlet_stiffness(N, side)
-    lam1 = float(spla.eigsh(S, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0])
+    Laplacian on the side-``side`` square, together with ``lambda_1``.
+
+    ``lambda_1`` is the smallest eigenvalue of the cell-centred 5-point
+    minus-Laplacian with ghost-reflected walls.  Its eigenvectors separate
+    into ``sin(k pi (i + 1/2) / N)`` per direction, which vanish on the
+    reflected walls, so ``lambda_1 = (8 / h^2) sin^2(pi / (2N))`` exactly.
+    """
+    h = side / N
+    lam1 = 8.0 / (h * h) * math.sin(math.pi / (2 * N)) ** 2
     return 1.0 / math.sqrt(lam1), lam1
 
 

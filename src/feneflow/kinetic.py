@@ -15,6 +15,8 @@ which every integration-by-parts manipulation in the coupled solver rests,
 and ``-log M`` is uniformly convex with Hessian bounded below by the
 identity (curvature constant ``kappa = 1``), which is what powers the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
+The primitives take general ``K`` and ``d``; the grids and the coupled
+solver discretize the planar dumbbell (``K = 1``, ``d = 2``).
 
 The module also provides the relative-entropy integrands: the Boltzmann
 function ``F(s) = s (log s - 1) + 1``, its quadratic super-linear
@@ -94,18 +96,13 @@ class ChainGeometry:
                 )
 
 
-def _chain_rouse(K: int) -> np.ndarray:
-    A = 2.0 * np.eye(K) - np.eye(K, k=1) - np.eye(K, k=-1)
-    return A
-
-
 @dataclass(frozen=True)
 class RouseMatrix:
     """Symmetric positive definite spring-coupling matrix and its smallest eigenvalue.
 
-    ``A = [1]`` for a single spring (dumbbell); a linear chain of ``K``
-    springs uses the tridiagonal ``(-1, 2, -1)`` connectivity.  ``a0`` is the
-    smallest eigenvalue of ``A`` and enters the equilibration rate
+    ``A = [1]`` for a single spring (dumbbell), the only chain the solver
+    discretizes.  ``a0`` is the smallest eigenvalue of ``A`` and enters the
+    equilibration rate
     ``gamma_0 = min(nu / C_P^2, kappa a0 / (2 lambda))``.
     """
 
@@ -126,10 +123,11 @@ class RouseMatrix:
 
     @staticmethod
     def for_chain(K: int) -> "RouseMatrix":
-        """Identity for ``K=1``; tridiagonal ``(-1, 2, -1)`` for a chain."""
-        if K == 1:
-            return RouseMatrix(np.array([[1.0]]))
-        return RouseMatrix(_chain_rouse(K))
+        """Coupling matrix of a ``K``-spring chain; only the dumbbell
+        (``K = 1``, ``A = [1]``) is discretized."""
+        if K != 1:
+            raise ValueError(f"only the single-spring chain (K = 1) is discretized, got K={K}")
+        return RouseMatrix(np.array([[1.0]]))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "emit_config",
     "RunResult",
     "run_scenario",
-    "emit_ledger",
 ]
 
 SCENARIOS = ("equilibrium", "decay", "couette", "forced")
@@ -57,15 +56,14 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything a run needs, JSON keys = field names.
 
-    Exactly one of ``dt`` / ``C0`` is required (both present is allowed and
+    The chain is one planar FENE spring (a dumbbell, ``d = 2``).  Exactly
+    one of ``dt`` / ``C0`` is required (both present is allowed and
     cross-checked: an explicit ``dt`` above ``C0 / (L log L)`` warns, and is
     rejected under strict validation).
     """
 
     scenario: str = "decay"
-    # chain geometry
-    K: int = 1
-    d: int = 2
+    # spring
     b: float = 4.0
     # physics
     nu: float = 1.0
@@ -93,14 +91,35 @@ class RunConfig:
     stream_amplitude: float = 0.25    # decay: stream-function scale
     force_amplitude: float = 1.0      # couette / forced: body-force scale
 
-    def validate(self, strict: bool = False) -> List[str]:
+    def _type_violations(self) -> List[str]:
+        """Fields whose JSON value has the wrong type: integers (not bools)
+        for ``int`` fields, finite numbers for ``float`` fields, ``None``
+        only where the field is optional."""
         v: List[str] = []
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name == "rouse":
+                ok = val is None or (
+                    isinstance(val, list) and all(isinstance(row, list) for row in val)
+                    and all(_is_finite_number(x) for row in val for x in row))
+            elif val is None and f.type.startswith("Optional"):
+                ok = True
+            elif f.type == "str":
+                ok = isinstance(val, str)
+            elif f.type == "int":
+                ok = isinstance(val, int) and not isinstance(val, bool)
+            else:
+                ok = _is_finite_number(val)
+            if not ok:
+                v.append(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {val!r}")
+        return v
+
+    def validate(self, strict: bool = False) -> List[str]:
+        v = self._type_violations()
+        if v:
+            return v
         if self.scenario not in SCENARIOS:
             v.append(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.K != 1:
-            v.append("only single-spring chains (K = 1) are wired end to end")
-        if self.d != 2:
-            v.append("the coupled run needs planar connectors (d = 2)")
         if self.b <= 2.0:
             v.append(f"b = {self.b}: gamma = b/2 must exceed 1 for finite entropy moments")
         for name in ("nu", "lam", "eps", "T", "side"):
@@ -136,11 +155,29 @@ class RunConfig:
             v.append("configuration grid needs N_r >= 8 and N_theta >= 8")
         if self.record_every < 1:
             v.append(f"record_every must be >= 1, got {self.record_every}")
+        if self.fp_max_iter < 1 or not self.fp_tol > 0.0:
+            v.append(f"need fp_max_iter >= 1 and fp_tol > 0, got {self.fp_max_iter}, {self.fp_tol}")
+        if self.seed < 0:
+            v.append(f"seed must be nonnegative, got {self.seed}")
         if self.rouse is not None:
-            arr = np.asarray(self.rouse, dtype=float)
-            if arr.shape != (self.K, self.K):
-                v.append(f"rouse matrix must be {self.K}x{self.K}, got {arr.shape}")
+            if [len(row) for row in self.rouse] != [1]:
+                v.append(f"rouse matrix must be 1x1 for a dumbbell, got {self.rouse!r}")
+            elif not self.rouse[0][0] > 0.0:
+                v.append(f"rouse matrix must be positive definite, got {self.rouse!r}")
         return v
+
+
+_TYPE_NAMES = {
+    "str": "a string",
+    "int": "an integer",
+    "float": "a finite number",
+    "Optional[float]": "a finite number or null",
+    "Optional[List[List[float]]]": "null or a matrix (list of lists) of finite numbers",
+}
+
+
+def _is_finite_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
 
 
 def parse_config(text: str, strict: bool = False) -> RunConfig:
@@ -274,9 +311,9 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
         raise ConfigError(violations)
     dt, n_steps = _resolve_dt(cfg)
 
-    geometry = ChainGeometry(K=cfg.K, d=cfg.d, b=(cfg.b,) * cfg.K)
+    geometry = ChainGeometry(K=1, d=2, b=(cfg.b,))
     rouse = RouseMatrix(tuple(tuple(row) for row in cfg.rouse)) if cfg.rouse \
-        else RouseMatrix.for_chain(cfg.K)
+        else RouseMatrix.for_chain(1)
     grid = build_config_grid(geometry, N_r=cfg.N_r, N_theta=cfg.N_theta)
     ops = assemble_fp_operators(grid, rouse, lam=cfg.lam, eps=cfg.eps)
     fg = build_flow_grid(cfg.N_x, side=cfg.side)
@@ -381,16 +418,12 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     return result
 
 
-def emit_ledger(ledger: dg.EnergyLedger, path: str) -> None:
-    ledger.write(path)
-
-
 def _write_outputs(result: RunResult, out_dir: str, fg: FlowGrid,
                    ops: ConfigOperators, params: StepParams) -> None:
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    emit_ledger(result.ledger, os.path.join(out_dir, "ledger.tsv"))
+    result.ledger.write(os.path.join(out_dir, "ledger.tsv"))
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         fh.write(emit_config(result.config))
     save_checkpoint(os.path.join(out_dir, "final_state.npz"),

@@ -17,10 +17,11 @@ The configuration solve exploits the Kronecker structure
 
     K_x (x) M_q + M_x (x) S_q
 
-by diagonalizing the mass-weighted configuration stiffness once per grid:
-the monolithic system splits into one small sparse x-solve per
-configuration eigenmode, which keeps million-unknown steps exact (direct
-solves) without ever forming the full operator.
+in the eigenbasis of the mass-weighted configuration stiffness, which
+``ConfigOperators`` carries (computed once per grid): the monolithic system
+splits into one small banded x-solve per configuration eigenmode, which
+keeps million-unknown steps exact (direct solves) without ever forming the
+full operator.  The initial-density smoothing step solves in the same basis.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kinetic import (
-    CutoffParams,
-    RouseMatrix,
-    entropy_eval,
-    secant_cutoff_coefficient,
-)
+from . import diagnostics as dg
+from .kinetic import CutoffParams, RouseMatrix, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata_json
 from .flowspace import FlowGrid, convection_matrix
 
@@ -90,7 +87,6 @@ class StepParams:
     rouse: RouseMatrix
     fp_tol: float = 1.0e-12
     fp_max_iter: int = 80
-    delta_schedule: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         for name in ("dt", "nu", "lam", "eps"):
@@ -99,20 +95,6 @@ class StepParams:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
         if self.k < 0.0:
             raise ValueError(f"stress scale k must be nonnegative, got {self.k}")
-        if self.delta_schedule is not None:
-            sched = tuple(self.delta_schedule)
-            if not sched or any(not (0.0 < d < 1.0) for d in sched):
-                raise ValueError("delta_schedule entries must lie in (0, 1)")
-            if any(a < b for a, b in zip(sched, sched[1:])):
-                raise ValueError("delta_schedule must be non-increasing")
-            object.__setattr__(self, "delta_schedule", sched)
-
-    def delta_at(self, n: int) -> float:
-        """Regularization level for step ``n`` (1-based); a continuation
-        schedule, when present, is read out step by step and then held."""
-        if self.delta_schedule is None:
-            return self.cutoff.delta
-        return self.delta_schedule[min(max(n - 1, 0), len(self.delta_schedule) - 1)]
 
 
 @dataclass
@@ -204,32 +186,7 @@ def _upwind_advection(grid: FlowGrid, u: np.ndarray) -> sp.csr_matrix:
 # --------------------------------------------------------------------------
 
 
-class _QEig:
-    """Eigendecomposition of the mass-weighted configuration stiffness.
-
-    With ``S_hat = M^{-1/2} S M^{-1/2} = Q diag(evals) Q^T`` the monolithic
-    system ``K_x Psi M + c M_x Psi S = R`` decouples into independent
-    per-mode x-systems after the similarity transform below.
-    """
-
-    def __init__(self, ops: ConfigOperators):
-        m = ops.mass_diag
-        inv_sqrt_m = 1.0 / np.sqrt(m)
-        S_hat = (ops.q_stiffness.multiply(inv_sqrt_m[:, None])).multiply(inv_sqrt_m[None, :])
-        evals, Q = np.linalg.eigh(S_hat.toarray())
-        self.inv_sqrt_m = inv_sqrt_m
-        self.sqrt_m = np.sqrt(m)
-        self.Q = np.ascontiguousarray(Q)
-        self.evals = np.maximum(evals, 0.0)  # clip eigenvalue roundoff
-
-    def to_modes(self, rhs_nodal: np.ndarray) -> np.ndarray:
-        return (rhs_nodal * self.inv_sqrt_m[None, :]) @ self.Q
-
-    def to_nodes(self, modes: np.ndarray) -> np.ndarray:
-        return (modes @ self.Q.T) * self.inv_sqrt_m[None, :]
-
-
-def _kron_solve(Kx: sp.csr_matrix, shift_scale: float, eig: _QEig,
+def _kron_solve(Kx: sp.csr_matrix, shift_scale: float, ops: ConfigOperators,
                 rhs_nodal: np.ndarray) -> np.ndarray:
     """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``.
 
@@ -239,7 +196,7 @@ def _kron_solve(Kx: sp.csr_matrix, shift_scale: float, eig: _QEig,
     """
     from scipy.linalg import solve_banded
 
-    R = eig.to_modes(rhs_nodal)
+    R = ops.to_modes(rhs_nodal)
     Phi = np.empty_like(R)
     coo = Kx.tocoo()
     kl = int((coo.row - coo.col).max())
@@ -249,10 +206,10 @@ def _kron_solve(Kx: sp.csr_matrix, shift_scale: float, eig: _QEig,
     work = np.empty_like(ab)
     for jmode in range(R.shape[1]):
         np.copyto(work, ab)
-        work[ku, :] += shift_scale * eig.evals[jmode]
+        work[ku, :] += shift_scale * ops.evals[jmode]
         Phi[:, jmode] = solve_banded((kl, ku), work, R[:, jmode],
                                      overwrite_ab=True, check_finite=False)
-    return eig.to_nodes(Phi)
+    return ops.to_nodes(Phi)
 
 
 # --------------------------------------------------------------------------
@@ -264,26 +221,10 @@ class CoupledStepper:
     """Advances ``(u, psi)`` one implicit step at a time on fixed grids."""
 
     def __init__(self, flow: FlowGrid, ops: ConfigOperators, params: StepParams):
-        if ops.grid.d != 2:
-            raise ValueError("the coupled stepper requires planar connector vectors (d = 2)")
-        if ops.grid.edge_gamma is None:
-            raise ValueError("configuration grid lacks drag geometry")
         self.flow = flow
         self.ops = ops
         self.params = params
-        self.eig = _QEig(ops)
         self.Sx = _cell_neumann_stiffness(flow.N)
-        # edge scatter: (config nodes) x (config edges), +1 at head, -1 at tail
-        g = ops.grid
-        n_e = g.edges_a.size
-        self._scatter = sp.coo_matrix(
-            (
-                np.concatenate([np.ones(n_e), -np.ones(n_e)]),
-                (np.concatenate([g.edges_b, g.edges_a]), np.concatenate([np.arange(n_e), np.arange(n_e)])),
-            ),
-            shape=(g.n_nodes, n_e),
-        ).tocsr()
-        self._gammaT = np.ascontiguousarray(g.edge_gamma.T)  # (4, n_e)
         # drag coefficient of the Rouse-weighted configuration diffusion;
         # single-spring chains carry coefficient A_11 / (2 lam)
         self._cq = float(ops.rouse.A[0][0]) / (2.0 * params.lam)
@@ -358,8 +299,7 @@ class CoupledStepper:
                 + self.params.eps * self.Sx
                 + _upwind_advection(fg, u_transport)).tocsr()
 
-    def _drag_rhs(self, u_candidate: np.ndarray, coeff_field: np.ndarray,
-                  delta: Optional[float] = None) -> np.ndarray:
+    def _drag_rhs(self, u_candidate: np.ndarray, coeff_field: np.ndarray) -> np.ndarray:
         """Edge-based drag source, one row per cell.
 
         The per-edge coefficient is the divided difference of the density
@@ -368,20 +308,15 @@ class CoupledStepper:
         the discrete chain rule behind the exact drag/stress cancellation.
         """
         g = self.ops.grid
-        sig = self.flow.cell_velocity_gradient(u_candidate).reshape(-1, 4)
-        sg = sig @ self._gammaT                      # (n_c, n_e): sigma : Gamma_e
-        pa = coeff_field[:, g.edges_a]
-        pb = coeff_field[:, g.edges_b]
-        if delta is None:
-            delta = self.params.cutoff.delta
-        c = secant_cutoff_coefficient(pa, pb, self.params.cutoff.L, delta)
-        return (sg * c) @ self._scatter.T            # scatter +head/-tail
+        cutoff = self.params.cutoff
+        c = secant_cutoff_coefficient(coeff_field[:, g.edges_a], coeff_field[:, g.edges_b],
+                                      cutoff.L, cutoff.delta)
+        return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
                            u_transport: np.ndarray,
                            coeff_field: Optional[np.ndarray] = None,
-                           dt: Optional[float] = None,
-                           delta: Optional[float] = None) -> np.ndarray:
+                           dt: Optional[float] = None) -> np.ndarray:
         """One implicit density solve.
 
         Transport (upwind) uses ``u_transport`` (previous macro step);
@@ -396,9 +331,8 @@ class CoupledStepper:
         h2 = fg.h * fg.h
         Kx = self._transport_matrix(np.asarray(u_transport, dtype=float), dt)
         rhs = (h2 / dt) * psi_prev * self.ops.mass_diag[None, :]
-        rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float),
-                                        coeff_field, delta)
-        out = _kron_solve(Kx, self._cq * h2, self.eig, rhs)
+        rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
+        out = _kron_solve(Kx, self._cq * h2, self.ops, rhs)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
         return out
@@ -415,7 +349,6 @@ class CoupledStepper:
         reports convergence after one iteration with zero increments.
         """
         p = self.params
-        delta_n = p.delta_at(state.n + 1)
         lu = self._momentum_matrix(state.u, p.dt)
         u_it = state.u
         psi_it = state.psi
@@ -424,8 +357,7 @@ class CoupledStepper:
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
             u_star = self._momentum_solve(lu, state.u, psi_it, f, p.dt)
-            psi_star = self.fokker_planck_step(state.psi, u_star, state.u,
-                                               coeff_field=psi_it, delta=delta_n)
+            psi_star = self.fokker_planck_step(state.psi, u_star, state.u, coeff_field=psi_it)
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
             # not be judged relative to itself (the ratio of two noise vectors
@@ -472,34 +404,26 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
     psi0 = np.asarray(psi0, dtype=float)
     if psi0.min() < 0.0:
         raise ValueError("raw initial density must be nonnegative")
-    g = ops.grid
     zeta0 = np.minimum(psi0, clip_level)
 
     h2 = flow.h * flow.h
     Kx = ((h2 / dt) * sp.identity(flow.n_c, format="csr")
           + _cell_neumann_stiffness(flow.N)).tocsr()
-    eig = _QEig(ops)
-    rhs = (h2 / dt) * zeta0 * ops.mass_diag[None, :]
-    zeta1 = _kron_solve(Kx, h2, eig, rhs)
-
     m = ops.mass_diag
-    ent0 = h2 * float((entropy_eval("F", np.maximum(psi0, 0.0))[0] @ m).sum())
-    ent1 = h2 * float((entropy_eval("F", np.maximum(zeta1, 0.0))[0] @ m).sum())
-    root = np.sqrt(np.maximum(zeta1, 0.0))
-    # x-direction Fisher term: squared jumps across cell edges, q-weighted
-    cube = root.reshape(flow.N, flow.N, g.n_nodes)
-    fx = float(((np.diff(cube, axis=0) ** 2).sum(axis=(0, 1))
-                + (np.diff(cube, axis=1) ** 2).sum(axis=(0, 1))) @ m)
-    # q-direction Fisher term: weighted edge jumps, cell-summed
-    dq = root[:, g.edges_b] - root[:, g.edges_a]
-    fq = float(h2 * ((dq * dq) @ g.edge_w).sum()) if g.edge_w.size else 0.0
-    fisher_budget = 4.0 * dt * (fx + fq)
+    zeta1 = _kron_solve(Kx, h2, ops, (h2 / dt) * zeta0 * m[None, :])
 
+    # checked before the entropy and Fisher terms, which reject densities
+    # below -slack themselves
     min_val = float(zeta1.min())
-    mass_drift = abs(h2 * float((zeta1 @ m).sum()) - h2 * float((zeta0 @ m).sum()))
-    scale = max(abs(ent0), 1.0)
     if min_val < -slack:
         raise ConstructionError(f"smoothed density dips to {min_val:.3e}")
+    g = ops.grid
+    ent0 = dg.relative_entropy(flow, g, psi0)
+    ent1 = dg.relative_entropy(flow, g, zeta1, neg_tol=slack)
+    fisher_budget = dt * (dg.fisher_x(flow, g, zeta1, neg_tol=slack)
+                          + dg.fisher_q(flow, g, zeta1, neg_tol=slack))
+    mass_drift = abs(h2 * float((zeta1 @ m).sum()) - h2 * float((zeta0 @ m).sum()))
+    scale = max(abs(ent0), 1.0)
     if ent1 > ent0 + slack * scale:
         raise ConstructionError(
             f"smoothing raised the entropy: {ent1:.6e} > {ent0:.6e}")

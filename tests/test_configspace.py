@@ -109,6 +109,21 @@ def test_spectral_gap_exceeds_one(ops16):
     assert spectral_gap(ops16) > 1.0
 
 
+def test_eigenbasis_diagonalizes_the_weighted_stiffness(ops16, rng):
+    # S Q_nodal = M Q_nodal diag(evals) with Q_nodal = M^{-1/2} Q, and the
+    # mode transforms compose to M^{-1} on a mass-weighted right-hand side
+    S = ops16.q_stiffness.toarray()
+    m = ops16.mass_diag
+    Qn = ops16.inv_sqrt_m[:, None] * ops16.Q
+    scale = np.abs(S).max()
+    np.testing.assert_allclose(S @ Qn, (m[:, None] * Qn) * ops16.evals[None, :],
+                               atol=1e-10 * scale)
+    np.testing.assert_allclose(ops16.Q.T @ ops16.Q, np.eye(m.size), atol=1e-12)
+    x = rng.standard_normal((3, m.size))
+    np.testing.assert_allclose(ops16.to_nodes(ops16.to_modes(x * m[None, :])), x, atol=1e-12)
+    assert ops16.evals.min() >= 0.0 and np.sum(ops16.evals < 1e-10) == 1
+
+
 def test_node_gradient_exact_on_polynomials(grid16):
     g = grid16
     fld = g.qx**2 - g.qy**2
@@ -169,6 +184,18 @@ def test_drag_stress_pairing_is_exact(ops16, rng):
     assert lhs == pytest.approx(rhs, abs=1e-13 * max(1.0, abs(lhs)))
 
 
+def test_drag_rhs_batches_over_cells(ops16, rng):
+    # one row per flow cell equals the single-cell functional row by row
+    n_e = ops16.grid.edges_a.size
+    sigma = rng.standard_normal((5, 2, 2))
+    coeff = rng.uniform(0.5, 2.0, (5, n_e))
+    batch = ops16.drag_rhs(sigma, coeff)
+    assert batch.shape == (5, ops16.grid.n_nodes)
+    for row in range(5):
+        np.testing.assert_allclose(batch[row], ops16.drag_rhs(sigma[row], coeff[row]),
+                                   rtol=0.0, atol=1e-14 * np.abs(batch).max())
+
+
 def test_drag_rhs_annihilates_constants(ops16, rng):
     sigma = rng.standard_normal((2, 2))
     coeff = rng.uniform(0.5, 2.0, ops16.grid.edges_a.size)
@@ -177,26 +204,16 @@ def test_drag_rhs_annihilates_constants(ops16, rng):
     assert abs(float(v.sum())) <= 1e-12 * np.abs(v).max()
 
 
-def test_spherical_grid_moments():
-    g = build_config_grid(ChainGeometry(K=1, d=3, b=(4.0,)), N_r=12, N_theta=10, N_phi=12)
-    assert abs(np.sum(g.w) - 1.0) <= 1e-8
-    m2 = weighted_integral(g, g.qx**2 + g.qy**2 + g.qz**2)
-    assert m2 == pytest.approx(4.0 / 3.0, abs=1e-6)  # d b / (b + d + 2)
-    coords = (g.qx, g.qy, g.qz)
-    for a in range(3):
-        for c in range(3):
-            val = weighted_integral(g, g.uprime * coords[a] * coords[c])
-            assert val == pytest.approx(1.0 if a == c else 0.0, abs=1e-8)
-
-
 def test_build_validation():
     geo = ChainGeometry(K=1, d=2, b=(4.0,))
     with pytest.raises(ValueError):
         build_config_grid(geo, N_r=4, N_theta=16)
     with pytest.raises(ValueError):
         build_config_grid(geo, N_r=16, N_theta=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single spring"):
         build_config_grid(ChainGeometry(K=2, d=2, b=(4.0, 4.0)), N_r=16, N_theta=16)
+    with pytest.raises(ValueError, match="planar"):
+        build_config_grid(ChainGeometry(K=1, d=3, b=(4.0,)), N_r=16, N_theta=16)
 
 
 def test_build_self_check_trips(monkeypatch):

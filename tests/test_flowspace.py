@@ -10,12 +10,15 @@ import pytest
 from feneflow import (
     build_flow_grid,
     convection_matrix,
-    convection_trilinear,
     dual_norm_sq,
     poincare_constant,
     project_divergence_free,
-    scalar_dirichlet_stiffness,
     smooth_initial_velocity,
+)
+from flow_reference import (
+    loop_convection_matrix,
+    loop_flow_operators,
+    scalar_dirichlet_stiffness,
 )
 
 POINCARE_UNIT_SQUARE = 1.0 / (math.pi * math.sqrt(2.0))  # 1/sqrt(2 pi^2)
@@ -23,6 +26,46 @@ POINCARE_UNIT_SQUARE = 1.0 / (math.pi * math.sqrt(2.0))  # 1/sqrt(2 pi^2)
 
 def random_faces(grid, rng, scale=1.0):
     return scale * rng.standard_normal(grid.n_u + grid.n_v)
+
+
+def canonical_csr(M):
+    M = M.tocsr(copy=True)
+    M.eliminate_zeros()
+    M.sort_indices()
+    return M
+
+
+def assert_same_csr(got, want):
+    """Bitwise-equal canonical CSR: same pattern, same stored values."""
+    got, want = canonical_csr(got), canonical_csr(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+# --------------------------------------------------------------------------
+# Kronecker assembly against the loop-built reference
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("N", [4, 5, 8, 12, 16, 32])
+def test_operators_match_loop_reference_bitwise(N, side):
+    # the direct sparse factorizations depend on the pattern and on every
+    # stored bit, so the assembled operators must equal the reference exactly
+    grid = build_flow_grid(N, side)
+    D, G, K, T = loop_flow_operators(N, side)
+    assert_same_csr(grid.D, D)
+    assert_same_csr(grid.G, G)
+    assert_same_csr(grid.K, K)
+    for got, want in zip(grid.T, T):
+        assert_same_csr(got, want)
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        adv = random_faces(grid, rng)
+        adv[rng.random(adv.size) < 0.3] = 0.0   # zero advectors drop entries
+        assert_same_csr(convection_matrix(grid, adv), loop_convection_matrix(N, side, adv))
 
 
 # --------------------------------------------------------------------------
@@ -113,11 +156,13 @@ def test_convection_is_skew(flow12, rng):
 
 
 def test_convection_trilinear_antisymmetry(flow12, rng):
+    # t(v; w1, w2) = h^2 w2 . C(v) w1 is skew in (w1, w2)
     adv = random_faces(flow12, rng)
     w1 = random_faces(flow12, rng)
     w2 = random_faces(flow12, rng)
-    t12 = convection_trilinear(flow12, adv, w1, w2)
-    t21 = convection_trilinear(flow12, adv, w2, w1)
+    C = convection_matrix(flow12, adv)
+    t12 = flow12.ip(w2, C @ w1)
+    t21 = flow12.ip(w1, C @ w2)
     assert t12 == pytest.approx(-t21, abs=1e-11 * max(1.0, abs(t12)))
 
 
@@ -141,6 +186,17 @@ def test_poincare_constant_scales_with_side():
     cp1, _ = poincare_constant(32, side=1.0)
     cp2, _ = poincare_constant(32, side=2.0)
     assert cp2 == pytest.approx(2.0 * cp1, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("N", [4, 12, 32])
+def test_poincare_closed_form_matches_dense_spectrum(N, side):
+    # lambda_1 = (8/h^2) sin^2(pi/(2N)) against the smallest eigenvalue of
+    # the assembled ghost-reflected Dirichlet stiffness
+    dense = np.linalg.eigvalsh(scalar_dirichlet_stiffness(N, side).toarray())[0]
+    cp, lam1 = poincare_constant(N, side)
+    assert lam1 == pytest.approx(dense, rel=1e-11)
+    assert cp == 1.0 / math.sqrt(lam1)
 
 
 def test_poincare_constant_refines_monotonically():

@@ -35,7 +35,6 @@ SECOND_MOMENT_ORACLE = {3.0: 6.0 / 7.0,      # d b / (b + d + 2), d = 2
                         8.0: 4.0 / 3.0}
 U_AT_ONE_B4 = 1.3862943611198906             # 2 log 2
 FL_AT_2L_L2 = 2.772588722239781              # 4 log 2
-CHAIN3_A0 = 0.5857864376269049               # 2 - sqrt(2)
 
 
 # --------------------------------------------------------------------------
@@ -131,13 +130,8 @@ def test_dumbbell_coupling_is_identity():
     r = RouseMatrix.for_chain(1)
     assert r.A.shape == (1, 1) and r.A[0, 0] == 1.0
     assert r.a0 == 1.0
-
-
-def test_chain3_smallest_eigenvalue():
-    r = RouseMatrix.for_chain(3)
-    assert r.a0 == pytest.approx(CHAIN3_A0, abs=1e-12)
-    # second route: eigenvalues of (-1, 2, -1) are 2 - 2 cos(pi j / (K+1))
-    assert r.a0 == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 4.0), abs=1e-12)
+    with pytest.raises(ValueError, match="single-spring"):
+        RouseMatrix.for_chain(3)
 
 
 def test_rouse_matrix_rejects_indefinite():

@@ -3,9 +3,13 @@ points (run / check / selftest with their exit-code contract)."""
 
 import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feneflow import (
     SCENARIOS,
@@ -13,7 +17,6 @@ from feneflow import (
     EnergyLedger,
     RunConfig,
     emit_config,
-    emit_ledger,
     parse_config,
     run_scenario,
 )
@@ -62,6 +65,58 @@ def test_config_aggregates_violations():
     assert "unknown scenario" in text
     assert "gamma = b/2 must exceed 1" in text
     assert "cutoff level must exceed 1" in text
+
+
+@pytest.mark.parametrize("raw, field", [
+    ('{"N_x": "12"}', "N_x"),
+    ('{"N_x": 12.5}', "N_x"),
+    ('{"N_r": true}', "N_r"),
+    ('{"dt": true}', "dt"),
+    ('{"T": Infinity}', "T"),
+    ('{"T": NaN}', "T"),
+    ('{"nu": "1.0"}', "nu"),
+    ('{"scenario": 3}', "scenario"),
+    ('{"rouse": [[1.0], "x"]}', "rouse"),
+])
+def test_config_rejects_wrong_types(raw, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert any(v.startswith(f"{field} must be") for v in err.value.violations)
+
+
+def test_config_rejects_removed_geometry_keys():
+    # the run discretizes one planar spring: K and d are no longer keys
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"K": 1, "d": 2}')
+    assert err.value.violations == ["unknown key 'K'", "unknown key 'd'"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)), JSON_VALUES,
+                       min_size=1, max_size=3))
+def test_malformed_values_give_config_errors_only(raw):
+    # any JSON value under any key is either accepted or rejected with
+    # ConfigError; no other exception escapes validation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            cfg = parse_config(json.dumps(raw))
+        except ConfigError:
+            return
+    for f in dataclasses.fields(cfg):
+        val = getattr(cfg, f.name)
+        if f.type == "int":
+            assert isinstance(val, int) and not isinstance(val, bool)
+        elif f.type in ("float", "Optional[float]") and val is not None:
+            assert not isinstance(val, bool) and math.isfinite(val)
 
 
 def test_config_requires_a_step_rule():
@@ -180,9 +235,32 @@ def test_run_writes_the_output_contract(tmp_path):
 def test_emit_ledger_round_trip(tmp_path):
     result = run_scenario(tiny("equilibrium"))
     path = tmp_path / "ledger.tsv"
-    emit_ledger(result.ledger, str(path))
+    result.ledger.write(str(path))
     reloaded = EnergyLedger.read(str(path))
     assert reloaded.to_text() == result.ledger.to_text()
+
+
+def test_repeat_runs_write_identical_summaries(tmp_path):
+    cfg = tiny("decay")
+    for name in ("a", "b"):
+        run_scenario(cfg, out_dir=str(tmp_path / name))
+    assert (tmp_path / "a" / "summary.json").read_bytes() \
+        == (tmp_path / "b" / "summary.json").read_bytes()
+
+
+def test_run_does_one_dense_eigensolve(monkeypatch):
+    # the configuration eigenbasis is built once, with the operators, and
+    # shared by the stepper and the initial-density smoothing
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run_scenario(tiny("decay"))
+    assert calls == [(100, 100)]
 
 
 # --------------------------------------------------------------------------
@@ -207,6 +285,11 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
     assert main(["check", str(tmp_path / "missing.json")]) == 1
+
+    for text in ('{"N_x": "12"}', '{"N_x": 12.5}'):
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert "config error: N_x must be an integer" in capsys.readouterr().err
 
 
 def test_cli_run_passes_and_writes(tmp_path, capsys):

@@ -228,21 +228,6 @@ def test_step_params_validation():
             StepParams(**{**good, key: bad})
 
 
-def test_delta_schedule_validation_and_lookup():
-    base = dict(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
-                cutoff=CutoffParams(L=5.0, delta=1e-4),
-                rouse=RouseMatrix.for_chain(1))
-    p = StepParams(**base, delta_schedule=(1e-2, 1e-3, 1e-3))
-    assert p.delta_at(1) == 1e-2
-    assert p.delta_at(2) == 1e-3
-    assert p.delta_at(50) == 1e-3   # clamps at the last entry
-    assert StepParams(**base).delta_at(7) == 1e-4  # no schedule: fixed delta
-    with pytest.raises(ValueError):
-        StepParams(**base, delta_schedule=(1e-3, 1e-2))  # must not increase
-    with pytest.raises(ValueError):
-        StepParams(**base, delta_schedule=(1.5,))
-
-
 # --------------------------------------------------------------------------
 # initial-data smoothing
 # --------------------------------------------------------------------------
