@@ -7,21 +7,23 @@
 # at 1 for a *non-trivial* flow as well.
 #
 # Usage: python3 demos/01_equilibrium_and_mass.py
+import os
+import tempfile
+
 import numpy as np
 
 from feneflow import (
-    ChainGeometry, CoupledStepper, CutoffParams, RouseMatrix, StepParams,
-    SystemState, assemble_fp_operators, build_config_grid, build_flow_grid,
+    CoupledStepper, CutoffParams, StepParams, SystemState,
+    assemble_fp_operators, build_config_grid, build_flow_grid,
     load_checkpoint, project_divergence_free, save_checkpoint,
 )
 
 N = 16
 flow = build_flow_grid(N)
-grid = build_config_grid(ChainGeometry(K=1, d=2, b=(4.0,)), N_r=16, N_theta=16)
+grid = build_config_grid(4.0, N_r=16, N_theta=16)   # FENE parameter b = 4
 params = StepParams(dt=1e-2, nu=1.0, k=1.0, lam=0.5, eps=0.1,
-                    cutoff=CutoffParams(L=5.0, delta=1e-4),
-                    rouse=RouseMatrix.for_chain(1))
-ops = assemble_fp_operators(grid, params.rouse, lam=params.lam, eps=params.eps)
+                    cutoff=CutoffParams(L=5.0, delta=1e-4))
+ops = assemble_fp_operators(grid)
 stepper = CoupledStepper(flow, ops, params)
 
 print("== equilibrium preservation ==")
@@ -48,7 +50,9 @@ for step in range(1, 6):
           f"total mass drift = {abs(flow.h**2 * rho.sum() - flow.side**2):.2e}")
 
 print("\n== checkpoint round trip ==")
-save_checkpoint("/tmp/demo_state.npz", state, params, flow, ops)
-restored, meta = load_checkpoint("/tmp/demo_state.npz", flow=flow, ops=ops)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_state.npz")
+    save_checkpoint(path, state, params, flow, ops)
+    restored, meta = load_checkpoint(path, flow=flow, ops=ops)
 print(f"restored t={restored.t:.2f} n={restored.n}; "
       f"bit-exact: {np.array_equal(restored.psi, state.psi)}")

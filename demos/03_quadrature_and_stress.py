@@ -16,22 +16,20 @@ import math
 
 import numpy as np
 
-from feneflow import (ChainGeometry, build_config_grid, ibp_residual,
-                      kramers_stress, maxwellian_normalizer,
-                      weighted_integral)
+from feneflow import (build_config_grid, ibp_residual, kramers_stress,
+                      maxwellian_normalizer, weighted_integral)
 
-b, d = 4.0, 2
-geo = ChainGeometry(K=1, d=d, b=(b,))
+b, d = 4.0, 2        # the planar dumbbell: d = 2 is fixed, b is the only parameter
 
 print(f"FENE spring with b = {b} in d = {d}\n")
 
 Z_closed = 2.0 * math.pi * b / (b + 2.0)        # = 4 pi / 3 at b = 4
-Z = maxwellian_normalizer(b, d)
+Z = maxwellian_normalizer(b)
 print(f"normalizer Z: beta-function route {Z:.15f}")
 print(f"              2 pi b/(b+2)        {Z_closed:.15f}   "
       f"(diff {abs(Z - Z_closed):.1e})")
 
-grid = build_config_grid(geo, N_r=64, N_theta=64)
+grid = build_config_grid(b, N_r=64, N_theta=64)
 m2 = weighted_integral(grid, grid.qx**2 + grid.qy**2)
 m2_closed = d * b / (b + d + 2.0)
 print(f"second moment int M |q|^2: grid {m2:.12f}, closed form {m2_closed} "
@@ -53,7 +51,7 @@ print("\nintegration-by-parts residual, smooth test density, trace-free B:")
 print("   N      lhs           rhs           |lhs-rhs|   ratio")
 prev = None
 for N in (16, 32, 64):
-    g = build_config_grid(geo, N_r=N, N_theta=N)
+    g = build_config_grid(b, N_r=N, N_theta=N)
     phi = (np.exp(c[0] * g.qx + c[1] * g.qy)
            + c[2] * np.sin(g.qx) * np.cos(g.qy) + c[3] * g.qx * g.qy)
     res = ibp_residual(g, B, phi)

@@ -14,8 +14,8 @@
 # Usage: python3 demos/04_shear_driven_polymer.py
 import numpy as np
 
-from feneflow import (ChainGeometry, RunConfig, build_config_grid,
-                      build_flow_grid, kramers_stress, run_scenario)
+from feneflow import (RunConfig, build_config_grid, build_flow_grid,
+                      kramers_stress, run_scenario)
 
 cfg = RunConfig(scenario="couette", T=1.0, dt=0.01, N_x=12, N_r=12,
                 N_theta=12, nu=1.0, k=1.0, lam=0.5, eps=0.1,
@@ -42,8 +42,7 @@ for j, val in enumerate(profile):
     print(f"  y={(j + 0.5) / N:5.3f}  {val: .4e}  " + " " * pad + "*")
 
 # Kramers stress per cell, compared with the local shear rate
-geo = ChainGeometry(K=1, d=2, b=(cfg.b,))
-grid = build_config_grid(geo, cfg.N_r, cfg.N_theta)
+grid = build_config_grid(cfg.b, cfg.N_r, cfg.N_theta)
 tau = kramers_stress(grid, result.state.psi, cfg.k)       # (n_c, 2, 2)
 gradu = fg.cell_velocity_gradient(result.state.u)          # (n_c, 2, 2)
 shear = 0.5 * (gradu[:, 0, 1] + gradu[:, 1, 0])

@@ -18,11 +18,9 @@ if _threads:
 del _os, _threads
 
 from .kinetic import (                                   # noqa: E402
-    ChainGeometry,
     CutoffParams,
     DomainError,
     InternalConsistencyError,
-    RouseMatrix,
     bakry_emery_kappa,
     cutoff_beta,
     cutoff_beta_delta,

@@ -96,9 +96,6 @@ def _selftest_checks(seed: int):
     import numpy as np
 
     from . import (
-        ChainGeometry,
-        CutoffParams,
-        RouseMatrix,
         RunConfig,
         assemble_fp_operators,
         build_config_grid,
@@ -114,14 +111,13 @@ def _selftest_checks(seed: int):
     )
 
     rng = np.random.default_rng(seed)
-    geo = ChainGeometry(K=1, d=2, b=(4.0,))
-    grid = build_config_grid(geo, N_r=16, N_theta=16)
+    grid = build_config_grid(4.0, N_r=16, N_theta=16)
     fg = build_flow_grid(12)
 
     def check_normalizer():
         import math
 
-        z = maxwellian_normalizer(4.0, 2)
+        z = maxwellian_normalizer(4.0)
         return abs(z - 4.0 * math.pi / 3.0) < 1.0e-10, f"Z={z!r}"
 
     def check_quadrature():
@@ -172,7 +168,7 @@ def _selftest_checks(seed: int):
         return True, "25 fields"
 
     def check_smoothing():
-        ops = assemble_fp_operators(grid, RouseMatrix.for_chain(1), lam=0.5, eps=0.1)
+        ops = assemble_fp_operators(grid)
         for _ in range(5):
             psi = np.abs(1.0 + 0.3 * rng.standard_normal() * grid.qx)[None, :] \
                 * (1.0 + 0.2 * rng.random(fg.n_c))[:, None]

@@ -1,10 +1,10 @@
 """Configuration-space grid and operators for the spring disc ``D = B(0, sqrt(b))``.
 
-Connectors are planar (``d = 2``) and the chain is a single spring: the
-coupled run discretizes nothing else, so the grid builder rejects other
-geometries.  The grid is polar: radii are mapped Gauss-Jacobi nodes
-(no node at the origin or on the sphere ``|q| = sqrt(b)``), angles are
-uniform.  The Jacobi weight exponent is chosen as ``b/2 - 1`` so that after
+Connectors are planar (``d = 2``) and the chain is a single spring (a
+dumbbell), the only chain the coupled run discretizes, so a grid is fixed
+by the FENE parameter ``b`` and its node counts.  The grid is polar: radii
+are mapped Gauss-Jacobi nodes (no node at the origin or on the circle
+``|q| = sqrt(b)``), angles are uniform.  The Jacobi weight exponent is chosen as ``b/2 - 1`` so that after
 the substitution ``t = 2 r^2 / b - 1`` *both* families of moments that the
 solver needs,
 
@@ -35,10 +35,8 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from .kinetic import (
-    ChainGeometry,
     DomainError,
     InternalConsistencyError,
-    RouseMatrix,
     fene_potential,
     maxwellian_normalizer,
 )
@@ -111,7 +109,7 @@ class ConfigGrid:
 
     Attributes
     ----------
-    geometry:      single-spring ChainGeometry this grid discretizes.
+    b:             FENE extensibility parameter, ``b > 2``.
     r, theta:      radial Gauss-Jacobi nodes and uniform angles.
     w:             normalized node weights: ``sum(w * g)`` approximates
                    ``int_D M g dq`` (exactly, for polynomial ``g``).
@@ -126,7 +124,7 @@ class ConfigGrid:
     Z:             Maxwellian normalizer (cross-checked against closed form).
     """
 
-    geometry: ChainGeometry
+    b: float
     N_r: int
     N_theta: int
     r: np.ndarray
@@ -148,14 +146,9 @@ class ConfigGrid:
     def n_nodes(self) -> int:
         return self.w.size
 
-    @property
-    def b(self) -> float:
-        return self.geometry.b[0]
 
-
-def _build_polar(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
-    b = geometry.b[0]
-    Z = maxwellian_normalizer(b, 2)
+def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
+    Z = maxwellian_normalizer(b)
 
     # Radial rule: t = 2 r^2 / b - 1 turns  int_0^sqrt(b) g Mtilde r dr  into
     # (b/4) 2^{-b/2} int (1-t)^{b/2} g dt; Jacobi(alpha=b/2-1) nodes make both
@@ -213,7 +206,7 @@ def _build_polar(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
     edge_gamma = np.concatenate([gamma_r, gamma_t], axis=0)
 
     grid = ConfigGrid(
-        geometry=geometry,
+        b=b,
         N_r=N_r,
         N_theta=N_theta,
         r=r,
@@ -234,28 +227,25 @@ def _build_polar(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
     return grid
 
 
-def build_config_grid(geometry: ChainGeometry, N_r: int, N_theta: int) -> ConfigGrid:
-    """Build and self-check the quadrature/difference grid for one planar spring.
+def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
+    """Build and self-check the quadrature/difference grid for one planar
+    spring with FENE parameter ``b``.
 
     Raises
     ------
     ValueError
-        If the geometry is not a single spring (``K = 1``) with planar
-        connectors (``d = 2``), or a direction has fewer than 8 nodes.
+        If a direction has fewer than 8 nodes.
+    DomainError
+        If ``b <= 2`` (``gamma = b/2`` must exceed 1).
     GridConstructionError
         If the normalized mass misses 1 by more than 1e-8 or the second
         moment misses its closed form ``2b/(b+4)`` by more than 1e-6
         (the raised message reports the measured defect).
     """
-    if geometry.K != 1:
-        raise ValueError(f"build_config_grid discretizes a single spring (K = 1), got K={geometry.K}")
-    if geometry.d != 2:
-        raise ValueError(f"build_config_grid discretizes planar connectors (d = 2), got d={geometry.d}")
     if N_r < 8 or N_theta < 8:
         raise ValueError(f"need at least 8 nodes per direction, got N_r={N_r}, N_theta={N_theta}")
-    grid = _build_polar(geometry, N_r, N_theta)
+    grid = _build_polar(b, N_r, N_theta)
 
-    b = grid.b
     mass = float(np.sum(grid.w))
     m2 = float(np.sum(grid.w * (grid.qx**2 + grid.qy**2)))
     m2_exact = 2.0 * b / (b + 4.0)
@@ -379,12 +369,12 @@ def ibp_residual(grid: ConfigGrid, B: np.ndarray, phi_hat: np.ndarray) -> IbpRes
 class ConfigOperators:
     """Weighted operators used by the coupled stepper.
 
-    mass_diag:    node weights of ``int_D M . dq`` (diagonal mass form).
+    grid:         the underlying grid; its node weights ``grid.w`` are the
+                  diagonal mass form of ``int_D M . dq``, and its edge
+                  arrays drive the drag pairing.
     q_stiffness:  CSR matrix of the Dirichlet form
                   ``psi -> sum_edges edge_w (psi_b - psi_a) (test_b - test_a)``
                   (symmetric positive semidefinite, kernel = constants).
-    grid:         the underlying grid (edge arrays drive the drag pairing).
-    rouse, lam, eps: coupling matrix and the scheme parameters they scale.
     evals, Q:     eigenpairs ``S_hat = Q diag(evals) Q^T`` of the mass-weighted
                   stiffness ``S_hat = M^{-1/2} S M^{-1/2}`` (evals clipped at 0);
                   in this basis ``K_x Psi M + c M_x Psi S = R`` splits into
@@ -395,11 +385,7 @@ class ConfigOperators:
     """
 
     grid: ConfigGrid
-    mass_diag: np.ndarray
     q_stiffness: sp.csr_matrix
-    rouse: RouseMatrix
-    lam: float
-    eps: float
     evals: np.ndarray
     Q: np.ndarray
     inv_sqrt_m: np.ndarray
@@ -445,18 +431,14 @@ class ConfigOperators:
         return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
 
 
-def assemble_fp_operators(
-    grid: ConfigGrid, rouse: RouseMatrix, lam: float, eps: float
-) -> ConfigOperators:
-    """Assemble the Maxwellian-weighted mass and stiffness forms for one
-    spring, the stiffness eigenbasis and the edge scatter.
+def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
+    """Assemble the Maxwellian-weighted stiffness form for one spring, its
+    eigenbasis and the edge scatter.
 
     The stiffness is built edge-wise, so symmetry is structural and constants
     are annihilated exactly; both facts are re-verified here (defect beyond
     1e-12 raises :class:`InternalConsistencyError`).
     """
-    if lam <= 0.0 or eps < 0.0:
-        raise ValueError(f"need lambda > 0 and eps >= 0, got lam={lam}, eps={eps}")
     n = grid.n_nodes
     a, bidx, wE = grid.edges_a, grid.edges_b, grid.edge_w
     rows = np.concatenate([a, bidx, a, bidx])
@@ -480,8 +462,7 @@ def assemble_fp_operators(
         shape=(n, n_e),
     ).tocsr()
     return ConfigOperators(
-        grid=grid, mass_diag=grid.w.copy(), q_stiffness=S, rouse=rouse, lam=lam, eps=eps,
-        evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
+        grid=grid, q_stiffness=S, evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
         Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m, scatter=scatter,
         gamma_T=np.ascontiguousarray(grid.edge_gamma.T),
     )

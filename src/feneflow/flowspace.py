@@ -48,6 +48,11 @@ class FlowGrid:
         K: vector Dirichlet "stiffness" (minus Laplacian) on faces; SPD.
         T: tuple of four cell-tensor gradient maps (T_xx, T_xy, T_yx, T_yy)
            with ``T_xx u + T_yy v`` equal to the divergence row-for-row.
+        cell_stiffness: unscaled 5-point stiffness on cells with no-flux
+           walls, ``h^2 D D^T``; rows sum to 0.  Its edge form
+           ``sum_edges (d rho)(d phi)`` equals ``int grad rho . grad phi``
+           because the ``1/h^2`` of the difference quotients cancels the
+           ``h^2`` cell measure.
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
     """
 
@@ -61,6 +66,7 @@ class FlowGrid:
     G: sp.csr_matrix
     K: sp.csr_matrix
     T: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    cell_stiffness: sp.csr_matrix
     xu: np.ndarray
     yu: np.ndarray
     xv: np.ndarray
@@ -158,10 +164,14 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
     # divergence: each cell differences its east/west u faces and its
     # north/south v faces; the gradient is its exact negative adjoint
-    Du = sp.kron(_face_difference(N), I_c)
-    Dv = sp.kron(I_c, _face_difference(N))
+    F = _face_difference(N)
+    Du = sp.kron(F, I_c)
+    Dv = sp.kron(I_c, F)
     D = _scaled(sp.hstack([Du, Dv]), h)
     G = (-D.T).tocsr()
+    # F F^T is the 1D Neumann stencil (diagonal 1 at the walls, 2 inside)
+    S1 = F @ F.T
+    cell_stiffness = (sp.kron(S1, I_c) + sp.kron(I_c, S1)).tocsr()
 
     # viscous (minus vector Laplacian): no-slip walls are zero normal faces
     # (Dirichlet) and ghost-reflected tangential values, u(-h/2) = -u(h/2)
@@ -186,7 +196,7 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
-        D=D, G=G, K=K, T=(Txx, Txy, Tyx, Tyy),
+        D=D, G=G, K=K, T=(Txx, Txy, Tyx, Tyy), cell_stiffness=cell_stiffness,
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )
 
@@ -199,16 +209,17 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
     """L2-orthogonal projection onto the discretely divergence-free subspace.
 
-    Solves ``(D G) p = D w`` (pressure Poisson, mean-zero gauge) and returns
+    Solves ``(D G) p = D w`` (pressure Poisson, mean-zero gauge) as
+    ``S p = -h^2 D w`` with the cell stiffness ``S = -h^2 D G`` and returns
     ``w - G p``.  Idempotent to rounding; gradients project to zero.
     """
     w = np.asarray(w, dtype=float)
-    A = (grid.D @ grid.G).tocsc() * (-1.0)  # SPD up to constants
-    ones = np.ones(grid.n_c)
     if grid._proj_lu is None:
-        Aug = sp.bmat([[A, ones[:, None]], [ones[None, :], None]], format="csc")
+        ones = np.ones(grid.n_c)
+        Aug = sp.bmat([[grid.cell_stiffness, ones[:, None]], [ones[None, :], None]],
+                      format="csc")
         grid._proj_lu = spla.splu(Aug)
-    sol = grid._proj_lu.solve(np.concatenate([-(grid.D @ w), [0.0]]))
+    sol = grid._proj_lu.solve(np.concatenate([-(grid.h * grid.h) * (grid.D @ w), [0.0]]))
     p = sol[:-1]
     return w - grid.G @ p
 

@@ -1,8 +1,10 @@
 """Bead-spring kinetic theory primitives.
 
-A dilute polymer chain is modelled as ``K`` FENE springs in ``d`` space
-dimensions.  Each spring connector ``q_i`` ranges over the open ball
-``D_i = B(0, sqrt(b_i))`` and carries the elastic potential
+The paper's chains are ``K`` FENE springs in ``d = 2`` or ``3`` space
+dimensions; feneflow discretizes the planar dumbbell (one spring, ``d = 2``),
+so every primitive here takes just the FENE parameter ``b``.  The spring
+connector ``q`` ranges over the open disc ``D = B(0, sqrt(b))`` and carries
+the elastic potential
 
     U(s) = -(b/2) * log(1 - 2 s / b),      s = |q|^2 / 2 in [0, b/2),
 
@@ -15,8 +17,6 @@ which every integration-by-parts manipulation in the coupled solver rests,
 and ``-log M`` is uniformly convex with Hessian bounded below by the
 identity (curvature constant ``kappa = 1``), which is what powers the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
-The primitives take general ``K`` and ``d``; the grids and the coupled
-solver discretize the planar dumbbell (``K = 1``, ``d = 2``).
 
 The module also provides the relative-entropy integrands: the Boltzmann
 function ``F(s) = s (log s - 1) + 1``, its quadratic super-linear
@@ -28,14 +28,11 @@ together with the cut-off functions ``beta^L(s) = min(s, L)`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ChainGeometry",
-    "RouseMatrix",
     "CutoffParams",
     "fene_potential",
     "maxwellian_normalizer",
@@ -57,77 +54,8 @@ class InternalConsistencyError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# geometry and coupling
+# cut-off parameters
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainGeometry:
-    """Number of springs, space dimension and FENE extensibility parameters.
-
-    Parameters
-    ----------
-    K : int
-        Number of springs in the chain, ``K >= 1``.
-    d : int
-        Space dimension, 2 or 3.
-    b : tuple of float
-        FENE parameter per spring; each entry must exceed 2 so that the
-        Maxwellian has finite relative-entropy moments (``gamma = b/2 > 1``).
-    """
-
-    K: int
-    d: int
-    b: Tuple[float, ...]
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"need at least one spring, got K={self.K}")
-        if self.d not in (2, 3):
-            raise ValueError(f"space dimension must be 2 or 3, got d={self.d}")
-        if len(self.b) != self.K:
-            raise ValueError(
-                f"expected {self.K} extensibility parameters, got {len(self.b)}"
-            )
-        for bi in self.b:
-            if not bi > 2.0:
-                raise ValueError(
-                    f"b={bi}: gamma = b/2 must exceed 1 for finite entropy moments"
-                )
-
-
-@dataclass(frozen=True)
-class RouseMatrix:
-    """Symmetric positive definite spring-coupling matrix and its smallest eigenvalue.
-
-    ``A = [1]`` for a single spring (dumbbell), the only chain the solver
-    discretizes.  ``a0`` is the smallest eigenvalue of ``A`` and enters the
-    equilibration rate
-    ``gamma_0 = min(nu / C_P^2, kappa a0 / (2 lambda))``.
-    """
-
-    A: np.ndarray
-    a0: float = field(init=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"coupling matrix must be square, got shape {A.shape}")
-        if not np.allclose(A, A.T, atol=1e-14):
-            raise ValueError("coupling matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(A)
-        if eigs[0] <= 0.0:
-            raise ValueError(f"coupling matrix must be positive definite, min eig {eigs[0]}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "a0", float(eigs[0]))
-
-    @staticmethod
-    def for_chain(K: int) -> "RouseMatrix":
-        """Coupling matrix of a ``K``-spring chain; only the dumbbell
-        (``K = 1``, ``A = [1]``) is discretized."""
-        if K != 1:
-            raise ValueError(f"only the single-spring chain (K = 1) is discretized, got K={K}")
-        return RouseMatrix(np.array([[1.0]]))
 
 
 @dataclass(frozen=True)
@@ -176,26 +104,24 @@ def fene_potential(s, b: float):
     return U, Uprime
 
 
-def maxwellian_normalizer(b: float, d: int) -> float:
-    """Normalizing constant ``Z = int_D (1 - |q|^2/b)^{b/2} dq`` over the ball.
+def maxwellian_normalizer(b: float) -> float:
+    """Normalizing constant ``Z = int_D (1 - |q|^2/b)^{b/2} dq`` over the disc.
 
     Uses the exact Beta-function reduction
-    ``Z = |S^{d-1}| (b^{d/2}/2) B(d/2, b/2 + 1)`` and cross-checks the
-    ``d = 2`` closed form ``Z = 2 pi b / (b + 2)``.
+    ``Z = |S^{d-1}| (b^{d/2}/2) B(d/2, b/2 + 1)`` at ``d = 2`` and
+    cross-checks the closed form ``Z = 2 pi b / (b + 2)``, which differs
+    from it in the last bits.
     """
-    if d not in (2, 3):
-        raise DomainError(f"space dimension must be 2 or 3, got {d}")
     if not b > 2.0:
         raise DomainError(f"b={b}: gamma = b/2 must exceed 1")
-    surface = 2.0 * math.pi if d == 2 else 4.0 * math.pi
+    d = 2
     lbeta = math.lgamma(d / 2.0) + math.lgamma(b / 2.0 + 1.0) - math.lgamma(d / 2.0 + b / 2.0 + 1.0)
-    Z = surface * 0.5 * b ** (d / 2.0) * math.exp(lbeta)
-    if d == 2:
-        closed = 2.0 * math.pi * b / (b + 2.0)
-        if abs(Z - closed) > 1e-12 * closed:
-            raise InternalConsistencyError(
-                f"normalizer mismatch: Beta form {Z!r} vs closed form {closed!r}"
-            )
+    Z = 2.0 * math.pi * 0.5 * b ** (d / 2.0) * math.exp(lbeta)
+    closed = 2.0 * math.pi * b / (b + 2.0)
+    if abs(Z - closed) > 1e-12 * closed:
+        raise InternalConsistencyError(
+            f"normalizer mismatch: Beta form {Z!r} vs closed form {closed!r}"
+        )
     return Z
 
 
@@ -340,7 +266,7 @@ def entropy_eval(which: str, s, L: float | None = None, delta: float | None = No
 # --------------------------------------------------------------------------
 
 
-def bakry_emery_kappa(geometry: ChainGeometry, samples: int = 512, tol: float = 1e-9):
+def bakry_emery_kappa(b: float, samples: int = 512, tol: float = 1e-9):
     """Curvature constant of the Maxwellian and a sampled verification.
 
     ``Hess(-log M) = U'(s) I + U''(s) q q^T`` has eigenvalues ``U'`` (in the
@@ -352,20 +278,20 @@ def bakry_emery_kappa(geometry: ChainGeometry, samples: int = 512, tol: float = 
     kappa : float
         The curvature lower bound (1 for FENE).
     min_eig : float
-        Smallest Hessian eigenvalue over a radial sample of each spring's
-        ball; an :class:`InternalConsistencyError` is raised if it drops
-        below ``kappa - tol``.
+        Smallest Hessian eigenvalue over a radial sample of the disc
+        ``|q| < sqrt(b)``; an :class:`InternalConsistencyError` is raised if
+        it drops below ``kappa - tol``.
     """
+    if not b > 2.0:
+        raise DomainError(f"b={b}: gamma = b/2 must exceed 1")
     kappa = 1.0
-    min_eig = np.inf
-    for b in geometry.b:
-        r = np.linspace(0.0, math.sqrt(b), samples + 2)[1:-1]
-        s = 0.5 * r * r
-        arg = 1.0 - 2.0 * s / b
-        Uprime = 1.0 / arg
-        Usecond = (2.0 / b) / (arg * arg)
-        radial = Uprime + Usecond * r * r
-        min_eig = min(min_eig, float(np.min(Uprime)), float(np.min(radial)))
+    r = np.linspace(0.0, math.sqrt(b), samples + 2)[1:-1]
+    s = 0.5 * r * r
+    arg = 1.0 - 2.0 * s / b
+    Uprime = 1.0 / arg
+    Usecond = (2.0 / b) / (arg * arg)
+    radial = Uprime + Usecond * r * r
+    min_eig = min(float(np.min(Uprime)), float(np.min(radial)))
     if min_eig < kappa - tol:
         raise InternalConsistencyError(
             f"sampled Hessian eigenvalue {min_eig} fell below kappa={kappa}"

@@ -20,7 +20,7 @@ import numpy as np
 from . import diagnostics as dg
 from .configspace import ConfigGrid, ConfigOperators, assemble_fp_operators, build_config_grid
 from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constant, smooth_initial_velocity
-from .kinetic import ChainGeometry, CutoffParams, RouseMatrix, bakry_emery_kappa
+from .kinetic import CutoffParams, bakry_emery_kappa
 from .stepping import (
     CoupledStepper,
     SmoothingReport,
@@ -56,7 +56,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything a run needs, JSON keys = field names.
 
-    The chain is one planar FENE spring (a dumbbell, ``d = 2``).  Exactly
+    The chain is one planar FENE spring (a dumbbell, ``d = 2``, Rouse
+    matrix ``[1]``), so ``b`` is its only parameter.  Exactly
     one of ``dt`` / ``C0`` is required (both present is allowed and
     cross-checked: an explicit ``dt`` above ``C0 / (L log L)`` warns, and is
     rejected under strict validation).
@@ -70,7 +71,6 @@ class RunConfig:
     k: float = 1.0
     lam: float = 0.5
     eps: float = 0.1
-    rouse: Optional[List[List[float]]] = None
     # scheme
     T: float = 2.0
     dt: Optional[float] = 0.01
@@ -98,11 +98,7 @@ class RunConfig:
         v: List[str] = []
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.name == "rouse":
-                ok = val is None or (
-                    isinstance(val, list) and all(isinstance(row, list) for row in val)
-                    and all(_is_finite_number(x) for row in val for x in row))
-            elif val is None and f.type.startswith("Optional"):
+            if val is None and f.type.startswith("Optional"):
                 ok = True
             elif f.type == "str":
                 ok = isinstance(val, str)
@@ -139,6 +135,9 @@ class RunConfig:
             v.append("one of dt / C0 is required")
         if self.dt is not None and self.dt <= 0.0:
             v.append(f"dt must be positive, got {self.dt}")
+        elif self.dt is not None and self.T > 0.0 and not math.isfinite(self.T / self.dt):
+            v.append(f"dt = {self.dt} is too small for T = {self.T}: "
+                     f"the step count T / dt is not finite")
         if self.C0 is not None and self.C0 <= 0.0:
             v.append(f"C0 must be positive, got {self.C0}")
         if self.dt is not None and self.C0 is not None and self.L > 1.0:
@@ -159,11 +158,6 @@ class RunConfig:
             v.append(f"need fp_max_iter >= 1 and fp_tol > 0, got {self.fp_max_iter}, {self.fp_tol}")
         if self.seed < 0:
             v.append(f"seed must be nonnegative, got {self.seed}")
-        if self.rouse is not None:
-            if [len(row) for row in self.rouse] != [1]:
-                v.append(f"rouse matrix must be 1x1 for a dumbbell, got {self.rouse!r}")
-            elif not self.rouse[0][0] > 0.0:
-                v.append(f"rouse matrix must be positive definite, got {self.rouse!r}")
         return v
 
 
@@ -172,7 +166,6 @@ _TYPE_NAMES = {
     "int": "an integer",
     "float": "a finite number",
     "Optional[float]": "a finite number or null",
-    "Optional[List[List[float]]]": "null or a matrix (list of lists) of finite numbers",
 }
 
 
@@ -311,15 +304,12 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
         raise ConfigError(violations)
     dt, n_steps = _resolve_dt(cfg)
 
-    geometry = ChainGeometry(K=1, d=2, b=(cfg.b,))
-    rouse = RouseMatrix(tuple(tuple(row) for row in cfg.rouse)) if cfg.rouse \
-        else RouseMatrix.for_chain(1)
-    grid = build_config_grid(geometry, N_r=cfg.N_r, N_theta=cfg.N_theta)
-    ops = assemble_fp_operators(grid, rouse, lam=cfg.lam, eps=cfg.eps)
+    grid = build_config_grid(cfg.b, N_r=cfg.N_r, N_theta=cfg.N_theta)
+    ops = assemble_fp_operators(grid)
     fg = build_flow_grid(cfg.N_x, side=cfg.side)
     params = StepParams(dt=dt, nu=cfg.nu, k=cfg.k, lam=cfg.lam, eps=cfg.eps,
                         cutoff=CutoffParams(delta=cfg.delta, L=cfg.L),
-                        rouse=rouse, fp_tol=cfg.fp_tol, fp_max_iter=cfg.fp_max_iter)
+                        fp_tol=cfg.fp_tol, fp_max_iter=cfg.fp_max_iter)
     stepper = CoupledStepper(fg, ops, params)
     rng = np.random.default_rng(cfg.seed)
 
@@ -332,11 +322,13 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     psi0, smooth_rep = smooth_initial_density(fg, ops, psi0_raw, dt, clip)
 
     cp, _ = poincare_constant(cfg.N_x, cfg.side)
-    kappa, _ = bakry_emery_kappa(geometry)
-    g0 = dg.gamma0(cfg.nu, cp, kappa, rouse.a0, cfg.lam)
+    kappa, _ = bakry_emery_kappa(cfg.b)
+    # a0 = 1.0 is the smallest eigenvalue of the dumbbell Rouse matrix [1]
+    a0 = 1.0
+    g0 = dg.gamma0(cfg.nu, cp, kappa, a0, cfg.lam)
 
     # data-only majorant: raw velocity, full-horizon forcing, raw entropy
-    ent_raw = dg.relative_entropy(fg, grid, psi0_raw)
+    ent_raw = smooth_rep.entropy_before
     f_samples: List[Optional[np.ndarray]] = []
     f_dual_sum = 0.0
     for j in range(1, n_steps + 1):
@@ -353,10 +345,8 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     times = [0.0]
     energies = [dg.decay_energy(fg, grid, state.u, state.psi, cfg.k)]
 
-    def record(fp_iters: int) -> None:
+    def record(fp_iters: int, fx: float, fq: float) -> None:
         ent = dg.relative_entropy(fg, grid, state.psi)
-        fx = dg.fisher_x(fg, grid, state.psi)
-        fq = dg.fisher_q(fg, grid, state.psi)
         rho = state.psi @ grid.w
         ledger.append(
             t=state.t,
@@ -367,7 +357,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
             free_energy=0.5 * fg.norm_sq(state.u) + cfg.k * ent,
             energy_lhs=(fg.norm_sq(state.u) + cfg.nu * visc_hist + cfg.k * ent
                         + cfg.k * cfg.eps * fx_hist
-                        + (rouse.a0 * cfg.k / (4.0 * cfg.lam)) * fq_hist),
+                        + (a0 * cfg.k / (4.0 * cfg.lam)) * fq_hist),
             B2=B2,
             rho_min=float(rho.min()),
             rho_max=float(rho.max()),
@@ -376,19 +366,21 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
             beta_saturation_fraction=float((state.psi > cfg.L).mean()),
         )
 
-    record(0)
+    record(0, dg.fisher_x(fg, grid, state.psi), dg.fisher_q(fg, grid, state.psi))
     for j in range(1, n_steps + 1):
         try:
             state, rep = stepper.coupled_step(state, f_samples[j - 1])
         except Exception as exc:
             raise RuntimeError(f"step {j}/{n_steps} failed: {exc}") from exc
+        fx = dg.fisher_x(fg, grid, state.psi)
+        fq = dg.fisher_q(fg, grid, state.psi)
         visc_hist += dt * fg.grad_norm_sq(state.u)
-        fx_hist += dt * dg.fisher_x(fg, grid, state.psi)
-        fq_hist += dt * dg.fisher_q(fg, grid, state.psi)
+        fx_hist += dt * fx
+        fq_hist += dt * fq
         times.append(state.t)
         energies.append(dg.decay_energy(fg, grid, state.u, state.psi, cfg.k))
         if j % cfg.record_every == 0 or j == n_steps:
-            record(rep.iterations)
+            record(rep.iterations, fx, fq)
         if progress is not None:
             progress(j, n_steps)
 

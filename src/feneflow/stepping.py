@@ -10,7 +10,14 @@ One macro time step advances the pair ``(u, psi)`` implicitly:
   the *previous* velocity, spatial (centre-of-mass) diffusion, weighted
   configuration diffusion, and drag driven by the gradient of the *new*
   velocity, with the drag coefficient truncated through the two-sided
-  cutoff and lagged to the previous fixed-point iterate.
+  cutoff and lagged to the previous fixed-point iterate.  The configuration
+  diffusion carries ``A_11 / (2 lam) = 1 / (2 lam)``, the dumbbell's Rouse
+  matrix being ``A = [1]``.
+
+Every scheme parameter (``dt``, ``nu``, ``k``, ``lam``, ``eps``, the cutoff
+and the fixed-point controls) lives on ``StepParams``; the node weights and
+eigenbasis live on ``ConfigOperators`` and the cell stiffness on
+``FlowGrid``.
 
 The two solves are alternated to a fixed point; each inner solve is linear.
 The configuration solve exploits the Kronecker structure
@@ -36,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import diagnostics as dg
-from .kinetic import CutoffParams, RouseMatrix, secant_cutoff_coefficient
+from .kinetic import CutoffParams, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata_json
 from .flowspace import FlowGrid, convection_matrix
 
@@ -73,7 +80,6 @@ class StepParams:
     lam: relaxation time of the chain.
     eps: centre-of-mass diffusion coefficient.
     cutoff: two-sided truncation levels (delta, L) for the drag coefficient.
-    rouse: chain connectivity matrix.
     fp_tol: relative increment at which the inner fixed point is accepted.
     fp_max_iter: hard cap on inner iterations.
     """
@@ -84,7 +90,6 @@ class StepParams:
     lam: float
     eps: float
     cutoff: CutoffParams
-    rouse: RouseMatrix
     fp_tol: float = 1.0e-12
     fp_max_iter: int = 80
 
@@ -131,20 +136,6 @@ class SmoothingReport:
 # --------------------------------------------------------------------------
 # x-space operators for the density transport
 # --------------------------------------------------------------------------
-
-
-def _cell_neumann_stiffness(N: int) -> sp.csr_matrix:
-    """Unscaled 5-point stiffness on cells with no-flux walls; rows sum to 0.
-
-    The edge form sum_edges (d_rho)(d_phi) equals the continuum
-    ``int grad rho . grad phi`` because the 1/h^2 of the difference quotients
-    cancels the h^2 cell measure.
-    """
-    main = np.full(N, 2.0)
-    main[0] = main[-1] = 1.0
-    S1 = sp.diags([main, -np.ones(N - 1), -np.ones(N - 1)], [0, -1, 1], format="csr")
-    I = sp.identity(N, format="csr")
-    return (sp.kron(S1, I) + sp.kron(I, S1)).tocsr()
 
 
 def _upwind_advection(grid: FlowGrid, u: np.ndarray) -> sp.csr_matrix:
@@ -224,25 +215,24 @@ class CoupledStepper:
         self.flow = flow
         self.ops = ops
         self.params = params
-        self.Sx = _cell_neumann_stiffness(flow.N)
-        # drag coefficient of the Rouse-weighted configuration diffusion;
-        # single-spring chains carry coefficient A_11 / (2 lam)
-        self._cq = float(ops.rouse.A[0][0]) / (2.0 * params.lam)
+        # coefficient of the configuration diffusion, A_11 / (2 lam) with the
+        # dumbbell Rouse matrix A = [1]
+        self._cq = 1.0 / (2.0 * params.lam)
 
     # ---- norms ------------------------------------------------------------
 
     def psi_norm(self, psi: np.ndarray) -> float:
         """Weighted L2 norm over cells x configuration nodes."""
         h2 = self.flow.h * self.flow.h
-        return math.sqrt(h2 * float(((psi * psi) @ self.ops.mass_diag).sum()))
+        return math.sqrt(h2 * float(((psi * psi) @ self.ops.grid.w).sum()))
 
     # ---- momentum ---------------------------------------------------------
 
-    def _momentum_matrix(self, u_prev: np.ndarray, dt: float):
+    def _momentum_matrix(self, u_prev: np.ndarray):
         fg = self.flow
         n = fg.n_u + fg.n_v
         h2 = fg.h * fg.h
-        A = h2 * ((1.0 / dt) * sp.identity(n, format="csr")
+        A = h2 * ((1.0 / self.params.dt) * sp.identity(n, format="csr")
                   + self.params.nu * fg.K
                   + convection_matrix(fg, u_prev))
         ones = np.ones(fg.n_c)
@@ -266,37 +256,37 @@ class CoupledStepper:
         return -self.params.k * h2 * out
 
     def _momentum_solve(self, lu, u_prev: np.ndarray, psi_candidate: np.ndarray,
-                        f: Optional[np.ndarray], dt: float) -> np.ndarray:
+                        f: Optional[np.ndarray]) -> np.ndarray:
         fg = self.flow
         h2 = fg.h * fg.h
-        rhs = h2 * (u_prev / dt)
+        rhs = h2 * (u_prev / self.params.dt)
         if f is not None:
             rhs = rhs + h2 * f
         rhs = rhs + self._stress_force(self.ops.stress_matrix(psi_candidate))
         full = np.concatenate([rhs, np.zeros(fg.n_c), [0.0]])
-        return lu.solve(full)[: fg.n_u + fg.n_v]
+        out = lu.solve(full)[: fg.n_u + fg.n_v]
+        if not np.isfinite(out).all():
+            raise FloatingPointError("momentum solve produced non-finite values")
+        return out
 
     def momentum_step(self, u_prev: np.ndarray, psi_candidate: np.ndarray,
-                      f: Optional[np.ndarray] = None,
-                      dt: Optional[float] = None) -> np.ndarray:
+                      f: Optional[np.ndarray] = None) -> np.ndarray:
         """One implicit momentum solve against a frozen candidate density.
 
         Satisfies the discrete kinetic-energy identity exactly (to direct-
         solver residual): testing with the new velocity kills convection
         (skew) and pressure (adjoint gradient on a divergence-free field).
         """
-        dt = self.params.dt if dt is None else dt
-        lu = self._momentum_matrix(np.asarray(u_prev, dtype=float), dt)
-        return self._momentum_solve(lu, np.asarray(u_prev, dtype=float),
-                                    psi_candidate, f, dt)
+        u_prev = np.asarray(u_prev, dtype=float)
+        return self._momentum_solve(self._momentum_matrix(u_prev), u_prev, psi_candidate, f)
 
     # ---- configuration density --------------------------------------------
 
-    def _transport_matrix(self, u_transport: np.ndarray, dt: float) -> sp.csr_matrix:
+    def _transport_matrix(self, u_transport: np.ndarray) -> sp.csr_matrix:
         fg = self.flow
         h2 = fg.h * fg.h
-        return ((h2 / dt) * sp.identity(fg.n_c, format="csr")
-                + self.params.eps * self.Sx
+        return ((h2 / self.params.dt) * sp.identity(fg.n_c, format="csr")
+                + self.params.eps * fg.cell_stiffness
                 + _upwind_advection(fg, u_transport)).tocsr()
 
     def _drag_rhs(self, u_candidate: np.ndarray, coeff_field: np.ndarray) -> np.ndarray:
@@ -315,8 +305,7 @@ class CoupledStepper:
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
                            u_transport: np.ndarray,
-                           coeff_field: Optional[np.ndarray] = None,
-                           dt: Optional[float] = None) -> np.ndarray:
+                           coeff_field: Optional[np.ndarray] = None) -> np.ndarray:
         """One implicit density solve.
 
         Transport (upwind) uses ``u_transport`` (previous macro step);
@@ -324,13 +313,12 @@ class CoupledStepper:
         the truncated coefficient evaluated on ``coeff_field`` (previous
         fixed-point iterate; defaults to ``psi_prev``).
         """
-        dt = self.params.dt if dt is None else dt
         if coeff_field is None:
             coeff_field = psi_prev
         fg = self.flow
         h2 = fg.h * fg.h
-        Kx = self._transport_matrix(np.asarray(u_transport, dtype=float), dt)
-        rhs = (h2 / dt) * psi_prev * self.ops.mass_diag[None, :]
+        Kx = self._transport_matrix(np.asarray(u_transport, dtype=float))
+        rhs = (h2 / self.params.dt) * psi_prev * self.ops.grid.w[None, :]
         rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
         out = _kron_solve(Kx, self._cq * h2, self.ops, rhs)
         if not np.isfinite(out).all():
@@ -349,14 +337,14 @@ class CoupledStepper:
         reports convergence after one iteration with zero increments.
         """
         p = self.params
-        lu = self._momentum_matrix(state.u, p.dt)
+        lu = self._momentum_matrix(state.u)
         u_it = state.u
         psi_it = state.psi
         floor = max(math.sqrt(self.flow.norm_sq(state.u)
                               + self.psi_norm(state.psi) ** 2), 1.0e-12)
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
-            u_star = self._momentum_solve(lu, state.u, psi_it, f, p.dt)
+            u_star = self._momentum_solve(lu, state.u, psi_it, f)
             psi_star = self.fokker_planck_step(state.psi, u_star, state.u, coeff_field=psi_it)
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
@@ -408,8 +396,8 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
 
     h2 = flow.h * flow.h
     Kx = ((h2 / dt) * sp.identity(flow.n_c, format="csr")
-          + _cell_neumann_stiffness(flow.N)).tocsr()
-    m = ops.mass_diag
+          + flow.cell_stiffness).tocsr()
+    m = ops.grid.w
     zeta1 = _kron_solve(Kx, h2, ops, (h2 / dt) * zeta0 * m[None, :])
 
     # checked before the entropy and Fisher terms, which reject densities

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from feneflow import (
-    ChainGeometry,
     CutoffParams,
-    RouseMatrix,
     RunConfig,
     StepParams,
     assemble_fp_operators,
@@ -18,23 +16,18 @@ from feneflow import (
 
 
 @pytest.fixture(scope="session")
-def geo4():
-    return ChainGeometry(K=1, d=2, b=(4.0,))
+def grid16():
+    return build_config_grid(4.0, N_r=16, N_theta=16)
 
 
 @pytest.fixture(scope="session")
-def grid16(geo4):
-    return build_config_grid(geo4, N_r=16, N_theta=16)
+def grid32():
+    return build_config_grid(4.0, N_r=32, N_theta=32)
 
 
 @pytest.fixture(scope="session")
-def grid32(geo4):
-    return build_config_grid(geo4, N_r=32, N_theta=32)
-
-
-@pytest.fixture(scope="session")
-def grid64(geo4):
-    return build_config_grid(geo4, N_r=64, N_theta=64)
+def grid64():
+    return build_config_grid(4.0, N_r=64, N_theta=64)
 
 
 @pytest.fixture(scope="session")
@@ -44,14 +37,13 @@ def flow12():
 
 @pytest.fixture(scope="session")
 def ops16(grid16):
-    return assemble_fp_operators(grid16, RouseMatrix.for_chain(1), lam=0.5, eps=0.1)
+    return assemble_fp_operators(grid16)
 
 
 @pytest.fixture(scope="session")
 def params16():
     return StepParams(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
-                      cutoff=CutoffParams(delta=1.0e-4, L=5.0),
-                      rouse=RouseMatrix.for_chain(1))
+                      cutoff=CutoffParams(delta=1.0e-4, L=5.0))
 
 
 def decay_config(**overrides) -> RunConfig:

@@ -222,3 +222,13 @@ def scalar_dirichlet_stiffness(N: int, side: float = 1.0) -> sp.csr_matrix:
                     diag += 1.0
             rows.append(r), cols.append(r), vals.append(diag / (h * h))
     return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+
+
+def cell_neumann_stiffness(N: int) -> sp.csr_matrix:
+    """Unscaled 5-point stiffness on cells with no-flux walls, from the
+    explicit 1D stencil: diagonal 1 at the walls, 2 inside, -1 off it."""
+    main = np.full(N, 2.0)
+    main[0] = main[-1] = 1.0
+    S1 = sp.diags([main, -np.ones(N - 1), -np.ones(N - 1)], [0, -1, 1], format="csr")
+    I = sp.identity(N, format="csr")
+    return (sp.kron(S1, I) + sp.kron(I, S1)).tocsr()

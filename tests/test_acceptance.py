@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from feneflow import (
-    ChainGeometry,
     CoupledStepper,
     CutoffParams,
-    RouseMatrix,
     StepParams,
     SystemState,
     assemble_fp_operators,
@@ -34,11 +32,10 @@ def test_criterion_01_equilibrium_preservation():
     """(u=0, psi=1) is a discrete steady state: 50 steps on the production
     grids change nothing beyond 1e-10 per step, in minutes of runtime."""
     flow = build_flow_grid(32)
-    grid = build_config_grid(ChainGeometry(K=1, d=2, b=(4.0,)), N_r=32, N_theta=32)
+    grid = build_config_grid(4.0, N_r=32, N_theta=32)
     params = StepParams(dt=1e-2, nu=1.0, k=1.0, lam=0.5, eps=0.1,
-                        cutoff=CutoffParams(L=5.0, delta=1e-4),
-                        rouse=RouseMatrix.for_chain(1))
-    ops = assemble_fp_operators(grid, params.rouse, lam=params.lam, eps=params.eps)
+                        cutoff=CutoffParams(L=5.0, delta=1e-4))
+    ops = assemble_fp_operators(grid)
     stepper = CoupledStepper(flow, ops, params)
     state = SystemState(u=np.zeros(flow.n_u + flow.n_v),
                         psi=np.ones((flow.n_c, grid.n_nodes)), t=0.0, n=0)
@@ -89,7 +86,7 @@ def test_criterion_04_exponential_decay_bound(reference_decay,
 def test_criterion_05_quadrature_oracles(grid64):
     """Normalizer, second moment and the elastic isotropy identity hit their
     closed forms on the production quadrature."""
-    assert maxwellian_normalizer(4.0, 2) == pytest.approx(4.0 * math.pi / 3.0,
+    assert maxwellian_normalizer(4.0) == pytest.approx(4.0 * math.pi / 3.0,
                                                           abs=1e-8)
     assert grid64.Z == pytest.approx(4.0 * math.pi / 3.0, abs=1e-8)
     m2 = weighted_integral(grid64, grid64.qx**2 + grid64.qy**2)
@@ -150,10 +147,7 @@ def test_criterion_09_initial_smoothing_contract(grid16, rng):
         g = rng.random((flow.n_c, grid16.n_nodes)) + 1e-3
         mass = rng.uniform(0.3, 1.0, flow.n_c)
         psi0 = g * (mass / (g @ grid16.w))[:, None]
-        zeta, report = smooth_initial_density(flow,
-                                              assemble_fp_operators(
-                                                  grid16, RouseMatrix.for_chain(1),
-                                                  lam=0.5, eps=0.1),
+        zeta, report = smooth_initial_density(flow, assemble_fp_operators(grid16),
                                               psi0, dt=0.01, clip_level=5.0)
         scale = max(abs(report.entropy_before), 1.0)
         assert report.entropy_after - report.entropy_before <= 1e-8 * scale
@@ -167,7 +161,7 @@ def test_criterion_10_delta_robustness(decay_delta_pair):
     coarse = decay_delta_pair[1e-3]
     fine = decay_delta_pair[1e-4]
     flow = build_flow_grid(coarse.config.N_x, side=coarse.config.side)
-    grid = build_config_grid(ChainGeometry(K=1, d=2, b=(coarse.config.b,)),
+    grid = build_config_grid(coarse.config.b,
                              N_r=coarse.config.N_r, N_theta=coarse.config.N_theta)
     du_sq = flow.norm_sq(coarse.state.u - fine.state.u)
     dpsi = coarse.state.psi - fine.state.psi

@@ -10,10 +10,8 @@ import pytest
 
 import feneflow.configspace as configspace
 from feneflow import (
-    ChainGeometry,
     DomainError,
     GridConstructionError,
-    RouseMatrix,
     assemble_fp_operators,
     build_config_grid,
     grid_metadata_from_json,
@@ -71,7 +69,7 @@ def test_singular_moment_converges(b, tol):
     # (slower for small b, where the endpoint exponent b/2 - 2 is nearer -1)
     errs = []
     for N_r in (16, 32, 64):
-        g = build_config_grid(ChainGeometry(K=1, d=2, b=(b,)), N_r=N_r, N_theta=16)
+        g = build_config_grid(b, N_r=N_r, N_theta=16)
         errs.append(abs(weighted_integral(g, g.uprime**2) - UPRIME_SQ[b]))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] / UPRIME_SQ[b] <= tol
@@ -86,7 +84,7 @@ def test_dirichlet_form_second_order():
     # sum edge_w (dpsi)^2 against int M |grad qx|^2 = int M = 1
     errs = []
     for N in (16, 32, 64):
-        g = build_config_grid(ChainGeometry(K=1, d=2, b=(4.0,)), N_r=N, N_theta=N)
+        g = build_config_grid(4.0, N_r=N, N_theta=N)
         val = float(np.sum(g.edge_w * (g.qx[g.edges_b] - g.qx[g.edges_a]) ** 2))
         errs.append(abs(val - 1.0))
     assert errs[0] <= 2e-2
@@ -113,7 +111,7 @@ def test_eigenbasis_diagonalizes_the_weighted_stiffness(ops16, rng):
     # S Q_nodal = M Q_nodal diag(evals) with Q_nodal = M^{-1/2} Q, and the
     # mode transforms compose to M^{-1} on a mass-weighted right-hand side
     S = ops16.q_stiffness.toarray()
-    m = ops16.mass_diag
+    m = ops16.grid.w
     Qn = ops16.inv_sqrt_m[:, None] * ops16.Q
     scale = np.abs(S).max()
     np.testing.assert_allclose(S @ Qn, (m[:, None] * Qn) * ops16.evals[None, :],
@@ -205,28 +203,16 @@ def test_drag_rhs_annihilates_constants(ops16, rng):
 
 
 def test_build_validation():
-    geo = ChainGeometry(K=1, d=2, b=(4.0,))
     with pytest.raises(ValueError):
-        build_config_grid(geo, N_r=4, N_theta=16)
+        build_config_grid(4.0, N_r=4, N_theta=16)
     with pytest.raises(ValueError):
-        build_config_grid(geo, N_r=16, N_theta=4)
-    with pytest.raises(ValueError, match="single spring"):
-        build_config_grid(ChainGeometry(K=2, d=2, b=(4.0, 4.0)), N_r=16, N_theta=16)
-    with pytest.raises(ValueError, match="planar"):
-        build_config_grid(ChainGeometry(K=1, d=3, b=(4.0,)), N_r=16, N_theta=16)
+        build_config_grid(4.0, N_r=16, N_theta=4)
 
 
 def test_build_self_check_trips(monkeypatch):
     monkeypatch.setattr(configspace, "MASS_TOL", 0.0)
     with pytest.raises(GridConstructionError, match="mass defect"):
-        build_config_grid(ChainGeometry(K=1, d=2, b=(4.0,)), N_r=16, N_theta=16)
-
-
-def test_operator_assembly_validation(grid16):
-    with pytest.raises(ValueError):
-        assemble_fp_operators(grid16, RouseMatrix.for_chain(1), lam=0.0, eps=0.1)
-    with pytest.raises(ValueError):
-        assemble_fp_operators(grid16, RouseMatrix.for_chain(1), lam=0.5, eps=-1.0)
+        build_config_grid(4.0, N_r=16, N_theta=16)
 
 
 def test_weighted_integral_shape_check(grid16):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from feneflow import (
-    ChainGeometry,
     CutoffParams,
     DomainError,
-    RouseMatrix,
     bakry_emery_kappa,
+    build_config_grid,
     cutoff_beta,
     cutoff_beta_delta,
     entropy_eval,
@@ -84,75 +83,50 @@ def test_potential_derivative_is_consistent():
 
 @pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
 def test_normalizer_matches_closed_form(b):
-    assert maxwellian_normalizer(b, 2) == pytest.approx(Z_ORACLE[b], abs=1e-12)
+    assert maxwellian_normalizer(b) == pytest.approx(Z_ORACLE[b], abs=1e-12)
 
 
 @pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
 def test_normalizer_against_quadrature(b):
     # independent route: Z = 2 pi int_0^sqrt(b) (1 - r^2/b)^{b/2} r dr
     val, err = quad(lambda r: (1.0 - r * r / b) ** (b / 2.0) * r, 0.0, math.sqrt(b))
-    assert 2.0 * math.pi * val == pytest.approx(maxwellian_normalizer(b, 2), abs=1e-10)
+    assert 2.0 * math.pi * val == pytest.approx(maxwellian_normalizer(b), abs=1e-10)
 
 
 @pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
 def test_maxwellian_second_moment(b):
-    Z = maxwellian_normalizer(b, 2)
+    Z = maxwellian_normalizer(b)
     val, _ = quad(lambda r: maxwellian_value(r, b, Z) * r ** 3, 0.0, math.sqrt(b))
     assert 2.0 * math.pi * val == pytest.approx(SECOND_MOMENT_ORACLE[b], abs=1e-9)
 
 
 def test_maxwellian_integrates_to_one():
     b = 4.0
-    Z = maxwellian_normalizer(b, 2)
+    Z = maxwellian_normalizer(b)
     val, _ = quad(lambda r: maxwellian_value(r, b, Z) * r, 0.0, math.sqrt(b))
     assert 2.0 * math.pi * val == pytest.approx(1.0, abs=1e-10)
 
 
-def test_normalizer_3d_against_quadrature():
-    b = 4.0
-    val, _ = quad(lambda r: (1.0 - r * r / b) ** (b / 2.0) * r * r, 0.0, math.sqrt(b))
-    assert 4.0 * math.pi * val == pytest.approx(maxwellian_normalizer(b, 3), rel=1e-10)
-
-
 def test_normalizer_rejects_bad_input():
     with pytest.raises(DomainError):
-        maxwellian_normalizer(2.0, 2)
-    with pytest.raises(DomainError):
-        maxwellian_normalizer(4.0, 4)
+        maxwellian_normalizer(2.0)
 
 
 # --------------------------------------------------------------------------
-# geometry / coupling matrix
+# spring parameter
 # --------------------------------------------------------------------------
-
-
-def test_dumbbell_coupling_is_identity():
-    r = RouseMatrix.for_chain(1)
-    assert r.A.shape == (1, 1) and r.A[0, 0] == 1.0
-    assert r.a0 == 1.0
-    with pytest.raises(ValueError, match="single-spring"):
-        RouseMatrix.for_chain(3)
-
-
-def test_rouse_matrix_rejects_indefinite():
-    with pytest.raises(ValueError):
-        RouseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ValueError):
-        RouseMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_geometry_validation_messages():
-    with pytest.raises(ValueError, match="gamma = b/2 must exceed 1"):
-        ChainGeometry(K=1, d=2, b=(2.0,))
-    with pytest.raises(ValueError):
-        ChainGeometry(K=2, d=2, b=(4.0,))
-    with pytest.raises(ValueError):
-        ChainGeometry(K=1, d=4, b=(4.0,))
+    # the dumbbell is fixed by b alone; b <= 2 is rejected where the grid
+    # first needs the Maxwellian normalizer
+    with pytest.raises(DomainError, match="gamma = b/2 must exceed 1"):
+        build_config_grid(2.0, N_r=16, N_theta=16)
 
 
 @pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
 def test_curvature_constant(b):
-    kappa, min_eig = bakry_emery_kappa(ChainGeometry(K=1, d=2, b=(b,)))
+    kappa, min_eig = bakry_emery_kappa(b)
     assert kappa == 1.0
     assert min_eig >= 1.0 - 1e-9
 

@@ -4,7 +4,9 @@ points (run / check / selftest with their exit-code contract)."""
 import dataclasses
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +78,6 @@ def test_config_aggregates_violations():
     ('{"T": NaN}', "T"),
     ('{"nu": "1.0"}', "nu"),
     ('{"scenario": 3}', "scenario"),
-    ('{"rouse": [[1.0], "x"]}', "rouse"),
 ])
 def test_config_rejects_wrong_types(raw, field):
     with pytest.raises(ConfigError) as err:
@@ -85,10 +86,24 @@ def test_config_rejects_wrong_types(raw, field):
 
 
 def test_config_rejects_removed_geometry_keys():
-    # the run discretizes one planar spring: K and d are no longer keys
+    # the run discretizes one planar spring, whose Rouse matrix is [1]:
+    # K, d and rouse are no longer keys
     with pytest.raises(ConfigError) as err:
         parse_config('{"K": 1, "d": 2}')
     assert err.value.violations == ["unknown key 'K'", "unknown key 'd'"]
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"rouse": [[1.0]]}')
+    assert err.value.violations == ["unknown key 'rouse'"]
+
+
+def test_readme_lists_every_config_key():
+    # the "Configuration keys" paragraph of the README names each RunConfig
+    # field once, in backquoted comma-separated groups
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = text[text.index("`RunConfig` fields):"):text.index("Exactly one of")]
+    listing = listing[len("`RunConfig` fields):"):]
+    keys = {k.strip() for group in re.findall(r"`([^`]+)`", listing) for k in group.split(",")}
+    assert keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 JSON_VALUES = st.recursive(
@@ -263,6 +278,30 @@ def test_run_does_one_dense_eigensolve(monkeypatch):
     assert calls == [(100, 100)]
 
 
+def test_run_evaluates_each_observable_once_per_state(monkeypatch):
+    # 5 steps recorded every step: smoothing takes the raw entropy (which is
+    # also the data majorant's) and the smoothed entropy and Fisher terms;
+    # then each of the 6 states gets one entropy and one Fisher evaluation,
+    # shared by the history sums and the ledger row
+    import feneflow.diagnostics as dg
+
+    counts = {}
+
+    def counting(name):
+        fn = getattr(dg, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fisher_x", "fisher_q", "relative_entropy"):
+        monkeypatch.setattr(dg, name, counting(name))
+    result = run_scenario(tiny("decay", record_every=1))
+    assert result.n_steps == 5
+    assert counts == {"fisher_x": 7, "fisher_q": 7, "relative_entropy": 8}
+
+
 # --------------------------------------------------------------------------
 # command line
 # --------------------------------------------------------------------------
@@ -290,6 +329,12 @@ def test_cli_check_exit_codes(tmp_path, capsys):
         bad.write_text(text)
         assert main(["check", str(bad)]) == 2
         assert "config error: N_x must be an integer" in capsys.readouterr().err
+
+    # a step count that overflows is a config error for check and run alike
+    bad.write_text('{"dt": 5e-324, "T": 1.0}')
+    for command in ("check", "run"):
+        assert main([command, str(bad)]) == 2
+        assert "config error: dt = 5e-324 is too small" in capsys.readouterr().err
 
 
 def test_cli_run_passes_and_writes(tmp_path, capsys):
