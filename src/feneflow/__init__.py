@@ -22,7 +22,6 @@ from .kinetic import (                                   # noqa: E402
     DomainError,
     InternalConsistencyError,
     bakry_emery_kappa,
-    cutoff_beta,
     cutoff_beta_delta,
     entropy_eval,
     fene_potential,

@@ -26,6 +26,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "FlowGrid",
     "build_flow_grid",
+    "stokes_solver",
     "project_divergence_free",
     "smooth_initial_velocity",
     "convection_matrix",
@@ -71,7 +72,6 @@ class FlowGrid:
     yu: np.ndarray
     xv: np.ndarray
     yv: np.ndarray
-    _proj_lu: object = field(default=None, repr=False)
     _visc_lu: object = field(default=None, repr=False)
 
     # ---- inner products ---------------------------------------------------
@@ -202,26 +202,49 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
 
 # --------------------------------------------------------------------------
-# projection and smoothing
+# the divergence-constrained solve
 # --------------------------------------------------------------------------
 
 
-def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
-    """L2-orthogonal projection onto the discretely divergence-free subspace.
+def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the saddle-point system of a velocity update
+    ``A u + h^2 G p = r``, ``h^2 D u = 0``, with the mean-zero pressure gauge:
 
-    Solves ``(D G) p = D w`` (pressure Poisson, mean-zero gauge) as
-    ``S p = -h^2 D w`` with the cell stiffness ``S = -h^2 D G`` and returns
-    ``w - G p``.  Idempotent to rounding; gradients project to zero.
+        [[A,      h^2 G,   0     ],
+         [h^2 D,  0,       h^2 1 ],
+         [0,      h^2 1^T, 0     ]]
+
+    and return ``solve(r) -> u``.  ``A`` is the face operator already
+    scaled by the ``h^2`` face measure.  Because ``G = -D^T``, the pressure
+    does no work on the divergence-free solution.
     """
+    n = grid.n_u + grid.n_v
+    h2 = grid.h * grid.h
+    ones = np.ones(grid.n_c)
+    lu = spla.splu(sp.bmat(
+        [
+            [A, h2 * grid.G, None],
+            [h2 * grid.D, None, h2 * ones[:, None]],
+            [None, h2 * ones[None, :], None],
+        ],
+        format="csc",
+    ))
+    constraint_rhs = np.zeros(grid.n_c + 1)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return lu.solve(np.concatenate([r, constraint_rhs]))[:n]
+
+    return solve
+
+
+def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
+    """L2-orthogonal projection onto the discretely divergence-free subspace:
+    the constrained solve with ``A = h^2 I``, which returns ``w - G p``.
+    Idempotent to rounding; gradients project to zero."""
     w = np.asarray(w, dtype=float)
-    if grid._proj_lu is None:
-        ones = np.ones(grid.n_c)
-        Aug = sp.bmat([[grid.cell_stiffness, ones[:, None]], [ones[None, :], None]],
-                      format="csc")
-        grid._proj_lu = spla.splu(Aug)
-    sol = grid._proj_lu.solve(np.concatenate([-(grid.h * grid.h) * (grid.D @ w), [0.0]]))
-    p = sol[:-1]
-    return w - grid.G @ p
+    h2 = grid.h * grid.h
+    A = h2 * sp.identity(grid.n_u + grid.n_v, format="csr")
+    return stokes_solver(grid, A)(h2 * w)
 
 
 def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.ndarray:
@@ -229,27 +252,16 @@ def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.nda
 
         (u, v) + dt (grad u, grad v) = (u0, v)   for all div-free v,
 
-    realized as a saddle-point solve.  Guarantees
-    ``|u|^2 + dt |grad u|^2 <= |u0|^2`` (checked by the caller's tests).
+    realized as the constrained solve with ``A = h^2 (I + dt K)``.
+    Guarantees ``|u|^2 + dt |grad u|^2 <= |u0|^2`` (checked by the caller's
+    tests).
     """
     if dt <= 0.0:
         raise ValueError(f"smoothing step needs dt > 0, got {dt}")
     u0 = np.asarray(u0, dtype=float)
-    n = grid.n_u + grid.n_v
     h2 = grid.h * grid.h
-    A = h2 * (sp.identity(n, format="csr") + dt * grid.K)
-    ones = np.ones(grid.n_c)
-    Aug = sp.bmat(
-        [
-            [A, h2 * grid.G, None],
-            [h2 * grid.D, None, h2 * ones[:, None]],
-            [None, h2 * ones[None, :], None],
-        ],
-        format="csc",
-    )
-    rhs = np.concatenate([h2 * u0, np.zeros(grid.n_c), [0.0]])
-    sol = spla.splu(Aug).solve(rhs)
-    return sol[:n]
+    A = h2 * (sp.identity(grid.n_u + grid.n_v, format="csr") + dt * grid.K)
+    return stokes_solver(grid, A)(h2 * u0)
 
 
 # --------------------------------------------------------------------------

@@ -19,10 +19,11 @@ identity (curvature constant ``kappa = 1``), which is what powers the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
 
 The module also provides the relative-entropy integrands: the Boltzmann
-function ``F(s) = s (log s - 1) + 1``, its quadratic super-linear
-relaxation ``F^L`` and the two-sided ``C^2`` regularization ``F^L_delta``,
-together with the cut-off functions ``beta^L(s) = min(s, L)`` and
-``beta^L_delta(s) = max(min(s, L), delta) = 1 / (F^L_delta)''(s)``.
+function ``F(s) = s (log s - 1) + 1`` and its two-sided ``C^2``
+regularization ``F^L_delta``, the quadratic Taylor continuation of ``F``
+below ``delta`` and above ``L``, together with the cut-off
+``beta^L_delta(s) = max(min(s, L), delta) = 1 / (F^L_delta)''(s)`` and the
+secant form of that cut-off along configuration-grid edges.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "fene_potential",
     "maxwellian_normalizer",
     "maxwellian_value",
-    "cutoff_beta",
     "cutoff_beta_delta",
     "secant_cutoff_coefficient",
     "entropy_eval",
@@ -136,11 +136,6 @@ def maxwellian_value(r, b: float, Z: float):
 # --------------------------------------------------------------------------
 
 
-def cutoff_beta(s, L: float):
-    """One-sided cut-off ``beta^L(s) = min(s, L)`` (Lipschitz constant 1)."""
-    return np.minimum(np.asarray(s, dtype=float), L)
-
-
 def cutoff_beta_delta(s, L: float, delta: float):
     """Two-sided cut-off ``beta^L_delta(s) = max(min(s, L), delta)``.
 
@@ -149,10 +144,12 @@ def cutoff_beta_delta(s, L: float, delta: float):
     return np.maximum(np.minimum(np.asarray(s, dtype=float), L), delta)
 
 
-def secant_cutoff_coefficient(a, c, L: float, delta: float):
-    """Divided-difference form of ``beta^L_delta`` along a grid edge.
+def secant_cutoff_coefficient(psi, edges_a, edges_b, L: float, delta: float):
+    """Divided-difference form of ``beta^L_delta`` along grid edges.
 
-    For endpoint values ``a`` and ``c`` returns
+    ``[F^L_delta]'`` is evaluated once per node of the field ``psi`` (last
+    axis: nodes) and gathered per edge; for edge endpoint values
+    ``a = psi[..., edges_a]`` and ``c = psi[..., edges_b]`` the result is
 
         (c - a) / ( [F^L_delta]'(c) - [F^L_delta]'(a) ),
 
@@ -165,18 +162,15 @@ def secant_cutoff_coefficient(a, c, L: float, delta: float):
 
     exact, which is what the discrete free-energy identity needs.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    _, fa, _ = entropy_eval("FLdelta", a, L=L, delta=delta)
-    _, fc, _ = entropy_eval("FLdelta", c, L=L, delta=delta)
+    psi = np.asarray(psi, dtype=float)
+    d1 = entropy_eval("FLdelta", psi, L=L, delta=delta)[1]
+    a, c = psi[..., edges_a], psi[..., edges_b]
     dnum = c - a
-    dden = fc - fa
-    mid = cutoff_beta_delta(0.5 * (a + c), L, delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(dden) > 1e-300, dnum / np.where(dden == 0.0, 1.0, dden), mid)
+    dden = d1[..., edges_b] - d1[..., edges_a]
+    out = cutoff_beta_delta(0.5 * (a + c), L, delta)
     # guard the coincidence limit: tiny increments are dominated by rounding
     tiny = np.abs(dnum) <= 1e-12 * (np.abs(a) + np.abs(c) + 1.0)
-    out = np.where(tiny, mid, ratio)
+    np.divide(dnum, dden, out=out, where=~tiny)
     return np.clip(out, delta, L)
 
 
@@ -189,40 +183,22 @@ def _F(s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("F(s) = s(log s - 1) + 1 requires s >= 0")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = np.where(s > 0.0, s * (np.log(np.where(s > 0.0, s, 1.0)) - 1.0) + 1.0, 1.0)
-        d1 = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
-        d2 = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf)
-    return val, d1, d2
-
-
-def _FL(s, L: float):
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise DomainError("F^L requires s >= 0")
-    base_val, base_d1, base_d2 = _F(np.minimum(s, L))
-    upper = s >= L
-    val = np.where(upper, (s * s - L * L) / (2.0 * L) + s * (math.log(L) - 1.0) + 1.0, base_val)
-    d1 = np.where(upper, s / L + math.log(L) - 1.0, base_d1)
-    d2 = np.where(upper, 1.0 / L, base_d2)
-    return val, d1, d2
+    pos = s > 0.0
+    safe = np.where(pos, s, 1.0)
+    log_s = np.log(safe)
+    with np.errstate(over="ignore"):
+        val = np.where(pos, s * (log_s - 1.0) + 1.0, 1.0)
+        d2 = np.where(pos, 1.0 / safe, np.inf)
+    return val, np.where(pos, log_s, -np.inf), d2
 
 
 def _FLdelta(s, L: float, delta: float):
+    """Quadratic Taylor continuation of ``F`` at ``m = clip(s, delta, L)``."""
     s = np.asarray(s, dtype=float)
-    mid = np.clip(s, delta, L)
-    val = mid * (np.log(mid) - 1.0) + 1.0
-    d1 = np.log(mid)
-    d2 = 1.0 / mid
-    lower = s <= delta
-    upper = s >= L
-    val = np.where(lower, (s * s - delta * delta) / (2.0 * delta) + s * (math.log(delta) - 1.0) + 1.0, val)
-    d1 = np.where(lower, s / delta + math.log(delta) - 1.0, d1)
-    d2 = np.where(lower, 1.0 / delta, d2)
-    val = np.where(upper, (s * s - L * L) / (2.0 * L) + s * (math.log(L) - 1.0) + 1.0, val)
-    d1 = np.where(upper, s / L + math.log(L) - 1.0, d1)
-    d2 = np.where(upper, 1.0 / L, d2)
-    return val, d1, d2
+    m = np.clip(s, delta, L)
+    Fm, log_m, _ = _F(m)
+    ds = s - m
+    return Fm + log_m * ds + ds * ds / (2.0 * m), log_m + ds / m, 1.0 / m
 
 
 def entropy_eval(which: str, s, L: float | None = None, delta: float | None = None):
@@ -230,14 +206,14 @@ def entropy_eval(which: str, s, L: float | None = None, delta: float | None = No
 
     Parameters
     ----------
-    which : {"F", "FL", "FLdelta"}
-        ``F(s) = s(log s - 1) + 1`` with ``F(0) = 1``; ``F^L`` replaces the
-        branch above ``L`` by its quadratic ``C^2`` continuation; and
-        ``F^L_delta`` additionally regularizes below ``delta`` (defined on
-        all of R).  At the branch points the closed-interval convention is
-        used: both branches agree in value and first two derivatives there.
+    which : {"F", "FLdelta"}
+        ``F(s) = s(log s - 1) + 1`` with ``F(0) = 1``; ``F^L_delta``
+        replaces ``F`` below ``delta`` and above ``L`` by its quadratic
+        ``C^2`` Taylor continuation from the nearer cut-off (defined on all
+        of R).  Both branches agree in value and first two derivatives at
+        the branch points.
     s : array_like
-        Evaluation points.  ``F`` and ``F^L`` require ``s >= 0``.
+        Evaluation points.  ``F`` requires ``s >= 0``.
     L, delta : float, optional
         Cut-off parameters where the chosen function needs them.
 
@@ -249,10 +225,6 @@ def entropy_eval(which: str, s, L: float | None = None, delta: float | None = No
     """
     if which == "F":
         return _F(s)
-    if which == "FL":
-        if L is None or not L > 1.0:
-            raise ValueError("F^L needs a cut-off L > 1")
-        return _FL(s, L)
     if which == "FLdelta":
         if L is None or delta is None:
             raise ValueError("F^L_delta needs both L and delta")

@@ -23,6 +23,7 @@ from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constan
 from .kinetic import CutoffParams, bakry_emery_kappa
 from .stepping import (
     CoupledStepper,
+    ScheduleError,
     SmoothingReport,
     StepParams,
     SystemState,
@@ -140,6 +141,11 @@ class RunConfig:
                      f"the step count T / dt is not finite")
         if self.C0 is not None and self.C0 <= 0.0:
             v.append(f"C0 must be positive, got {self.C0}")
+        elif self.dt is None and self.C0 is not None and self.T > 0.0:
+            try:
+                dt_schedule(self.L, self.C0, self.T)
+            except ScheduleError as exc:
+                v.append(str(exc))
         if self.dt is not None and self.C0 is not None and self.L > 1.0:
             cap = self.C0 / (self.L * math.log(self.L))
             if self.dt > cap * (1.0 + 1.0e-12):
@@ -327,15 +333,13 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     a0 = 1.0
     g0 = dg.gamma0(cfg.nu, cp, kappa, a0, cfg.lam)
 
-    # data-only majorant: raw velocity, full-horizon forcing, raw entropy
+    # data-only majorant: raw velocity, full-horizon forcing, raw entropy;
+    # the forcing is sampled at each step's midpoint, here and in the loop
     ent_raw = smooth_rep.entropy_before
-    f_samples: List[Optional[np.ndarray]] = []
     f_dual_sum = 0.0
-    for j in range(1, n_steps + 1):
-        fj = forcing((j - 0.5) * dt) if forcing is not None else None
-        f_samples.append(fj)
-        if fj is not None:
-            f_dual_sum += dt * dual_norm_sq(fg, fj)
+    if forcing is not None:
+        for j in range(1, n_steps + 1):
+            f_dual_sum += dt * dual_norm_sq(fg, forcing((j - 0.5) * dt))
     B2 = fg.norm_sq(u0_raw) + f_dual_sum / cfg.nu + 2.0 * cfg.k * ent_raw
     initial_budget = fg.norm_sq(u0_raw) + 2.0 * cfg.k * ent_raw
 
@@ -369,7 +373,8 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     record(0, dg.fisher_x(fg, grid, state.psi), dg.fisher_q(fg, grid, state.psi))
     for j in range(1, n_steps + 1):
         try:
-            state, rep = stepper.coupled_step(state, f_samples[j - 1])
+            fj = forcing((j - 0.5) * dt) if forcing is not None else None
+            state, rep = stepper.coupled_step(state, fj)
         except Exception as exc:
             raise RuntimeError(f"step {j}/{n_steps} failed: {exc}") from exc
         fx = dg.fisher_x(fg, grid, state.psi)

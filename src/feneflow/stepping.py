@@ -40,12 +40,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata_json
-from .flowspace import FlowGrid, convection_matrix
+from .flowspace import FlowGrid, convection_matrix, stokes_solver
 
 __all__ = [
     "StepParams",
@@ -228,23 +227,14 @@ class CoupledStepper:
 
     # ---- momentum ---------------------------------------------------------
 
-    def _momentum_matrix(self, u_prev: np.ndarray):
+    def _momentum_solver(self, u_prev: np.ndarray):
+        """Factored momentum solve ``r -> u`` for convection frozen at ``u_prev``."""
         fg = self.flow
         n = fg.n_u + fg.n_v
-        h2 = fg.h * fg.h
-        A = h2 * ((1.0 / self.params.dt) * sp.identity(n, format="csr")
-                  + self.params.nu * fg.K
-                  + convection_matrix(fg, u_prev))
-        ones = np.ones(fg.n_c)
-        Aug = sp.bmat(
-            [
-                [A, h2 * fg.G, None],
-                [h2 * fg.D, None, h2 * ones[:, None]],
-                [None, h2 * ones[None, :], None],
-            ],
-            format="csc",
-        )
-        return spla.splu(Aug)
+        A = (fg.h * fg.h) * ((1.0 / self.params.dt) * sp.identity(n, format="csr")
+                             + self.params.nu * fg.K
+                             + convection_matrix(fg, u_prev))
+        return stokes_solver(fg, A)
 
     def _stress_force(self, C_hat: np.ndarray) -> np.ndarray:
         """Weak polymer force ``w -> -k sum_cells h^2 C_hat : grad w``."""
@@ -255,7 +245,7 @@ class CoupledStepper:
             + Tyx.T @ C_hat[:, 1, 0] + Tyy.T @ C_hat[:, 1, 1]
         return -self.params.k * h2 * out
 
-    def _momentum_solve(self, lu, u_prev: np.ndarray, psi_candidate: np.ndarray,
+    def _momentum_solve(self, solve, u_prev: np.ndarray, psi_candidate: np.ndarray,
                         f: Optional[np.ndarray]) -> np.ndarray:
         fg = self.flow
         h2 = fg.h * fg.h
@@ -263,8 +253,7 @@ class CoupledStepper:
         if f is not None:
             rhs = rhs + h2 * f
         rhs = rhs + self._stress_force(self.ops.stress_matrix(psi_candidate))
-        full = np.concatenate([rhs, np.zeros(fg.n_c), [0.0]])
-        out = lu.solve(full)[: fg.n_u + fg.n_v]
+        out = solve(rhs)
         if not np.isfinite(out).all():
             raise FloatingPointError("momentum solve produced non-finite values")
         return out
@@ -278,7 +267,7 @@ class CoupledStepper:
         (skew) and pressure (adjoint gradient on a divergence-free field).
         """
         u_prev = np.asarray(u_prev, dtype=float)
-        return self._momentum_solve(self._momentum_matrix(u_prev), u_prev, psi_candidate, f)
+        return self._momentum_solve(self._momentum_solver(u_prev), u_prev, psi_candidate, f)
 
     # ---- configuration density --------------------------------------------
 
@@ -299,8 +288,7 @@ class CoupledStepper:
         """
         g = self.ops.grid
         cutoff = self.params.cutoff
-        c = secant_cutoff_coefficient(coeff_field[:, g.edges_a], coeff_field[:, g.edges_b],
-                                      cutoff.L, cutoff.delta)
+        c = secant_cutoff_coefficient(coeff_field, g.edges_a, g.edges_b, cutoff.L, cutoff.delta)
         return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
@@ -337,14 +325,14 @@ class CoupledStepper:
         reports convergence after one iteration with zero increments.
         """
         p = self.params
-        lu = self._momentum_matrix(state.u)
+        solve = self._momentum_solver(state.u)
         u_it = state.u
         psi_it = state.psi
         floor = max(math.sqrt(self.flow.norm_sq(state.u)
                               + self.psi_norm(state.psi) ** 2), 1.0e-12)
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
-            u_star = self._momentum_solve(lu, state.u, psi_it, f)
+            u_star = self._momentum_solve(solve, state.u, psi_it, f)
             psi_star = self.fokker_planck_step(state.psi, u_star, state.u, coeff_field=psi_it)
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
@@ -438,7 +426,12 @@ def dt_schedule(L: float, C0: float, horizon: float,
     if C0 <= 0.0 or horizon <= 0.0:
         raise ScheduleError("C0 and the horizon must be positive")
     dt_max = C0 / (L * math.log(L))
-    n = max(1, math.ceil(horizon / dt_max - 1.0e-12))
+    n_min = horizon / dt_max if dt_max > 0.0 else math.inf
+    if not math.isfinite(n_min):
+        raise ScheduleError(
+            f"the step rule C0/(L log L) = {dt_max:.3e} gives no finite step count "
+            f"for the horizon {horizon}")
+    n = max(1, math.ceil(n_min - 1.0e-12))
     dt = horizon / n
     if dt < floor:
         raise ScheduleError(

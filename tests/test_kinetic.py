@@ -15,7 +15,6 @@ from feneflow import (
     DomainError,
     bakry_emery_kappa,
     build_config_grid,
-    cutoff_beta,
     cutoff_beta_delta,
     entropy_eval,
     fene_potential,
@@ -148,20 +147,19 @@ def test_entropy_F_rejects_negative():
 
 
 def test_entropy_FL_quadratic_branch():
-    val, d1, d2 = entropy_eval("FL", 4.0, L=2.0)
+    # above L, F^L_delta is the quadratic continuation of F from L
+    val, d1, d2 = entropy_eval("FLdelta", 4.0, L=2.0, delta=1e-3)
     assert val == pytest.approx(FL_AT_2L_L2, abs=1e-14)
     assert d1 == pytest.approx(4.0 / 2.0 + math.log(2.0) - 1.0, abs=1e-14)
     assert d2 == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("which,kwargs", [("FL", {"L": 3.0}),
-                                          ("FLdelta", {"L": 3.0, "delta": 1e-3})])
-def test_entropy_c2_matching_at_L(which, kwargs):
-    L = kwargs["L"]
+def test_entropy_c2_matching_at_L():
+    L = 3.0
     h = 1e-7
     for col in range(3):
-        below = entropy_eval(which, L - h, **kwargs)[col]
-        above = entropy_eval(which, L + h, **kwargs)[col]
+        below = entropy_eval("FLdelta", L - h, L=L, delta=1e-3)[col]
+        above = entropy_eval("FLdelta", L + h, L=L, delta=1e-3)[col]
         assert abs(above - below) < 1e-5
 
 
@@ -183,9 +181,46 @@ def test_entropy_FLdelta_second_derivative_branches():
     np.testing.assert_allclose(1.0 / d2, cutoff_beta_delta(s, L, delta), rtol=1e-13)
 
 
+def _FLdelta_branches(s, L, delta):
+    """The explicit three-branch formulas of ``F^L_delta``: ``F`` on
+    ``(delta, L)`` and the quadratic continuations beyond either cut-off."""
+    s = np.asarray(s, dtype=float)
+    mid = np.clip(s, delta, L)
+    val = mid * (np.log(mid) - 1.0) + 1.0
+    d1 = np.log(mid)
+    d2 = 1.0 / mid
+    lower = s <= delta
+    upper = s >= L
+    val = np.where(lower, (s * s - delta * delta) / (2.0 * delta) + s * (math.log(delta) - 1.0) + 1.0, val)
+    d1 = np.where(lower, s / delta + math.log(delta) - 1.0, d1)
+    d2 = np.where(lower, 1.0 / delta, d2)
+    val = np.where(upper, (s * s - L * L) / (2.0 * L) + s * (math.log(L) - 1.0) + 1.0, val)
+    d1 = np.where(upper, s / L + math.log(L) - 1.0, d1)
+    d2 = np.where(upper, 1.0 / L, d2)
+    return val, d1, d2
+
+
+@pytest.mark.parametrize("L,delta", [(5.0, 1e-4), (3.0, 1e-2), (50.0, 0.5)])
+def test_entropy_FLdelta_matches_branch_formulas(L, delta):
+    rng = np.random.default_rng(11)
+    below = np.concatenate([[-3.0, 0.0, delta], rng.uniform(-2.0, delta, 50)])
+    inside = np.concatenate([[1.0, np.nextafter(delta, 1.0), np.nextafter(L, 0.0)],
+                             rng.uniform(delta, L, 200)])
+    above = np.concatenate([[L, 2.0 * L, 1e3], rng.uniform(L, 4.0 * L, 50)])
+    for s in (below, inside, above):
+        got = entropy_eval("FLdelta", s, L=L, delta=delta)
+        want = _FLdelta_branches(s, L, delta)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(np.abs(w), 1.0))
+    # inside (delta, L) the Taylor form adds exact zeros to F
+    for g, w in zip(entropy_eval("FLdelta", inside, L=L, delta=delta),
+                    _FLdelta_branches(inside, L, delta)):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_entropy_kind_validation():
-    with pytest.raises(ValueError):
-        entropy_eval("FL", 1.0)
+    with pytest.raises(ValueError, match="unknown entropy function"):
+        entropy_eval("FL", 1.0, L=3.0)
     with pytest.raises(ValueError):
         entropy_eval("FLdelta", 1.0, L=3.0)
     with pytest.raises(ValueError):
@@ -199,7 +234,6 @@ def test_entropy_kind_validation():
 
 def test_cutoffs_pointwise():
     s = np.array([-0.5, 0.0, 1e-5, 0.5, 7.0])
-    np.testing.assert_array_equal(cutoff_beta(s, 5.0), [-0.5, 0.0, 1e-5, 0.5, 5.0])
     np.testing.assert_array_equal(cutoff_beta_delta(s, 5.0, 1e-4),
                                   [1e-4, 1e-4, 1e-4, 0.5, 5.0])
 
@@ -214,6 +248,15 @@ def test_cutoff_params_validation():
         CutoffParams(L=5.0, delta=0.0)
 
 
+def edge_coefficient(a, c, L, delta):
+    """Secant coefficient on the edges ``(a[i], c[i])`` of a node field that
+    holds the values ``a`` followed by ``c``."""
+    a, c = np.atleast_1d(a), np.atleast_1d(c)
+    n = a.size
+    return secant_cutoff_coefficient(np.concatenate([a, c]), np.arange(n),
+                                     np.arange(n, 2 * n), L, delta)
+
+
 def test_secant_coefficient_chain_rule_exact():
     # coeff * ([F^L_d]'(c) - [F^L_d]'(a)) == c - a, the identity the
     # free-energy estimate rests on
@@ -221,24 +264,36 @@ def test_secant_coefficient_chain_rule_exact():
     a = rng.uniform(1e-6, 8.0, size=200)
     c = rng.uniform(1e-6, 8.0, size=200)
     L, delta = 5.0, 1e-4
-    coeff = secant_cutoff_coefficient(a, c, L, delta)
+    coeff = edge_coefficient(a, c, L, delta)
     d1a = entropy_eval("FLdelta", a, L=L, delta=delta)[1]
     d1c = entropy_eval("FLdelta", c, L=L, delta=delta)[1]
     np.testing.assert_allclose(coeff * (d1c - d1a), c - a, atol=1e-10)
 
 
+def test_secant_coefficient_gathers_node_field_per_edge():
+    # a (cells, nodes) field on a triangle of edges: every cell row is the
+    # pairwise coefficient of its own endpoint values
+    rng = np.random.default_rng(3)
+    psi = rng.uniform(-0.5, 8.0, size=(4, 3))
+    ea, eb = np.array([0, 1, 2]), np.array([1, 2, 0])
+    coeff = secant_cutoff_coefficient(psi, ea, eb, 5.0, 1e-4)
+    assert coeff.shape == (4, 3)
+    for row, p in zip(coeff, psi):
+        np.testing.assert_array_equal(row, edge_coefficient(p[ea], p[eb], 5.0, 1e-4))
+
+
 def test_secant_coefficient_coincidence_limit():
-    coeff = secant_cutoff_coefficient(0.7, 0.7, 5.0, 1e-4)
+    coeff = edge_coefficient(0.7, 0.7, 5.0, 1e-4)
     assert coeff == pytest.approx(0.7, abs=1e-14)
     # saturated endpoints collapse to the cut-off values
-    assert secant_cutoff_coefficient(9.0, 9.0, 5.0, 1e-4) == 5.0
-    assert secant_cutoff_coefficient(0.0, 0.0, 5.0, 1e-4) == pytest.approx(1e-4)
+    assert edge_coefficient(9.0, 9.0, 5.0, 1e-4) == 5.0
+    assert edge_coefficient(0.0, 0.0, 5.0, 1e-4) == pytest.approx(1e-4)
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=st.floats(-1.0, 10.0), c=st.floats(-1.0, 10.0))
 def test_secant_coefficient_stays_in_band(a, c):
-    coeff = float(secant_cutoff_coefficient(a, c, 5.0, 1e-4))
+    coeff = float(edge_coefficient(a, c, 5.0, 1e-4)[0])
     assert 1e-4 <= coeff <= 5.0
 
 

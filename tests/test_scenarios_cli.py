@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feneflow import (
@@ -106,15 +106,22 @@ def test_readme_lists_every_config_key():
     assert keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
+def _json_containers(inner):
+    """Lists and objects whose elements are drawn from ``inner``."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6)
     | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    _json_containers,
     max_leaves=6,
 )
 
 
 @settings(max_examples=300, deadline=None)
+@example({"N_x": [4, [5.0, None]], "dt": [[]]})
+@example({"b": {"a": {"b": 3.0}}, "C0": {"": [1]}})
 @given(st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)), JSON_VALUES,
                        min_size=1, max_size=3))
 def test_malformed_values_give_config_errors_only(raw):
@@ -335,6 +342,20 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     for command in ("check", "run"):
         assert main([command, str(bad)]) == 2
         assert "config error: dt = 5e-324 is too small" in capsys.readouterr().err
+
+    # so is a step schedule that cannot be met: L below e, or a dt below
+    # the schedule's floor
+    for text, message in (
+        ('{"dt": null, "C0": 1.0, "L": 2.0, "T": 0.02, "N_x": 4, "N_r": 8, "N_theta": 8}',
+         "the step rule needs L > e"),
+        ('{"dt": null, "C0": 1e-12, "L": 5.0, "T": 1.0, "N_x": 4, "N_r": 8, "N_theta": 8}',
+         "below the floor"),
+    ):
+        bad.write_text(text)
+        for command in ("check", "run"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and message in err
 
 
 def test_cli_run_passes_and_writes(tmp_path, capsys):

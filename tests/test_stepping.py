@@ -308,6 +308,12 @@ def test_dt_schedule_errors():
         dt_schedule(L=100.0, C0=-1.0, horizon=1.0)
     with pytest.raises(ScheduleError, match="below the floor"):
         dt_schedule(L=100.0, C0=1e-12, horizon=1.0)
+    # a step bound that underflows to zero, or a horizon / step ratio that
+    # overflows, is reported rather than raised from the arithmetic
+    with pytest.raises(ScheduleError, match="no finite step count"):
+        dt_schedule(L=100.0, C0=5e-324, horizon=1.0)
+    with pytest.raises(ScheduleError, match="no finite step count"):
+        dt_schedule(L=100.0, C0=1e-300, horizon=1e300)
 
 
 # --------------------------------------------------------------------------
