@@ -1,8 +1,9 @@
 """Command-line entry point: run a configured scenario, validate a
 configuration, or exercise the structural self-tests.
 
-Exit codes: 0 all verdicts pass, 2 a verdict failed (or the configuration
-is invalid for ``check``), 1 execution error.
+Exit codes: 0 all verdicts pass, 2 a verdict failed or the configuration
+is invalid (not UTF-8, not JSON, or a rejected value), 1 a missing config
+file or an execution error.
 """
 
 from __future__ import annotations
@@ -39,19 +40,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_run(args) -> int:
-    from .scenarios import ConfigError, parse_config, run_scenario
+def _load_config(args):
+    """Read and validate ``args.config``: ``(cfg, None)``, or ``(None, exit
+    code)`` after reporting why not (1 for a missing file, 2 for a file that
+    is not a valid UTF-8 JSON configuration)."""
+    from .scenarios import ConfigError, parse_config
 
     try:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read(), strict=args.strict)
+        with open(args.config, encoding="utf-8") as fh:
+            return parse_config(fh.read(), strict=args.strict), None
     except FileNotFoundError:
         print(f"error: no such config file: {args.config}", file=sys.stderr)
-        return 1
+        return None, 1
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config} is not UTF-8 text ({exc.reason} "
+              f"at byte {exc.start})", file=sys.stderr)
+        return None, 2
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)
-        return 2
+        return None, 2
+
+
+def _cmd_run(args) -> int:
+    from .scenarios import run_scenario
+
+    cfg, status = _load_config(args)
+    if cfg is None:
+        return status
     if args.seed is not None:
         from dataclasses import replace
 
@@ -72,20 +88,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .scenarios import ConfigError, parse_config
-
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        print(f"error: no such config file: {args.config}", file=sys.stderr)
-        return 1
-    try:
-        cfg = parse_config(text, strict=args.strict)
-    except ConfigError as exc:
-        for line in exc.violations:
-            print(f"config error: {line}", file=sys.stderr)
-        return 2
+    cfg, status = _load_config(args)
+    if cfg is None:
+        return status
     print(f"config ok: scenario={cfg.scenario} grids {cfg.N_x}^2 flow / "
           f"{cfg.N_r}x{cfg.N_theta} config, horizon T={cfg.T}")
     return 0

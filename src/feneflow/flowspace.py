@@ -54,6 +54,10 @@ class FlowGrid:
            ``sum_edges (d rho)(d phi)`` equals ``int grad rho . grad phi``
            because the ``1/h^2`` of the difference quotients cancels the
            ``h^2`` cell measure.
+        advection_stencils: the unscaled centred differences ``(d_x, d_y)``
+           on x-faces, then ``(d_x, d_y)`` on y-faces, that
+           :func:`convection_matrix` scales row-wise by the advecting
+           velocity; they depend on ``N`` only.
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
     """
 
@@ -68,6 +72,7 @@ class FlowGrid:
     K: sp.csr_matrix
     T: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
     cell_stiffness: sp.csr_matrix
+    advection_stencils: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
     xu: np.ndarray
     yu: np.ndarray
     xv: np.ndarray
@@ -189,6 +194,12 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     Tyx = _scaled(sp.hstack([zero_u, sp.kron(_centred_difference(N, True), _face_sum(N))]),
                   4.0 * h)
 
+    # convection: centred differences along each face normal between
+    # interior faces, and across it with ghost reflection at the walls
+    C_wall, C_ghost = _centred_difference(N - 1, False), _centred_difference(N, True)
+    advection_stencils = tuple(sp.csr_matrix(M) for M in (
+        sp.kron(C_wall, I_c), sp.kron(I_f, C_ghost), sp.kron(C_ghost, I_f), sp.kron(I_c, C_wall)))
+
     ih = np.arange(1, N) * h
     jh = (np.arange(N) + 0.5) * h
     xu, yu = np.meshgrid(ih, jh, indexing="ij")
@@ -197,6 +208,7 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
         D=D, G=G, K=K, T=(Txx, Txy, Tyx, Tyy), cell_stiffness=cell_stiffness,
+        advection_stencils=advection_stencils,
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )
 
@@ -283,19 +295,15 @@ def _cross_average(w: np.ndarray) -> np.ndarray:
 def _plain_advection_matrix(grid: FlowGrid, vfield: np.ndarray) -> sp.csr_matrix:
     """Centred matrix of ``w -> (v . grad) w`` on faces (before antisymmetrization).
 
-    Each face row is its advecting velocity times a centred difference:
-    along the face normal between interior faces, across it with ghost
-    reflection at the walls.
+    Each face row is its advecting velocity times one of the grid's
+    ``advection_stencils``.
     """
     N, n_u = grid.N, grid.n_u
     u = vfield[:n_u].reshape(N - 1, N)
     v = vfield[n_u:].reshape(N, N - 1)
-    I_c, I_f = sp.identity(N), sp.identity(N - 1)
-    C_wall, C_ghost = _centred_difference(N - 1, False), _centred_difference(N, True)
-    A_u = sp.diags(u.ravel()) @ sp.kron(C_wall, I_c) \
-        + sp.diags(_cross_average(v).ravel()) @ sp.kron(I_f, C_ghost)
-    A_v = sp.diags(_cross_average(u.T).T.ravel()) @ sp.kron(C_ghost, I_f) \
-        + sp.diags(v.ravel()) @ sp.kron(I_c, C_wall)
+    du_dx, du_dy, dv_dx, dv_dy = grid.advection_stencils
+    A_u = sp.diags(u.ravel()) @ du_dx + sp.diags(_cross_average(v).ravel()) @ du_dy
+    A_v = sp.diags(_cross_average(u.T).T.ravel()) @ dv_dx + sp.diags(v.ravel()) @ dv_dy
     return _scaled(sp.block_diag([A_u, A_v]), 2 * grid.h)
 
 

@@ -28,7 +28,11 @@ in the eigenbasis of the mass-weighted configuration stiffness, which
 ``ConfigOperators`` carries (computed once per grid): the monolithic system
 splits into one small banded x-solve per configuration eigenmode, which
 keeps million-unknown steps exact (direct solves) without ever forming the
-full operator.  The initial-density smoothing step solves in the same basis.
+full operator.  Each solve lays the band of ``K_x`` out once in LAPACK's
+Fortran band storage and runs one direct ``dgbsv`` per mode on a shifted
+copy of it, in place on a contiguous row of mode coefficients; no LU factor
+is kept past its mode, so the working memory is one band.  The
+initial-density smoothing step solves in the same basis.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
@@ -180,26 +186,32 @@ def _kron_solve(Kx: sp.csr_matrix, shift_scale: float, ops: ConfigOperators,
                 rhs_nodal: np.ndarray) -> np.ndarray:
     """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``.
 
-    All per-mode matrices are diagonal shifts of the same banded operator,
-    so each mode costs one LAPACK banded factorization instead of a general
-    sparse one.
+    Mode ``j`` is the banded system ``(Kx + shift_scale * evals[j] I) phi_j =
+    r_j``.  The band of ``Kx`` is laid out once, in LAPACK's Fortran-ordered
+    ``(2 kl + ku + 1, n)`` storage whose first ``kl`` rows hold the pivoting
+    fill-in; each mode copies it into one work array, shifts the diagonal
+    row and factors and solves in place with ``dgbsv`` (the routine
+    ``scipy.linalg.solve_banded`` wraps, so results are bitwise those of
+    that call).  The mode coefficients are held mode-major, so each
+    right-hand side is a contiguous row that LAPACK overwrites with its
+    solution.  No LU factor outlives its mode.
     """
-    from scipy.linalg import solve_banded
-
-    R = ops.to_modes(rhs_nodal)
-    Phi = np.empty_like(R)
     coo = Kx.tocoo()
     kl = int((coo.row - coo.col).max())
     ku = int((coo.col - coo.row).max())
-    ab = np.zeros((kl + ku + 1, Kx.shape[0]))
-    ab[ku + coo.row - coo.col, coo.col] = coo.data
+    ab = np.zeros((2 * kl + ku + 1, Kx.shape[0]), order="F")
+    ab[kl + ku + coo.row - coo.col, coo.col] = coo.data
     work = np.empty_like(ab)
-    for jmode in range(R.shape[1]):
+    diagonal = work[kl + ku]
+    modes = np.ascontiguousarray(ops.to_modes(rhs_nodal).T)
+    for jmode, shift in enumerate(shift_scale * ops.evals):
         np.copyto(work, ab)
-        work[ku, :] += shift_scale * ops.evals[jmode]
-        Phi[:, jmode] = solve_banded((kl, ku), work, R[:, jmode],
-                                     overwrite_ab=True, check_finite=False)
-    return ops.to_nodes(Phi)
+        diagonal += shift
+        info = dgbsv(kl, ku, work, modes[jmode], overwrite_ab=1, overwrite_b=1)[3]
+        if info != 0:
+            raise LinAlgError(f"configuration mode {jmode}: dgbsv returned info={info} "
+                              f"({'singular matrix' if info > 0 else 'illegal argument'})")
+    return ops.to_nodes(modes.T)
 
 
 # --------------------------------------------------------------------------
@@ -458,6 +470,7 @@ def save_checkpoint(path: str, state: SystemState, params: StepParams,
             "dt": params.dt, "nu": params.nu, "k": params.k,
             "lam": params.lam, "eps": params.eps,
             "L": params.cutoff.L, "delta": params.cutoff.delta,
+            "fp_tol": params.fp_tol, "fp_max_iter": params.fp_max_iter,
         },
     }
     np.savez(path, u=state.u, psi=state.psi,

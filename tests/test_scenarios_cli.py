@@ -332,6 +332,12 @@ def test_cli_check_exit_codes(tmp_path, capsys):
 
     assert main(["check", str(tmp_path / "missing.json")]) == 1
 
+    # bytes that are not UTF-8 text are a config error, not an execution error
+    bad.write_bytes(b"\xff\xfe{")
+    for command in ("check", "run"):
+        assert main([command, str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     for text in ('{"N_x": "12"}', '{"N_x": 12.5}'):
         bad.write_text(text)
         assert main(["check", str(bad)]) == 2

@@ -2,10 +2,13 @@
 discrete energy identities, the initial-data smoothing contract, the step
 schedule and checkpointing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import LinAlgError
 
 from feneflow import (
     ConstructionError,
@@ -25,7 +28,8 @@ from feneflow import (
     save_checkpoint,
     smooth_initial_density,
 )
-from feneflow.stepping import _upwind_advection
+from feneflow.stepping import _kron_solve, _upwind_advection
+from kron_reference import loop_kron_solve
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +197,49 @@ def test_beta_saturation_inactive_for_moderate_data(small, rng):
 
 
 # --------------------------------------------------------------------------
+# Kronecker solve
+# --------------------------------------------------------------------------
+
+
+def test_kron_solve_matches_solve_banded_loop(small, rng):
+    # the direct dgbsv on the reused band runs the same LAPACK routine as the
+    # per-mode solve_banded loop, so the two agree bit for bit
+    flow, ops, params, stepper = small
+    h2 = flow.h * flow.h
+    n = flow.n_u + flow.n_v
+    transport = project_divergence_free(flow, rng.standard_normal(n))
+    smoothing = ((h2 / params.dt) * sp.identity(flow.n_c, format="csr")
+                 + flow.cell_stiffness).tocsr()
+    cases = [
+        (stepper._transport_matrix(np.zeros(n)), stepper._cq * h2),
+        (stepper._transport_matrix(transport), stepper._cq * h2),
+        (smoothing, h2),
+    ]
+    for Kx, shift_scale in cases:
+        R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
+        got = _kron_solve(Kx, shift_scale, ops, R)
+        assert np.array_equal(got, loop_kron_solve(Kx, shift_scale, ops, R))
+
+
+def test_kron_solve_names_a_singular_mode(small, rng):
+    # a K_x whose first row and column are empty has a zero diagonal entry;
+    # with the lowest eigenvalue clipped to exactly 0 (as eigenvalue round-off
+    # below zero is), mode 0 is singular while every shifted mode is not
+    flow, ops, params, stepper = small
+    Kx = stepper._transport_matrix(np.zeros(flow.n_u + flow.n_v)).tolil()
+    Kx[0, :] = 0.0
+    Kx[:, 0] = 0.0
+    Kx = Kx.tocsr()
+    Kx.eliminate_zeros()
+    evals = ops.evals.copy()
+    evals[0] = 0.0
+    clipped = dataclasses.replace(ops, evals=evals)
+    R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
+    with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
+        _kron_solve(Kx, stepper._cq * flow.h ** 2, clipped, R)
+
+
+# --------------------------------------------------------------------------
 # fixed-point robustness
 # --------------------------------------------------------------------------
 
@@ -213,7 +260,6 @@ def test_non_finite_input_is_detected(small):
 
 
 def test_fixed_point_stall_raises(small, rng):
-    import dataclasses
     flow, ops, params, _ = small
     impatient = dataclasses.replace(params, fp_max_iter=1, fp_tol=1e-16)
     stepper = CoupledStepper(flow, ops, impatient)
@@ -332,6 +378,8 @@ def test_checkpoint_round_trip(small, rng, tmp_path):
     assert np.array_equal(restored.psi, state.psi)
     assert restored.t == state.t and restored.n == state.n
     assert meta["params"]["dt"] == params.dt
+    assert meta["params"]["fp_tol"] == params.fp_tol
+    assert meta["params"]["fp_max_iter"] == params.fp_max_iter
     assert meta["config"]["n_nodes"] == ops.grid.n_nodes
 
 
