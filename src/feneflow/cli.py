@@ -2,7 +2,8 @@
 configuration, or exercise the structural self-tests.
 
 Exit codes: 0 all verdicts pass, 2 a verdict failed or the configuration
-is invalid (not UTF-8, not JSON, or a rejected value), 1 a missing config
+is invalid (not UTF-8, not JSON, or a rejected value, including a rejected
+command-line option such as a negative ``--seed``), 1 a missing config
 file or an execution error.
 """
 
@@ -15,6 +16,13 @@ import time
 from typing import List, Optional
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a nonnegative integer, else an argparse error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="feneflow",
@@ -24,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario from a JSON config")
     run.add_argument("config", help="path to the JSON run configuration")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run.add_argument("--out-dir", default=None, help="write ledger/checkpoint/summary here")
     run.add_argument("--strict", action="store_true",
                      help="turn schedule warnings into rejections")
@@ -35,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="turn schedule warnings into rejections")
 
     selftest = sub.add_parser("selftest", help="run the built-in structural property suite")
-    selftest.add_argument("--seed", type=int, default=0)
+    selftest.add_argument("--seed", type=_seed, default=0)
     selftest.add_argument("--out-dir", default=None, help="optional report destination")
     return p
 

@@ -140,7 +140,6 @@ class ConfigGrid:
     Z: float
     mass_defect: float
     moment_defect: float
-    _radial_D: sp.csr_matrix
 
     @property
     def n_nodes(self) -> int:
@@ -222,7 +221,6 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
         Z=Z,
         mass_defect=0.0,
         moment_defect=0.0,
-        _radial_D=_radial_diff_matrix(r),
     )
     return grid
 
@@ -310,7 +308,7 @@ def node_gradient(grid: ConfigGrid, field: np.ndarray) -> np.ndarray:
     """
     field = np.asarray(field, dtype=float)
     F = field.reshape(grid.N_r, grid.N_theta)
-    dFr = (grid._radial_D @ F).reshape(-1)
+    dFr = (_radial_diff_matrix(grid.r) @ F).reshape(-1)
     k = np.fft.rfftfreq(grid.N_theta, d=1.0 / grid.N_theta) * 1j
     dFth = np.fft.irfft(k * np.fft.rfft(F, axis=1), n=grid.N_theta, axis=1).reshape(-1)
     rr = np.repeat(grid.r, grid.N_theta)

@@ -49,16 +49,14 @@ class FlowGrid:
         K: vector Dirichlet "stiffness" (minus Laplacian) on faces; SPD.
         T: tuple of four cell-tensor gradient maps (T_xx, T_xy, T_yx, T_yy)
            with ``T_xx u + T_yy v`` equal to the divergence row-for-row.
-        cell_stiffness: unscaled 5-point stiffness on cells with no-flux
-           walls, ``h^2 D D^T``; rows sum to 0.  Its edge form
-           ``sum_edges (d rho)(d phi)`` equals ``int grad rho . grad phi``
-           because the ``1/h^2`` of the difference quotients cancels the
-           ``h^2`` cell measure.
         advection_stencils: the unscaled centred differences ``(d_x, d_y)``
            on x-faces, then ``(d_x, d_y)`` on y-faces, that
            :func:`convection_matrix` scales row-wise by the advecting
            velocity; they depend on ``N`` only.
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
+
+    The cell stiffness ``h^2 D D^T`` is not stored: the density solve writes
+    it into its band from ``N`` alone (``stepping._transport_band``).
     """
 
     N: int
@@ -71,7 +69,6 @@ class FlowGrid:
     G: sp.csr_matrix
     K: sp.csr_matrix
     T: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
-    cell_stiffness: sp.csr_matrix
     advection_stencils: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
     xu: np.ndarray
     yu: np.ndarray
@@ -174,9 +171,6 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     Dv = sp.kron(I_c, F)
     D = _scaled(sp.hstack([Du, Dv]), h)
     G = (-D.T).tocsr()
-    # F F^T is the 1D Neumann stencil (diagonal 1 at the walls, 2 inside)
-    S1 = F @ F.T
-    cell_stiffness = (sp.kron(S1, I_c) + sp.kron(I_c, S1)).tocsr()
 
     # viscous (minus vector Laplacian): no-slip walls are zero normal faces
     # (Dirichlet) and ghost-reflected tangential values, u(-h/2) = -u(h/2)
@@ -207,7 +201,7 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
-        D=D, G=G, K=K, T=(Txx, Txy, Tyx, Tyy), cell_stiffness=cell_stiffness,
+        D=D, G=G, K=K, T=(Txx, Txy, Tyx, Tyy),
         advection_stencils=advection_stencils,
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )

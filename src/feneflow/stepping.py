@@ -16,8 +16,7 @@ One macro time step advances the pair ``(u, psi)`` implicitly:
 
 Every scheme parameter (``dt``, ``nu``, ``k``, ``lam``, ``eps``, the cutoff
 and the fixed-point controls) lives on ``StepParams``; the node weights and
-eigenbasis live on ``ConfigOperators`` and the cell stiffness on
-``FlowGrid``.
+eigenbasis live on ``ConfigOperators``.
 
 The two solves are alternated to a fixed point; each inner solve is linear.
 The configuration solve exploits the Kronecker structure
@@ -28,11 +27,12 @@ in the eigenbasis of the mass-weighted configuration stiffness, which
 ``ConfigOperators`` carries (computed once per grid): the monolithic system
 splits into one small banded x-solve per configuration eigenmode, which
 keeps million-unknown steps exact (direct solves) without ever forming the
-full operator.  Each solve lays the band of ``K_x`` out once in LAPACK's
-Fortran band storage and runs one direct ``dgbsv`` per mode on a shifted
-copy of it, in place on a contiguous row of mode coefficients; no LU factor
-is kept past its mode, so the working memory is one band.  The
-initial-density smoothing step solves in the same basis.
+full operator.  The band of ``K_x`` is written straight from the face
+velocities into LAPACK's Fortran band storage, and each solve runs one
+direct ``dgbsv`` per mode on a shifted copy of it, in place on a contiguous
+row of mode coefficients; no LU factor is kept past its mode, so the
+working memory is one band.  The initial-density smoothing step solves in
+the same basis.
 """
 
 from __future__ import annotations
@@ -143,38 +143,47 @@ class SmoothingReport:
 # --------------------------------------------------------------------------
 
 
-def _upwind_advection(grid: FlowGrid, u: np.ndarray) -> sp.csr_matrix:
-    """Donor-cell flux matrix, scaled so the weak transport term is
-    ``phi . (Adv psi)`` alongside ``h^2/dt`` mass entries.
+def _transport_band(grid: FlowGrid, u: np.ndarray, diffusion: float,
+                    mass: float) -> np.ndarray:
+    """``K_x = mass I + diffusion S_cell + Adv(u)`` in ``dgbsv`` band storage.
 
-    Columns sum to zero exactly (each face moves mass between two rows), so
-    total mass is conserved identically; rows applied to constants give
-    ``h^2`` times the discrete divergence, which vanishes for projected
-    velocities, so uniform densities are transported exactly.
+    ``S_cell = h^2 D D^T`` is the 5-point cell stiffness with no-flux walls
+    (rows sum to 0) and ``Adv(u)`` the donor-cell upwinding, scaled so the
+    weak transport term is ``phi . (Adv psi)``.  Cell ``(i, j)`` is number
+    ``i N + j``, so ``kl = ku = N``: entry ``(r, c)`` sits in row
+    ``2N + r - c`` of the Fortran-ordered ``(3N + 1, N^2)`` array, whose
+    first ``N`` rows stay zero for LAPACK's pivoting fill-in.
+
+    Each face flux ``h U`` lives in its donor's column, ``+`` on the
+    diagonal and ``-`` in the receiver's row, so columns sum to zero (to
+    rounding) and total mass is conserved; rows applied to constants give
+    ``h^2`` times the discrete divergence, so uniform densities are
+    transported exactly by projected velocities.
     """
     N, h = grid.N, grid.h
-    uu = np.asarray(u[: grid.n_u]).reshape(N - 1, N)
-    vv = np.asarray(u[grid.n_u :]).reshape(N, N - 1)
+    flux_x = h * u[: grid.n_u].reshape(N - 1, N)   # cell (i, j) -> (i+1, j)
+    flux_y = h * u[grid.n_u :].reshape(N, N - 1)   # cell (i, j) -> (i, j+1)
+    # the donor is the lower cell of a positive flux, the upper one otherwise
+    up_x, down_x = np.where(flux_x > 0.0, flux_x, 0.0), np.where(flux_x > 0.0, 0.0, -flux_x)
+    up_y, down_y = np.where(flux_y > 0.0, flux_y, 0.0), np.where(flux_y > 0.0, 0.0, -flux_y)
+    outflow = np.zeros((N, N))
+    outflow[:-1] += up_x
+    outflow[1:] += down_x
+    outflow[:, :-1] += up_y
+    outflow[:, 1:] += down_y
+    neighbours = np.full((N, N), 4.0)
+    neighbours[[0, -1], :] -= 1.0
+    neighbours[:, [0, -1]] -= 1.0
 
-    # vertical faces between cell (i, j) and (i+1, j)
-    i, j = np.meshgrid(np.arange(N - 1), np.arange(N), indexing="ij")
-    left = (i * N + j).ravel()
-    right = ((i + 1) * N + j).ravel()
-    U = uu.ravel()
-    donor_v = np.where(U > 0.0, left, right)
-
-    # horizontal faces between cell (i, j) and (i, j+1)
-    i, j = np.meshgrid(np.arange(N), np.arange(N - 1), indexing="ij")
-    bot = (i * N + j).ravel()
-    top = (i * N + j + 1).ravel()
-    V = vv.ravel()
-    donor_h = np.where(V > 0.0, bot, top)
-
-    rows = np.concatenate([left, right, bot, top])
-    cols = np.concatenate([donor_v, donor_v, donor_h, donor_h])
-    vals = np.concatenate([h * U, -h * U, h * V, -h * V])
-    n_c = grid.n_c
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_c, n_c)).tocsr()
+    ab = np.zeros((3 * N + 1, grid.n_c), order="F")
+    column = ab.T.reshape(N, N, 3 * N + 1)   # column[i, j]: band column of cell (i, j)
+    diag = 2 * N
+    column[:, :, diag] = (mass + diffusion * neighbours) + outflow
+    column[:-1, :, diag + N] = -diffusion - up_x
+    column[1:, :, diag - N] = -diffusion - down_x
+    column[:, :-1, diag + 1] = -diffusion - up_y
+    column[:, 1:, diag - 1] = -diffusion - down_y
+    return ab
 
 
 # --------------------------------------------------------------------------
@@ -182,25 +191,20 @@ def _upwind_advection(grid: FlowGrid, u: np.ndarray) -> sp.csr_matrix:
 # --------------------------------------------------------------------------
 
 
-def _kron_solve(Kx: sp.csr_matrix, shift_scale: float, ops: ConfigOperators,
+def _kron_solve(ab: np.ndarray, shift_scale: float, ops: ConfigOperators,
                 rhs_nodal: np.ndarray) -> np.ndarray:
-    """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``.
+    """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``,
+    ``ab`` being the band of ``Kx`` from :func:`_transport_band`.
 
     Mode ``j`` is the banded system ``(Kx + shift_scale * evals[j] I) phi_j =
-    r_j``.  The band of ``Kx`` is laid out once, in LAPACK's Fortran-ordered
-    ``(2 kl + ku + 1, n)`` storage whose first ``kl`` rows hold the pivoting
-    fill-in; each mode copies it into one work array, shifts the diagonal
-    row and factors and solves in place with ``dgbsv`` (the routine
+    r_j``.  Each mode copies the band into one work array, shifts the
+    diagonal row and factors and solves in place with ``dgbsv`` (the routine
     ``scipy.linalg.solve_banded`` wraps, so results are bitwise those of
     that call).  The mode coefficients are held mode-major, so each
     right-hand side is a contiguous row that LAPACK overwrites with its
     solution.  No LU factor outlives its mode.
     """
-    coo = Kx.tocoo()
-    kl = int((coo.row - coo.col).max())
-    ku = int((coo.col - coo.row).max())
-    ab = np.zeros((2 * kl + ku + 1, Kx.shape[0]), order="F")
-    ab[kl + ku + coo.row - coo.col, coo.col] = coo.data
+    kl = ku = (ab.shape[0] - 1) // 3
     work = np.empty_like(ab)
     diagonal = work[kl + ku]
     modes = np.ascontiguousarray(ops.to_modes(rhs_nodal).T)
@@ -283,13 +287,6 @@ class CoupledStepper:
 
     # ---- configuration density --------------------------------------------
 
-    def _transport_matrix(self, u_transport: np.ndarray) -> sp.csr_matrix:
-        fg = self.flow
-        h2 = fg.h * fg.h
-        return ((h2 / self.params.dt) * sp.identity(fg.n_c, format="csr")
-                + self.params.eps * fg.cell_stiffness
-                + _upwind_advection(fg, u_transport)).tocsr()
-
     def _drag_rhs(self, u_candidate: np.ndarray, coeff_field: np.ndarray) -> np.ndarray:
         """Edge-based drag source, one row per cell.
 
@@ -317,10 +314,11 @@ class CoupledStepper:
             coeff_field = psi_prev
         fg = self.flow
         h2 = fg.h * fg.h
-        Kx = self._transport_matrix(np.asarray(u_transport, dtype=float))
+        band = _transport_band(fg, np.asarray(u_transport, dtype=float),
+                               self.params.eps, h2 / self.params.dt)
         rhs = (h2 / self.params.dt) * psi_prev * self.ops.grid.w[None, :]
         rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
-        out = _kron_solve(Kx, self._cq * h2, self.ops, rhs)
+        out = _kron_solve(band, self._cq * h2, self.ops, rhs)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
         return out
@@ -395,10 +393,9 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
     zeta0 = np.minimum(psi0, clip_level)
 
     h2 = flow.h * flow.h
-    Kx = ((h2 / dt) * sp.identity(flow.n_c, format="csr")
-          + flow.cell_stiffness).tocsr()
+    band = _transport_band(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt)
     m = ops.grid.w
-    zeta1 = _kron_solve(Kx, h2, ops, (h2 / dt) * zeta0 * m[None, :])
+    zeta1 = _kron_solve(band, h2, ops, (h2 / dt) * zeta0 * m[None, :])
 
     # checked before the entropy and Fisher terms, which reject densities
     # below -slack themselves

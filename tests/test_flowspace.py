@@ -16,7 +16,6 @@ from feneflow import (
     smooth_initial_velocity,
 )
 from flow_reference import (
-    cell_neumann_stiffness,
     loop_convection_matrix,
     loop_flow_operators,
     scalar_dirichlet_stiffness,
@@ -67,15 +66,6 @@ def test_operators_match_loop_reference_bitwise(N, side):
         adv = random_faces(grid, rng)
         adv[rng.random(adv.size) < 0.3] = 0.0   # zero advectors drop entries
         assert_same_csr(convection_matrix(grid, adv), loop_convection_matrix(N, side, adv))
-
-
-@pytest.mark.parametrize("N", [4, 5, 8, 16])
-def test_cell_stiffness_matches_reference_bitwise(N):
-    # built once per grid from the face difference; it is also h^2 D D^T
-    grid = build_flow_grid(N, 0.7)
-    assert_same_csr(grid.cell_stiffness, cell_neumann_stiffness(N))
-    np.testing.assert_allclose((grid.D @ grid.D.T).toarray() * grid.h**2,
-                               grid.cell_stiffness.toarray(), rtol=1e-14, atol=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -338,6 +338,14 @@ def test_cli_check_exit_codes(tmp_path, capsys):
         assert main([command, str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    # a negative --seed is rejected by the parser with exit 2, for run and
+    # selftest alike, before any file is read or any check runs
+    for argv in (["run", good, "--seed", "-1"], ["selftest", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --seed: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
     for text in ('{"N_x": "12"}', '{"N_x": 12.5}'):
         bad.write_text(text)
         assert main(["check", str(bad)]) == 2

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
 from feneflow import (
@@ -28,8 +27,10 @@ from feneflow import (
     save_checkpoint,
     smooth_initial_density,
 )
-from feneflow.stepping import _kron_solve, _upwind_advection
-from kron_reference import loop_kron_solve
+from feneflow.stepping import _kron_solve, _transport_band
+from flow_reference import cell_neumann_stiffness
+from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
+                            upwind_advection)
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,7 @@ def test_density_equation_residual(small, rng):
     rho_prev = psi_prev @ ops.grid.w
     rho_new = psi_new @ ops.grid.w
     h2 = flow.h**2
-    Kx = (h2 / params.dt) * np.eye(flow.n_c) + params.eps * flow.cell_stiffness.toarray() \
-        + _upwind_advection(flow, u).toarray()
+    Kx = transport_matrix(flow, u, params.eps, h2 / params.dt).toarray()
     residual = Kx @ rho_new - (h2 / params.dt) * rho_prev
     assert np.abs(residual).max() <= 1e-10
 
@@ -197,27 +197,66 @@ def test_beta_saturation_inactive_for_moderate_data(small, rng):
 
 
 # --------------------------------------------------------------------------
-# Kronecker solve
+# transport band and Kronecker solve
 # --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [4, 5, 8, 16])
+def test_transport_band_matches_reference(N):
+    # the band written straight from the face velocities is bitwise the
+    # band laid out from the assembled CSR reference, for the density step
+    # (random projected transport with ~30% of faces zeroed, and none) and
+    # for the smoothing step (unit diffusion, no transport)
+    grid = build_flow_grid(N, 0.7)
+    rng = np.random.default_rng(N)
+    n = grid.n_u + grid.n_v
+    h2, dt, eps = grid.h ** 2, 0.01, 0.1
+    u = project_divergence_free(grid, rng.standard_normal(n))
+    u[rng.random(n) < 0.3] = 0.0
+    for faces, diffusion in ((u, eps), (np.zeros(n), eps), (np.zeros(n), 1.0)):
+        got = _transport_band(grid, faces, diffusion, h2 / dt)
+        want = band_layout(transport_matrix(grid, faces, diffusion, h2 / dt))
+        assert got.flags.f_contiguous and got.shape == (3 * N + 1, N * N)
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    # the upwind part alone, where the order in which each cell sums its
+    # outflows shows in the last bit (compared up to the sign of zero: with
+    # no diffusion, an off-diagonal entry that no flux reaches is -0.0);
+    # each flux sits +/- in its donor's column, so the columns sum to zero
+    # up to that rounding
+    upwind = _transport_band(grid, u, 0.0, 0.0)
+    assert np.array_equal(upwind, band_layout(upwind_advection(grid, u)))
+    assert np.abs(band_to_dense(upwind).sum(axis=0)).max() <= 1e-15 * grid.h * np.abs(u).max()
+
+    # the cell stiffness alone: bitwise the explicit 1D-stencil reference,
+    # h^2 D D^T to rounding, symmetric and annihilating constants exactly
+    S = _transport_band(grid, np.zeros(n), 1.0, 0.0)
+    assert S.tobytes(order="F") == band_layout(cell_neumann_stiffness(N)).tobytes(order="F")
+    S = band_to_dense(S)
+    np.testing.assert_allclose((grid.D @ grid.D.T).toarray() * grid.h**2, S,
+                               rtol=1e-14, atol=0.0)
+    assert np.abs(S @ np.ones(N * N)).max() == 0.0
+    assert np.abs(S - S.T).max() == 0.0
 
 
 def test_kron_solve_matches_solve_banded_loop(small, rng):
     # the direct dgbsv on the reused band runs the same LAPACK routine as the
-    # per-mode solve_banded loop, so the two agree bit for bit
+    # per-mode solve_banded loop on the reference CSR, so the two agree bit
+    # for bit
     flow, ops, params, stepper = small
     h2 = flow.h * flow.h
     n = flow.n_u + flow.n_v
     transport = project_divergence_free(flow, rng.standard_normal(n))
-    smoothing = ((h2 / params.dt) * sp.identity(flow.n_c, format="csr")
-                 + flow.cell_stiffness).tocsr()
     cases = [
-        (stepper._transport_matrix(np.zeros(n)), stepper._cq * h2),
-        (stepper._transport_matrix(transport), stepper._cq * h2),
-        (smoothing, h2),
+        (np.zeros(n), params.eps, stepper._cq * h2),
+        (transport, params.eps, stepper._cq * h2),
+        (np.zeros(n), 1.0, h2),   # the smoothing operator
     ]
-    for Kx, shift_scale in cases:
+    for u, diffusion, shift_scale in cases:
+        ab = _transport_band(flow, u, diffusion, h2 / params.dt)
+        Kx = transport_matrix(flow, u, diffusion, h2 / params.dt)
         R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
-        got = _kron_solve(Kx, shift_scale, ops, R)
+        got = _kron_solve(ab, shift_scale, ops, R)
         assert np.array_equal(got, loop_kron_solve(Kx, shift_scale, ops, R))
 
 
@@ -226,17 +265,19 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     # with the lowest eigenvalue clipped to exactly 0 (as eigenvalue round-off
     # below zero is), mode 0 is singular while every shifted mode is not
     flow, ops, params, stepper = small
-    Kx = stepper._transport_matrix(np.zeros(flow.n_u + flow.n_v)).tolil()
-    Kx[0, :] = 0.0
-    Kx[:, 0] = 0.0
-    Kx = Kx.tocsr()
-    Kx.eliminate_zeros()
+    N = flow.N
+    ab = _transport_band(flow, np.zeros(flow.n_u + flow.n_v), params.eps,
+                         flow.h ** 2 / params.dt)
+    ab[:, 0] = 0.0                                   # column 0
+    ab[2 * N - np.arange(N + 1), np.arange(N + 1)] = 0.0   # row 0
+    dense = band_to_dense(ab)
+    assert not dense[0].any() and not dense[:, 0].any()
     evals = ops.evals.copy()
     evals[0] = 0.0
     clipped = dataclasses.replace(ops, evals=evals)
     R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
-        _kron_solve(Kx, stepper._cq * flow.h ** 2, clipped, R)
+        _kron_solve(ab, stepper._cq * flow.h ** 2, clipped, R)
 
 
 # --------------------------------------------------------------------------
@@ -399,9 +440,3 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
              meta=np.frombuffer(b'{"kind": "something"}', dtype=np.uint8))
     with pytest.raises(ValueError, match="checkpoint"):
         load_checkpoint(path)
-
-
-def test_cell_stiffness_annihilates_constants():
-    S = build_flow_grid(8).cell_stiffness
-    assert np.abs(S @ np.ones(64)).max() == 0.0
-    assert abs(S - S.T).max() == 0.0
