@@ -15,11 +15,14 @@ from feneflow import (
     project_divergence_free,
     smooth_initial_velocity,
 )
+from feneflow.stepping import _transport_band
 from flow_reference import (
+    cell_neumann_stiffness,
     loop_convection_matrix,
     loop_flow_operators,
     scalar_dirichlet_stiffness,
 )
+from kron_reference import band_layout, band_to_dense
 
 POINCARE_UNIT_SQUARE = 1.0 / (math.pi * math.sqrt(2.0))  # 1/sqrt(2 pi^2)
 
@@ -66,6 +69,18 @@ def test_operators_match_loop_reference_bitwise(N, side):
         adv = random_faces(grid, rng)
         adv[rng.random(adv.size) < 0.3] = 0.0   # zero advectors drop entries
         assert_same_csr(convection_matrix(grid, adv), loop_convection_matrix(N, side, adv))
+
+
+@pytest.mark.parametrize("N", [4, 5, 8, 16])
+def test_cell_stiffness_matches_reference_bitwise(N):
+    # the stiffness part of the density-solve band (unit diffusion, no mass,
+    # no transport) is bitwise the explicit 1D-stencil reference; it is also
+    # h^2 D D^T
+    grid = build_flow_grid(N, 0.7)
+    S = _transport_band(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0)
+    assert S.tobytes(order="F") == band_layout(cell_neumann_stiffness(N)).tobytes(order="F")
+    np.testing.assert_allclose((grid.D @ grid.D.T).toarray() * grid.h**2, band_to_dense(S),
+                               rtol=1e-14, atol=0.0)
 
 
 # --------------------------------------------------------------------------
