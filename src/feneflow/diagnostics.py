@@ -161,6 +161,8 @@ class EnergyLedger:
         lines = text.strip("\n").split("\n")
         if not lines or lines[0] != _LEDGER_HEADER:
             raise ValueError("not an energy ledger (bad header line)")
+        if len(lines) < 2:
+            raise ValueError("energy ledger has no column line")
         cols = tuple(lines[1].split("\t"))
         if cols != LEDGER_COLUMNS:
             raise ValueError(f"ledger column mismatch: {cols}")

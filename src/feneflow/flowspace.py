@@ -214,28 +214,25 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
 def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the saddle-point system of a velocity update
-    ``A u + h^2 G p = r``, ``h^2 D u = 0``, with the mean-zero pressure gauge:
+    ``A u + h^2 G p = r``, ``h^2 D u = 0``, with the pressure gauge pinned
+    by one diagonal entry at cell 0:
 
-        [[A,      h^2 G,   0     ],
-         [h^2 D,  0,       h^2 1 ],
-         [0,      h^2 1^T, 0     ]]
+        [[A,      h^2 G          ],
+         [h^2 D,  h^2 e_0 e_0^T  ]]
 
     and return ``solve(r) -> u``.  ``A`` is the face operator already
-    scaled by the ``h^2`` face measure.  Because ``G = -D^T``, the pressure
-    does no work on the divergence-free solution.
+    scaled by the ``h^2`` face measure.  Every cell keeps its divergence
+    row.  With no-flux walls the rows of ``D`` sum to zero for every ``u``,
+    so summing the constraint rows gives ``p_0 = 0`` and then ``D u = 0``.
+    The system is nonsingular when the symmetric part of ``A`` is positive
+    definite, as it is for every caller.  Because ``G = -D^T``, the
+    pressure does no work on the divergence-free solution.
     """
     n = grid.n_u + grid.n_v
     h2 = grid.h * grid.h
-    ones = np.ones(grid.n_c)
-    lu = spla.splu(sp.bmat(
-        [
-            [A, h2 * grid.G, None],
-            [h2 * grid.D, None, h2 * ones[:, None]],
-            [None, h2 * ones[None, :], None],
-        ],
-        format="csc",
-    ))
-    constraint_rhs = np.zeros(grid.n_c + 1)
+    gauge = sp.csr_matrix(([h2], ([0], [0])), shape=(grid.n_c, grid.n_c))
+    lu = spla.splu(sp.bmat([[A, h2 * grid.G], [h2 * grid.D, gauge]], format="csc"))
+    constraint_rhs = np.zeros(grid.n_c)
 
     def solve(r: np.ndarray) -> np.ndarray:
         return lu.solve(np.concatenate([r, constraint_rhs]))[:n]

@@ -479,16 +479,14 @@ def load_checkpoint(path: str, flow: Optional[FlowGrid] = None,
                     ) -> Tuple[SystemState, dict]:
     """Restore a snapshot; verifies grid shapes when grids are supplied."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("kind") != _CHECKPOINT_KIND:
+        meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data.files else {}
+        if meta.get("kind") != _CHECKPOINT_KIND or not {"u", "psi"} <= set(data.files):
             raise ValueError(f"{path} is not a coupled-state checkpoint")
         u = data["u"].copy()
         psi = data["psi"].copy()
     if flow is not None and (meta["flow"]["N"] != flow.N
                              or meta["flow"]["side"] != flow.side):
         raise ValueError("checkpoint flow grid does not match the current grid")
-    if ops is not None:
-        grid = getattr(ops, "grid", ops)  # accept ConfigOperators or bare grid
-        if json.loads(grid_metadata_json(grid)) != meta["config"]:
-            raise ValueError("checkpoint configuration grid does not match")
+    if ops is not None and json.loads(grid_metadata_json(ops.grid)) != meta["config"]:
+        raise ValueError("checkpoint configuration grid does not match")
     return SystemState(u=u, psi=psi, t=float(meta["t"]), n=int(meta["n"])), meta

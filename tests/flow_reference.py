@@ -1,10 +1,12 @@
 """Loop-built staggered-grid operators: the cell-by-cell reference that the
 Kronecker-assembled operators of ``feneflow.flowspace`` are checked against
-entry for entry.  Each builder reads as the stencil it encodes; none of them
-is used by the package."""
+entry for entry, and the bordered mean-zero-gauge saddle-point solve that the
+pinned-gauge ``stokes_solver`` is checked against.  Each builder reads as the
+stencil it encodes; none of them is used by the package."""
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def _u_index(N: int):
@@ -232,3 +234,31 @@ def cell_neumann_stiffness(N: int) -> sp.csr_matrix:
     S1 = sp.diags([main, -np.ones(N - 1), -np.ones(N - 1)], [0, -1, 1], format="csr")
     I = sp.identity(N, format="csr")
     return (sp.kron(S1, I) + sp.kron(I, S1)).tocsr()
+
+
+def bordered_stokes_solver(grid, A):
+    """The saddle-point solve with the mean-zero pressure gauge, bordered by
+    a dense row and column of ones and one multiplier:
+
+        [[A,      h^2 G,   0     ],
+         [h^2 D,  0,       h^2 1 ],
+         [0,      h^2 1^T, 0     ]]
+
+    returns ``solve(r) -> u``."""
+    n = grid.n_u + grid.n_v
+    h2 = grid.h * grid.h
+    ones = np.ones(grid.n_c)
+    lu = spla.splu(sp.bmat(
+        [
+            [A, h2 * grid.G, None],
+            [h2 * grid.D, None, h2 * ones[:, None]],
+            [None, h2 * ones[None, :], None],
+        ],
+        format="csc",
+    ))
+    constraint_rhs = np.zeros(grid.n_c + 1)
+
+    def solve(r):
+        return lu.solve(np.concatenate([r, constraint_rhs]))[:n]
+
+    return solve

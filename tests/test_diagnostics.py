@@ -151,6 +151,8 @@ def test_ledger_rejects_wrong_columns():
 def test_ledger_rejects_foreign_text():
     with pytest.raises(ValueError):
         EnergyLedger.from_text("no header\n0\t1\n")
+    with pytest.raises(ValueError, match="no column line"):
+        EnergyLedger.from_text("# feneflow-energy-ledger v1\n")
     led = EnergyLedger()
     led.append(**ledger_row(0.0))
     mangled = led.to_text().replace("energy_lhs", "energy_loss")

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from feneflow import (
     build_flow_grid,
@@ -15,8 +16,10 @@ from feneflow import (
     project_divergence_free,
     smooth_initial_velocity,
 )
+from feneflow.flowspace import stokes_solver
 from feneflow.stepping import _transport_band
 from flow_reference import (
+    bordered_stokes_solver,
     cell_neumann_stiffness,
     loop_convection_matrix,
     loop_flow_operators,
@@ -122,6 +125,35 @@ def test_tensor_gradient_exact_on_linear_fields(flow12):
     np.testing.assert_allclose(sigma[idx, 0, 1], b, atol=1e-12)
     np.testing.assert_allclose(sigma[idx, 1, 0], c, atol=1e-12)
     np.testing.assert_allclose(sigma[idx, 1, 1], -a, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the divergence-constrained solve
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("N", [4, 5, 8, 16, 32])
+def test_pinned_gauge_solve_matches_bordered_reference(N, side):
+    # the pressure gauge only moves the pressure by a constant, so the
+    # velocity equals the mean-zero bordered solve's to rounding, for the
+    # momentum, smoothing and projection operators
+    grid = build_flow_grid(N, side)
+    rng = np.random.default_rng(N)
+    n, h2, dt = grid.n_u + grid.n_v, grid.h**2, 0.01
+    I = sp.identity(n, format="csr")
+    adv = project_divergence_free(grid, random_faces(grid, rng))
+    operators = {
+        "momentum": h2 * (I / dt + grid.K + convection_matrix(grid, adv)),
+        "smoothing": h2 * (I + dt * grid.K),
+        "projection": h2 * I,
+    }
+    for name, A in operators.items():
+        r = h2 * random_faces(grid, rng)
+        u = stokes_solver(grid, A)(r)
+        ref = bordered_stokes_solver(grid, A)(r)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        assert np.abs(grid.divergence(u)).max() <= 1e-12 * max(np.abs(u).max(), 1.0), name
 
 
 # --------------------------------------------------------------------------

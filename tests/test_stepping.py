@@ -439,3 +439,11 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
              meta=np.frombuffer(b'{"kind": "something"}', dtype=np.uint8))
     with pytest.raises(ValueError, match="checkpoint"):
         load_checkpoint(path)
+    # a checkpoint's meta with one of the three arrays missing
+    arrays = dict(u=np.zeros(3), psi=np.zeros((2, 2)),
+                  meta=np.frombuffer(b'{"kind": "fene-coupled-state"}', dtype=np.uint8))
+    for missing in arrays:
+        path = str(tmp_path / f"no_{missing}.npz")
+        np.savez(path, **{k: v for k, v in arrays.items() if k != missing})
+        with pytest.raises(ValueError, match="is not a coupled-state checkpoint"):
+            load_checkpoint(path)
