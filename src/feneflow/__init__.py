@@ -22,8 +22,8 @@ from .kinetic import (                                   # noqa: E402
     DomainError,
     InternalConsistencyError,
     bakry_emery_kappa,
-    cutoff_beta_delta,
-    entropy_eval,
+    entropy_F,
+    entropy_FLdelta,
     fene_potential,
     maxwellian_normalizer,
     maxwellian_value,

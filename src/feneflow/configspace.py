@@ -379,7 +379,6 @@ class ConfigOperators:
                   one x-system per mode.
     inv_sqrt_m:   ``M^{-1/2}`` as a node vector.
     scatter:      (nodes x edges) CSR, +1 at each edge's head, -1 at its tail.
-    gamma_T:      ``edge_gamma`` transposed, ``(4, n_edges)`` contiguous.
     """
 
     grid: ConfigGrid
@@ -388,7 +387,6 @@ class ConfigOperators:
     Q: np.ndarray
     inv_sqrt_m: np.ndarray
     scatter: sp.csr_matrix
-    gamma_T: np.ndarray
 
     def to_modes(self, rhs_nodal: np.ndarray) -> np.ndarray:
         """Rows of a mass-weighted nodal right-hand side ``R`` -> mode
@@ -413,8 +411,8 @@ class ConfigOperators:
         in edge form, i.e. ``sum_e (sigma : Gamma_e) c_e (phi_b - phi_a)``.
         """
         sigma = np.asarray(sigma, dtype=float)
-        sg = sigma.reshape(sigma.shape[:-2] + (4,)) @ self.gamma_T   # sigma : Gamma_e
-        return (sg * coeff_edges) @ self.scatter.T                  # scatter +head/-tail
+        sg = sigma.reshape(sigma.shape[:-2] + (4,)) @ self.grid.edge_gamma.T  # sigma : Gamma_e
+        return (sg * coeff_edges) @ self.scatter.T                            # +head/-tail
 
     def stress_matrix(self, psi_hat: np.ndarray) -> np.ndarray:
         """Edge-difference stress ``C_hat`` with ``sigma : C_hat(psi)`` equal to the
@@ -462,7 +460,6 @@ def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
     return ConfigOperators(
         grid=grid, q_stiffness=S, evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
         Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m, scatter=scatter,
-        gamma_T=np.ascontiguousarray(grid.edge_gamma.T),
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .configspace import ConfigGrid
 from .flowspace import FlowGrid
-from .kinetic import entropy_eval
+from .kinetic import entropy_F
 
 __all__ = [
     "LEDGER_COLUMNS",
@@ -61,7 +61,7 @@ def _clamped(psi: np.ndarray, tol: float) -> np.ndarray:
 def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
                      neg_tol: float = 1.0e-10) -> float:
     """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest)."""
-    vals = entropy_eval("F", _clamped(np.asarray(psi), neg_tol))[0]
+    vals = entropy_F(_clamped(np.asarray(psi), neg_tol))[0]
     return flow.h * flow.h * float((vals @ grid.w).sum())
 
 
@@ -250,7 +250,7 @@ def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
     if drift > mass_tol:
         raise ValueError(f"local mass deviates from 1 by {drift:.3e} "
                          f"(tolerance {mass_tol:.1e})")
-    F_cell = entropy_eval("F", np.maximum(psi, 0.0))[0] @ grid.w
+    F_cell = entropy_F(np.maximum(psi, 0.0))[0] @ grid.w
     l1_cell = np.abs(psi - 1.0) @ grid.w
     point_margin = float((np.sqrt(2.0 * np.maximum(F_cell, 0.0)) - l1_cell).min())
     h2 = flow.h * flow.h

@@ -19,11 +19,13 @@ identity (curvature constant ``kappa = 1``), which is what powers the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
 
 The module also provides the relative-entropy integrands: the Boltzmann
-function ``F(s) = s (log s - 1) + 1`` and its two-sided ``C^2``
-regularization ``F^L_delta``, the quadratic Taylor continuation of ``F``
-below ``delta`` and above ``L``, together with the cut-off
-``beta^L_delta(s) = max(min(s, L), delta) = 1 / (F^L_delta)''(s)`` and the
-secant form of that cut-off along configuration-grid edges.
+function ``F(s) = s (log s - 1) + 1`` (``entropy_F``) and its two-sided
+``C^2`` regularization ``F^L_delta`` (``entropy_FLdelta``), the quadratic
+Taylor continuation of ``F`` below ``delta`` and above ``L``.  Its second
+derivative is the reciprocal of the cut-off
+``beta^L_delta(s) = max(min(s, L), delta)``, whose secant form along
+configuration-grid edges (``secant_cutoff_coefficient``) is the drag
+coefficient of the scheme.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ __all__ = [
     "fene_potential",
     "maxwellian_normalizer",
     "maxwellian_value",
-    "cutoff_beta_delta",
+    "entropy_F",
+    "entropy_FLdelta",
     "secant_cutoff_coefficient",
-    "entropy_eval",
     "bakry_emery_kappa",
 ]
 
@@ -136,14 +138,6 @@ def maxwellian_value(r, b: float, Z: float):
 # --------------------------------------------------------------------------
 
 
-def cutoff_beta_delta(s, L: float, delta: float):
-    """Two-sided cut-off ``beta^L_delta(s) = max(min(s, L), delta)``.
-
-    Coincides with the reciprocal of ``(F^L_delta)''`` everywhere.
-    """
-    return np.maximum(np.minimum(np.asarray(s, dtype=float), L), delta)
-
-
 def secant_cutoff_coefficient(psi, edges_a, edges_b, L: float, delta: float):
     """Divided-difference form of ``beta^L_delta`` along grid edges.
 
@@ -163,12 +157,13 @@ def secant_cutoff_coefficient(psi, edges_a, edges_b, L: float, delta: float):
     exact, which is what the discrete free-energy identity needs.
     """
     psi = np.asarray(psi, dtype=float)
-    d1 = entropy_eval("FLdelta", psi, L=L, delta=delta)[1]
+    d1 = entropy_FLdelta(psi, L, delta)[1]
     a, c = psi[..., edges_a], psi[..., edges_b]
     dnum = c - a
     dden = d1[..., edges_b] - d1[..., edges_a]
-    out = cutoff_beta_delta(0.5 * (a + c), L, delta)
-    # guard the coincidence limit: tiny increments are dominated by rounding
+    # tiny increments are dominated by rounding: those edges keep the
+    # midpoint, which the final clip turns into beta^L_delta of it
+    out = 0.5 * (a + c)
     tiny = np.abs(dnum) <= 1e-12 * (np.abs(a) + np.abs(c) + 1.0)
     np.divide(dnum, dden, out=out, where=~tiny)
     return np.clip(out, delta, L)
@@ -179,7 +174,13 @@ def secant_cutoff_coefficient(psi, edges_a, edges_b, L: float, delta: float):
 # --------------------------------------------------------------------------
 
 
-def _F(s):
+def entropy_F(s):
+    """Boltzmann entropy ``F(s) = s(log s - 1) + 1`` and its first two
+    derivatives ``log s`` and ``1/s``.
+
+    Requires ``s >= 0``.  At ``s = 0`` the value is ``F(0) = 1`` and the
+    derivatives are ``d1 = -inf``, ``d2 = +inf``.
+    """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("F(s) = s(log s - 1) + 1 requires s >= 0")
@@ -192,45 +193,27 @@ def _F(s):
     return val, np.where(pos, log_s, -np.inf), d2
 
 
-def _FLdelta(s, L: float, delta: float):
-    """Quadratic Taylor continuation of ``F`` at ``m = clip(s, delta, L)``."""
+def entropy_FLdelta(s, L: float, delta: float):
+    """Regularized entropy ``F^L_delta`` and its first two derivatives on
+    all of R.
+
+    ``F^L_delta`` is ``F`` on ``[delta, L]`` and the quadratic ``C^2``
+    Taylor continuation of ``F`` from the nearer cut-off outside it: with
+    ``m = clip(s, delta, L)``,
+
+        F^L_delta(s) = F(m) + log(m) (s - m) + (s - m)^2 / (2 m),
+
+    so ``[F^L_delta]'(s) = log(m) + (s - m)/m`` and
+    ``(F^L_delta)''(s) = 1/m = 1 / beta^L_delta(s)``.  The cut-offs must
+    satisfy ``0 < delta < 1 < L``.
+    """
+    CutoffParams(L=L, delta=delta)
     s = np.asarray(s, dtype=float)
     m = np.clip(s, delta, L)
-    Fm, log_m, _ = _F(m)
+    log_m = np.log(m)
     ds = s - m
-    return Fm + log_m * ds + ds * ds / (2.0 * m), log_m + ds / m, 1.0 / m
-
-
-def entropy_eval(which: str, s, L: float | None = None, delta: float | None = None):
-    """Evaluate an entropy integrand and its first two derivatives.
-
-    Parameters
-    ----------
-    which : {"F", "FLdelta"}
-        ``F(s) = s(log s - 1) + 1`` with ``F(0) = 1``; ``F^L_delta``
-        replaces ``F`` below ``delta`` and above ``L`` by its quadratic
-        ``C^2`` Taylor continuation from the nearer cut-off (defined on all
-        of R).  Both branches agree in value and first two derivatives at
-        the branch points.
-    s : array_like
-        Evaluation points.  ``F`` requires ``s >= 0``.
-    L, delta : float, optional
-        Cut-off parameters where the chosen function needs them.
-
-    Returns
-    -------
-    value, d1, d2 : ndarray
-        Function value and derivatives (``d1 = -inf``, ``d2 = +inf`` at the
-        ``s = 0`` endpoint of ``F`` where they are undefined).
-    """
-    if which == "F":
-        return _F(s)
-    if which == "FLdelta":
-        if L is None or delta is None:
-            raise ValueError("F^L_delta needs both L and delta")
-        CutoffParams(L=L, delta=delta)
-        return _FLdelta(s, L, delta)
-    raise ValueError(f"unknown entropy function {which!r}")
+    return (m * (log_m - 1.0) + 1.0 + log_m * ds + ds * ds / (2.0 * m),
+            log_m + ds / m, 1.0 / m)
 
 
 # --------------------------------------------------------------------------

@@ -477,16 +477,23 @@ def save_checkpoint(path: str, state: SystemState, params: StepParams,
 def load_checkpoint(path: str, flow: Optional[FlowGrid] = None,
                     ops: Optional[ConfigOperators] = None
                     ) -> Tuple[SystemState, dict]:
-    """Restore a snapshot; verifies grid shapes when grids are supplied."""
+    """Restore a snapshot; verifies grid shapes when grids are supplied.
+
+    A file whose arrays or ``meta`` fields are missing or malformed raises
+    ``ValueError("... is not a coupled-state checkpoint")``."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data.files else {}
-        if meta.get("kind") != _CHECKPOINT_KIND or not {"u", "psi"} <= set(data.files):
-            raise ValueError(f"{path} is not a coupled-state checkpoint")
-        u = data["u"].copy()
-        psi = data["psi"].copy()
-    if flow is not None and (meta["flow"]["N"] != flow.N
-                             or meta["flow"]["side"] != flow.side):
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+            state = SystemState(u=data["u"].copy(), psi=data["psi"].copy(),
+                                t=float(meta["t"]), n=int(meta["n"]))
+            flow_N, flow_side, config = meta["flow"]["N"], meta["flow"]["side"], meta["config"]
+            foreign = meta["kind"] != _CHECKPOINT_KIND
+        except (KeyError, TypeError, ValueError, OverflowError):
+            foreign = True
+    if foreign:
+        raise ValueError(f"{path} is not a coupled-state checkpoint")
+    if flow is not None and (flow_N != flow.N or flow_side != flow.side):
         raise ValueError("checkpoint flow grid does not match the current grid")
-    if ops is not None and json.loads(grid_metadata_json(ops.grid)) != meta["config"]:
+    if ops is not None and json.loads(grid_metadata_json(ops.grid)) != config:
         raise ValueError("checkpoint configuration grid does not match")
-    return SystemState(u=u, psi=psi, t=float(meta["t"]), n=int(meta["n"])), meta
+    return state, meta

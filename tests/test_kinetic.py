@@ -15,13 +15,14 @@ from feneflow import (
     DomainError,
     bakry_emery_kappa,
     build_config_grid,
-    cutoff_beta_delta,
-    entropy_eval,
+    entropy_F,
+    entropy_FLdelta,
     fene_potential,
     maxwellian_normalizer,
     maxwellian_value,
     secant_cutoff_coefficient,
 )
+from entropy_reference import routed_FLdelta, routed_secant_coefficient
 
 # Frozen reference values, computed independently (closed forms and adaptive
 # quadrature) before the implementation existed.
@@ -137,18 +138,18 @@ def test_curvature_constant(b):
 
 def test_entropy_F_special_points():
     for s, expected in [(0.0, 1.0), (1.0, 0.0), (math.e, 1.0)]:
-        val, _, _ = entropy_eval("F", s)
+        val, _, _ = entropy_F(s)
         assert val == pytest.approx(expected, abs=1e-14)
 
 
 def test_entropy_F_rejects_negative():
     with pytest.raises(DomainError):
-        entropy_eval("F", -1e-3)
+        entropy_F(-1e-3)
 
 
 def test_entropy_FL_quadratic_branch():
     # above L, F^L_delta is the quadratic continuation of F from L
-    val, d1, d2 = entropy_eval("FLdelta", 4.0, L=2.0, delta=1e-3)
+    val, d1, d2 = entropy_FLdelta(4.0, 2.0, 1e-3)
     assert val == pytest.approx(FL_AT_2L_L2, abs=1e-14)
     assert d1 == pytest.approx(4.0 / 2.0 + math.log(2.0) - 1.0, abs=1e-14)
     assert d2 == pytest.approx(0.5, abs=1e-15)
@@ -158,8 +159,8 @@ def test_entropy_c2_matching_at_L():
     L = 3.0
     h = 1e-7
     for col in range(3):
-        below = entropy_eval("FLdelta", L - h, L=L, delta=1e-3)[col]
-        above = entropy_eval("FLdelta", L + h, L=L, delta=1e-3)[col]
+        below = entropy_FLdelta(L - h, L, 1e-3)[col]
+        above = entropy_FLdelta(L + h, L, 1e-3)[col]
         assert abs(above - below) < 1e-5
 
 
@@ -167,18 +168,18 @@ def test_entropy_c2_matching_at_delta():
     delta = 1e-2
     h = 1e-9
     for col in range(3):
-        below = entropy_eval("FLdelta", delta - h, L=3.0, delta=delta)[col]
-        above = entropy_eval("FLdelta", delta + h, L=3.0, delta=delta)[col]
+        below = entropy_FLdelta(delta - h, 3.0, delta)[col]
+        above = entropy_FLdelta(delta + h, 3.0, delta)[col]
         assert abs(above - below) < 1e-5
 
 
 def test_entropy_FLdelta_second_derivative_branches():
     L, delta = 3.0, 1e-2
     s = np.array([-1.0, 0.5 * delta, 0.1, 1.0, 10.0])
-    _, _, d2 = entropy_eval("FLdelta", s, L=L, delta=delta)
+    _, _, d2 = entropy_FLdelta(s, L, delta)
     np.testing.assert_allclose(d2, [1 / delta, 1 / delta, 10.0, 1.0, 1 / L], rtol=1e-13)
-    # and the reciprocal is exactly the two-sided cut-off
-    np.testing.assert_allclose(1.0 / d2, cutoff_beta_delta(s, L, delta), rtol=1e-13)
+    # and the reciprocal is the two-sided cut-off max(min(s, L), delta)
+    np.testing.assert_allclose(1.0 / d2, [delta, delta, 0.1, 1.0, L], rtol=1e-13)
 
 
 def _FLdelta_branches(s, L, delta):
@@ -208,34 +209,26 @@ def test_entropy_FLdelta_matches_branch_formulas(L, delta):
                              rng.uniform(delta, L, 200)])
     above = np.concatenate([[L, 2.0 * L, 1e3], rng.uniform(L, 4.0 * L, 50)])
     for s in (below, inside, above):
-        got = entropy_eval("FLdelta", s, L=L, delta=delta)
+        got = entropy_FLdelta(s, L, delta)
         want = _FLdelta_branches(s, L, delta)
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(np.abs(w), 1.0))
     # inside (delta, L) the Taylor form adds exact zeros to F
-    for g, w in zip(entropy_eval("FLdelta", inside, L=L, delta=delta),
+    for g, w in zip(entropy_FLdelta(inside, L, delta),
                     _FLdelta_branches(inside, L, delta)):
         np.testing.assert_array_equal(g, w)
 
 
 def test_entropy_kind_validation():
-    with pytest.raises(ValueError, match="unknown entropy function"):
-        entropy_eval("FL", 1.0, L=3.0)
-    with pytest.raises(ValueError):
-        entropy_eval("FLdelta", 1.0, L=3.0)
-    with pytest.raises(ValueError):
-        entropy_eval("G", 1.0)
+    # F^L_delta needs a cut-off pair with 0 < delta < 1 < L
+    for L, delta in [(0.5, 1e-4), (5.0, 1.5), (5.0, 0.0), (3.0, -1e-3)]:
+        with pytest.raises(ValueError, match="0 < delta < 1 < L"):
+            entropy_FLdelta(1.0, L, delta)
 
 
 # --------------------------------------------------------------------------
 # cut-offs
 # --------------------------------------------------------------------------
-
-
-def test_cutoffs_pointwise():
-    s = np.array([-0.5, 0.0, 1e-5, 0.5, 7.0])
-    np.testing.assert_array_equal(cutoff_beta_delta(s, 5.0, 1e-4),
-                                  [1e-4, 1e-4, 1e-4, 0.5, 5.0])
 
 
 def test_cutoff_params_validation():
@@ -265,8 +258,8 @@ def test_secant_coefficient_chain_rule_exact():
     c = rng.uniform(1e-6, 8.0, size=200)
     L, delta = 5.0, 1e-4
     coeff = edge_coefficient(a, c, L, delta)
-    d1a = entropy_eval("FLdelta", a, L=L, delta=delta)[1]
-    d1c = entropy_eval("FLdelta", c, L=L, delta=delta)[1]
+    d1a = entropy_FLdelta(a, L, delta)[1]
+    d1c = entropy_FLdelta(c, L, delta)[1]
     np.testing.assert_allclose(coeff * (d1c - d1a), c - a, atol=1e-10)
 
 
@@ -297,19 +290,44 @@ def test_secant_coefficient_stays_in_band(a, c):
     assert 1e-4 <= coeff <= 5.0
 
 
+def test_entropy_and_secant_match_routed_reference_bitwise(grid16):
+    # a decay_n16-shaped field (256 flow cells on the 16 x 16 grid's edges)
+    # drawing from every branch: negative, below delta, inside (delta, L),
+    # above L, plus equal and adjacent-float neighbours along edges
+    L, delta = 5.0, 1e-4
+    ea, eb = grid16.edges_a, grid16.edges_b
+    rng = np.random.default_rng(16)
+    lo = np.array([-2.0, 0.0, delta, L])
+    hi = np.array([0.0, delta, L, 4.0 * L])
+    branch = rng.integers(0, 4, size=(256, grid16.w.size))
+    psi = lo[branch] + (hi - lo)[branch] * rng.random(branch.shape)
+    psi[:4] = lo[:, None] + 0.5 * (hi - lo)[:, None]       # constant rows
+    equal = rng.random(ea.size) < 0.2
+    psi[:, eb[equal]] = psi[:, ea[equal]]
+    adjacent = rng.random(ea.size) < 0.05
+    psi[:, eb[adjacent]] = np.nextafter(psi[:, ea[adjacent]], np.inf)
+    a, c = psi[:, ea], psi[:, eb]
+    mid = 0.5 * (a + c)
+    assert np.any((a == c) & (mid < delta)) and np.any((a == c) & (mid > L))
+    for got, want in zip(entropy_FLdelta(psi, L, delta), routed_FLdelta(psi, L, delta)):
+        assert got.tobytes() == want.tobytes()
+    got = secant_cutoff_coefficient(psi, ea, eb, L, delta)
+    assert got.tobytes() == routed_secant_coefficient(psi, ea, eb, L, delta).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(s=st.floats(0.0, 50.0), t=st.floats(0.0, 50.0))
 def test_entropy_FLdelta_is_convex(s, t):
     # monotone first derivative is the workable convexity statement here
-    d1s = float(entropy_eval("FLdelta", s, L=5.0, delta=1e-4)[1])
-    d1t = float(entropy_eval("FLdelta", t, L=5.0, delta=1e-4)[1])
+    d1s = float(entropy_FLdelta(s, 5.0, 1e-4)[1])
+    d1t = float(entropy_FLdelta(t, 5.0, 1e-4)[1])
     if s < t:
         assert d1s <= d1t + 1e-12
-    val = float(entropy_eval("FLdelta", s, L=5.0, delta=1e-4)[0])
+    val = float(entropy_FLdelta(s, 5.0, 1e-4)[0])
     assert val >= -1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(s=st.floats(0.0, 100.0))
 def test_entropy_F_nonnegative(s):
-    assert float(entropy_eval("F", s)[0]) >= -1e-15
+    assert float(entropy_F(s)[0]) >= -1e-15

@@ -3,6 +3,7 @@ discrete energy identities, the initial-data smoothing contract, the step
 schedule and checkpointing."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from feneflow import (
     build_config_grid,
     build_flow_grid,
     dt_schedule,
-    entropy_eval,
+    entropy_F,
+    entropy_FLdelta,
     load_checkpoint,
     momentum_energy_residual,
     project_divergence_free,
@@ -127,8 +129,11 @@ def test_density_stays_essentially_nonnegative(small, rng):
 # --------------------------------------------------------------------------
 
 
-def free_energy_of(flow, ops, state, k, kind, L=None, delta=None):
-    ent_nodes = entropy_eval(kind, np.maximum(state.psi, 0.0), L=L, delta=delta)[0]
+def free_energy_of(flow, ops, state, k, cutoff=None):
+    # F^L_delta with a cut-off pair, F without
+    psi = np.maximum(state.psi, 0.0)
+    ent_nodes = (entropy_F(psi) if cutoff is None
+                 else entropy_FLdelta(psi, cutoff.L, cutoff.delta))[0]
     ent = flow.h**2 * float((ent_nodes @ ops.grid.w).sum())
     return flow.norm_sq(state.u) + 2.0 * k * ent
 
@@ -138,12 +143,10 @@ def test_free_energy_monotone_regularized(small, rng):
     flow, ops, params, stepper = small
     state = perturbed_state(flow, ops, rng, amp=0.5)
     state.psi = np.clip(state.psi, 0.0, None)
-    prev = free_energy_of(flow, ops, state, params.k, "FLdelta",
-                          L=params.cutoff.L, delta=params.cutoff.delta)
+    prev = free_energy_of(flow, ops, state, params.k, params.cutoff)
     for _ in range(6):
         state, _ = stepper.coupled_step(state)
-        cur = free_energy_of(flow, ops, state, params.k, "FLdelta",
-                             L=params.cutoff.L, delta=params.cutoff.delta)
+        cur = free_energy_of(flow, ops, state, params.k, params.cutoff)
         assert cur <= prev * (1.0 + 1e-12) + 1e-12
         prev = cur
 
@@ -153,12 +156,12 @@ def test_free_energy_monotone_unregularized_in_the_bulk(small, rng):
     # decreases as well (both entropies agree there)
     flow, ops, params, stepper = small
     state = perturbed_state(flow, ops, rng, amp=0.3)
-    prev = free_energy_of(flow, ops, state, params.k, "F")
+    prev = free_energy_of(flow, ops, state, params.k)
     for _ in range(6):
         state, _ = stepper.coupled_step(state)
         assert state.psi.min() > params.cutoff.delta
         assert state.psi.max() < params.cutoff.L
-        cur = free_energy_of(flow, ops, state, params.k, "F")
+        cur = free_energy_of(flow, ops, state, params.k)
         assert cur <= prev * (1.0 + 1e-12) + 1e-12
         prev = cur
 
@@ -447,3 +450,25 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         np.savez(path, **{k: v for k, v in arrays.items() if k != missing})
         with pytest.raises(ValueError, match="is not a coupled-state checkpoint"):
             load_checkpoint(path)
+    # all three arrays, but a meta that is not a checkpoint's JSON object
+    full = json.loads(bytes(arrays["meta"]).decode()) | {
+        "t": 0.0, "n": 0, "flow": {"N": 4, "side": 1.0}, "config": {}}
+    bad_metas = [b"[1, 2]", b'"text"', b"null", b"\xff\xfe{", b"{not json",
+                 b'{"kind": "fene-coupled-state"}']
+    bad_metas += [json.dumps({k: v for k, v in full.items() if k != key}).encode()
+                  for key in ("t", "n", "flow", "config")]
+    bad_metas += [json.dumps(dict(full, flow=flow)).encode()
+                  for flow in ({"N": 4}, {"side": 1.0}, [4, 1.0])]
+    bad_metas += [json.dumps(dict(full, t="later")).encode(),
+                  json.dumps(dict(full, n=None)).encode()]
+    for i, meta in enumerate(bad_metas):
+        path = str(tmp_path / f"bad_meta_{i}.npz")
+        np.savez(path, u=arrays["u"], psi=arrays["psi"],
+                 meta=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(ValueError, match="is not a coupled-state checkpoint"):
+            load_checkpoint(path)
+    # the well-formed meta those were cut from loads
+    path = str(tmp_path / "good_meta.npz")
+    np.savez(path, u=arrays["u"], psi=arrays["psi"],
+             meta=np.frombuffer(json.dumps(full).encode(), dtype=np.uint8))
+    assert load_checkpoint(path)[0].n == 0
