@@ -17,7 +17,11 @@ two flavours:
 * edge differences (Dirichlet stiffness, drag pairing, Fisher information),
 
 where every edge carries a positive weight, so the stiffness is a symmetric
-M-matrix whose kernel is exactly the constants.  The assembled operators
+M-matrix whose kernel is exactly the constants.  Edges join radial and
+angular neighbours of the polar node layout, so every edge difference
+(``ConfigGrid.edge_pairs``) and its transpose, the edge divergence of the
+drag (``ConfigGrid.edge_divergence``), is three slice operations on the
+``(N_r, N_theta)`` view of a node field.  The assembled operators
 carry the eigenbasis of the mass-weighted stiffness, computed once per grid,
 which the stepper's Kronecker solves and the spectral gap both read.
 Node-wise spectral/4th-order gradients are provided separately for the
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,6 +112,15 @@ def _radial_diff_matrix(r: np.ndarray, order: int = 4) -> sp.csr_matrix:
 class ConfigGrid:
     """Polar quadrature/difference grid for one planar spring.
 
+    Node and edge layout.  Node ``(m, n)`` (radius ``r[m]``, angle
+    ``theta[n]``) has index ``m * N_theta + n``, so a node field's last axis
+    reshapes to ``(N_r, N_theta)``.  The ``(N_r - 1) * N_theta`` radial
+    edges ``(m, n) -> (m + 1, n)`` come first, then the ``N_r * N_theta``
+    angular edges ``(m, n) -> (m, n + 1 mod N_theta)``, each family in node
+    order of its tail.  ``edges_a``/``edges_b`` list the tails/heads in that
+    order; :meth:`edge_pairs` and :meth:`edge_divergence` take every edge
+    by slices of the ``(N_r, N_theta)`` view instead.
+
     Attributes
     ----------
     b:             FENE extensibility parameter, ``b > 2``.
@@ -115,7 +129,8 @@ class ConfigGrid:
                    ``int_D M g dq`` (exactly, for polynomial ``g``).
     uprime:        ``U'(|q|^2/2)`` at the nodes.
     qx, qy:        Cartesian node coordinates, flattened C-order.
-    edges_a/b:     endpoint node indices of the difference edges.
+    edges_a/b:     tail/head node indices of the difference edges, in
+                   edge order (the stiffness assembly reads them).
     edge_w:        positive Dirichlet weights: ``sum(edge_w * dpsi^2)``
                    approximates ``int_D M |grad psi|^2 dq``.
     edge_gamma:    per-edge ``2 x 2`` geometric factors (flattened) such that
@@ -144,6 +159,75 @@ class ConfigGrid:
     @property
     def n_nodes(self) -> int:
         return self.w.size
+
+    @property
+    def n_edges(self) -> int:
+        return self.edge_w.size
+
+    def _polar(self, field: np.ndarray) -> np.ndarray:
+        """View of a node field's last axis as ``(N_r, N_theta)``."""
+        return field.reshape(field.shape[:-1] + (self.N_r, self.N_theta), copy=False)
+
+    def _families(self, edge_field: np.ndarray):
+        """Views of an edge field's radial ``(N_r - 1, N_theta)`` and
+        angular ``(N_r, N_theta)`` blocks."""
+        n_rad = (self.N_r - 1) * self.N_theta
+        rad = edge_field[..., :n_rad]
+        return (rad.reshape(rad.shape[:-1] + (self.N_r - 1, self.N_theta), copy=False),
+                self._polar(edge_field[..., n_rad:]))
+
+    @staticmethod
+    def node_major(field) -> np.ndarray:
+        """``field`` with its last axis (nodes, or edges) slowest in memory,
+        a copy unless it already is so; on this layout the slices of
+        :meth:`edge_pairs` and :meth:`edge_divergence` run contiguously over
+        the leading axes."""
+        field = np.moveaxis(np.asarray(field, dtype=float), -1, 0)
+        return np.moveaxis(np.ascontiguousarray(field), 0, -1)
+
+    def edge_pairs(self, op, head, tail, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``op(head at b, tail at a)`` for every edge ``a -> b``, in edge
+        order (last axis: edges).
+
+        ``op`` is a binary ufunc; ``head`` and ``tail`` are node fields
+        (last axis: nodes) with broadcastable leading axes.  The result is
+        written to ``out`` if given, else to a new array laid out edge-major,
+        as a fancy-index gather over ``edges_a`` and ``edges_b`` would be:
+        products such as ``dpsi @ edge_gamma`` round differently on other
+        layouts.
+        """
+        same = tail is head
+        head = self._polar(self.node_major(head))
+        tail = head if same else self._polar(self.node_major(tail))
+        if out is None:
+            lead = np.broadcast_shapes(head.shape[:-2], tail.shape[:-2])
+            out = np.moveaxis(np.empty((self.n_edges,) + lead), 0, -1)
+        rad, ang = self._families(out)
+        op(head[..., 1:, :], tail[..., :-1, :], out=rad)
+        op(head[..., :, 1:], tail[..., :, :-1], out=ang[..., :, :-1])
+        op(head[..., :, :1], tail[..., :, -1:], out=ang[..., :, -1:])
+        return out
+
+    def edge_divergence(self, values) -> np.ndarray:
+        """Transpose of ``edge_pairs(np.subtract, x, x)``: each node sums
+        ``+values`` over the edges it heads and ``-values`` over those it
+        tails (last axis of ``values``: edges).
+
+        Per node the terms are added to zero in increasing edge index, so
+        the sums are bitwise those of the sparse incidence product.
+        """
+        values = self.node_major(values)
+        lead = values.shape[:-1]
+        out = np.moveaxis(np.zeros((self.n_nodes,) + lead), 0, -1)
+        y = self._polar(out)
+        rad, ang = self._families(values)
+        y[..., 1:, :] += rad                 # radial edge in
+        y[..., :-1, :] -= rad                # radial edge out
+        y[..., :, 1:] += ang[..., :, :-1]    # angular edge in ...
+        y[..., :, 1:] -= ang[..., :, 1:]     # ... before angular edge out,
+        y[..., :, :1] -= ang[..., :, :1]     # except at n = 0, where edge 0
+        y[..., :, :1] += ang[..., :, -1:]    # precedes edge N_theta - 1
+        return out
 
 
 def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
@@ -369,7 +453,7 @@ class ConfigOperators:
 
     grid:         the underlying grid; its node weights ``grid.w`` are the
                   diagonal mass form of ``int_D M . dq``, and its edge
-                  arrays drive the drag pairing.
+                  pairs and edge divergence drive the drag pairing.
     q_stiffness:  CSR matrix of the Dirichlet form
                   ``psi -> sum_edges edge_w (psi_b - psi_a) (test_b - test_a)``
                   (symmetric positive semidefinite, kernel = constants).
@@ -378,7 +462,6 @@ class ConfigOperators:
                   in this basis ``K_x Psi M + c M_x Psi S = R`` splits into
                   one x-system per mode.
     inv_sqrt_m:   ``M^{-1/2}`` as a node vector.
-    scatter:      (nodes x edges) CSR, +1 at each edge's head, -1 at its tail.
     """
 
     grid: ConfigGrid
@@ -386,7 +469,6 @@ class ConfigOperators:
     evals: np.ndarray
     Q: np.ndarray
     inv_sqrt_m: np.ndarray
-    scatter: sp.csr_matrix
 
     def to_modes(self, rhs_nodal: np.ndarray) -> np.ndarray:
         """Rows of a mass-weighted nodal right-hand side ``R`` -> mode
@@ -412,7 +494,8 @@ class ConfigOperators:
         """
         sigma = np.asarray(sigma, dtype=float)
         sg = sigma.reshape(sigma.shape[:-2] + (4,)) @ self.grid.edge_gamma.T  # sigma : Gamma_e
-        return (sg * coeff_edges) @ self.scatter.T                            # +head/-tail
+        sg *= coeff_edges
+        return self.grid.edge_divergence(sg)
 
     def stress_matrix(self, psi_hat: np.ndarray) -> np.ndarray:
         """Edge-difference stress ``C_hat`` with ``sigma : C_hat(psi)`` equal to the
@@ -423,13 +506,13 @@ class ConfigOperators:
         """
         g = self.grid
         psi_hat = np.asarray(psi_hat, dtype=float)
-        dpsi = psi_hat[..., g.edges_b] - psi_hat[..., g.edges_a]
+        dpsi = g.edge_pairs(np.subtract, psi_hat, psi_hat)
         return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
 
 
 def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
-    """Assemble the Maxwellian-weighted stiffness form for one spring, its
-    eigenbasis and the edge scatter.
+    """Assemble the Maxwellian-weighted stiffness form for one spring and
+    its eigenbasis.
 
     The stiffness is built edge-wise, so symmetry is structural and constants
     are annihilated exactly; both facts are re-verified here (defect beyond
@@ -451,15 +534,9 @@ def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
     inv_sqrt_m = 1.0 / np.sqrt(grid.w)
     S_hat = S.multiply(inv_sqrt_m[:, None]).multiply(inv_sqrt_m[None, :])
     evals, Q = np.linalg.eigh(S_hat.toarray())
-    n_e = a.size
-    scatter = sp.coo_matrix(
-        (np.concatenate([np.ones(n_e), -np.ones(n_e)]),
-         (np.concatenate([bidx, a]), np.concatenate([np.arange(n_e), np.arange(n_e)]))),
-        shape=(n, n_e),
-    ).tocsr()
     return ConfigOperators(
         grid=grid, q_stiffness=S, evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
-        Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m, scatter=scatter,
+        Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m,
     )
 
 

@@ -79,7 +79,7 @@ def fisher_q(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
              neg_tol: float = 1.0e-10) -> float:
     """configuration Fisher information: 4 h^2 sum_cells W_e (d sqrt(psi))^2."""
     root = np.sqrt(_clamped(np.asarray(psi), neg_tol))
-    d = root[:, grid.edges_b] - root[:, grid.edges_a]
+    d = grid.edge_pairs(np.subtract, root, root)
     return 4.0 * flow.h * flow.h * float(((d * d) @ grid.edge_w).sum())
 
 
@@ -223,7 +223,7 @@ def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float,
         terms = np.where(psi_row > 0.0, psi_row * np.log(np.where(x > 0, x, 1.0)), 0.0)
     ent = float(terms @ grid.w)
     root = np.sqrt(psi_row)
-    d = root[grid.edges_b] - root[grid.edges_a]
+    d = grid.edge_pairs(np.subtract, root, root)
     fisher = float((d * d) @ grid.edge_w)
     rhs = (2.0 / kappa) * fisher
     scale = max(abs(rhs), 1.0)

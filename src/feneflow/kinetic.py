@@ -24,7 +24,8 @@ function ``F(s) = s (log s - 1) + 1`` (``entropy_F``) and its two-sided
 Taylor continuation of ``F`` below ``delta`` and above ``L``.  Its second
 derivative is the reciprocal of the cut-off
 ``beta^L_delta(s) = max(min(s, L), delta)``, whose secant form along
-configuration-grid edges (``secant_cutoff_coefficient``) is the drag
+configuration-grid edges (``secant_cutoff_coefficient``, which forms only
+``[F^L_delta]'`` per node and pairs it along the grid's edges) is the drag
 coefficient of the scheme.
 """
 
@@ -138,12 +139,13 @@ def maxwellian_value(r, b: float, Z: float):
 # --------------------------------------------------------------------------
 
 
-def secant_cutoff_coefficient(psi, edges_a, edges_b, L: float, delta: float):
+def secant_cutoff_coefficient(psi, grid, L: float, delta: float):
     """Divided-difference form of ``beta^L_delta`` along grid edges.
 
-    ``[F^L_delta]'`` is evaluated once per node of the field ``psi`` (last
-    axis: nodes) and gathered per edge; for edge endpoint values
-    ``a = psi[..., edges_a]`` and ``c = psi[..., edges_b]`` the result is
+    ``grid`` is the ``ConfigGrid`` whose edges are paired (its
+    ``edge_pairs``).  ``[F^L_delta]'`` is evaluated once per node of the
+    field ``psi`` (last axis: nodes); for edge endpoint values ``a`` (tail)
+    and ``c`` (head) the result is
 
         (c - a) / ( [F^L_delta]'(c) - [F^L_delta]'(a) ),
 
@@ -156,17 +158,29 @@ def secant_cutoff_coefficient(psi, edges_a, edges_b, L: float, delta: float):
 
     exact, which is what the discrete free-energy identity needs.
     """
-    psi = np.asarray(psi, dtype=float)
-    d1 = entropy_FLdelta(psi, L, delta)[1]
-    a, c = psi[..., edges_a], psi[..., edges_b]
-    dnum = c - a
-    dden = d1[..., edges_b] - d1[..., edges_a]
+    CutoffParams(L=L, delta=delta)
+    # node- and edge-sized buffers are reused in place (m, bound, out): at
+    # run sizes a fresh array costs about as much in page faults as the
+    # arithmetic done on it
+    psi = grid.node_major(psi)
+    m = np.clip(psi, delta, L)
+    d1 = psi - m
+    d1 /= m
+    d1 += np.log(m, out=m)                  # [F^L_delta]' as entropy_FLdelta forms it
+    dnum = grid.edge_pairs(np.subtract, psi, psi)
+    abs_psi = np.abs(psi, out=m)
+    bound = grid.edge_pairs(np.add, abs_psi, abs_psi)
+    bound += 1.0
+    bound *= 1e-12
+    out = np.abs(dnum)
+    tiny = out <= bound
+    dden = grid.edge_pairs(np.subtract, d1, d1, out=bound)
     # tiny increments are dominated by rounding: those edges keep the
-    # midpoint, which the final clip turns into beta^L_delta of it
-    out = 0.5 * (a + c)
-    tiny = np.abs(dnum) <= 1e-12 * (np.abs(a) + np.abs(c) + 1.0)
+    # midpoint 0.5 (a + c), which the final clip turns into beta^L_delta of it
+    grid.edge_pairs(np.add, psi, psi, out=out)
+    out *= 0.5
     np.divide(dnum, dden, out=out, where=~tiny)
-    return np.clip(out, delta, L)
+    return np.clip(out, delta, L, out=out)
 
 
 # --------------------------------------------------------------------------

@@ -295,9 +295,8 @@ class CoupledStepper:
         result with that derivative telescopes to the plain density jump —
         the discrete chain rule behind the exact drag/stress cancellation.
         """
-        g = self.ops.grid
         cutoff = self.params.cutoff
-        c = secant_cutoff_coefficient(coeff_field, g.edges_a, g.edges_b, cutoff.L, cutoff.delta)
+        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, cutoff.L, cutoff.delta)
         return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,

@@ -31,7 +31,9 @@ from feneflow import RunConfig, run_scenario
 with tempfile.TemporaryDirectory() as out:
     run_scenario(RunConfig(scenario="forced", T=0.02, dt=0.01, N_x=6, N_r=8, N_theta=8),
                  out_dir=out)
-print(json.dumps({"wrapped": tracer.names, "called": sorted({s[0] for s in tracer.spans})}))
+print(json.dumps({"wrapped": tracer.names, "called": sorted({s[0] for s in tracer.spans}),
+                  "secant_work": [s[4] for s in tracer.spans
+                                  if s[0] == "kinetic.secant_cutoff_coefficient"]}))
 """
 
 
@@ -43,3 +45,7 @@ def test_every_benchmark_hook_resolves_and_is_called():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["wrapped"], "install_tracer wrapped nothing"
     assert sorted(set(report["wrapped"])) == report["called"]
+    # the hook counts the size of the secant's first argument as its work:
+    # one coefficient field of n_c cells x n_nodes nodes (6 x 6 cells, 8 x 8
+    # nodes), so a signature that moves that field fails here
+    assert report["secant_work"] and set(report["secant_work"]) == {36 * 64}

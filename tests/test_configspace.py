@@ -9,16 +9,28 @@ import numpy as np
 import pytest
 
 import feneflow.configspace as configspace
+from edge_reference import (
+    gather_fisher_q,
+    gather_lsi_fisher,
+    gather_stress_matrix,
+    scatter_drag_rhs,
+    scatter_matrix,
+)
+from entropy_reference import routed_secant_coefficient
 from feneflow import (
     DomainError,
     GridConstructionError,
     assemble_fp_operators,
     build_config_grid,
+    build_flow_grid,
+    fisher_q,
     grid_metadata_from_json,
     grid_metadata_json,
     ibp_residual,
     kramers_stress,
+    lsi_check,
     node_gradient,
+    secant_cutoff_coefficient,
     spectral_gap,
     weighted_integral,
 )
@@ -200,6 +212,81 @@ def test_drag_rhs_annihilates_constants(ops16, rng):
     v = ops16.drag_rhs(sigma, coeff)
     # columns sum to zero: total mass is untouched by the drag
     assert abs(float(v.sum())) <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("N_r,N_theta", [(8, 12), (12, 8)])
+def test_edge_lists_follow_the_polar_slice_layout(N_r, N_theta):
+    # the layout contract of ConfigGrid: node (m, n) is m N_theta + n, the
+    # radial edges (m, n) -> (m+1, n) come first, then the angular edges
+    # (m, n) -> (m, n+1 mod N_theta), each family in tail node order
+    g = build_config_grid(4.0, N_r=N_r, N_theta=N_theta)
+    m, n = np.divmod(np.arange(g.n_nodes), N_theta)
+    radial = m < N_r - 1
+    np.testing.assert_array_equal(g.edges_a, np.concatenate([np.flatnonzero(radial),
+                                                             np.arange(g.n_nodes)]))
+    np.testing.assert_array_equal(g.edges_b, np.concatenate([
+        np.flatnonzero(radial) + N_theta, m * N_theta + (n + 1) % N_theta]))
+    assert g.n_edges == g.edges_a.size == g.edge_gamma.shape[0]
+    # edge_pairs reads the same endpoints off slices of the (N_r, N_theta) view
+    index = np.arange(g.n_nodes, dtype=float)
+    zero = np.zeros(g.n_nodes)
+    np.testing.assert_array_equal(g.edge_pairs(np.add, index, zero), g.edges_b)
+    np.testing.assert_array_equal(g.edge_pairs(np.add, zero, index), g.edges_a)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N_r,N_theta", [(8, 8), (8, 12), (12, 8), (16, 16), (40, 40)])
+def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
+    # the slice paths give the bits of the fancy-index gathers and of the
+    # CSR incidence product they replace: secant coefficient, stress
+    # matrix, drag functional, configuration Fisher information and the
+    # log-Sobolev Fisher term
+    ops = assemble_fp_operators(build_config_grid(4.0, N_r, N_theta))
+    g = ops.grid
+    scatter = scatter_matrix(g)
+    rng = np.random.default_rng(N_r * 100 + N_theta)
+    L, delta = 5.0, 1e-4
+
+    def field(lead, lo=-1.0, hi=8.0):
+        # every other column of a wider array (non-contiguous), with exact
+        # zeros, equal angular neighbours and neighbours whose increment
+        # sits between half and all of the secant's rounding threshold
+        wide = rng.uniform(lo, hi, lead + (2 * g.n_nodes,))
+        out = wide[..., ::2]
+        out[..., 3::11] = 0.0
+        i = np.arange(4, g.n_nodes - 1, 7)
+        out[..., i + 1] = out[..., i]
+        i = np.arange(1, g.n_nodes - 1, 9)
+        out[..., i + 1] = out[..., i] + 0.75e-12 * (2.0 * np.abs(out[..., i]) + 1.0)
+        return out
+
+    for lead in [(), (5,), (3, 4)]:
+        for psi in (field(lead), np.ascontiguousarray(field(lead))):
+            _same_bits(secant_cutoff_coefficient(psi, g, L, delta),
+                       routed_secant_coefficient(psi, g.edges_a, g.edges_b, L, delta))
+            _same_bits(ops.stress_matrix(psi), gather_stress_matrix(g, psi))
+        sigma = rng.standard_normal(lead + (2, 2))
+        coeff = rng.uniform(delta, L, lead + (2 * g.n_edges,))[..., ::2]
+        # every edge at every fifth node carries a zero coefficient, so
+        # (sigma : Gamma_e) c_e holds signed zeros and those nodes sum only
+        # zeros: the sums must start from +0 as the sparse product's do
+        quiet = np.arange(g.n_nodes) % 5 == 0
+        coeff[..., quiet[g.edges_a] | quiet[g.edges_b]] = 0.0
+        want = scatter_drag_rhs(g, scatter, sigma.reshape(-1, 2, 2),
+                                coeff.reshape(-1, g.n_edges)).reshape(lead + (g.n_nodes,))
+        assert np.all(want[..., quiet] == 0.0)
+        _same_bits(ops.drag_rhs(sigma, coeff), want)
+
+    flow = build_flow_grid(4)
+    psi = field((flow.N * flow.N,), 0.0)
+    _same_bits(fisher_q(flow, g, psi), gather_fisher_q(flow.h, g, np.sqrt(psi)))
+    row = field((), 0.0)
+    _same_bits(lsi_check(g, row, kappa=1.0).fisher_term,
+               2.0 * gather_lsi_fisher(g, np.sqrt(row)))
 
 
 def test_build_validation():

@@ -22,6 +22,7 @@ from feneflow import (
     maxwellian_value,
     secant_cutoff_coefficient,
 )
+from edge_reference import GatherEdges
 from entropy_reference import routed_FLdelta, routed_secant_coefficient
 
 # Frozen reference values, computed independently (closed forms and adaptive
@@ -246,8 +247,8 @@ def edge_coefficient(a, c, L, delta):
     holds the values ``a`` followed by ``c``."""
     a, c = np.atleast_1d(a), np.atleast_1d(c)
     n = a.size
-    return secant_cutoff_coefficient(np.concatenate([a, c]), np.arange(n),
-                                     np.arange(n, 2 * n), L, delta)
+    return secant_cutoff_coefficient(np.concatenate([a, c]),
+                                     GatherEdges(np.arange(n), np.arange(n, 2 * n)), L, delta)
 
 
 def test_secant_coefficient_chain_rule_exact():
@@ -269,7 +270,7 @@ def test_secant_coefficient_gathers_node_field_per_edge():
     rng = np.random.default_rng(3)
     psi = rng.uniform(-0.5, 8.0, size=(4, 3))
     ea, eb = np.array([0, 1, 2]), np.array([1, 2, 0])
-    coeff = secant_cutoff_coefficient(psi, ea, eb, 5.0, 1e-4)
+    coeff = secant_cutoff_coefficient(psi, GatherEdges(ea, eb), 5.0, 1e-4)
     assert coeff.shape == (4, 3)
     for row, p in zip(coeff, psi):
         np.testing.assert_array_equal(row, edge_coefficient(p[ea], p[eb], 5.0, 1e-4))
@@ -311,7 +312,7 @@ def test_entropy_and_secant_match_routed_reference_bitwise(grid16):
     assert np.any((a == c) & (mid < delta)) and np.any((a == c) & (mid > L))
     for got, want in zip(entropy_FLdelta(psi, L, delta), routed_FLdelta(psi, L, delta)):
         assert got.tobytes() == want.tobytes()
-    got = secant_cutoff_coefficient(psi, ea, eb, L, delta)
+    got = secant_cutoff_coefficient(psi, grid16, L, delta)
     assert got.tobytes() == routed_secant_coefficient(psi, ea, eb, L, delta).tobytes()
 
 
