@@ -19,11 +19,12 @@ two flavours:
 where every edge carries a positive weight, so the stiffness is a symmetric
 M-matrix whose kernel is exactly the constants.  Edges join radial and
 angular neighbours of the polar node layout, so every edge difference
-(``ConfigGrid.edge_pairs``) and its transpose, the edge divergence of the
-drag (``ConfigGrid.edge_divergence``), is three slice operations on the
-``(N_r, N_theta)`` view of a node field.  The assembled operators
-carry the eigenbasis of the mass-weighted stiffness, computed once per grid,
-which the stepper's Kronecker solves and the spectral gap both read.
+(``ConfigGrid.edge_pairs``), its transpose, the drag's edge divergence
+(``ConfigGrid.edge_divergence``), and the dense stiffness
+(``ConfigGrid.stiffness``) are slice operations on the ``(N_r, N_theta)``
+view of a node field.  The assembled operators carry the eigenbasis of the
+mass-weighted stiffness, computed once per grid, which the stepper's
+Kronecker solves and the spectral gap both read.
 Node-wise spectral/4th-order gradients are provided separately for the
 integration-by-parts diagnostics.
 """
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from .kinetic import (
@@ -93,19 +93,14 @@ def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def _radial_diff_matrix(r: np.ndarray, order: int = 4) -> sp.csr_matrix:
-    """Sparse d/dr on the nonuniform radial nodes (``order+1``-point Fornberg stencils)."""
+def _radial_diff_matrix(r: np.ndarray) -> np.ndarray:
+    """Dense d/dr on the ``N_r >= 8`` radial nodes (5-point Fornberg stencils)."""
     n = len(r)
-    width = min(order + 1, n)
-    rows, cols, vals = [], [], []
+    D = np.zeros((n, n))
     for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        idx = np.arange(lo, lo + width)
-        w = _fornberg_weights(r[i], r[idx], 1)
-        rows.extend([i] * width)
-        cols.extend(idx.tolist())
-        vals.extend(w.tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        lo = min(max(i - 2, 0), n - 5)
+        D[i, lo:lo + 5] = _fornberg_weights(r[i], r[lo:lo + 5], 1)
+    return D
 
 
 @dataclass
@@ -117,9 +112,9 @@ class ConfigGrid:
     reshapes to ``(N_r, N_theta)``.  The ``(N_r - 1) * N_theta`` radial
     edges ``(m, n) -> (m + 1, n)`` come first, then the ``N_r * N_theta``
     angular edges ``(m, n) -> (m, n + 1 mod N_theta)``, each family in node
-    order of its tail.  ``edges_a``/``edges_b`` list the tails/heads in that
-    order; :meth:`edge_pairs` and :meth:`edge_divergence` take every edge
-    by slices of the ``(N_r, N_theta)`` view instead.
+    order of its tail.  No index list is stored: :meth:`edge_pairs`,
+    :meth:`edge_divergence` and :meth:`stiffness` take every edge by slices
+    of the ``(N_r, N_theta)`` view.
 
     Attributes
     ----------
@@ -129,8 +124,6 @@ class ConfigGrid:
                    ``int_D M g dq`` (exactly, for polynomial ``g``).
     uprime:        ``U'(|q|^2/2)`` at the nodes.
     qx, qy:        Cartesian node coordinates, flattened C-order.
-    edges_a/b:     tail/head node indices of the difference edges, in
-                   edge order (the stiffness assembly reads them).
     edge_w:        positive Dirichlet weights: ``sum(edge_w * dpsi^2)``
                    approximates ``int_D M |grad psi|^2 dq``.
     edge_gamma:    per-edge ``2 x 2`` geometric factors (flattened) such that
@@ -148,13 +141,11 @@ class ConfigGrid:
     uprime: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
-    edges_a: np.ndarray
-    edges_b: np.ndarray
     edge_w: np.ndarray
     edge_gamma: np.ndarray
     Z: float
-    mass_defect: float
-    moment_defect: float
+    mass_defect: float = 0.0
+    moment_defect: float = 0.0
 
     @property
     def n_nodes(self) -> int:
@@ -191,10 +182,10 @@ class ConfigGrid:
 
         ``op`` is a binary ufunc; ``head`` and ``tail`` are node fields
         (last axis: nodes) with broadcastable leading axes.  The result is
-        written to ``out`` if given, else to a new array laid out edge-major,
-        as a fancy-index gather over ``edges_a`` and ``edges_b`` would be:
-        products such as ``dpsi @ edge_gamma`` round differently on other
-        layouts.
+        written to ``out`` if given, else to a new array laid out edge-major
+        (edges slowest in memory): the ledgers were recorded on that layout,
+        and products such as ``dpsi @ edge_gamma`` round differently on a
+        C-ordered one.
         """
         same = tail is head
         head = self._polar(self.node_major(head))
@@ -229,6 +220,33 @@ class ConfigGrid:
         y[..., :, :1] += ang[..., :, -1:]    # precedes edge N_theta - 1
         return out
 
+    def stiffness(self) -> np.ndarray:
+        """Dense Dirichlet form ``x . S y = sum_e edge_w (x_b - x_a) (y_b - y_a)``.
+
+        Each diagonal entry adds radial-out, angular-out, radial-in, then
+        angular-in to zero, the order the edge-wise sparse assembly sums in."""
+        rad, ang = self._families(self.edge_w)
+        S = np.zeros((self.n_nodes, self.n_nodes))
+        S4 = S.reshape(self.N_r, self.N_theta, self.N_r, self.N_theta)
+
+        def entries(rows, cols):  # writable view of S4[rows + cols] at (m, n, m, n)
+            return np.einsum("mnmn->mn", S4[rows + cols])
+
+        d = entries(np.s_[:, :], np.s_[:, :])
+        d[:-1, :] += rad             # radial edge out
+        d += ang                     # angular edge out
+        d[1:, :] += rad              # radial edge in
+        d[:, 1:] += ang[:, :-1]      # angular edge in
+        d[:, :1] += ang[:, -1:]
+        for tail, head, w in ((np.s_[:-1, :], np.s_[1:, :], rad),
+                              (np.s_[:, :-1], np.s_[:, 1:], ang[:, :-1]),
+                              (np.s_[:, -1:], np.s_[:, :1], ang[:, -1:])):
+            # not np.negative(w, out=...): NumPy 2.4 misreads the (N_r, 1)
+            # wrap-edge weights into such a strided output
+            entries(tail, head)[...] = -w
+            entries(head, tail)[...] = -w
+        return S
+
 
 def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     Z = maxwellian_normalizer(b)
@@ -259,8 +277,6 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     # radial edges (m, n) -> (m+1, n)
     m_idx = np.repeat(np.arange(N_r - 1), N_theta)
     n_idx = np.tile(np.arange(N_theta), N_r - 1)
-    a_r = m_idx * N_theta + n_idx
-    b_r = (m_idx + 1) * N_theta + n_idx
     rbar = 0.5 * (r[m_idx] + r[m_idx + 1])
     dr = r[m_idx + 1] - r[m_idx]
     w_edge_r = mtil(rbar) * rbar * dth / (Z * dr)
@@ -273,8 +289,6 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     # angular edges (m, n) -> (m, n+1 mod N_theta)
     m_idx = np.repeat(np.arange(N_r), N_theta)
     n_idx = np.tile(np.arange(N_theta), N_r)
-    a_t = m_idx * N_theta + n_idx
-    b_t = m_idx * N_theta + (n_idx + 1) % N_theta
     w_edge_t = w_rad[m_idx] * dth / (Z * r[m_idx] ** 2 * dth**2)
     thbar = theta[n_idx] + dth / 2.0
     et = np.stack([-np.sin(thbar), np.cos(thbar)], axis=1)
@@ -283,12 +297,7 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
         et[:, :, None] * qbar_t[:, None, :]
     ).reshape(-1, 4)
 
-    edges_a = np.concatenate([a_r, a_t])
-    edges_b = np.concatenate([b_r, b_t])
-    edge_w = np.concatenate([w_edge_r, w_edge_t])
-    edge_gamma = np.concatenate([gamma_r, gamma_t], axis=0)
-
-    grid = ConfigGrid(
+    return ConfigGrid(
         b=b,
         N_r=N_r,
         N_theta=N_theta,
@@ -298,15 +307,10 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
         uprime=uprime,
         qx=qx,
         qy=qy,
-        edges_a=edges_a,
-        edges_b=edges_b,
-        edge_w=edge_w,
-        edge_gamma=edge_gamma,
+        edge_w=np.concatenate([w_edge_r, w_edge_t]),
+        edge_gamma=np.concatenate([gamma_r, gamma_t], axis=0),
         Z=Z,
-        mass_defect=0.0,
-        moment_defect=0.0,
     )
-    return grid
 
 
 def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
@@ -454,18 +458,15 @@ class ConfigOperators:
     grid:         the underlying grid; its node weights ``grid.w`` are the
                   diagonal mass form of ``int_D M . dq``, and its edge
                   pairs and edge divergence drive the drag pairing.
-    q_stiffness:  CSR matrix of the Dirichlet form
-                  ``psi -> sum_edges edge_w (psi_b - psi_a) (test_b - test_a)``
-                  (symmetric positive semidefinite, kernel = constants).
     evals, Q:     eigenpairs ``S_hat = Q diag(evals) Q^T`` of the mass-weighted
-                  stiffness ``S_hat = M^{-1/2} S M^{-1/2}`` (evals clipped at 0);
+                  Dirichlet form ``S_hat = M^{-1/2} grid.stiffness() M^{-1/2}``
+                  (kernel = constants, evals clipped at 0);
                   in this basis ``K_x Psi M + c M_x Psi S = R`` splits into
                   one x-system per mode.
     inv_sqrt_m:   ``M^{-1/2}`` as a node vector.
     """
 
     grid: ConfigGrid
-    q_stiffness: sp.csr_matrix
     evals: np.ndarray
     Q: np.ndarray
     inv_sqrt_m: np.ndarray
@@ -518,24 +519,20 @@ def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
     are annihilated exactly; both facts are re-verified here (defect beyond
     1e-12 raises :class:`InternalConsistencyError`).
     """
-    n = grid.n_nodes
-    a, bidx, wE = grid.edges_a, grid.edges_b, grid.edge_w
-    rows = np.concatenate([a, bidx, a, bidx])
-    cols = np.concatenate([a, bidx, bidx, a])
-    vals = np.concatenate([wE, wE, -wE, -wE])
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    sym_defect = abs(S - S.T).max()
-    kernel_defect = np.abs(S @ np.ones(n)).max()
-    scale = max(abs(S).max(), 1.0)
+    S = grid.stiffness()
+    sym_defect = np.abs(S - S.T).max()
+    kernel_defect = np.abs(S.sum(axis=1)).max()
+    scale = max(S.max(), -S.min(), 1.0)
     if sym_defect > 1e-12 * scale or kernel_defect > 1e-12 * scale:
         raise InternalConsistencyError(
             f"stiffness defects: symmetry {sym_defect:.2e}, kernel {kernel_defect:.2e}"
         )
     inv_sqrt_m = 1.0 / np.sqrt(grid.w)
-    S_hat = S.multiply(inv_sqrt_m[:, None]).multiply(inv_sqrt_m[None, :])
-    evals, Q = np.linalg.eigh(S_hat.toarray())
+    S *= inv_sqrt_m[:, None]
+    S *= inv_sqrt_m[None, :]
+    evals, Q = np.linalg.eigh(S)
     return ConfigOperators(
-        grid=grid, q_stiffness=S, evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
+        grid=grid, evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
         Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m,
     )
 

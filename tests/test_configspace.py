@@ -4,12 +4,16 @@ Kramers stress and operator assembly."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import feneflow.configspace as configspace
 from edge_reference import (
+    csr_stiffness,
+    csr_weighted_stiffness,
+    edge_lists,
     gather_fisher_q,
     gather_lsi_fisher,
     gather_stress_matrix,
@@ -20,6 +24,7 @@ from entropy_reference import routed_secant_coefficient
 from feneflow import (
     DomainError,
     GridConstructionError,
+    InternalConsistencyError,
     assemble_fp_operators,
     build_config_grid,
     build_flow_grid,
@@ -97,14 +102,15 @@ def test_dirichlet_form_second_order():
     errs = []
     for N in (16, 32, 64):
         g = build_config_grid(4.0, N_r=N, N_theta=N)
-        val = float(np.sum(g.edge_w * (g.qx[g.edges_b] - g.qx[g.edges_a]) ** 2))
+        a, b = edge_lists(g)
+        val = float(np.sum(g.edge_w * (g.qx[b] - g.qx[a]) ** 2))
         errs.append(abs(val - 1.0))
     assert errs[0] <= 2e-2
     assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
 
 
 def test_stiffness_assembly_structure(ops16):
-    S = ops16.q_stiffness
+    S = csr_stiffness(ops16.grid)
     n = ops16.grid.n_nodes
     assert abs(S - S.T).max() == 0.0
     assert np.abs(S @ np.ones(n)).max() <= 1e-13 * abs(S).max()
@@ -122,7 +128,7 @@ def test_spectral_gap_exceeds_one(ops16):
 def test_eigenbasis_diagonalizes_the_weighted_stiffness(ops16, rng):
     # S Q_nodal = M Q_nodal diag(evals) with Q_nodal = M^{-1/2} Q, and the
     # mode transforms compose to M^{-1} on a mass-weighted right-hand side
-    S = ops16.q_stiffness.toarray()
+    S = csr_stiffness(ops16.grid).toarray()
     m = ops16.grid.w
     Qn = ops16.inv_sqrt_m[:, None] * ops16.Q
     scale = np.abs(S).max()
@@ -190,13 +196,13 @@ def test_drag_stress_pairing_is_exact(ops16, rng):
     sigma = rng.standard_normal((2, 2))
     psi = rng.standard_normal(g.n_nodes)
     lhs = float(np.sum(sigma * ops16.stress_matrix(psi)))
-    rhs = float(ops16.drag_rhs(sigma, np.ones(g.edges_a.size)) @ psi)
+    rhs = float(ops16.drag_rhs(sigma, np.ones(g.n_edges)) @ psi)
     assert lhs == pytest.approx(rhs, abs=1e-13 * max(1.0, abs(lhs)))
 
 
 def test_drag_rhs_batches_over_cells(ops16, rng):
     # one row per flow cell equals the single-cell functional row by row
-    n_e = ops16.grid.edges_a.size
+    n_e = ops16.grid.n_edges
     sigma = rng.standard_normal((5, 2, 2))
     coeff = rng.uniform(0.5, 2.0, (5, n_e))
     batch = ops16.drag_rhs(sigma, coeff)
@@ -208,7 +214,7 @@ def test_drag_rhs_batches_over_cells(ops16, rng):
 
 def test_drag_rhs_annihilates_constants(ops16, rng):
     sigma = rng.standard_normal((2, 2))
-    coeff = rng.uniform(0.5, 2.0, ops16.grid.edges_a.size)
+    coeff = rng.uniform(0.5, 2.0, ops16.grid.n_edges)
     v = ops16.drag_rhs(sigma, coeff)
     # columns sum to zero: total mass is untouched by the drag
     assert abs(float(v.sum())) <= 1e-12 * np.abs(v).max()
@@ -218,20 +224,17 @@ def test_drag_rhs_annihilates_constants(ops16, rng):
 def test_edge_lists_follow_the_polar_slice_layout(N_r, N_theta):
     # the layout contract of ConfigGrid: node (m, n) is m N_theta + n, the
     # radial edges (m, n) -> (m+1, n) come first, then the angular edges
-    # (m, n) -> (m, n+1 mod N_theta), each family in tail node order
+    # (m, n) -> (m, n+1 mod N_theta), each family in tail node order; the
+    # reference lists are built from that formula
     g = build_config_grid(4.0, N_r=N_r, N_theta=N_theta)
-    m, n = np.divmod(np.arange(g.n_nodes), N_theta)
-    radial = m < N_r - 1
-    np.testing.assert_array_equal(g.edges_a, np.concatenate([np.flatnonzero(radial),
-                                                             np.arange(g.n_nodes)]))
-    np.testing.assert_array_equal(g.edges_b, np.concatenate([
-        np.flatnonzero(radial) + N_theta, m * N_theta + (n + 1) % N_theta]))
-    assert g.n_edges == g.edges_a.size == g.edge_gamma.shape[0]
+    edges_a, edges_b = edge_lists(g)
+    assert g.n_edges == edges_a.size == edges_b.size == g.edge_gamma.shape[0]
+    assert g.n_edges == (N_r - 1) * N_theta + N_r * N_theta
     # edge_pairs reads the same endpoints off slices of the (N_r, N_theta) view
     index = np.arange(g.n_nodes, dtype=float)
     zero = np.zeros(g.n_nodes)
-    np.testing.assert_array_equal(g.edge_pairs(np.add, index, zero), g.edges_b)
-    np.testing.assert_array_equal(g.edge_pairs(np.add, zero, index), g.edges_a)
+    np.testing.assert_array_equal(g.edge_pairs(np.add, index, zero), edges_b)
+    np.testing.assert_array_equal(g.edge_pairs(np.add, zero, index), edges_a)
 
 
 def _same_bits(got, want):
@@ -247,6 +250,7 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
     # log-Sobolev Fisher term
     ops = assemble_fp_operators(build_config_grid(4.0, N_r, N_theta))
     g = ops.grid
+    edges_a, edges_b = edge_lists(g)
     scatter = scatter_matrix(g)
     rng = np.random.default_rng(N_r * 100 + N_theta)
     L, delta = 5.0, 1e-4
@@ -267,7 +271,7 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
     for lead in [(), (5,), (3, 4)]:
         for psi in (field(lead), np.ascontiguousarray(field(lead))):
             _same_bits(secant_cutoff_coefficient(psi, g, L, delta),
-                       routed_secant_coefficient(psi, g.edges_a, g.edges_b, L, delta))
+                       routed_secant_coefficient(psi, edges_a, edges_b, L, delta))
             _same_bits(ops.stress_matrix(psi), gather_stress_matrix(g, psi))
         sigma = rng.standard_normal(lead + (2, 2))
         coeff = rng.uniform(delta, L, lead + (2 * g.n_edges,))[..., ::2]
@@ -275,7 +279,7 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
         # (sigma : Gamma_e) c_e holds signed zeros and those nodes sum only
         # zeros: the sums must start from +0 as the sparse product's do
         quiet = np.arange(g.n_nodes) % 5 == 0
-        coeff[..., quiet[g.edges_a] | quiet[g.edges_b]] = 0.0
+        coeff[..., quiet[edges_a] | quiet[edges_b]] = 0.0
         want = scatter_drag_rhs(g, scatter, sigma.reshape(-1, 2, 2),
                                 coeff.reshape(-1, g.n_edges)).reshape(lead + (g.n_nodes,))
         assert np.all(want[..., quiet] == 0.0)
@@ -287,6 +291,64 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
     row = field((), 0.0)
     _same_bits(lsi_check(g, row, kappa=1.0).fisher_term,
                2.0 * gather_lsi_fisher(g, np.sqrt(row)))
+
+
+@pytest.mark.parametrize("b", [4.0, 10.0])
+@pytest.mark.parametrize("N_r,N_theta",
+                         [(8, 8), (8, 12), (12, 8), (10, 10), (16, 16), (9, 31), (40, 40)])
+def test_stiffness_and_eigenbasis_match_csr_reference_bitwise(b, N_r, N_theta, monkeypatch):
+    # the slice-filled dense stiffness, the mass-weighted matrix handed to
+    # eigh and the eigenpairs carry the bits of the edge-wise CSR assembly
+    g = build_config_grid(b, N_r, N_theta)
+    _same_bits(g.stiffness(), csr_stiffness(g).toarray())
+    want = csr_weighted_stiffness(g)
+    handed = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        handed.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(configspace.np.linalg, "eigh", spy)
+    ops = assemble_fp_operators(g)
+    monkeypatch.undo()
+    assert len(handed) == 1
+    _same_bits(handed[0], want)
+    evals, Q = np.linalg.eigh(want)
+    _same_bits(ops.evals, np.maximum(evals, 0.0))
+    _same_bits(ops.Q, Q)
+
+
+def _stiffness_defect_message(monkeypatch, spoil):
+    stiffness = configspace.ConfigGrid.stiffness
+
+    def spoiled(grid):
+        S = stiffness(grid)
+        spoil(S)
+        return S
+
+    monkeypatch.setattr(configspace.ConfigGrid, "stiffness", spoiled)
+    with pytest.raises(InternalConsistencyError) as err:
+        assemble_fp_operators(build_config_grid(4.0, 8, 8))
+    return str(err.value)
+
+
+def test_assembly_rejects_asymmetric_stiffness(monkeypatch):
+    # node 0 -> node 1 is an angular edge; dropping one of its two entries
+    # leaves S[1, 0] = -edge_w as the symmetry defect
+    w = build_config_grid(4.0, 8, 8).stiffness()[1, 0]
+    msg = _stiffness_defect_message(monkeypatch, lambda S: S.__setitem__((0, 1), 0.0))
+    assert f"symmetry {abs(w):.2e}" in msg
+
+
+def test_assembly_rejects_stiffness_that_moves_constants(monkeypatch):
+    # doubling a diagonal entry keeps S symmetric but gives its row a
+    # nonzero sum: constants leave the kernel
+    d = build_config_grid(4.0, 8, 8).stiffness()[0, 0]
+    msg = _stiffness_defect_message(monkeypatch, lambda S: S.__setitem__((0, 0), 2.0 * d))
+    assert "symmetry 0.00e+00" in msg
+    kernel = float(re.search(r"kernel (\S+)", msg).group(1))
+    assert kernel == pytest.approx(d, rel=1e-2)
 
 
 def test_build_validation():

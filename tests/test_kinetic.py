@@ -22,7 +22,7 @@ from feneflow import (
     maxwellian_value,
     secant_cutoff_coefficient,
 )
-from edge_reference import GatherEdges
+from edge_reference import GatherEdges, edge_lists
 from entropy_reference import routed_FLdelta, routed_secant_coefficient
 
 # Frozen reference values, computed independently (closed forms and adaptive
@@ -296,7 +296,7 @@ def test_entropy_and_secant_match_routed_reference_bitwise(grid16):
     # drawing from every branch: negative, below delta, inside (delta, L),
     # above L, plus equal and adjacent-float neighbours along edges
     L, delta = 5.0, 1e-4
-    ea, eb = grid16.edges_a, grid16.edges_b
+    ea, eb = edge_lists(grid16)
     rng = np.random.default_rng(16)
     lo = np.array([-2.0, 0.0, delta, L])
     hi = np.array([0.0, delta, L, 4.0 * L])
