@@ -192,6 +192,9 @@ def entropy_F(s):
     """Boltzmann entropy ``F(s) = s(log s - 1) + 1`` and its first two
     derivatives ``log s`` and ``1/s``.
 
+    The value is evaluated as ``s log s - (s - 1)``: both terms vanish at
+    ``s = 1``, so near equilibrium the error stays relative to ``F`` itself
+    instead of the ``1e-16`` absolute that rounding ``log s - 1`` costs.
     Requires ``s >= 0``.  At ``s = 0`` the value is ``F(0) = 1`` and the
     derivatives are ``d1 = -inf``, ``d2 = +inf``.
     """
@@ -202,7 +205,7 @@ def entropy_F(s):
     safe = np.where(pos, s, 1.0)
     log_s = np.log(safe)
     with np.errstate(over="ignore"):
-        val = np.where(pos, s * (log_s - 1.0) + 1.0, 1.0)
+        val = np.where(pos, s * log_s - (s - 1.0), 1.0)
         d2 = np.where(pos, 1.0 / safe, np.inf)
     return val, np.where(pos, log_s, -np.inf), d2
 
@@ -217,7 +220,8 @@ def entropy_FLdelta(s, L: float, delta: float):
 
         F^L_delta(s) = F(m) + log(m) (s - m) + (s - m)^2 / (2 m),
 
-    so ``[F^L_delta]'(s) = log(m) + (s - m)/m`` and
+    with ``F(m)`` evaluated as ``m log m - (m - 1)``, as :func:`entropy_F`
+    does; so ``[F^L_delta]'(s) = log(m) + (s - m)/m`` and
     ``(F^L_delta)''(s) = 1/m = 1 / beta^L_delta(s)``.  The cut-offs must
     satisfy ``0 < delta < 1 < L``.
     """
@@ -226,7 +230,7 @@ def entropy_FLdelta(s, L: float, delta: float):
     m = np.clip(s, delta, L)
     log_m = np.log(m)
     ds = s - m
-    return (m * (log_m - 1.0) + 1.0 + log_m * ds + ds * ds / (2.0 * m),
+    return (m * log_m - (m - 1.0) + log_m * ds + ds * ds / (2.0 * m),
             log_m + ds / m, 1.0 / m)
 
 

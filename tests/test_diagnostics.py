@@ -9,6 +9,7 @@ import pytest
 from feneflow import (
     LEDGER_COLUMNS,
     EnergyLedger,
+    RunConfig,
     build_config_grid,
     build_flow_grid,
     csiszar_kullback_check,
@@ -22,6 +23,7 @@ from feneflow import (
     lsi_check,
     momentum_energy_residual,
     relative_entropy,
+    run_scenario,
 )
 
 # int int M F(1 + 0.1 qx / sqrt(b)) over the unit square at b = 4,
@@ -53,6 +55,14 @@ def test_relative_entropy_zero_at_equilibrium(flow8, grid16):
 def test_relative_entropy_frozen_value(flow8, grid16):
     ent = relative_entropy(flow8, grid16, tilted(flow8, grid16, 0.1))
     assert ent == pytest.approx(ENT_TILTED_01, abs=1e-15)
+
+
+def test_equilibrium_run_reports_entropy_at_rounding_level():
+    # psi stays within ~1e-13 of 1, where F(psi) ~ (psi - 1)^2 / 2; a form
+    # of F that cancels near 1 reports ~1e-18 here instead
+    cfg = RunConfig(scenario="equilibrium", N_x=8, N_r=10, N_theta=10, dt=0.01, T=0.05)
+    entropy = run_scenario(cfg).ledger.column("entropy")
+    assert np.abs(entropy).max() <= 1e-25
 
 
 def test_relative_entropy_rejects_negative(flow8, grid16):

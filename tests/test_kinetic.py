@@ -188,7 +188,7 @@ def _FLdelta_branches(s, L, delta):
     ``(delta, L)`` and the quadratic continuations beyond either cut-off."""
     s = np.asarray(s, dtype=float)
     mid = np.clip(s, delta, L)
-    val = mid * (np.log(mid) - 1.0) + 1.0
+    val = mid * np.log(mid) - (mid - 1.0)
     d1 = np.log(mid)
     d2 = 1.0 / mid
     lower = s <= delta
@@ -332,3 +332,15 @@ def test_entropy_FLdelta_is_convex(s, t):
 @given(s=st.floats(0.0, 100.0))
 def test_entropy_F_nonnegative(s):
     assert float(entropy_F(s)[0]) >= -1e-15
+
+
+def test_entropy_F_is_cancellation_free_near_one():
+    # F(1 + d) = d^2/2 - d^3/6 + d^4/12 - ...; with d = s - 1 exact, the
+    # value keeps a relative error of a few ulp of d, where the form
+    # s (log s - 1) + 1 loses about 1e-16 absolute to cancellation
+    mags = np.logspace(-12.0, -4.0, 81)
+    s = 1.0 + np.concatenate([mags, -mags])
+    d = s - 1.0
+    series = d * d / 2.0 - d ** 3 / 6.0 + d ** 4 / 12.0
+    err = np.abs(entropy_F(s)[0] - series)
+    assert np.all(err <= 4e-16 * np.abs(d))
