@@ -56,7 +56,7 @@ class FlowGrid:
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
 
     The cell stiffness ``h^2 D D^T`` is not stored: the density solve writes
-    it into its band from ``N`` alone (``stepping._transport_band``).
+    it into its stencil from ``N`` alone (``stepping._transport_stencil``).
     """
 
     N: int

@@ -29,7 +29,9 @@ from feneflow import (
     save_checkpoint,
     smooth_initial_density,
 )
-from feneflow.stepping import _kron_solve, _transport_band
+from feneflow import stepping
+from feneflow.stepping import (_density_solve, _kron_solve, _transport_apply, _transport_band,
+                               _transport_stencil)
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
 
@@ -280,6 +282,100 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
         _kron_solve(ab, stepper._cq * flow.h ** 2, clipped, R)
+
+
+def test_transport_apply_matches_reference_matrix(small, rng):
+    # K_x X taken by slices of the (N, N, n) layout is the assembled CSR
+    # reference applied column by column, for zero, projected and random
+    # (not divergence-free) face velocities
+    flow, ops, params, _ = small
+    N, n = flow.N, flow.n_u + flow.n_v
+    h2 = flow.h * flow.h
+    X = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
+    for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n)),
+              rng.standard_normal(n)):
+        got = _transport_apply(_transport_stencil(flow, u, params.eps, h2 / params.dt),
+                               X.reshape(N, N, -1))
+        want = transport_matrix(flow, u, params.eps, h2 / params.dt) @ X
+        assert np.abs(got.reshape(want.shape) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def count_fallbacks(monkeypatch):
+    """Spy on the direct solve the iteration falls back to."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _kron_solve(*args)
+
+    monkeypatch.setattr(stepping, "_kron_solve", spy)
+    return calls
+
+
+def density_cases(flow, params, stepper, rng):
+    """(u, diffusion, shift_scale) of the density step with no transport
+    and with projected transport, and of the smoothing step."""
+    h2 = flow.h * flow.h
+    n = flow.n_u + flow.n_v
+    transport = project_divergence_free(flow, rng.standard_normal(n))
+    return [(np.zeros(n), params.eps, stepper._cq * h2),
+            (transport, params.eps, stepper._cq * h2),
+            (np.zeros(n), 1.0, h2)]
+
+
+def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
+    # the preconditioned iteration converges, cold and from a nearby guess,
+    # to the direct per-mode solve's answer
+    flow, ops, params, stepper = small
+    fallbacks = count_fallbacks(monkeypatch)
+    mass = flow.h ** 2 / params.dt
+    for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
+        R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+        want = _kron_solve(_transport_band(flow, u, diffusion, mass), shift_scale, ops, R)
+        for guess in (None, want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
+            got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert fallbacks == []
+
+
+def test_density_solve_conserves_mass(small, rng, monkeypatch):
+    # columns of Adv sum to zero and S_cell, S_q annihilate constants, so
+    # the exact solve has mass(Psi) = sum(R) / mass; the iterate keeps it
+    flow, ops, params, stepper = small
+    fallbacks = count_fallbacks(monkeypatch)
+    mass = flow.h ** 2 / params.dt
+    for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
+        R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+        guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
+        got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
+        total = mass * float((got @ ops.grid.w).sum())
+        assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
+    assert fallbacks == []
+
+
+def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch):
+    # at cell CFL ~ 100 the upwind part the preconditioner drops dominates,
+    # the iteration does not reach its tolerance in 30 residuals, and the
+    # answer is the direct solve's, bit for bit
+    flow, ops, params, stepper = small
+    n = flow.n_u + flow.n_v
+    u = project_divergence_free(flow, rng.standard_normal(n))
+    u *= 100.0 * flow.h / (params.dt * np.abs(u).max())
+    h2 = flow.h * flow.h
+    mass, shift_scale = h2 / params.dt, stepper._cq * h2
+    R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+    residuals = []
+
+    def counted(*args):
+        residuals.append(1)
+        return _transport_apply(*args)
+
+    monkeypatch.setattr(stepping, "_transport_apply", counted)
+    fallbacks = count_fallbacks(monkeypatch)
+    got = _density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
+    assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
+    want = _kron_solve(_transport_band(flow, u, params.eps, mass), shift_scale, ops, R)
+    assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
