@@ -36,8 +36,8 @@ The iteration starts from the previous fixed-point iterate and stops at a
 max-norm residual of ``1e-14`` of the right-hand side's; one that has not
 converged after 30 residuals (transport far beyond a cell per step) falls
 back to one direct LAPACK ``dgbsv`` per mode on the band of ``K_x``.  The
-initial-density smoothing step has no transport, so one preconditioner
-application solves it.
+initial-density smoothing step has no transport, so the preconditioner is
+its exact inverse and the iteration starts from zero.
 """
 
 from __future__ import annotations
