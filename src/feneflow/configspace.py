@@ -19,12 +19,16 @@ two flavours:
 where every edge carries a positive weight, so the stiffness is a symmetric
 M-matrix whose kernel is exactly the constants.  Edges join radial and
 angular neighbours of the polar node layout, so every edge difference
-(``ConfigGrid.edge_pairs``), its transpose, the drag's edge divergence
-(``ConfigGrid.edge_divergence``), and the dense stiffness
-(``ConfigGrid.stiffness``) are slice operations on the ``(N_r, N_theta)``
-view of a node field.  The assembled operators carry the eigenbasis of the
-mass-weighted stiffness, computed once per grid, which the stepper's
-Kronecker solves and the spectral gap both read.
+(``ConfigGrid.edge_pairs``), its transpose and the drag's edge divergence
+(``ConfigGrid.edge_divergence``) are slice operations on the
+``(N_r, N_theta)`` view of a node field.  The node weights and both
+edge-weight families depend on the radius alone, so the mass-weighted
+stiffness is one symmetric tridiagonal ``N_r x N_r`` radial block per
+angular wavenumber times a real Fourier basis in the angle (the
+tensor-product fast diagonalization of Lynch, Rice & Thomas, 1964).  The
+assembled operators carry that separable eigenbasis, computed once per grid
+without ever forming the ``n_nodes x n_nodes`` stiffness; the stepper's
+Kronecker solves and the spectral gap both read it.
 Node-wise spectral/4th-order gradients are provided separately for the
 integration-by-parts diagnostics.
 """
@@ -112,9 +116,11 @@ class ConfigGrid:
     reshapes to ``(N_r, N_theta)``.  The ``(N_r - 1) * N_theta`` radial
     edges ``(m, n) -> (m + 1, n)`` come first, then the ``N_r * N_theta``
     angular edges ``(m, n) -> (m, n + 1 mod N_theta)``, each family in node
-    order of its tail.  No index list is stored: :meth:`edge_pairs`,
-    :meth:`edge_divergence` and :meth:`stiffness` take every edge by slices
-    of the ``(N_r, N_theta)`` view.
+    order of its tail.  No index list is stored: :meth:`edge_pairs` and
+    :meth:`edge_divergence` take every edge by slices of the
+    ``(N_r, N_theta)`` view.  Every weight depends on the radius alone
+    (:func:`assemble_fp_operators` checks this and builds its eigenbasis
+    on it).
 
     Attributes
     ----------
@@ -219,33 +225,6 @@ class ConfigGrid:
         y[..., :, :1] -= ang[..., :, :1]     # except at n = 0, where edge 0
         y[..., :, :1] += ang[..., :, -1:]    # precedes edge N_theta - 1
         return out
-
-    def stiffness(self) -> np.ndarray:
-        """Dense Dirichlet form ``x . S y = sum_e edge_w (x_b - x_a) (y_b - y_a)``.
-
-        Each diagonal entry adds radial-out, angular-out, radial-in, then
-        angular-in to zero, the order the edge-wise sparse assembly sums in."""
-        rad, ang = self._families(self.edge_w)
-        S = np.zeros((self.n_nodes, self.n_nodes))
-        S4 = S.reshape(self.N_r, self.N_theta, self.N_r, self.N_theta)
-
-        def entries(rows, cols):  # writable view of S4[rows + cols] at (m, n, m, n)
-            return np.einsum("mnmn->mn", S4[rows + cols])
-
-        d = entries(np.s_[:, :], np.s_[:, :])
-        d[:-1, :] += rad             # radial edge out
-        d += ang                     # angular edge out
-        d[1:, :] += rad              # radial edge in
-        d[:, 1:] += ang[:, :-1]      # angular edge in
-        d[:, :1] += ang[:, -1:]
-        for tail, head, w in ((np.s_[:-1, :], np.s_[1:, :], rad),
-                              (np.s_[:, :-1], np.s_[:, 1:], ang[:, :-1]),
-                              (np.s_[:, -1:], np.s_[:, :1], ang[:, -1:])):
-            # not np.negative(w, out=...): NumPy 2.4 misreads the (N_r, 1)
-            # wrap-edge weights into such a strided output
-            entries(tail, head)[...] = -w
-            entries(head, tail)[...] = -w
-        return S
 
 
 def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
@@ -458,28 +437,50 @@ class ConfigOperators:
     grid:         the underlying grid; its node weights ``grid.w`` are the
                   diagonal mass form of ``int_D M . dq``, and its edge
                   pairs and edge divergence drive the drag pairing.
-    evals, Q:     eigenpairs ``S_hat = Q diag(evals) Q^T`` of the mass-weighted
-                  Dirichlet form ``S_hat = M^{-1/2} grid.stiffness() M^{-1/2}``
-                  (kernel = constants, evals clipped at 0);
-                  in this basis ``K_x Psi M + c M_x Psi S = R`` splits into
-                  one x-system per mode.
+    evals, F, V:  eigenpairs of the mass-weighted Dirichlet form
+                  ``S_hat = M^{-1/2} S M^{-1/2}`` in separable form:
+                  ``S_hat = Q diag(evals) Q^T`` with ``Q`` taking mode
+                  ``(j, i)`` (Fourier column ``j`` of the orthonormal real
+                  Fourier matrix ``F``, radial eigenvector ``V[j][:, i]``)
+                  to the node field ``V[j][m, i] F[n, j]``.  ``evals`` is
+                  flattened in that ``(j, i)`` order; its one zero, the
+                  constants, is exactly ``0.0``.  In this basis
+                  ``K_x Psi M + c M_x Psi S = R`` splits into one x-system
+                  per mode.
     inv_sqrt_m:   ``M^{-1/2}`` as a node vector.
     """
 
     grid: ConfigGrid
     evals: np.ndarray
-    Q: np.ndarray
+    F: np.ndarray
+    V: np.ndarray
     inv_sqrt_m: np.ndarray
+
+    def __post_init__(self):
+        # M^{-1/2} depends on the radius alone, so it is folded into the
+        # radial factors, ``V[j]`` scaled row-wise for to_modes and its
+        # transpose for to_nodes, each contiguous for the batched matmul
+        inv_sqrt_r = self.grid._polar(self.inv_sqrt_m)[:, 0]
+        self._radial = self.V * inv_sqrt_r[:, None]
+        self._radial_t = np.ascontiguousarray(self._radial.transpose(0, 2, 1))
 
     def to_modes(self, rhs_nodal: np.ndarray) -> np.ndarray:
         """Rows of a mass-weighted nodal right-hand side ``R`` -> mode
-        coefficients ``R M^{-1/2} Q``."""
-        return (rhs_nodal * self.inv_sqrt_m[None, :]) @ self.Q
+        coefficients ``R M^{-1/2} Q``: one product with ``F`` along the
+        angle, then one radial product (``M^{-1/2}`` folded in) per Fourier
+        column, written straight into the ``(row, j, i)`` layout."""
+        n, (N_theta, N_r) = rhs_nodal.shape[0], self.V.shape[:2]
+        y = (self.F.T @ rhs_nodal.reshape(n * N_r, N_theta).T).reshape(N_theta, n, N_r)
+        modes = np.empty((n, N_theta, N_r))
+        np.matmul(y, self._radial, out=modes.transpose(1, 0, 2))
+        return modes.reshape(n, -1)
 
     def to_nodes(self, modes: np.ndarray) -> np.ndarray:
         """Mode coefficients ``Phi`` -> nodal values ``Phi Q^T M^{-1/2}``, so
         ``to_nodes(to_modes(R)) = R M^{-1}``."""
-        return (modes @ self.Q.T) * self.inv_sqrt_m[None, :]
+        n, (N_theta, N_r) = modes.shape[0], self.V.shape[:2]
+        y = np.matmul(modes.reshape(n, N_theta, N_r).transpose(1, 0, 2), self._radial_t)
+        return (y.reshape(N_theta, n * N_r).T @ self.F.T).reshape(n, -1)
 
     def drag_rhs(self, sigma: np.ndarray, coeff_edges: np.ndarray) -> np.ndarray:
         """Assembled drag functional, batched over leading axes (one row per
@@ -511,30 +512,85 @@ class ConfigOperators:
         return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
 
 
-def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
-    """Assemble the Maxwellian-weighted stiffness form for one spring and
-    its eigenbasis.
+def _radial_weights(grid: ConfigGrid):
+    """Per-radius node weight ``omega``, radial edge weight ``a`` and
+    angular edge weight ``c``, read off the first angle, and the largest
+    variation of any of the three along the angle, relative to its scale."""
+    w = grid._polar(grid.w)
+    rad, ang = grid._families(grid.edge_w)
+    variation = max(float(np.abs(f - f[:, :1]).max() / np.abs(f).max())
+                    for f in (w, rad, ang))
+    return w[:, 0], rad[:, 0], ang[:, 0], variation
 
-    The stiffness is built edge-wise, so symmetry is structural and constants
-    are annihilated exactly; both facts are re-verified here (defect beyond
-    1e-12 raises :class:`InternalConsistencyError`).
+
+def _radial_stiffness(a: np.ndarray):
+    """Diagonal and off-diagonal of the radial Dirichlet form ``x . T y =
+    sum_m a_m (x_{m+1} - x_m) (y_{m+1} - y_m)``, tridiagonal."""
+    diag = np.zeros(a.size + 1)
+    diag[:-1] += a
+    diag[1:] += a
+    return diag, -a
+
+
+def _real_fourier(N_theta: int):
+    """Orthonormal real Fourier matrix ``F`` and the wavenumber of each
+    column: the constant, a cos/sin pair per ``k = 1 .. (N_theta - 1) // 2``,
+    then ``(-1)^n`` when ``N_theta`` is even.  Column ``j`` is an
+    eigenvector of the periodic second difference with eigenvalue
+    ``2 - 2 cos(2 pi k_j / N_theta)``."""
+    pairs = np.arange(1, (N_theta - 1) // 2 + 1)
+    phase = (2.0 * math.pi / N_theta) * (np.outer(np.arange(N_theta), pairs) % N_theta)
+    F = np.empty((N_theta, N_theta))
+    F[:, 0] = 1.0 / math.sqrt(N_theta)
+    F[:, 1:2 * pairs.size + 1:2] = math.sqrt(2.0 / N_theta) * np.cos(phase)
+    F[:, 2:2 * pairs.size + 1:2] = math.sqrt(2.0 / N_theta) * np.sin(phase)
+    wavenumber = np.concatenate([[0], np.repeat(pairs, 2)])
+    if N_theta % 2 == 0:
+        F[:, -1] = np.where(np.arange(N_theta) % 2 == 0, 1.0, -1.0) / math.sqrt(N_theta)
+        wavenumber = np.append(wavenumber, N_theta // 2)
+    return F, wavenumber
+
+
+def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
+    """Assemble the eigenbasis of the Maxwellian-weighted stiffness form for
+    one spring.
+
+    The form is ``T (x) I + diag(c) (x) L_theta`` with ``T`` the radial
+    tridiagonal Dirichlet form and ``L_theta`` the periodic second
+    difference, against the mass ``diag(omega) (x) I``.  So ``F`` splits it
+    into the blocks ``Omega^{-1/2} (T + lambda_k diag(c)) Omega^{-1/2}``,
+    ``k = 0 .. N_theta // 2``, which one batched ``eigh`` diagonalizes.
+    Block 0's kernel is set to exactly ``sqrt(omega) / |sqrt(omega)|`` with
+    eigenvalue ``0.0``, so the constant mode carries no shift at all.
+
+    Two facts make this exact, and both are re-verified here (defect beyond
+    1e-12 of scale raises :class:`InternalConsistencyError`): every weight
+    is constant along the angle, and ``T`` annihilates constants.
     """
-    S = grid.stiffness()
-    sym_defect = np.abs(S - S.T).max()
-    kernel_defect = np.abs(S.sum(axis=1)).max()
-    scale = max(S.max(), -S.min(), 1.0)
-    if sym_defect > 1e-12 * scale or kernel_defect > 1e-12 * scale:
+    omega, a, c, variation = _radial_weights(grid)
+    diag, off = _radial_stiffness(a)
+    row_sums = diag.copy()
+    row_sums[:-1] += off
+    row_sums[1:] += off
+    kernel = float(np.abs(row_sums).max() / np.abs(diag).max())
+    if variation > 1e-12 or kernel > 1e-12:
         raise InternalConsistencyError(
-            f"stiffness defects: symmetry {sym_defect:.2e}, kernel {kernel_defect:.2e}"
-        )
-    inv_sqrt_m = 1.0 / np.sqrt(grid.w)
-    S *= inv_sqrt_m[:, None]
-    S *= inv_sqrt_m[None, :]
-    evals, Q = np.linalg.eigh(S)
-    return ConfigOperators(
-        grid=grid, evals=np.maximum(evals, 0.0),  # clip eigenvalue roundoff
-        Q=np.ascontiguousarray(Q), inv_sqrt_m=inv_sqrt_m,
-    )
+            f"separable stiffness defects: angular variation {variation:.2e}, "
+            f"kernel {kernel:.2e} (relative to scale)")
+
+    F, wavenumber = _real_fourier(grid.N_theta)
+    k = np.arange(grid.N_theta // 2 + 1)
+    lam = 2.0 - 2.0 * np.cos((2.0 * math.pi / grid.N_theta) * k)
+    root = np.sqrt(omega)
+    m = np.arange(grid.N_r)
+    blocks = np.zeros((k.size, grid.N_r, grid.N_r))
+    blocks[:, m, m] = (diag + lam[:, None] * c) / omega
+    blocks[:, m[1:], m[:-1]] = blocks[:, m[:-1], m[1:]] = off / (root[:-1] * root[1:])
+    evals, V = np.linalg.eigh(blocks)
+    V[0, :, 0] = root / np.linalg.norm(root)
+    evals[0, 0] = 0.0
+    return ConfigOperators(grid=grid, evals=evals[wavenumber].ravel(), F=F,
+                           V=V[wavenumber], inv_sqrt_m=1.0 / np.sqrt(grid.w))
 
 
 def spectral_gap(ops: ConfigOperators) -> float:
@@ -543,7 +599,7 @@ def spectral_gap(ops: ConfigOperators) -> float:
     positive = ops.evals[ops.evals > 1e-10 * max(ops.evals.max(), 1.0)]
     if positive.size == 0:
         raise InternalConsistencyError("stiffness has no positive spectrum")
-    return float(positive[0])
+    return float(positive.min())
 
 
 # --------------------------------------------------------------------------

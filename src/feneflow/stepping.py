@@ -24,14 +24,17 @@ The configuration solve exploits the Kronecker structure
     K_x (x) M_q + M_x (x) S_q
 
 in the eigenbasis of the mass-weighted configuration stiffness, which
-``ConfigOperators`` carries (computed once per grid): the monolithic system
-splits into one x-system per configuration eigenmode, and the full operator
-is never formed.  ``K_x`` is kept as its five-point stencil, written straight
-from the face velocities and applied by slices of the ``(N, N, n_modes)``
-cell layout.  All modes are solved at once by preconditioned Richardson
-iteration: every term but the upwind transport is diagonal in DCT-II along
-both cell axes times the configuration eigenbasis (fast diagonalization),
-so the preconditioner is a diagonal scaling between two small DCT matmuls.
+``ConfigOperators`` carries in separable form (a real Fourier basis in the
+angle times one radial eigenbasis per angular wavenumber, computed once per
+grid): the monolithic system splits into one x-system per configuration
+eigenmode, and neither the full operator nor the dense configuration
+stiffness is ever formed.  ``K_x`` is kept as its five-point stencil,
+written straight from the face velocities and applied by slices of the
+``(N, N, n_modes)`` cell layout.  All modes are solved at once by
+preconditioned Richardson iteration: every term but the upwind transport is
+diagonal in DCT-II along both cell axes times the configuration eigenbasis
+(fast diagonalization), so the preconditioner is a diagonal scaling between
+two small DCT matmuls.
 The iteration starts from the previous fixed-point iterate and stops at a
 max-norm residual of ``1e-14`` of the right-hand side's; one that has not
 converged after 30 residuals (transport far beyond a cell per step) falls

@@ -6,14 +6,17 @@ layout formula rather than read off the grid.  The references take each edge
 difference as a fancy-index gather ``x[..., edges_b] - x[..., edges_a]``
 over those lists, the drag's edge divergence as a product with the sparse
 incidence matrix and the stiffness as an edge-wise sparse assembly, as the
-package did before ``ConfigGrid.edge_pairs``, ``ConfigGrid.edge_divergence``
-and ``ConfigGrid.stiffness`` took every edge by slices of the polar node
-layout.  They are the oracle those slice paths are checked against bit for
-bit:
+package did before ``ConfigGrid.edge_pairs`` and ``ConfigGrid.edge_divergence``
+took every edge by slices of the polar node layout.  They are the oracle
+those slice paths are checked against bit for bit:
 
-* :func:`csr_stiffness` is the CSR Dirichlet form the stiffness eigenbasis
-  was assembled from, and :func:`csr_weighted_stiffness` its mass-weighted
-  dense copy ``M^{-1/2} S M^{-1/2}`` that was handed to ``eigh``;
+* :func:`csr_stiffness` is the CSR Dirichlet form, whose entries carry the
+  bits of the per-radius edge weights the separable eigenbasis is built
+  from, and :func:`csr_weighted_stiffness` its mass-weighted dense copy
+  ``M^{-1/2} S M^{-1/2}``.  :class:`DenseBasis` is the eigenbasis the
+  package took from a dense ``eigh`` of that copy before it built one
+  radial block per angular wavenumber; the separable basis is checked
+  against it to a stated tolerance, not bit for bit;
 * :func:`gather_stress_matrix`, :func:`gather_fisher_q` and
   :func:`gather_lsi_fisher` are ``ConfigOperators.stress_matrix``,
   ``diagnostics.fisher_q`` and the Fisher term of
@@ -56,6 +59,24 @@ def csr_weighted_stiffness(grid):
     inv_sqrt_m = 1.0 / np.sqrt(grid.w)
     S = csr_stiffness(grid)
     return S.multiply(inv_sqrt_m[:, None]).multiply(inv_sqrt_m[None, :]).toarray()
+
+
+class DenseBasis:
+    """Stand-in for ``ConfigOperators`` in the density solves, with the
+    eigenbasis of the dense ``eigh`` of :func:`csr_weighted_stiffness`
+    (eigenvalue round-off below zero clipped to 0)."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        evals, self.Q = np.linalg.eigh(csr_weighted_stiffness(grid))
+        self.evals = np.maximum(evals, 0.0)
+        self.inv_sqrt_m = 1.0 / np.sqrt(grid.w)
+
+    def to_modes(self, rhs_nodal):
+        return (rhs_nodal * self.inv_sqrt_m[None, :]) @ self.Q
+
+    def to_nodes(self, modes):
+        return (modes @ self.Q.T) * self.inv_sqrt_m[None, :]
 
 
 class GatherEdges:

@@ -127,14 +127,16 @@ def test_spectral_gap_exceeds_one(ops16):
 
 def test_eigenbasis_diagonalizes_the_weighted_stiffness(ops16, rng):
     # S Q_nodal = M Q_nodal diag(evals) with Q_nodal = M^{-1/2} Q, and the
-    # mode transforms compose to M^{-1} on a mass-weighted right-hand side
+    # mode transforms compose to M^{-1} on a mass-weighted right-hand side;
+    # Q is assembled from the separable transform as to_modes(M^{1/2})
     S = csr_stiffness(ops16.grid).toarray()
     m = ops16.grid.w
-    Qn = ops16.inv_sqrt_m[:, None] * ops16.Q
+    Q = ops16.to_modes(np.diag(np.sqrt(m)))
+    Qn = ops16.inv_sqrt_m[:, None] * Q
     scale = np.abs(S).max()
     np.testing.assert_allclose(S @ Qn, (m[:, None] * Qn) * ops16.evals[None, :],
                                atol=1e-10 * scale)
-    np.testing.assert_allclose(ops16.Q.T @ ops16.Q, np.eye(m.size), atol=1e-12)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(m.size), atol=1e-12)
     x = rng.standard_normal((3, m.size))
     np.testing.assert_allclose(ops16.to_nodes(ops16.to_modes(x * m[None, :])), x, atol=1e-12)
     assert ops16.evals.min() >= 0.0 and np.sum(ops16.evals < 1e-10) == 1
@@ -296,59 +298,71 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
 @pytest.mark.parametrize("b", [4.0, 10.0])
 @pytest.mark.parametrize("N_r,N_theta",
                          [(8, 8), (8, 12), (12, 8), (10, 10), (16, 16), (9, 31), (40, 40)])
-def test_stiffness_and_eigenbasis_match_csr_reference_bitwise(b, N_r, N_theta, monkeypatch):
-    # the slice-filled dense stiffness, the mass-weighted matrix handed to
-    # eigh and the eigenpairs carry the bits of the edge-wise CSR assembly
+def test_stiffness_and_eigenbasis_match_csr_reference_bitwise(b, N_r, N_theta):
+    # the per-radius weights the separable assembly reads carry the bits of
+    # the edge-wise CSR stiffness's off-diagonal entries and of the node
+    # masses; its eigenpairs are those of the dense mass-weighted CSR matrix
     g = build_config_grid(b, N_r, N_theta)
-    _same_bits(g.stiffness(), csr_stiffness(g).toarray())
-    want = csr_weighted_stiffness(g)
-    handed = []
-    eigh = np.linalg.eigh
+    omega, a, c, variation = configspace._radial_weights(g)
+    assert variation == 0.0
+    S = csr_stiffness(g)
+    node = np.arange(g.n_nodes).reshape(N_r, N_theta)
 
-    def spy(a):
-        handed.append(a.copy())
-        return eigh(a)
+    def entries(tails, heads):
+        return -np.asarray(S[tails.ravel(), heads.ravel()]).ravel()
 
-    monkeypatch.setattr(configspace.np.linalg, "eigh", spy)
+    _same_bits(entries(node[:-1], node[1:]), np.repeat(a, N_theta))
+    _same_bits(entries(node, np.roll(node, -1, axis=1)), np.repeat(c, N_theta))
+    _same_bits(np.repeat(omega, N_theta), g.w)
+
     ops = assemble_fp_operators(g)
-    monkeypatch.undo()
-    assert len(handed) == 1
-    _same_bits(handed[0], want)
-    evals, Q = np.linalg.eigh(want)
-    _same_bits(ops.evals, np.maximum(evals, 0.0))
-    _same_bits(ops.Q, Q)
+    S_hat = csr_weighted_stiffness(g)
+    want = np.linalg.eigh(S_hat)[0]
+    top = want.max()
+    assert np.abs(np.sort(ops.evals) - want).max() <= 1e-13 * top
+    Q = ops.to_modes(np.diag(np.sqrt(g.w)))
+    assert np.abs(Q.T @ Q - np.eye(g.n_nodes)).max() <= 1e-13
+    assert np.abs(Q.T @ S_hat @ Q - np.diag(ops.evals)).max() <= 1e-13 * top
 
 
-def _stiffness_defect_message(monkeypatch, spoil):
-    stiffness = configspace.ConfigGrid.stiffness
-
-    def spoiled(grid):
-        S = stiffness(grid)
-        spoil(S)
-        return S
-
-    monkeypatch.setattr(configspace.ConfigGrid, "stiffness", spoiled)
+def _defect_message(grid):
     with pytest.raises(InternalConsistencyError) as err:
-        assemble_fp_operators(build_config_grid(4.0, 8, 8))
+        assemble_fp_operators(grid)
     return str(err.value)
 
 
-def test_assembly_rejects_asymmetric_stiffness(monkeypatch):
-    # node 0 -> node 1 is an angular edge; dropping one of its two entries
-    # leaves S[1, 0] = -edge_w as the symmetry defect
-    w = build_config_grid(4.0, 8, 8).stiffness()[1, 0]
-    msg = _stiffness_defect_message(monkeypatch, lambda S: S.__setitem__((0, 1), 0.0))
-    assert f"symmetry {abs(w):.2e}" in msg
+def test_assembly_rejects_angle_dependent_weights():
+    # the separable eigenbasis needs the node masses and both edge-weight
+    # families constant along the angle; raising one entry of each, in turn,
+    # by 1e-6 of its family's largest is reported as that variation
+    n_rad = 7 * 8
+    for name, index, family in (("w", 1, np.s_[:]), ("edge_w", 1, np.s_[:n_rad]),
+                                ("edge_w", n_rad + 1, np.s_[n_rad:])):
+        g = build_config_grid(4.0, 8, 8)
+        values = getattr(g, name)
+        values[index] += 1e-6 * values[family].max()
+        msg = _defect_message(g)
+        assert "angular variation 1.00e-06" in msg and "kernel" in msg
 
 
 def test_assembly_rejects_stiffness_that_moves_constants(monkeypatch):
-    # doubling a diagonal entry keeps S symmetric but gives its row a
-    # nonzero sum: constants leave the kernel
-    d = build_config_grid(4.0, 8, 8).stiffness()[0, 0]
-    msg = _stiffness_defect_message(monkeypatch, lambda S: S.__setitem__((0, 0), 2.0 * d))
-    assert "symmetry 0.00e+00" in msg
+    # doubling the first diagonal entry of the radial form keeps it
+    # symmetric but gives its first row a nonzero sum: constants leave the
+    # kernel of the wavenumber-0 block
+    radial = configspace._radial_stiffness
+
+    def spoiled(a):
+        diag, off = radial(a)
+        diag[0] *= 2.0
+        return diag, off
+
+    g = build_config_grid(4.0, 8, 8)
+    d = radial(configspace._radial_weights(g)[1])[0]
+    monkeypatch.setattr(configspace, "_radial_stiffness", spoiled)
+    msg = _defect_message(g)
+    assert "angular variation 0.00e+00" in msg
     kernel = float(re.search(r"kernel (\S+)", msg).group(1))
-    assert kernel == pytest.approx(d, rel=1e-2)
+    assert kernel == pytest.approx(d[0] / max(2.0 * d[0], d[1:].max()), rel=1e-2)
 
 
 def test_build_validation():

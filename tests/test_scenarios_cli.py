@@ -270,19 +270,29 @@ def test_repeat_runs_write_identical_summaries(tmp_path):
         == (tmp_path / "b" / "summary.json").read_bytes()
 
 
-def test_run_does_one_dense_eigensolve(monkeypatch):
+def test_run_builds_the_eigenbasis_once(monkeypatch):
     # the configuration eigenbasis is built once, with the operators, and
-    # shared by the stepper and the initial-density smoothing
-    calls = []
-    eigh = np.linalg.eigh
+    # shared by the stepper and the initial-density smoothing; its one
+    # eigensolve is batched over the N_theta // 2 + 1 radial blocks and no
+    # matrix handed to it is larger than N_r x N_r
+    import feneflow.scenarios as scenarios
+
+    builds, calls = [], []
+    assemble, eigh = scenarios.assemble_fp_operators, np.linalg.eigh
+
+    def counting_assemble(grid):
+        builds.append(grid.n_nodes)
+        return assemble(grid)
 
     def counting_eigh(a, *args, **kwargs):
         calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
+    monkeypatch.setattr(scenarios, "assemble_fp_operators", counting_assemble)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     run_scenario(tiny("decay"))
-    assert calls == [(100, 100)]
+    assert builds == [100]
+    assert calls == [(6, 10, 10)]
 
 
 def test_run_evaluates_each_observable_once_per_state(monkeypatch):

@@ -28,10 +28,12 @@ from feneflow import (
     project_divergence_free,
     save_checkpoint,
     smooth_initial_density,
+    spectral_gap,
 )
 from feneflow import stepping
 from feneflow.stepping import (_density_solve, _kron_solve, _transport_apply, _transport_band,
                                _transport_stencil)
+from edge_reference import DenseBasis, csr_weighted_stiffness
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
 
@@ -266,8 +268,8 @@ def test_kron_solve_matches_solve_banded_loop(small, rng):
 
 def test_kron_solve_names_a_singular_mode(small, rng):
     # a K_x whose first row and column are empty has a zero diagonal entry;
-    # with the lowest eigenvalue clipped to exactly 0 (as eigenvalue round-off
-    # below zero is), mode 0 is singular while every shifted mode is not
+    # mode 0 (the constants, whose eigenvalue the assembly sets to exactly 0)
+    # is then singular while every shifted mode is not
     flow, ops, params, stepper = small
     N = flow.N
     ab = _transport_band(flow, np.zeros(flow.n_u + flow.n_v), params.eps,
@@ -276,12 +278,10 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     ab[2 * N - np.arange(N + 1), np.arange(N + 1)] = 0.0   # row 0
     dense = band_to_dense(ab)
     assert not dense[0].any() and not dense[:, 0].any()
-    evals = ops.evals.copy()
-    evals[0] = 0.0
-    clipped = dataclasses.replace(ops, evals=evals)
+    assert ops.evals[0] == 0.0
     R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
-        _kron_solve(ab, stepper._cq * flow.h ** 2, clipped, R)
+        _kron_solve(ab, stepper._cq * flow.h ** 2, ops, R)
 
 
 def test_transport_apply_matches_reference_matrix(small, rng):
@@ -336,6 +336,44 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
             got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
+
+
+def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
+    # the iterative and the direct solve in the separable eigenbasis give the
+    # direct solve in the dense eigh basis the package used before, and the
+    # spectral gap is that basis's smallest positive eigenvalue
+    flow, ops, params, stepper = small
+    dense = DenseBasis(ops.grid)
+    fallbacks = count_fallbacks(monkeypatch)
+    mass = flow.h ** 2 / params.dt
+    for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
+        R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+        ab = _transport_band(flow, u, diffusion, mass)
+        want = _kron_solve(ab, shift_scale, dense, R)
+        for got in (_density_solve(flow, u, diffusion, mass, shift_scale, ops, R),
+                    _kron_solve(ab, shift_scale, ops, R)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert fallbacks == []
+    # the dense eigh is accurate to a few eps * max eval, 1.5e-13 of the gap
+    # here; the Rayleigh quotient of its eigenvector is accurate to rounding
+    q = dense.Q[:, np.argmax(dense.evals > 1e-10 * dense.evals.max())]
+    gap = q @ csr_weighted_stiffness(ops.grid) @ q
+    assert spectral_gap(ops) == pytest.approx(gap, rel=1e-13, abs=0.0)
+
+
+def test_kernel_eigenpair_is_exact(rng):
+    # the constants are the one mode whose eigenvalue is bitwise 0.0, so a
+    # density solve with no transport leaves that mode unshifted and keeps
+    # the mass
+    ops = assemble_fp_operators(build_config_grid(4.0, 40, 40))
+    zero = ops.evals[ops.evals == 0.0]
+    assert zero.tobytes() == np.zeros(1).tobytes()
+    flow = build_flow_grid(6)
+    mass = flow.h ** 2 / 0.01
+    R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+    got = _density_solve(flow, np.zeros(flow.n_u + flow.n_v), 0.1, mass, flow.h ** 2, ops, R)
+    total = mass * float((got @ ops.grid.w).sum())
+    assert abs(total - R.sum()) <= 1e-14 * abs(R.sum())
 
 
 def test_density_solve_conserves_mass(small, rng, monkeypatch):
