@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -118,19 +119,22 @@ class ConfigGrid:
     angular edges ``(m, n) -> (m, n + 1 mod N_theta)``, each family in node
     order of its tail.  No index list is stored: :meth:`edge_pairs` and
     :meth:`edge_divergence` take every edge by slices of the
-    ``(N_r, N_theta)`` view.  Every weight depends on the radius alone
-    (:func:`assemble_fp_operators` checks this and builds its eigenbasis
-    on it).
+    ``(N_r, N_theta)`` view.  Every weight depends on the radius alone, so
+    each family is stored once per radius (:func:`assemble_fp_operators`
+    builds its separable eigenbasis on them).
 
     Attributes
     ----------
     b:             FENE extensibility parameter, ``b > 2``.
     r, theta:      radial Gauss-Jacobi nodes and uniform angles.
-    w:             normalized node weights: ``sum(w * g)`` approximates
+    w_r:           normalized node weight of each radius; :attr:`w` repeats
+                   it along the angle, and ``sum(w * g)`` approximates
                    ``int_D M g dq`` (exactly, for polynomial ``g``).
     uprime:        ``U'(|q|^2/2)`` at the nodes.
     qx, qy:        Cartesian node coordinates, flattened C-order.
-    edge_w:        positive Dirichlet weights: ``sum(edge_w * dpsi^2)``
+    edge_w_r:      positive Dirichlet weight of the radial edges leaving
+    edge_w_t:      radius ``m`` and of its angular edges; :attr:`edge_w`
+                   repeats both in edge order, and ``sum(edge_w * dpsi^2)``
                    approximates ``int_D M |grad psi|^2 dq``.
     edge_gamma:    per-edge ``2 x 2`` geometric factors (flattened) such that
                    ``sum_e (sigma : Gamma_e) * dpsi_e`` approximates
@@ -143,11 +147,12 @@ class ConfigGrid:
     N_theta: int
     r: np.ndarray
     theta: np.ndarray
-    w: np.ndarray
+    w_r: np.ndarray
     uprime: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
-    edge_w: np.ndarray
+    edge_w_r: np.ndarray
+    edge_w_t: np.ndarray
     edge_gamma: np.ndarray
     Z: float
     mass_defect: float = 0.0
@@ -155,11 +160,25 @@ class ConfigGrid:
 
     @property
     def n_nodes(self) -> int:
-        return self.w.size
+        return self.N_r * self.N_theta
 
     @property
     def n_edges(self) -> int:
-        return self.edge_w.size
+        return (2 * self.N_r - 1) * self.N_theta
+
+    def _along_angle(self, *per_radius) -> np.ndarray:
+        """Read-only edge or node field repeating the per-radius values."""
+        field = np.repeat(np.concatenate(per_radius), self.N_theta)
+        field.flags.writeable = False
+        return field
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self._along_angle(self.w_r)
+
+    @cached_property
+    def edge_w(self) -> np.ndarray:
+        return self._along_angle(self.edge_w_r, self.edge_w_t)
 
     def _polar(self, field: np.ndarray) -> np.ndarray:
         """View of a node field's last axis as ``(N_r, N_theta)``."""
@@ -242,7 +261,6 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     theta = 2.0 * math.pi * np.arange(N_theta) / N_theta
     dth = 2.0 * math.pi / N_theta
 
-    w = np.repeat(w_rad, N_theta) * dth / Z
     rr = np.repeat(r, N_theta)
     th = np.tile(theta, N_r)
     qx = rr * np.cos(th)
@@ -252,44 +270,30 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     def mtil(rad):
         return (1.0 - rad * rad / b) ** (b / 2.0)
 
-    # ---- difference edges -------------------------------------------------
+    def gamma(coeff, tangent, radius, direction):
+        # coeff_m * t_n (x) (radius_m u_n): one (N_theta, 2, 2) block per radius
+        qbar = radius[:, None, None] * direction[None]
+        return (coeff[:, None, None, None]
+                * (tangent[None, :, :, None] * qbar[:, :, None, :])).reshape(-1, 4)
+
+    # ---- difference edges, weights per radius -----------------------------
     # radial edges (m, n) -> (m+1, n)
-    m_idx = np.repeat(np.arange(N_r - 1), N_theta)
-    n_idx = np.tile(np.arange(N_theta), N_r - 1)
-    rbar = 0.5 * (r[m_idx] + r[m_idx + 1])
-    dr = r[m_idx + 1] - r[m_idx]
-    w_edge_r = mtil(rbar) * rbar * dth / (Z * dr)
-    er = np.stack([np.cos(theta[n_idx]), np.sin(theta[n_idx])], axis=1)
-    qbar_r = rbar[:, None] * er
-    gamma_r = (mtil(rbar) * rbar * dth / Z)[:, None] * (
-        er[:, :, None] * qbar_r[:, None, :]
-    ).reshape(-1, 4)
+    rbar = 0.5 * (r[:-1] + r[1:])
+    dr = r[1:] - r[:-1]
+    er = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    gamma_r = gamma(mtil(rbar) * rbar * dth / Z, er, rbar, er)
 
     # angular edges (m, n) -> (m, n+1 mod N_theta)
-    m_idx = np.repeat(np.arange(N_r), N_theta)
-    n_idx = np.tile(np.arange(N_theta), N_r)
-    w_edge_t = w_rad[m_idx] * dth / (Z * r[m_idx] ** 2 * dth**2)
-    thbar = theta[n_idx] + dth / 2.0
+    thbar = theta + dth / 2.0
     et = np.stack([-np.sin(thbar), np.cos(thbar)], axis=1)
-    qbar_t = r[m_idx][:, None] * np.stack([np.cos(thbar), np.sin(thbar)], axis=1)
-    gamma_t = (w_rad[m_idx] / (Z * r[m_idx] * dth))[:, None] * (
-        et[:, :, None] * qbar_t[:, None, :]
-    ).reshape(-1, 4)
+    gamma_t = gamma(w_rad / (Z * r * dth), et, r,
+                    np.stack([np.cos(thbar), np.sin(thbar)], axis=1))
 
-    return ConfigGrid(
-        b=b,
-        N_r=N_r,
-        N_theta=N_theta,
-        r=r,
-        theta=theta,
-        w=w,
-        uprime=uprime,
-        qx=qx,
-        qy=qy,
-        edge_w=np.concatenate([w_edge_r, w_edge_t]),
-        edge_gamma=np.concatenate([gamma_r, gamma_t], axis=0),
-        Z=Z,
-    )
+    return ConfigGrid(b=b, N_r=N_r, N_theta=N_theta, r=r, theta=theta,
+                      w_r=w_rad * dth / Z, uprime=uprime, qx=qx, qy=qy,
+                      edge_w_r=mtil(rbar) * rbar * dth / (Z * dr),
+                      edge_w_t=w_rad * dth / (Z * r ** 2 * dth**2),
+                      edge_gamma=np.concatenate([gamma_r, gamma_t], axis=0), Z=Z)
 
 
 def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
@@ -437,48 +441,44 @@ class ConfigOperators:
     grid:         the underlying grid; its node weights ``grid.w`` are the
                   diagonal mass form of ``int_D M . dq``, and its edge
                   pairs and edge divergence drive the drag pairing.
-    evals, F, V:  eigenpairs of the mass-weighted Dirichlet form
+    evals, F:     eigenpairs of the mass-weighted Dirichlet form
                   ``S_hat = M^{-1/2} S M^{-1/2}`` in separable form:
                   ``S_hat = Q diag(evals) Q^T`` with ``Q`` taking mode
                   ``(j, i)`` (Fourier column ``j`` of the orthonormal real
-                  Fourier matrix ``F``, radial eigenvector ``V[j][:, i]``)
-                  to the node field ``V[j][m, i] F[n, j]``.  ``evals`` is
+                  Fourier matrix ``F``, radial eigenvector ``V_j[:, i]``)
+                  to the node field ``V_j[m, i] F[n, j]``.  ``evals`` is
                   flattened in that ``(j, i)`` order; its one zero, the
                   constants, is exactly ``0.0``.  In this basis
                   ``K_x Psi M + c M_x Psi S = R`` splits into one x-system
                   per mode.
-    inv_sqrt_m:   ``M^{-1/2}`` as a node vector.
+    radial:       ``M^{-1/2} V_j`` per Fourier column ``j`` (``M`` depends
+                  on the radius alone), shape ``(N_theta, N_r, N_r)``.
     """
 
     grid: ConfigGrid
     evals: np.ndarray
     F: np.ndarray
-    V: np.ndarray
-    inv_sqrt_m: np.ndarray
+    radial: np.ndarray
 
     def __post_init__(self):
-        # M^{-1/2} depends on the radius alone, so it is folded into the
-        # radial factors, ``V[j]`` scaled row-wise for to_modes and its
-        # transpose for to_nodes, each contiguous for the batched matmul
-        inv_sqrt_r = self.grid._polar(self.inv_sqrt_m)[:, 0]
-        self._radial = self.V * inv_sqrt_r[:, None]
-        self._radial_t = np.ascontiguousarray(self._radial.transpose(0, 2, 1))
+        # the transpose for to_nodes, contiguous for the batched matmul
+        self._radial_t = np.ascontiguousarray(self.radial.transpose(0, 2, 1))
 
     def to_modes(self, rhs_nodal: np.ndarray) -> np.ndarray:
         """Rows of a mass-weighted nodal right-hand side ``R`` -> mode
         coefficients ``R M^{-1/2} Q``: one product with ``F`` along the
         angle, then one radial product (``M^{-1/2}`` folded in) per Fourier
         column, written straight into the ``(row, j, i)`` layout."""
-        n, (N_theta, N_r) = rhs_nodal.shape[0], self.V.shape[:2]
+        n, (N_theta, N_r) = rhs_nodal.shape[0], self.radial.shape[:2]
         y = (self.F.T @ rhs_nodal.reshape(n * N_r, N_theta).T).reshape(N_theta, n, N_r)
         modes = np.empty((n, N_theta, N_r))
-        np.matmul(y, self._radial, out=modes.transpose(1, 0, 2))
+        np.matmul(y, self.radial, out=modes.transpose(1, 0, 2))
         return modes.reshape(n, -1)
 
     def to_nodes(self, modes: np.ndarray) -> np.ndarray:
         """Mode coefficients ``Phi`` -> nodal values ``Phi Q^T M^{-1/2}``, so
         ``to_nodes(to_modes(R)) = R M^{-1}``."""
-        n, (N_theta, N_r) = modes.shape[0], self.V.shape[:2]
+        n, (N_theta, N_r) = modes.shape[0], self.radial.shape[:2]
         y = np.matmul(modes.reshape(n, N_theta, N_r).transpose(1, 0, 2), self._radial_t)
         return (y.reshape(N_theta, n * N_r).T @ self.F.T).reshape(n, -1)
 
@@ -510,17 +510,6 @@ class ConfigOperators:
         psi_hat = np.asarray(psi_hat, dtype=float)
         dpsi = g.edge_pairs(np.subtract, psi_hat, psi_hat)
         return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
-
-
-def _radial_weights(grid: ConfigGrid):
-    """Per-radius node weight ``omega``, radial edge weight ``a`` and
-    angular edge weight ``c``, read off the first angle, and the largest
-    variation of any of the three along the angle, relative to its scale."""
-    w = grid._polar(grid.w)
-    rad, ang = grid._families(grid.edge_w)
-    variation = max(float(np.abs(f - f[:, :1]).max() / np.abs(f).max())
-                    for f in (w, rad, ang))
-    return w[:, 0], rad[:, 0], ang[:, 0], variation
 
 
 def _radial_stiffness(a: np.ndarray):
@@ -563,20 +552,19 @@ def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
     Block 0's kernel is set to exactly ``sqrt(omega) / |sqrt(omega)|`` with
     eigenvalue ``0.0``, so the constant mode carries no shift at all.
 
-    Two facts make this exact, and both are re-verified here (defect beyond
-    1e-12 of scale raises :class:`InternalConsistencyError`): every weight
-    is constant along the angle, and ``T`` annihilates constants.
+    The weights are stored per radius, so the split is exact by
+    construction; that ``T`` annihilates constants is re-verified here (a
+    defect beyond 1e-12 of scale raises :class:`InternalConsistencyError`).
     """
-    omega, a, c, variation = _radial_weights(grid)
-    diag, off = _radial_stiffness(a)
+    omega, c = grid.w_r, grid.edge_w_t
+    diag, off = _radial_stiffness(grid.edge_w_r)
     row_sums = diag.copy()
     row_sums[:-1] += off
     row_sums[1:] += off
     kernel = float(np.abs(row_sums).max() / np.abs(diag).max())
-    if variation > 1e-12 or kernel > 1e-12:
+    if kernel > 1e-12:
         raise InternalConsistencyError(
-            f"separable stiffness defects: angular variation {variation:.2e}, "
-            f"kernel {kernel:.2e} (relative to scale)")
+            f"radial stiffness defect: kernel {kernel:.2e} (relative to scale)")
 
     F, wavenumber = _real_fourier(grid.N_theta)
     k = np.arange(grid.N_theta // 2 + 1)
@@ -590,7 +578,7 @@ def assemble_fp_operators(grid: ConfigGrid) -> ConfigOperators:
     V[0, :, 0] = root / np.linalg.norm(root)
     evals[0, 0] = 0.0
     return ConfigOperators(grid=grid, evals=evals[wavenumber].ravel(), F=F,
-                           V=V[wavenumber], inv_sqrt_m=1.0 / np.sqrt(grid.w))
+                           radial=V[wavenumber] * (1.0 / root)[:, None])
 
 
 def spectral_gap(ops: ConfigOperators) -> float:

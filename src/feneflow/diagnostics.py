@@ -75,12 +75,18 @@ def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
     return 4.0 * float(acc @ grid.w)
 
 
+def _root_dirichlet(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
+    """``sum_e W_e (d sqrt(psi))^2`` for a nonnegative density, per row."""
+    root = np.sqrt(psi)
+    d = grid.edge_pairs(np.subtract, root, root)
+    return (d * d) @ grid.edge_w
+
+
 def fisher_q(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
              neg_tol: float = 1.0e-10) -> float:
     """configuration Fisher information: 4 h^2 sum_cells W_e (d sqrt(psi))^2."""
-    root = np.sqrt(_clamped(np.asarray(psi), neg_tol))
-    d = grid.edge_pairs(np.subtract, root, root)
-    return 4.0 * flow.h * flow.h * float(((d * d) @ grid.edge_w).sum())
+    dirichlet = _root_dirichlet(grid, _clamped(np.asarray(psi), neg_tol))
+    return 4.0 * flow.h * flow.h * float(dirichlet.sum())
 
 
 def free_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
@@ -222,10 +228,7 @@ def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float,
         x = psi_row / rho
         terms = np.where(psi_row > 0.0, psi_row * np.log(np.where(x > 0, x, 1.0)), 0.0)
     ent = float(terms @ grid.w)
-    root = np.sqrt(psi_row)
-    d = grid.edge_pairs(np.subtract, root, root)
-    fisher = float((d * d) @ grid.edge_w)
-    rhs = (2.0 / kappa) * fisher
+    rhs = (2.0 / kappa) * float(_root_dirichlet(grid, psi_row))
     scale = max(abs(rhs), 1.0)
     return LsiResult(ent, rhs, ent <= rhs + tol * scale)
 

@@ -36,11 +36,11 @@ diagonal in DCT-II along both cell axes times the configuration eigenbasis
 (fast diagonalization), so the preconditioner is a diagonal scaling between
 two small DCT matmuls.
 The iteration starts from the previous fixed-point iterate and stops at a
-max-norm residual of ``1e-14`` of the right-hand side's; one that has not
+max-norm residual of ``1e-14`` of the right-hand side's, or of the rounding
+floor ``4 eps_mach (1 + 8 diffusion / mass)`` if larger; one that has not
 converged after 30 residuals (transport far beyond a cell per step) falls
 back to one direct LAPACK ``dgbsv`` per mode on the band of ``K_x``.  The
-initial-density smoothing step has no transport, so the preconditioner is
-its exact inverse and the iteration starts from zero.
+smoothing step has no transport: its exact solve is one ``P^{-1}``.
 """
 
 from __future__ import annotations
@@ -245,44 +245,51 @@ _MAX_ITERATIONS = 30
 _RESIDUAL_RTOL = 1.0e-14
 
 
+def _fast_inverse(grid: FlowGrid, diffusion: float, mass: float, shifts: np.ndarray):
+    """``P^{-1}`` on mode coefficients ``(N, N, n_modes)``, ``P = mass +
+    diffusion S_cell + diag(shifts)``.  ``P = mass + diffusion (mu_a + mu_b) +
+    shifts[j]`` in DCT-II along both cell axes (fast diagonalization), so
+    ``P^{-1}`` costs four small matmuls, and it conserves mass."""
+    C, mu = _cell_dct(grid.N)
+    inv_p = 1.0 / ((mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None] + shifts)
+    return lambda R: _along_cells(C.T, _along_cells(C, R) * inv_p)
+
+
 def _density_solve(grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
                    shift_scale: float, ops: ConfigOperators, rhs_nodal: np.ndarray,
-                   guess_nodal: Optional[np.ndarray] = None) -> np.ndarray:
+                   guess_nodal: np.ndarray) -> np.ndarray:
     """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``,
     ``Kx`` being :func:`_transport_stencil`'s operator.
 
     In the configuration eigenbasis mode ``j`` is ``(Kx + shift_scale *
     evals[j] I) X_j = B_j``.  All modes are iterated at once,
     ``X <- X + P^{-1} (B - K X)``, from the mode coefficients of
-    ``guess_nodal`` (zero without one).  ``P`` drops the upwind part of
-    ``Kx``; what remains is diagonal in DCT-II along both cell axes (fast
-    diagonalization), so ``P = mass + diffusion (mu_a + mu_b) + shift_scale
-    evals[j]`` and ``P^{-1}`` costs four small matmuls.  With ``u = 0`` it is
-    the exact inverse.  ``P`` keeps the constant cell vector as an
-    eigenvector and the columns of ``Adv`` sum to zero, so every update
+    ``guess_nodal``.  ``P`` (:func:`_fast_inverse`) drops the upwind part
+    of ``Kx``; the columns of ``Adv`` sum to zero, so every update
     conserves mass to rounding.
 
     The iteration stops when the max-norm residual is at most
-    ``_RESIDUAL_RTOL * max|B|``.  An iteration that has not got there after
-    ``_MAX_ITERATIONS`` residuals (strong upwinding, cell CFL >> 1) is
-    abandoned for the direct :func:`_kron_solve`.
+    ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
+    the second term being the residual's rounding floor.  An iteration
+    that has not got there after ``_MAX_ITERATIONS`` residuals (strong
+    upwinding, cell CFL >> 1) is abandoned for the direct
+    :func:`_kron_solve`.
     """
     N = grid.N
     stencil = _transport_stencil(grid, u, diffusion, mass)
-    C, mu = _cell_dct(N)
     shifts = shift_scale * ops.evals
-    inv_p = 1.0 / ((mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None] + shifts)
+    precondition = _fast_inverse(grid, diffusion, mass, shifts)
     B = ops.to_modes(rhs_nodal).reshape(N, N, -1)
-    X = (np.zeros_like(B) if guess_nodal is None
-         else ops.to_modes(guess_nodal * ops.grid.w[None, :]).reshape(B.shape))
-    tol = _RESIDUAL_RTOL * np.abs(B).max()
+    X = ops.to_modes(guess_nodal * ops.grid.w[None, :]).reshape(B.shape)
+    floor = 4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass)
+    tol = max(_RESIDUAL_RTOL, floor) * np.abs(B).max()
     for _ in range(_MAX_ITERATIONS):
         R = _transport_apply(stencil, X)
         R += shifts * X
         np.subtract(B, R, out=R)
         if np.abs(R).max() <= tol:
             return ops.to_nodes(X.reshape(grid.n_c, -1))
-        X += _along_cells(C.T, _along_cells(C, R) * inv_p)
+        X += precondition(R)
     return _kron_solve(_transport_band(grid, u, diffusion, mass), shift_scale, ops, rhs_nodal)
 
 
@@ -469,11 +476,12 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
                            dt: float, clip_level: float,
                            slack: float = 1.0e-8) -> Tuple[np.ndarray, SmoothingReport]:
     """Clip the raw density at ``clip_level`` and take one implicit
-    unit-coefficient heat step in both variables.
+    unit-coefficient heat step in both variables; with no transport its
+    exact solve is one :func:`_fast_inverse` in the configuration eigenbasis.
 
     Guarantees, each checked and fatal on failure:
-      * nonnegativity (the implicit operator is an M-matrix; that argument
-        covers the exact solve, which the iterate matches to rounding);
+      * nonnegativity (the implicit operator is an M-matrix, and the output
+        is its exact solve);
       * the weighted entropy does not increase;
       * the dissipation budget ``4 dt (fisher_x + fisher_q)`` of the output
         is bounded by the entropy of the input.
@@ -489,8 +497,9 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
 
     h2 = flow.h * flow.h
     m = ops.grid.w
-    zeta1 = _density_solve(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt, h2, ops,
-                           (h2 / dt) * zeta0 * m[None, :])
+    rhs = ops.to_modes((h2 / dt) * zeta0 * m[None, :]).reshape(flow.N, flow.N, -1)
+    zeta1 = ops.to_nodes(_fast_inverse(flow, 1.0, h2 / dt, h2 * ops.evals)(rhs)
+                         .reshape(flow.n_c, -1))
 
     # checked before the entropy and Fisher terms, which reject densities
     # below -slack themselves

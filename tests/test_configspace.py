@@ -132,7 +132,7 @@ def test_eigenbasis_diagonalizes_the_weighted_stiffness(ops16, rng):
     S = csr_stiffness(ops16.grid).toarray()
     m = ops16.grid.w
     Q = ops16.to_modes(np.diag(np.sqrt(m)))
-    Qn = ops16.inv_sqrt_m[:, None] * Q
+    Qn = (1.0 / np.sqrt(m))[:, None] * Q
     scale = np.abs(S).max()
     np.testing.assert_allclose(S @ Qn, (m[:, None] * Qn) * ops16.evals[None, :],
                                atol=1e-10 * scale)
@@ -303,8 +303,7 @@ def test_stiffness_and_eigenbasis_match_csr_reference_bitwise(b, N_r, N_theta):
     # the edge-wise CSR stiffness's off-diagonal entries and of the node
     # masses; its eigenpairs are those of the dense mass-weighted CSR matrix
     g = build_config_grid(b, N_r, N_theta)
-    omega, a, c, variation = configspace._radial_weights(g)
-    assert variation == 0.0
+    omega, a, c = g.w_r, g.edge_w_r, g.edge_w_t
     S = csr_stiffness(g)
     node = np.arange(g.n_nodes).reshape(N_r, N_theta)
 
@@ -325,24 +324,23 @@ def test_stiffness_and_eigenbasis_match_csr_reference_bitwise(b, N_r, N_theta):
     assert np.abs(Q.T @ S_hat @ Q - np.diag(ops.evals)).max() <= 1e-13 * top
 
 
+def test_weights_are_stored_once_per_radius():
+    # w and edge_w repeat the per-radius fields along the angle, are built
+    # once per grid and cannot be written, so no weight varies with angle
+    g = build_config_grid(4.0, 8, 12)
+    assert g.w is g.w and g.edge_w is g.edge_w
+    rad, ang = g._families(g.edge_w)
+    for field, per_radius in ((g._polar(g.w), g.w_r), (rad, g.edge_w_r), (ang, g.edge_w_t)):
+        _same_bits(field, np.repeat(per_radius[:, None], 12, axis=1))
+    for field in (g.w, g.edge_w):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0.0
+
+
 def _defect_message(grid):
     with pytest.raises(InternalConsistencyError) as err:
         assemble_fp_operators(grid)
     return str(err.value)
-
-
-def test_assembly_rejects_angle_dependent_weights():
-    # the separable eigenbasis needs the node masses and both edge-weight
-    # families constant along the angle; raising one entry of each, in turn,
-    # by 1e-6 of its family's largest is reported as that variation
-    n_rad = 7 * 8
-    for name, index, family in (("w", 1, np.s_[:]), ("edge_w", 1, np.s_[:n_rad]),
-                                ("edge_w", n_rad + 1, np.s_[n_rad:])):
-        g = build_config_grid(4.0, 8, 8)
-        values = getattr(g, name)
-        values[index] += 1e-6 * values[family].max()
-        msg = _defect_message(g)
-        assert "angular variation 1.00e-06" in msg and "kernel" in msg
 
 
 def test_assembly_rejects_stiffness_that_moves_constants(monkeypatch):
@@ -357,10 +355,9 @@ def test_assembly_rejects_stiffness_that_moves_constants(monkeypatch):
         return diag, off
 
     g = build_config_grid(4.0, 8, 8)
-    d = radial(configspace._radial_weights(g)[1])[0]
+    d = radial(g.edge_w_r)[0]
     monkeypatch.setattr(configspace, "_radial_stiffness", spoiled)
     msg = _defect_message(g)
-    assert "angular variation 0.00e+00" in msg
     kernel = float(re.search(r"kernel (\S+)", msg).group(1))
     assert kernel == pytest.approx(d[0] / max(2.0 * d[0], d[1:].max()), rel=1e-2)
 

@@ -332,7 +332,7 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         want = _kron_solve(_transport_band(flow, u, diffusion, mass), shift_scale, ops, R)
-        for guess in (None, want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
+        for guess in (np.zeros_like(R), want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
             got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
@@ -350,7 +350,8 @@ def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         ab = _transport_band(flow, u, diffusion, mass)
         want = _kron_solve(ab, shift_scale, dense, R)
-        for got in (_density_solve(flow, u, diffusion, mass, shift_scale, ops, R),
+        for got in (_density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
+                                   np.zeros_like(R)),
                     _kron_solve(ab, shift_scale, ops, R)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
@@ -371,7 +372,8 @@ def test_kernel_eigenpair_is_exact(rng):
     flow = build_flow_grid(6)
     mass = flow.h ** 2 / 0.01
     R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-    got = _density_solve(flow, np.zeros(flow.n_u + flow.n_v), 0.1, mass, flow.h ** 2, ops, R)
+    got = _density_solve(flow, np.zeros(flow.n_u + flow.n_v), 0.1, mass, flow.h ** 2, ops, R,
+                         np.zeros_like(R))
     total = mass * float((got @ ops.grid.w).sum())
     assert abs(total - R.sum()) <= 1e-14 * abs(R.sum())
 
@@ -388,6 +390,31 @@ def test_density_solve_conserves_mass(small, rng, monkeypatch):
         got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
         total = mass * float((got @ ops.grid.w).sum())
         assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
+    assert fallbacks == []
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """N_x = 32 under an 8 x 8 configuration grid: with unit diffusion,
+    ``diffusion / mass = dt / h^2`` is about 10 at ``dt = 0.01``, and the
+    density solve's residual rounds to above 1e-14 of ``max|B|``."""
+    return build_flow_grid(32), assemble_fp_operators(build_config_grid(4.0, N_r=8, N_theta=8))
+
+
+def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
+    # the density step of a decay run at eps = 1: the stop rule's floor
+    # 4 eps_mach (1 + 8 diffusion / mass) accepts the stalled residual, with
+    # and without transport, instead of falling back to the direct solve
+    flow, ops = wide
+    fallbacks = count_fallbacks(monkeypatch)
+    h2, n = flow.h ** 2, flow.n_u + flow.n_v
+    mass = h2 / 0.01
+    for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n))):
+        R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+        guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
+        got = _density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
+        want = _kron_solve(_transport_band(flow, u, 1.0, mass), h2, ops, R)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
 
 
@@ -494,6 +521,23 @@ def test_smoothing_rejects_bad_input(small):
         smooth_initial_density(flow, ops, ones, dt=0.0, clip_level=5.0)
     with pytest.raises(ValueError):
         smooth_initial_density(flow, ops, ones, dt=0.01, clip_level=0.5)
+
+
+def test_smoothing_is_one_exact_solve(wide, monkeypatch):
+    # decay data at N_x = 32: the smoothing step has no transport, so one
+    # fast-diagonalization inverse is its exact solve; neither the iteration
+    # nor the direct solve runs, and the output is the direct solve's
+    flow, ops = wide
+    fallbacks = count_fallbacks(monkeypatch)
+    iterations = []
+    monkeypatch.setattr(stepping, "_density_solve", lambda *args: iterations.append(args))
+    dt, h2 = 0.01, flow.h ** 2
+    psi0 = np.tile(1.0 + 0.1 * ops.grid.qx / math.sqrt(ops.grid.b), (flow.n_c, 1))
+    zeta, _ = smooth_initial_density(flow, ops, psi0, dt=dt, clip_level=5.0)
+    assert fallbacks == [] and iterations == []
+    want = _kron_solve(_transport_band(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt),
+                       h2, ops, (h2 / dt) * psi0 * ops.grid.w)
+    assert np.abs(zeta - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_smoothing_failure_is_construction_error():
