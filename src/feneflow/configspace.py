@@ -201,31 +201,27 @@ class ConfigGrid:
         field = np.moveaxis(np.asarray(field, dtype=float), -1, 0)
         return np.moveaxis(np.ascontiguousarray(field), 0, -1)
 
-    def edge_pairs(self, op, head, tail, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``op(head at b, tail at a)`` for every edge ``a -> b``, in edge
+    def edge_pairs(self, op, field, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``op(field at b, field at a)`` for every edge ``a -> b``, in edge
         order (last axis: edges).
 
-        ``op`` is a binary ufunc; ``head`` and ``tail`` are node fields
-        (last axis: nodes) with broadcastable leading axes.  The result is
-        written to ``out`` if given, else to a new array laid out edge-major
-        (edges slowest in memory): the ledgers were recorded on that layout,
-        and products such as ``dpsi @ edge_gamma`` round differently on a
-        C-ordered one.
+        ``op`` is a binary ufunc and ``field`` a node field (last axis:
+        nodes).  The result is written to ``out`` if given, else to a new
+        array laid out edge-major (edges slowest in memory): the ledgers
+        were recorded on that layout, and products such as
+        ``dpsi @ edge_gamma`` round differently on a C-ordered one.
         """
-        same = tail is head
-        head = self._polar(self.node_major(head))
-        tail = head if same else self._polar(self.node_major(tail))
+        x = self._polar(self.node_major(field))
         if out is None:
-            lead = np.broadcast_shapes(head.shape[:-2], tail.shape[:-2])
-            out = np.moveaxis(np.empty((self.n_edges,) + lead), 0, -1)
+            out = np.moveaxis(np.empty((self.n_edges,) + x.shape[:-2]), 0, -1)
         rad, ang = self._families(out)
-        op(head[..., 1:, :], tail[..., :-1, :], out=rad)
-        op(head[..., :, 1:], tail[..., :, :-1], out=ang[..., :, :-1])
-        op(head[..., :, :1], tail[..., :, -1:], out=ang[..., :, -1:])
+        op(x[..., 1:, :], x[..., :-1, :], out=rad)
+        op(x[..., :, 1:], x[..., :, :-1], out=ang[..., :, :-1])
+        op(x[..., :, :1], x[..., :, -1:], out=ang[..., :, -1:])
         return out
 
     def edge_divergence(self, values) -> np.ndarray:
-        """Transpose of ``edge_pairs(np.subtract, x, x)``: each node sums
+        """Transpose of ``edge_pairs(np.subtract, x)``: each node sums
         ``+values`` over the edges it heads and ``-values`` over those it
         tails (last axis of ``values``: edges).
 
@@ -508,7 +504,7 @@ class ConfigOperators:
         """
         g = self.grid
         psi_hat = np.asarray(psi_hat, dtype=float)
-        dpsi = g.edge_pairs(np.subtract, psi_hat, psi_hat)
+        dpsi = g.edge_pairs(np.subtract, psi_hat)
         return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
 
 

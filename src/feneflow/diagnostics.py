@@ -61,7 +61,7 @@ def _clamped(psi: np.ndarray, tol: float) -> np.ndarray:
 def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
                      neg_tol: float = 1.0e-10) -> float:
     """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest)."""
-    vals = entropy_F(_clamped(np.asarray(psi), neg_tol))[0]
+    vals = entropy_F(_clamped(np.asarray(psi), neg_tol))
     return flow.h * flow.h * float((vals @ grid.w).sum())
 
 
@@ -78,7 +78,7 @@ def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
 def _root_dirichlet(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
     """``sum_e W_e (d sqrt(psi))^2`` for a nonnegative density, per row."""
     root = np.sqrt(psi)
-    d = grid.edge_pairs(np.subtract, root, root)
+    d = grid.edge_pairs(np.subtract, root)
     return (d * d) @ grid.edge_w
 
 
@@ -192,11 +192,16 @@ class EnergyLedger:
 # inequality verdicts
 # --------------------------------------------------------------------------
 
+ENERGY_TOL = 1.0e-6     # relative slack of energy_lhs <= B2
+LSI_TOL = 1.0e-9        # slack of the log-Sobolev comparison, relative to its scale
+CK_MASS_TOL = 1.0e-8    # unit local mass the Csiszar-Kullback comparison requires
+DECAY_TOL = 1.0e-3      # relative slack of the exponential decay bound
 
-def energy_inequality_check(ledger: EnergyLedger, tol: float = 1.0e-6
-                            ) -> Tuple[bool, float]:
-    """Row-wise ``energy_lhs <= B2`` with relative slack; returns the worst
-    signed violation ``max (lhs - B2) / scale`` (negative means satisfied).
+
+def energy_inequality_check(ledger: EnergyLedger) -> Tuple[bool, float]:
+    """Row-wise ``energy_lhs <= B2`` with relative slack ``ENERGY_TOL``;
+    returns the worst signed violation ``max (lhs - B2) / scale`` (negative
+    means satisfied).
 
     The scale has an absolute floor so the degenerate zero-data case (B2
     identically 0, left side pure roundoff) is judged at roundoff level.
@@ -205,7 +210,7 @@ def energy_inequality_check(ledger: EnergyLedger, tol: float = 1.0e-6
     b2 = ledger.column("B2")
     rel = (lhs - b2) / np.maximum(b2, 1.0e-9)
     worst = float(rel.max()) if rel.size else -math.inf
-    return worst <= tol, worst
+    return worst <= ENERGY_TOL, worst
 
 
 @dataclass
@@ -215,11 +220,10 @@ class LsiResult:
     satisfied: bool
 
 
-def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float,
-              tol: float = 1.0e-9) -> LsiResult:
+def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float) -> LsiResult:
     """Log-Sobolev comparison for a single spatial point:
     ``sum w psi log(psi / rho) <= (2 / kappa) sum W_e (d sqrt(psi))^2``
-    with ``rho`` the local mass."""
+    with ``rho`` the local mass, to ``LSI_TOL`` of the right side's scale."""
     psi_row = np.maximum(np.asarray(psi_row, dtype=float), 0.0)
     rho = float(psi_row @ grid.w)
     if rho <= 0.0:
@@ -230,7 +234,7 @@ def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float,
     ent = float(terms @ grid.w)
     rhs = (2.0 / kappa) * float(_root_dirichlet(grid, psi_row))
     scale = max(abs(rhs), 1.0)
-    return LsiResult(ent, rhs, ent <= rhs + tol * scale)
+    return LsiResult(ent, rhs, ent <= rhs + LSI_TOL * scale)
 
 
 @dataclass
@@ -240,20 +244,19 @@ class CKResult:
     satisfied: bool
 
 
-def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
-                           mass_tol: float = 1.0e-8) -> CKResult:
+def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) -> CKResult:
     """Distance-to-equilibrium comparison, pointwise in x and integrated.
 
-    Precondition: unit local mass, ``|rho(x) - 1| <= mass_tol`` for every
+    Precondition: unit local mass, ``|rho(x) - 1| <= CK_MASS_TOL`` for every
     cell (the comparison against the constant state requires matched mass).
     """
     psi = np.asarray(psi, dtype=float)
     rho = psi @ grid.w
     drift = float(np.abs(rho - 1.0).max())
-    if drift > mass_tol:
+    if drift > CK_MASS_TOL:
         raise ValueError(f"local mass deviates from 1 by {drift:.3e} "
-                         f"(tolerance {mass_tol:.1e})")
-    F_cell = entropy_F(np.maximum(psi, 0.0))[0] @ grid.w
+                         f"(tolerance {CK_MASS_TOL:.1e})")
+    F_cell = entropy_F(np.maximum(psi, 0.0)) @ grid.w
     l1_cell = np.abs(psi - 1.0) @ grid.w
     point_margin = float((np.sqrt(2.0 * np.maximum(F_cell, 0.0)) - l1_cell).min())
     h2 = flow.h * flow.h
@@ -275,9 +278,8 @@ class DecayVerdict:
 
 
 def decay_verdict(times: Sequence[float], energies: Sequence[float],
-                  initial_budget: float, rate: float,
-                  tol: float = 1.0e-3) -> DecayVerdict:
-    """Check ``E(T) <= exp(-rate T) * initial_budget * (1 + tol)`` and fit
+                  initial_budget: float, rate: float) -> DecayVerdict:
+    """Check ``E(T) <= exp(-rate T) * initial_budget * (1 + DECAY_TOL)`` and fit
     the observed exponential rate of ``E`` for reporting.
 
     ``initial_budget`` is the data-only majorant of ``E(0)`` (kinetic plus
@@ -287,7 +289,7 @@ def decay_verdict(times: Sequence[float], energies: Sequence[float],
     e = np.asarray(energies, dtype=float)
     if t.size < 2 or t.size != e.size:
         raise ValueError("need matching time/energy series of length >= 2")
-    bound = math.exp(-rate * float(t[-1])) * initial_budget * (1.0 + tol)
+    bound = math.exp(-rate * float(t[-1])) * initial_budget * (1.0 + DECAY_TOL)
     positive = e > 0.0
     if positive.sum() >= 2:
         fitted = -float(np.polyfit(t[positive], np.log(e[positive]), 1)[0])

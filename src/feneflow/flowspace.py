@@ -16,7 +16,8 @@ exact per-step kinetic-energy identity for the implicit momentum update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -74,7 +75,10 @@ class FlowGrid:
     yu: np.ndarray
     xv: np.ndarray
     yv: np.ndarray
-    _visc_lu: object = field(default=None, repr=False)
+
+    @cached_property
+    def _visc_lu(self):  # factored on first use by dual_norm_sq
+        return spla.splu(self.K.tocsc())
 
     # ---- inner products ---------------------------------------------------
 
@@ -333,6 +337,4 @@ def dual_norm_sq(grid: FlowGrid, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if not np.any(f):
         return 0.0
-    if grid._visc_lu is None:
-        grid._visc_lu = spla.splu(grid.K.tocsc())
     return float(grid.h * grid.h * (f @ grid._visc_lu.solve(f)))

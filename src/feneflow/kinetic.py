@@ -18,15 +18,15 @@ and ``-log M`` is uniformly convex with Hessian bounded below by the
 identity (curvature constant ``kappa = 1``), which is what powers the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
 
-The module also provides the relative-entropy integrands: the Boltzmann
-function ``F(s) = s (log s - 1) + 1`` (``entropy_F``) and its two-sided
-``C^2`` regularization ``F^L_delta`` (``entropy_FLdelta``), the quadratic
-Taylor continuation of ``F`` below ``delta`` and above ``L``.  Its second
-derivative is the reciprocal of the cut-off
-``beta^L_delta(s) = max(min(s, L), delta)``, whose secant form along
-configuration-grid edges (``secant_cutoff_coefficient``, which forms only
-``[F^L_delta]'`` per node and pairs it along the grid's edges) is the drag
-coefficient of the scheme.
+The module also provides the relative-entropy integrands: the value of
+``F(s) = s (log s - 1) + 1`` (``entropy_F``) and its two-sided ``C^2``
+regularization ``F^L_delta`` (``entropy_FLdelta``), the quadratic Taylor
+continuation of ``F`` beyond ``delta`` and ``L``.  Its second derivative is
+the reciprocal of the cut-off ``beta^L_delta(s) = max(min(s, L), delta)``,
+whose secant form along configuration-grid edges
+(``secant_cutoff_coefficient``, which forms only ``[F^L_delta]'`` per node
+and pairs it along the grid's edges) is the drag coefficient of the scheme.
+Both take the cut-off pair as one :class:`CutoffParams`, validated once.
 """
 
 from __future__ import annotations
@@ -139,13 +139,13 @@ def maxwellian_value(r, b: float, Z: float):
 # --------------------------------------------------------------------------
 
 
-def secant_cutoff_coefficient(psi, grid, L: float, delta: float):
+def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
     """Divided-difference form of ``beta^L_delta`` along grid edges.
 
     ``grid`` is the ``ConfigGrid`` whose edges are paired (its
-    ``edge_pairs``).  ``[F^L_delta]'`` is evaluated once per node of the
-    field ``psi`` (last axis: nodes); for edge endpoint values ``a`` (tail)
-    and ``c`` (head) the result is
+    ``edge_pairs``), ``cutoff`` the pair ``(L, delta)``.  ``[F^L_delta]'``
+    is evaluated once per node of the field ``psi`` (last axis: nodes); for
+    edge endpoint values ``a`` (tail) and ``c`` (head) the result is
 
         (c - a) / ( [F^L_delta]'(c) - [F^L_delta]'(a) ),
 
@@ -158,29 +158,27 @@ def secant_cutoff_coefficient(psi, grid, L: float, delta: float):
 
     exact, which is what the discrete free-energy identity needs.
     """
-    CutoffParams(L=L, delta=delta)
     # node- and edge-sized buffers are reused in place (m, bound, out): at
     # run sizes a fresh array costs about as much in page faults as the
     # arithmetic done on it
     psi = grid.node_major(psi)
-    m = np.clip(psi, delta, L)
+    m = np.clip(psi, cutoff.delta, cutoff.L)
     d1 = psi - m
     d1 /= m
     d1 += np.log(m, out=m)                  # [F^L_delta]' as entropy_FLdelta forms it
-    dnum = grid.edge_pairs(np.subtract, psi, psi)
-    abs_psi = np.abs(psi, out=m)
-    bound = grid.edge_pairs(np.add, abs_psi, abs_psi)
+    dnum = grid.edge_pairs(np.subtract, psi)
+    bound = grid.edge_pairs(np.add, np.abs(psi, out=m))
     bound += 1.0
     bound *= 1e-12
     out = np.abs(dnum)
     tiny = out <= bound
-    dden = grid.edge_pairs(np.subtract, d1, d1, out=bound)
+    dden = grid.edge_pairs(np.subtract, d1, out=bound)
     # tiny increments are dominated by rounding: those edges keep the
     # midpoint 0.5 (a + c), which the final clip turns into beta^L_delta of it
-    grid.edge_pairs(np.add, psi, psi, out=out)
+    grid.edge_pairs(np.add, psi, out=out)
     out *= 0.5
     np.divide(dnum, dden, out=out, where=~tiny)
-    return np.clip(out, delta, L, out=out)
+    return np.clip(out, cutoff.delta, cutoff.L, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -189,28 +187,24 @@ def secant_cutoff_coefficient(psi, grid, L: float, delta: float):
 
 
 def entropy_F(s):
-    """Boltzmann entropy ``F(s) = s(log s - 1) + 1`` and its first two
-    derivatives ``log s`` and ``1/s``.
+    """Boltzmann entropy ``F(s) = s(log s - 1) + 1``.
 
     The value is evaluated as ``s log s - (s - 1)``: both terms vanish at
     ``s = 1``, so near equilibrium the error stays relative to ``F`` itself
     instead of the ``1e-16`` absolute that rounding ``log s - 1`` costs.
-    Requires ``s >= 0``.  At ``s = 0`` the value is ``F(0) = 1`` and the
-    derivatives are ``d1 = -inf``, ``d2 = +inf``.
+    Requires ``s >= 0``; ``F(0) = 1``, and ``F`` overflows to ``inf`` for
+    ``s`` near the largest float.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("F(s) = s(log s - 1) + 1 requires s >= 0")
     pos = s > 0.0
-    safe = np.where(pos, s, 1.0)
-    log_s = np.log(safe)
+    log_s = np.log(np.where(pos, s, 1.0))
     with np.errstate(over="ignore"):
-        val = np.where(pos, s * log_s - (s - 1.0), 1.0)
-        d2 = np.where(pos, 1.0 / safe, np.inf)
-    return val, np.where(pos, log_s, -np.inf), d2
+        return np.where(pos, s * log_s - (s - 1.0), 1.0)
 
 
-def entropy_FLdelta(s, L: float, delta: float):
+def entropy_FLdelta(s, cutoff: CutoffParams):
     """Regularized entropy ``F^L_delta`` and its first two derivatives on
     all of R.
 
@@ -222,12 +216,10 @@ def entropy_FLdelta(s, L: float, delta: float):
 
     with ``F(m)`` evaluated as ``m log m - (m - 1)``, as :func:`entropy_F`
     does; so ``[F^L_delta]'(s) = log(m) + (s - m)/m`` and
-    ``(F^L_delta)''(s) = 1/m = 1 / beta^L_delta(s)``.  The cut-offs must
-    satisfy ``0 < delta < 1 < L``.
+    ``(F^L_delta)''(s) = 1/m = 1 / beta^L_delta(s)``.
     """
-    CutoffParams(L=L, delta=delta)
     s = np.asarray(s, dtype=float)
-    m = np.clip(s, delta, L)
+    m = np.clip(s, cutoff.delta, cutoff.L)
     log_m = np.log(m)
     ds = s - m
     return (m * log_m - (m - 1.0) + log_m * ds + ds * ds / (2.0 * m),
@@ -238,8 +230,11 @@ def entropy_FLdelta(s, L: float, delta: float):
 # curvature of -log M
 # --------------------------------------------------------------------------
 
+KAPPA_SAMPLES = 512
+KAPPA_TOL = 1e-9
 
-def bakry_emery_kappa(b: float, samples: int = 512, tol: float = 1e-9):
+
+def bakry_emery_kappa(b: float):
     """Curvature constant of the Maxwellian and a sampled verification.
 
     ``Hess(-log M) = U'(s) I + U''(s) q q^T`` has eigenvalues ``U'`` (in the
@@ -251,21 +246,21 @@ def bakry_emery_kappa(b: float, samples: int = 512, tol: float = 1e-9):
     kappa : float
         The curvature lower bound (1 for FENE).
     min_eig : float
-        Smallest Hessian eigenvalue over a radial sample of the disc
+        Smallest Hessian eigenvalue over ``KAPPA_SAMPLES`` radii of the disc
         ``|q| < sqrt(b)``; an :class:`InternalConsistencyError` is raised if
-        it drops below ``kappa - tol``.
+        it drops below ``kappa - KAPPA_TOL``.
     """
     if not b > 2.0:
         raise DomainError(f"b={b}: gamma = b/2 must exceed 1")
     kappa = 1.0
-    r = np.linspace(0.0, math.sqrt(b), samples + 2)[1:-1]
+    r = np.linspace(0.0, math.sqrt(b), KAPPA_SAMPLES + 2)[1:-1]
     s = 0.5 * r * r
     arg = 1.0 - 2.0 * s / b
     Uprime = 1.0 / arg
     Usecond = (2.0 / b) / (arg * arg)
     radial = Uprime + Usecond * r * r
     min_eig = min(float(np.min(Uprime)), float(np.min(radial)))
-    if min_eig < kappa - tol:
+    if min_eig < kappa - KAPPA_TOL:
         raise InternalConsistencyError(
             f"sampled Hessian eigenvalue {min_eig} fell below kappa={kappa}"
         )

@@ -349,17 +349,17 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     times = [0.0]
     energies = [dg.decay_energy(fg, grid, state.u, state.psi, cfg.k)]
 
-    def record(fp_iters: int, fx: float, fq: float) -> None:
-        ent = dg.relative_entropy(fg, grid, state.psi)
+    def record(fp_iters: int, ent: float, fx: float, fq: float) -> None:
+        u_sq = fg.norm_sq(state.u)
         rho = state.psi @ grid.w
         ledger.append(
             t=state.t,
-            kinetic=0.5 * fg.norm_sq(state.u),
+            kinetic=0.5 * u_sq,
             entropy=ent,
             fisher_x=fx,
             fisher_q=fq,
-            free_energy=0.5 * fg.norm_sq(state.u) + cfg.k * ent,
-            energy_lhs=(fg.norm_sq(state.u) + cfg.nu * visc_hist + cfg.k * ent
+            free_energy=0.5 * u_sq + cfg.k * ent,
+            energy_lhs=(u_sq + cfg.nu * visc_hist + cfg.k * ent
                         + cfg.k * cfg.eps * fx_hist
                         + (a0 * cfg.k / (4.0 * cfg.lam)) * fq_hist),
             B2=B2,
@@ -370,7 +370,8 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
             beta_saturation_fraction=float((state.psi > cfg.L).mean()),
         )
 
-    record(0, dg.fisher_x(fg, grid, state.psi), dg.fisher_q(fg, grid, state.psi))
+    # row 0: the smoothed density, whose terms the smoothing evaluated
+    record(0, smooth_rep.entropy_after, smooth_rep.fisher_x, smooth_rep.fisher_q)
     for j in range(1, n_steps + 1):
         try:
             fj = forcing((j - 0.5) * dt) if forcing is not None else None
@@ -385,7 +386,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
         times.append(state.t)
         energies.append(dg.decay_energy(fg, grid, state.u, state.psi, cfg.k))
         if j % cfg.record_every == 0 or j == n_steps:
-            record(rep.iterations, fx, fq)
+            record(rep.iterations, dg.relative_entropy(fg, grid, state.psi), fx, fq)
         if progress is not None:
             progress(j, n_steps)
 

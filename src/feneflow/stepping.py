@@ -141,7 +141,9 @@ class FixedPointReport:
 class SmoothingReport:
     entropy_before: float
     entropy_after: float
-    fisher_budget: float          # 4*dt*(fisher_x + fisher_q) of the output
+    fisher_x: float               # of the output, as the ledger columns
+    fisher_q: float
+    fisher_budget: float          # dt*(fisher_x + fisher_q)
     min_value: float
     mass_drift: float
 
@@ -398,22 +400,18 @@ class CoupledStepper:
         result with that derivative telescopes to the plain density jump —
         the discrete chain rule behind the exact drag/stress cancellation.
         """
-        cutoff = self.params.cutoff
-        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, cutoff.L, cutoff.delta)
+        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff)
         return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
-                           u_transport: np.ndarray,
-                           coeff_field: Optional[np.ndarray] = None) -> np.ndarray:
+                           u_transport: np.ndarray, coeff_field: np.ndarray) -> np.ndarray:
         """One implicit density solve.
 
         Transport (upwind) uses ``u_transport`` (previous macro step);
         drag uses the gradient of ``u_candidate`` (current candidate) with
         the truncated coefficient evaluated on ``coeff_field`` (previous
-        fixed-point iterate; defaults to ``psi_prev``).
+        fixed-point iterate), which also starts the iteration.
         """
-        if coeff_field is None:
-            coeff_field = psi_prev
         fg = self.flow
         h2 = fg.h * fg.h
         rhs = (h2 / self.params.dt) * psi_prev * self.ops.grid.w[None, :]
@@ -471,20 +469,22 @@ class CoupledStepper:
 # initial-data smoothing
 # --------------------------------------------------------------------------
 
+SMOOTHING_SLACK = 1.0e-8
+
 
 def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarray,
-                           dt: float, clip_level: float,
-                           slack: float = 1.0e-8) -> Tuple[np.ndarray, SmoothingReport]:
+                           dt: float, clip_level: float) -> Tuple[np.ndarray, SmoothingReport]:
     """Clip the raw density at ``clip_level`` and take one implicit
     unit-coefficient heat step in both variables; with no transport its
     exact solve is one :func:`_fast_inverse` in the configuration eigenbasis.
 
-    Guarantees, each checked and fatal on failure:
+    Guarantees, each checked to ``SMOOTHING_SLACK`` and fatal on failure:
       * nonnegativity (the implicit operator is an M-matrix, and the output
         is its exact solve);
       * the weighted entropy does not increase;
-      * the dissipation budget ``4 dt (fisher_x + fisher_q)`` of the output
-        is bounded by the entropy of the input.
+      * the dissipation budget ``dt (fisher_x + fisher_q)`` of the output
+        (the Fisher terms carry their factor 4) is bounded by the entropy
+        of the input.
     """
     if dt <= 0.0:
         raise ValueError(f"smoothing step needs dt > 0, got {dt}")
@@ -502,36 +502,39 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
                          .reshape(flow.n_c, -1))
 
     # checked before the entropy and Fisher terms, which reject densities
-    # below -slack themselves
+    # below -SMOOTHING_SLACK themselves
     min_val = float(zeta1.min())
-    if min_val < -slack:
+    if min_val < -SMOOTHING_SLACK:
         raise ConstructionError(f"smoothed density dips to {min_val:.3e}")
     g = ops.grid
     ent0 = dg.relative_entropy(flow, g, psi0)
-    ent1 = dg.relative_entropy(flow, g, zeta1, neg_tol=slack)
-    fisher_budget = dt * (dg.fisher_x(flow, g, zeta1, neg_tol=slack)
-                          + dg.fisher_q(flow, g, zeta1, neg_tol=slack))
+    ent1 = dg.relative_entropy(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
+    fx = dg.fisher_x(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
+    fq = dg.fisher_q(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
+    fisher_budget = dt * (fx + fq)
     mass_drift = abs(h2 * float((zeta1 @ m).sum()) - h2 * float((zeta0 @ m).sum()))
     scale = max(abs(ent0), 1.0)
-    if ent1 > ent0 + slack * scale:
+    if ent1 > ent0 + SMOOTHING_SLACK * scale:
         raise ConstructionError(
             f"smoothing raised the entropy: {ent1:.6e} > {ent0:.6e}")
-    if fisher_budget > ent0 + slack * scale:
+    if fisher_budget > ent0 + SMOOTHING_SLACK * scale:
         raise ConstructionError(
             f"dissipation budget {fisher_budget:.6e} exceeds entropy {ent0:.6e}")
-    return zeta1, SmoothingReport(ent0, ent1, fisher_budget, min_val, mass_drift)
+    return zeta1, SmoothingReport(ent0, ent1, fx, fq, fisher_budget, min_val, mass_drift)
 
 
 # --------------------------------------------------------------------------
 # time-step schedule and checkpoints
 # --------------------------------------------------------------------------
 
+DT_FLOOR = 1.0e-8
 
-def dt_schedule(L: float, C0: float, horizon: float,
-                floor: float = 1.0e-8) -> Tuple[float, int]:
+
+def dt_schedule(L: float, C0: float, horizon: float) -> Tuple[float, int]:
     """Largest admissible step ``dt <= C0 / (L log L)`` dividing the horizon.
 
-    Returns ``(dt, n_steps)`` with ``n_steps * dt == horizon`` exactly.
+    Returns ``(dt, n_steps)`` with ``n_steps * dt == horizon`` exactly; a
+    step below ``DT_FLOOR`` raises :class:`ScheduleError`.
     Requires ``L > e`` so the rule is monotone (larger cutoff, smaller step).
     """
     if L <= math.e:
@@ -546,9 +549,9 @@ def dt_schedule(L: float, C0: float, horizon: float,
             f"for the horizon {horizon}")
     n = max(1, math.ceil(n_min - 1.0e-12))
     dt = horizon / n
-    if dt < floor:
+    if dt < DT_FLOOR:
         raise ScheduleError(
-            f"schedule for L={L} needs dt={dt:.3e} below the floor {floor:.1e}")
+            f"schedule for L={L} needs dt={dt:.3e} below the floor {DT_FLOOR:.1e}")
     return dt, n
 
 

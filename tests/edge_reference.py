@@ -91,9 +91,9 @@ class GatherEdges:
     def node_major(field):
         return np.asarray(field, dtype=float)
 
-    def edge_pairs(self, op, head, tail, out=None):
-        return op(np.asarray(head)[..., self.edges_b], np.asarray(tail)[..., self.edges_a],
-                  out=out)
+    def edge_pairs(self, op, field, out=None):
+        field = np.asarray(field)
+        return op(field[..., self.edges_b], field[..., self.edges_a], out=out)
 
 
 def gather_stress_matrix(grid, psi_hat):

@@ -4,7 +4,7 @@ by the package.
 * :func:`routed_FLdelta` evaluates ``F^L_delta`` by routing
   ``m = clip(s, delta, L)`` through ``feneflow.kinetic.entropy_F`` (its
   ``s >= 0`` scan and ``s > 0`` masks) and adding the quadratic Taylor
-  terms.
+  terms, their ``log m`` taken directly.
 * :func:`cutoff_beta_delta` is ``beta^L_delta(s) = max(min(s, L), delta)``.
 * :func:`routed_secant_coefficient` is the secant coefficient built on
   :func:`routed_FLdelta`, starting near-coincident edges from
@@ -23,7 +23,7 @@ def routed_FLdelta(s, L, delta):
     """Quadratic Taylor continuation of ``F`` at ``m = clip(s, delta, L)``."""
     s = np.asarray(s, dtype=float)
     m = np.clip(s, delta, L)
-    Fm, log_m, _ = entropy_F(m)
+    Fm, log_m = entropy_F(m), np.log(m)
     ds = s - m
     return Fm + log_m * ds + ds * ds / (2.0 * m), log_m + ds / m, 1.0 / m
 

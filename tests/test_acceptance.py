@@ -66,7 +66,7 @@ def test_criterion_03_discrete_energy_inequality(reference_decay,
     """Accumulated energy (kinetic + dissipation history + entropy + Fisher
     history) never exceeds the data functional B^2, with 1e-6 B^2 slack."""
     for result in [reference_decay, *decay_eps_variants.values()]:
-        ok, worst = energy_inequality_check(result.ledger, tol=1e-6)
+        ok, worst = energy_inequality_check(result.ledger)
         assert ok, f"worst relative violation {worst:.3e}"
 
 

@@ -22,6 +22,7 @@ from edge_reference import (
 )
 from entropy_reference import routed_secant_coefficient
 from feneflow import (
+    CutoffParams,
     DomainError,
     GridConstructionError,
     InternalConsistencyError,
@@ -232,11 +233,12 @@ def test_edge_lists_follow_the_polar_slice_layout(N_r, N_theta):
     edges_a, edges_b = edge_lists(g)
     assert g.n_edges == edges_a.size == edges_b.size == g.edge_gamma.shape[0]
     assert g.n_edges == (N_r - 1) * N_theta + N_r * N_theta
-    # edge_pairs reads the same endpoints off slices of the (N_r, N_theta) view
+    # edge_pairs reads the same endpoints off slices of the (N_r, N_theta)
+    # view: on the node numbers, head + tail and head - tail are exact
     index = np.arange(g.n_nodes, dtype=float)
-    zero = np.zeros(g.n_nodes)
-    np.testing.assert_array_equal(g.edge_pairs(np.add, index, zero), edges_b)
-    np.testing.assert_array_equal(g.edge_pairs(np.add, zero, index), edges_a)
+    total, diff = g.edge_pairs(np.add, index), g.edge_pairs(np.subtract, index)
+    np.testing.assert_array_equal((total + diff) / 2, edges_b)
+    np.testing.assert_array_equal((total - diff) / 2, edges_a)
 
 
 def _same_bits(got, want):
@@ -272,7 +274,7 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
 
     for lead in [(), (5,), (3, 4)]:
         for psi in (field(lead), np.ascontiguousarray(field(lead))):
-            _same_bits(secant_cutoff_coefficient(psi, g, L, delta),
+            _same_bits(secant_cutoff_coefficient(psi, g, CutoffParams(L, delta)),
                        routed_secant_coefficient(psi, edges_a, edges_b, L, delta))
             _same_bits(ops.stress_matrix(psi), gather_stress_matrix(g, psi))
         sigma = rng.standard_normal(lead + (2, 2))

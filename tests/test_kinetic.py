@@ -3,6 +3,7 @@ entropy functions, cross-checked against adaptive quadrature where a second
 independent route exists."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,8 +140,23 @@ def test_curvature_constant(b):
 
 def test_entropy_F_special_points():
     for s, expected in [(0.0, 1.0), (1.0, 0.0), (math.e, 1.0)]:
-        val, _, _ = entropy_F(s)
+        val = entropy_F(s)
         assert val == pytest.approx(expected, abs=1e-14)
+
+
+def test_entropy_F_is_one_array_exactly_one_at_zero():
+    assert entropy_F(0.0) == 1.0
+    assert entropy_F(np.array([0.0, 1.0, 2.0])).shape == (3,)
+
+
+def test_entropy_F_overflows_to_inf_without_a_warning():
+    # s log s overflows above about 2.5e305 (1e300 log 1e300 is still a
+    # finite 6.9e302); the value is inf and no overflow warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert entropy_F(1e300) == pytest.approx(1e300 * math.log(1e300) - 1e300)
+        assert entropy_F(1e307) == math.inf
+        assert entropy_F(np.finfo(float).max) == math.inf
 
 
 def test_entropy_F_rejects_negative():
@@ -150,7 +166,7 @@ def test_entropy_F_rejects_negative():
 
 def test_entropy_FL_quadratic_branch():
     # above L, F^L_delta is the quadratic continuation of F from L
-    val, d1, d2 = entropy_FLdelta(4.0, 2.0, 1e-3)
+    val, d1, d2 = entropy_FLdelta(4.0, CutoffParams(2.0, 1e-3))
     assert val == pytest.approx(FL_AT_2L_L2, abs=1e-14)
     assert d1 == pytest.approx(4.0 / 2.0 + math.log(2.0) - 1.0, abs=1e-14)
     assert d2 == pytest.approx(0.5, abs=1e-15)
@@ -160,8 +176,8 @@ def test_entropy_c2_matching_at_L():
     L = 3.0
     h = 1e-7
     for col in range(3):
-        below = entropy_FLdelta(L - h, L, 1e-3)[col]
-        above = entropy_FLdelta(L + h, L, 1e-3)[col]
+        below = entropy_FLdelta(L - h, CutoffParams(L, 1e-3))[col]
+        above = entropy_FLdelta(L + h, CutoffParams(L, 1e-3))[col]
         assert abs(above - below) < 1e-5
 
 
@@ -169,15 +185,15 @@ def test_entropy_c2_matching_at_delta():
     delta = 1e-2
     h = 1e-9
     for col in range(3):
-        below = entropy_FLdelta(delta - h, 3.0, delta)[col]
-        above = entropy_FLdelta(delta + h, 3.0, delta)[col]
+        below = entropy_FLdelta(delta - h, CutoffParams(3.0, delta))[col]
+        above = entropy_FLdelta(delta + h, CutoffParams(3.0, delta))[col]
         assert abs(above - below) < 1e-5
 
 
 def test_entropy_FLdelta_second_derivative_branches():
     L, delta = 3.0, 1e-2
     s = np.array([-1.0, 0.5 * delta, 0.1, 1.0, 10.0])
-    _, _, d2 = entropy_FLdelta(s, L, delta)
+    _, _, d2 = entropy_FLdelta(s, CutoffParams(L, delta))
     np.testing.assert_allclose(d2, [1 / delta, 1 / delta, 10.0, 1.0, 1 / L], rtol=1e-13)
     # and the reciprocal is the two-sided cut-off max(min(s, L), delta)
     np.testing.assert_allclose(1.0 / d2, [delta, delta, 0.1, 1.0, L], rtol=1e-13)
@@ -210,21 +226,22 @@ def test_entropy_FLdelta_matches_branch_formulas(L, delta):
                              rng.uniform(delta, L, 200)])
     above = np.concatenate([[L, 2.0 * L, 1e3], rng.uniform(L, 4.0 * L, 50)])
     for s in (below, inside, above):
-        got = entropy_FLdelta(s, L, delta)
+        got = entropy_FLdelta(s, CutoffParams(L, delta))
         want = _FLdelta_branches(s, L, delta)
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(np.abs(w), 1.0))
     # inside (delta, L) the Taylor form adds exact zeros to F
-    for g, w in zip(entropy_FLdelta(inside, L, delta),
+    for g, w in zip(entropy_FLdelta(inside, CutoffParams(L, delta)),
                     _FLdelta_branches(inside, L, delta)):
         np.testing.assert_array_equal(g, w)
 
 
 def test_entropy_kind_validation():
-    # F^L_delta needs a cut-off pair with 0 < delta < 1 < L
+    # F^L_delta needs a cut-off pair with 0 < delta < 1 < L, checked where
+    # the pair is built
     for L, delta in [(0.5, 1e-4), (5.0, 1.5), (5.0, 0.0), (3.0, -1e-3)]:
         with pytest.raises(ValueError, match="0 < delta < 1 < L"):
-            entropy_FLdelta(1.0, L, delta)
+            entropy_FLdelta(1.0, CutoffParams(L, delta))
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +265,8 @@ def edge_coefficient(a, c, L, delta):
     a, c = np.atleast_1d(a), np.atleast_1d(c)
     n = a.size
     return secant_cutoff_coefficient(np.concatenate([a, c]),
-                                     GatherEdges(np.arange(n), np.arange(n, 2 * n)), L, delta)
+                                     GatherEdges(np.arange(n), np.arange(n, 2 * n)),
+                                     CutoffParams(L, delta))
 
 
 def test_secant_coefficient_chain_rule_exact():
@@ -259,8 +277,8 @@ def test_secant_coefficient_chain_rule_exact():
     c = rng.uniform(1e-6, 8.0, size=200)
     L, delta = 5.0, 1e-4
     coeff = edge_coefficient(a, c, L, delta)
-    d1a = entropy_FLdelta(a, L, delta)[1]
-    d1c = entropy_FLdelta(c, L, delta)[1]
+    d1a = entropy_FLdelta(a, CutoffParams(L, delta))[1]
+    d1c = entropy_FLdelta(c, CutoffParams(L, delta))[1]
     np.testing.assert_allclose(coeff * (d1c - d1a), c - a, atol=1e-10)
 
 
@@ -270,7 +288,7 @@ def test_secant_coefficient_gathers_node_field_per_edge():
     rng = np.random.default_rng(3)
     psi = rng.uniform(-0.5, 8.0, size=(4, 3))
     ea, eb = np.array([0, 1, 2]), np.array([1, 2, 0])
-    coeff = secant_cutoff_coefficient(psi, GatherEdges(ea, eb), 5.0, 1e-4)
+    coeff = secant_cutoff_coefficient(psi, GatherEdges(ea, eb), CutoffParams(5.0, 1e-4))
     assert coeff.shape == (4, 3)
     for row, p in zip(coeff, psi):
         np.testing.assert_array_equal(row, edge_coefficient(p[ea], p[eb], 5.0, 1e-4))
@@ -310,9 +328,10 @@ def test_entropy_and_secant_match_routed_reference_bitwise(grid16):
     a, c = psi[:, ea], psi[:, eb]
     mid = 0.5 * (a + c)
     assert np.any((a == c) & (mid < delta)) and np.any((a == c) & (mid > L))
-    for got, want in zip(entropy_FLdelta(psi, L, delta), routed_FLdelta(psi, L, delta)):
+    got = entropy_FLdelta(psi, CutoffParams(L, delta))
+    for got, want in zip(got, routed_FLdelta(psi, L, delta)):
         assert got.tobytes() == want.tobytes()
-    got = secant_cutoff_coefficient(psi, grid16, L, delta)
+    got = secant_cutoff_coefficient(psi, grid16, CutoffParams(L, delta))
     assert got.tobytes() == routed_secant_coefficient(psi, ea, eb, L, delta).tobytes()
 
 
@@ -320,18 +339,18 @@ def test_entropy_and_secant_match_routed_reference_bitwise(grid16):
 @given(s=st.floats(0.0, 50.0), t=st.floats(0.0, 50.0))
 def test_entropy_FLdelta_is_convex(s, t):
     # monotone first derivative is the workable convexity statement here
-    d1s = float(entropy_FLdelta(s, 5.0, 1e-4)[1])
-    d1t = float(entropy_FLdelta(t, 5.0, 1e-4)[1])
+    d1s = float(entropy_FLdelta(s, CutoffParams(5.0, 1e-4))[1])
+    d1t = float(entropy_FLdelta(t, CutoffParams(5.0, 1e-4))[1])
     if s < t:
         assert d1s <= d1t + 1e-12
-    val = float(entropy_FLdelta(s, 5.0, 1e-4)[0])
+    val = float(entropy_FLdelta(s, CutoffParams(5.0, 1e-4))[0])
     assert val >= -1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(s=st.floats(0.0, 100.0))
 def test_entropy_F_nonnegative(s):
-    assert float(entropy_F(s)[0]) >= -1e-15
+    assert float(entropy_F(s)) >= -1e-15
 
 
 def test_entropy_F_is_cancellation_free_near_one():
@@ -342,5 +361,5 @@ def test_entropy_F_is_cancellation_free_near_one():
     s = 1.0 + np.concatenate([mags, -mags])
     d = s - 1.0
     series = d * d / 2.0 - d ** 3 / 6.0 + d ** 4 / 12.0
-    err = np.abs(entropy_F(s)[0] - series)
+    err = np.abs(entropy_F(s) - series)
     assert np.all(err <= 4e-16 * np.abs(d))

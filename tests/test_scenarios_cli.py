@@ -18,6 +18,8 @@ from feneflow import (
     ConfigError,
     EnergyLedger,
     RunConfig,
+    build_config_grid,
+    build_flow_grid,
     emit_config,
     parse_config,
     run_scenario,
@@ -297,9 +299,10 @@ def test_run_builds_the_eigenbasis_once(monkeypatch):
 
 def test_run_evaluates_each_observable_once_per_state(monkeypatch):
     # 5 steps recorded every step: smoothing takes the raw entropy (which is
-    # also the data majorant's) and the smoothed entropy and Fisher terms;
-    # then each of the 6 states gets one entropy and one Fisher evaluation,
-    # shared by the history sums and the ledger row
+    # also the data majorant's) and the smoothed entropy and Fisher terms,
+    # which ledger row 0 reuses; then each of the 5 stepped states gets one
+    # entropy and one Fisher evaluation, shared by the history sums and the
+    # ledger row
     import feneflow.diagnostics as dg
 
     counts = {}
@@ -316,7 +319,36 @@ def test_run_evaluates_each_observable_once_per_state(monkeypatch):
         monkeypatch.setattr(dg, name, counting(name))
     result = run_scenario(tiny("decay", record_every=1))
     assert result.n_steps == 5
-    assert counts == {"fisher_x": 7, "fisher_q": 7, "relative_entropy": 8}
+    assert counts == {"fisher_x": 6, "fisher_q": 6, "relative_entropy": 7}
+
+
+def test_ledger_row_zero_is_the_smoothing_evaluation(monkeypatch):
+    # row 0 holds the smoothed density's entropy and Fisher terms as the
+    # smoothing step computed them, bit for bit equal to evaluating them
+    # afresh on the smoothed density
+    import feneflow.diagnostics as dg
+    import feneflow.scenarios as scenarios
+
+    smoothed = []
+    smooth = scenarios.smooth_initial_density
+
+    def keeping(*args):
+        smoothed.append(smooth(*args))
+        return smoothed[-1]
+
+    monkeypatch.setattr(scenarios, "smooth_initial_density", keeping)
+    cfg = tiny("decay")
+    result = run_scenario(cfg)
+    [(psi0, rep)] = smoothed
+    assert rep is result.smoothing
+    fg = build_flow_grid(cfg.N_x, side=cfg.side)
+    grid = build_config_grid(cfg.b, cfg.N_r, cfg.N_theta)
+    row = result.ledger.rows[0]
+    got = (row["entropy"], row["fisher_x"], row["fisher_q"])
+    assert got == (rep.entropy_after, rep.fisher_x, rep.fisher_q)
+    assert got == (dg.relative_entropy(fg, grid, psi0), dg.fisher_x(fg, grid, psi0),
+                   dg.fisher_q(fg, grid, psi0))
+    assert min(got) > 0.0
 
 
 # --------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_density_equation_residual(small, rng):
     flow, ops, params, stepper = small
     u = project_divergence_free(flow, rng.standard_normal(flow.n_u + flow.n_v))
     psi_prev = 1.0 + 0.4 * rng.random((flow.n_c, ops.grid.n_nodes))
-    psi_new = stepper.fokker_planck_step(psi_prev, u, u)
+    psi_new = stepper.fokker_planck_step(psi_prev, u, u, psi_prev)
     rho_prev = psi_prev @ ops.grid.w
     rho_new = psi_new @ ops.grid.w
     h2 = flow.h**2
@@ -104,7 +104,8 @@ def test_uniform_density_is_transparent_to_flow(small, rng):
     # rho == 1 solves its own equation for any divergence-free transport
     flow, ops, _, stepper = small
     u = project_divergence_free(flow, rng.standard_normal(flow.n_u + flow.n_v))
-    psi_new = stepper.fokker_planck_step(np.ones((flow.n_c, ops.grid.n_nodes)), u, u)
+    ones = np.ones((flow.n_c, ops.grid.n_nodes))
+    psi_new = stepper.fokker_planck_step(ones, u, u, ones)
     rho = psi_new @ ops.grid.w
     assert np.abs(rho - 1.0).max() <= 1e-8
 
@@ -136,8 +137,7 @@ def test_density_stays_essentially_nonnegative(small, rng):
 def free_energy_of(flow, ops, state, k, cutoff=None):
     # F^L_delta with a cut-off pair, F without
     psi = np.maximum(state.psi, 0.0)
-    ent_nodes = (entropy_F(psi) if cutoff is None
-                 else entropy_FLdelta(psi, cutoff.L, cutoff.delta))[0]
+    ent_nodes = entropy_F(psi) if cutoff is None else entropy_FLdelta(psi, cutoff)[0]
     ent = flow.h**2 * float((ent_nodes @ ops.grid.w).sum())
     return flow.norm_sq(state.u) + 2.0 * k * ent
 
@@ -454,7 +454,7 @@ def test_non_finite_input_is_detected(small):
     psi[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         stepper.fokker_planck_step(psi, np.zeros(flow.n_u + flow.n_v),
-                                   np.zeros(flow.n_u + flow.n_v))
+                                   np.zeros(flow.n_u + flow.n_v), psi)
     # a NaN in the forcing is reported by the momentum solve it enters, not
     # by the density solve that consumes the resulting velocity
     f = np.zeros(flow.n_u + flow.n_v)
