@@ -28,19 +28,26 @@ in the eigenbasis of the mass-weighted configuration stiffness, which
 angle times one radial eigenbasis per angular wavenumber, computed once per
 grid): the monolithic system splits into one x-system per configuration
 eigenmode, and neither the full operator nor the dense configuration
-stiffness is ever formed.  ``K_x`` is kept as its five-point stencil,
-written straight from the face velocities and applied by slices of the
-``(N, N, n_modes)`` cell layout.  All modes are solved at once by
-preconditioned Richardson iteration: every term but the upwind transport is
-diagonal in DCT-II along both cell axes times the configuration eigenbasis
-(fast diagonalization), so the preconditioner is a diagonal scaling between
-two small DCT matmuls.
-The iteration starts from the previous fixed-point iterate and stops at a
-max-norm residual of ``1e-14`` of the right-hand side's, or of the rounding
-floor ``4 eps_mach (1 + 8 diffusion / mass)`` if larger; one that has not
-converged after 30 residuals (transport far beyond a cell per step) falls
-back to one direct LAPACK ``dgbsv`` per mode on the band of ``K_x``.  The
-smoothing step has no transport: its exact solve is one ``P^{-1}``.
+stiffness is ever formed.
+
+Every sweep of a step transports by the same velocity, so each coupled
+step builds one density operator for all its sweeps: ``K_x`` as a CSR
+matrix on the cells, filled from its five-point stencil, which is written
+straight from the face velocities.  All modes are solved at once by
+preconditioned Richardson iteration, one sparse product ``K_x X`` per
+residual.  Every term but the upwind transport is diagonal in DCT-II along
+both cell axes times the configuration eigenbasis (fast diagonalization),
+so the preconditioner is a diagonal scaling between two small DCT matmuls;
+the scaling depends on run constants only, and the stepper computes it
+once.  A step's first solve starts from the previous step's density; each
+later sweep's solve starts from the converged mode coefficients of the one
+before, with its first residual carried over rather than recomputed.  The
+iteration stops at a max-norm residual of ``1e-14`` of the right-hand
+side's, or of the rounding floor ``4 eps_mach (1 + 8 diffusion / mass)`` if
+larger; one that has not converged after 30 residuals (transport far
+beyond a cell per step) falls back to one direct LAPACK ``dgbsv`` per mode
+on the band of ``K_x``, and the next sweep starts afresh.  The smoothing
+step has no transport: its exact solve is one ``P^{-1}``.
 """
 
 from __future__ import annotations
@@ -211,16 +218,32 @@ def _transport_band(grid: FlowGrid, u: np.ndarray, diffusion: float,
     return ab
 
 
-def _transport_apply(stencil, X: np.ndarray) -> np.ndarray:
-    """``K_x X`` for ``X`` of shape ``(N, N, n)``, one column per trailing
-    index, by slices of the cell layout."""
-    diag, sub_x, sup_x, sub_y, sup_y = (c[..., None] for c in stencil)
-    out = diag * X
-    out[1:] += sub_x * X[:-1]
-    out[:-1] += sup_x * X[1:]
-    out[:, 1:] += sub_y * X[:, :-1]
-    out[:, :-1] += sup_y * X[:, 1:]
-    return out
+def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
+                   mass: float) -> sp.csr_matrix:
+    """:func:`_transport_stencil`'s ``K_x`` as a CSR matrix on the cells
+    ``i N + j``.
+
+    Row ``(i, j)`` holds its neighbours in column order ``(i-1, j)``,
+    ``(i, j-1)``, ``(i, j)``, ``(i, j+1)``, ``(i+1, j)``, those outside the
+    walls left out.  The stencil is written into five slots per cell and
+    the in-wall slots are gathered into the data array, so ``K_x X`` is
+    one pass per nonzero.
+    """
+    N = grid.N
+    diag, sub_x, sup_x, sub_y, sup_y = _transport_stencil(grid, u, diffusion, mass)
+    slots = np.zeros((N, N, 5))
+    slots[1:, :, 0] = sub_x
+    slots[:, 1:, 1] = sub_y
+    slots[:, :, 2] = diag
+    slots[:, :-1, 3] = sup_y
+    slots[:-1, :, 4] = sup_x
+    inside = np.ones((N, N, 5), dtype=bool)
+    inside[0, :, 0] = inside[:, 0, 1] = inside[:, -1, 3] = inside[-1, :, 4] = False
+    columns = np.arange(grid.n_c).reshape(N, N, 1) + np.array([-N, -1, 0, 1, N])
+    indptr = np.zeros(grid.n_c + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(inside.sum(axis=2))
+    return sp.csr_matrix((slots[inside], columns[inside].astype(np.int32), indptr),
+                         shape=(grid.n_c, grid.n_c))
 
 
 def _cell_dct(N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -233,10 +256,12 @@ def _cell_dct(N: int) -> Tuple[np.ndarray, np.ndarray]:
     return C, 2.0 - 2.0 * np.cos((math.pi / N) * k)
 
 
-def _along_cells(C: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``C`` applied along both cell axes of ``X`` (shape ``(N, N, n)``)."""
+def _along_cells(C: np.ndarray, X: np.ndarray, work: np.ndarray) -> None:
+    """Overwrite ``X`` (shape ``(n_c, n)``, cells row-major) with ``C``
+    applied along both cell axes; ``work`` (same shape) is scratch."""
     N = C.shape[0]
-    return np.matmul(C, (C @ X.reshape(N, -1)).reshape(X.shape))
+    np.matmul(C, X.reshape(N, -1), out=work.reshape(N, -1))
+    np.matmul(C, work.reshape(N, N, -1), out=X.reshape(N, N, -1))
 
 
 # --------------------------------------------------------------------------
@@ -248,51 +273,119 @@ _RESIDUAL_RTOL = 1.0e-14
 
 
 def _fast_inverse(grid: FlowGrid, diffusion: float, mass: float, shifts: np.ndarray):
-    """``P^{-1}`` on mode coefficients ``(N, N, n_modes)``, ``P = mass +
+    """``P^{-1}`` on mode coefficients ``(n_c, n_modes)``, ``P = mass +
     diffusion S_cell + diag(shifts)``.  ``P = mass + diffusion (mu_a + mu_b) +
     shifts[j]`` in DCT-II along both cell axes (fast diagonalization), so
-    ``P^{-1}`` costs four small matmuls, and it conserves mass."""
+    ``P^{-1}`` costs four small matmuls, and it conserves mass.
+
+    The DCT matrix and the scaling are computed here, once; the returned
+    ``precondition(R, work)`` overwrites ``R`` with ``P^{-1} R``, using
+    ``work`` (same shape) as scratch, and returns it."""
     C, mu = _cell_dct(grid.N)
     inv_p = 1.0 / ((mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None] + shifts)
-    return lambda R: _along_cells(C.T, _along_cells(C, R) * inv_p)
+    inv_p = inv_p.reshape(grid.n_c, -1)
+
+    def precondition(R: np.ndarray, work: np.ndarray) -> np.ndarray:
+        _along_cells(C, R, work)
+        R *= inv_p
+        _along_cells(C.T, R, work)
+        return R
+
+    return precondition
+
+
+def _residual(K: sp.csr_matrix, shifts: np.ndarray, X: np.ndarray, B: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """``B - (K_x X + X diag(shifts))`` in a new array, for mode
+    coefficients ``X`` of shape ``(n_c, n_modes)``; ``work`` is scratch."""
+    R = K @ X
+    R += np.multiply(X, shifts, out=work)
+    return np.subtract(B, R, out=R)
+
+
+class _DensityOperator:
+    """``Kx Psi M_q + shift_scale * Psi S_q`` for one transport velocity,
+    ``Kx`` being :func:`_transport_csr`'s operator, and its solve.
+
+    Built once per coupled step (the transport velocity is the previous
+    step's for every sweep) and once per direct :func:`_density_solve`.
+    ``precondition`` is :func:`_fast_inverse` for the same ``diffusion``,
+    ``mass`` and shifts; it depends on run constants only, so the stepper
+    builds it once.
+    """
+
+    def __init__(self, grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
+                 shift_scale: float, ops: ConfigOperators, precondition):
+        self.grid, self.u, self.diffusion, self.mass = grid, u, diffusion, mass
+        self.shift_scale, self.ops, self.precondition = shift_scale, ops, precondition
+        self.K = _transport_csr(grid, u, diffusion, mass)
+        self.shifts = shift_scale * ops.evals
+        self.rtol = max(_RESIDUAL_RTOL,
+                        4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass))
+        # (last solution returned, its mode coefficients X, its R - B)
+        self._carry = None
+
+    def solve(self, rhs_nodal: np.ndarray, guess_nodal: np.ndarray) -> np.ndarray:
+        """Solve for nodal ``Psi`` with right-hand side ``rhs_nodal``.
+
+        In the configuration eigenbasis mode ``j`` is ``(Kx + shift_scale *
+        evals[j] I) X_j = B_j``.  All modes are iterated at once, ``X <- X +
+        P^{-1} R`` with ``R = B - K X``; ``P`` drops the upwind part of
+        ``Kx``, whose columns sum to zero, so every update conserves mass
+        to rounding.
+
+        The iteration starts from the mode coefficients of ``guess_nodal``.
+        When ``guess_nodal`` is the very array the previous solve returned,
+        as in the coupled step's sweeps, it starts instead from that
+        solve's converged ``X`` and takes its first residual as ``B +
+        (R_prev - B_prev)``, which equals ``B - K X`` in exact arithmetic:
+        no ``to_modes`` of the guess and no product.
+
+        The iteration stops when the max-norm residual is at most
+        ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
+        the second term being the residual's rounding floor.  One that has
+        not got there after ``_MAX_ITERATIONS`` residuals (strong upwinding,
+        cell CFL >> 1) is abandoned for the direct :func:`_kron_solve`, and
+        the next solve starts from its guess.
+        """
+        ops = self.ops
+        B = ops.to_modes(rhs_nodal)
+        tol = self.rtol * np.abs(B).max()
+        carry, self._carry = self._carry, None
+        if carry is not None and carry[0] is guess_nodal:
+            _, X, R = carry
+            R += B
+        else:
+            X, R = ops.to_modes(guess_nodal * ops.grid.w[None, :]), None
+        work = np.empty_like(B)
+        for _ in range(_MAX_ITERATIONS):
+            if R is None:
+                R = _residual(self.K, self.shifts, X, B, work)
+            if np.abs(R).max() <= tol:
+                out = ops.to_nodes(X)
+                self._carry = (out, X, np.subtract(R, B, out=R))
+                return out
+            X += self.precondition(R, work)
+            R = None
+        return _kron_solve(_transport_band(self.grid, self.u, self.diffusion, self.mass),
+                           self.shift_scale, ops, rhs_nodal)
 
 
 def _density_solve(grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
                    shift_scale: float, ops: ConfigOperators, rhs_nodal: np.ndarray,
                    guess_nodal: np.ndarray) -> np.ndarray:
-    """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``,
-    ``Kx`` being :func:`_transport_stencil`'s operator.
+    """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``
+    once, iterating from ``guess_nodal``.
 
-    In the configuration eigenbasis mode ``j`` is ``(Kx + shift_scale *
-    evals[j] I) X_j = B_j``.  All modes are iterated at once,
-    ``X <- X + P^{-1} (B - K X)``, from the mode coefficients of
-    ``guess_nodal``.  ``P`` (:func:`_fast_inverse`) drops the upwind part
-    of ``Kx``; the columns of ``Adv`` sum to zero, so every update
-    conserves mass to rounding.
-
-    The iteration stops when the max-norm residual is at most
-    ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
-    the second term being the residual's rounding floor.  An iteration
-    that has not got there after ``_MAX_ITERATIONS`` residuals (strong
-    upwinding, cell CFL >> 1) is abandoned for the direct
-    :func:`_kron_solve`.
+    Builds what :meth:`CoupledStepper.coupled_step` builds once per step
+    (the CSR ``Kx`` of :class:`_DensityOperator`) and once per stepper (the
+    :func:`_fast_inverse` scaling) for this one solve, so nothing carries
+    over to another call; the iteration, its stop rule and its fallback are
+    those of :meth:`_DensityOperator.solve`.
     """
-    N = grid.N
-    stencil = _transport_stencil(grid, u, diffusion, mass)
-    shifts = shift_scale * ops.evals
-    precondition = _fast_inverse(grid, diffusion, mass, shifts)
-    B = ops.to_modes(rhs_nodal).reshape(N, N, -1)
-    X = ops.to_modes(guess_nodal * ops.grid.w[None, :]).reshape(B.shape)
-    floor = 4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass)
-    tol = max(_RESIDUAL_RTOL, floor) * np.abs(B).max()
-    for _ in range(_MAX_ITERATIONS):
-        R = _transport_apply(stencil, X)
-        R += shifts * X
-        np.subtract(B, R, out=R)
-        if np.abs(R).max() <= tol:
-            return ops.to_nodes(X.reshape(grid.n_c, -1))
-        X += precondition(R)
-    return _kron_solve(_transport_band(grid, u, diffusion, mass), shift_scale, ops, rhs_nodal)
+    precondition = _fast_inverse(grid, diffusion, mass, shift_scale * ops.evals)
+    return _DensityOperator(grid, u, diffusion, mass, shift_scale, ops,
+                            precondition).solve(rhs_nodal, guess_nodal)
 
 
 def _kron_solve(ab: np.ndarray, shift_scale: float, ops: ConfigOperators,
@@ -338,6 +431,9 @@ class CoupledStepper:
         # coefficient of the configuration diffusion, A_11 / (2 lam) with the
         # dumbbell Rouse matrix A = [1]
         self._cq = 1.0 / (2.0 * params.lam)
+        h2 = flow.h * flow.h
+        self._precondition = _fast_inverse(flow, params.eps, h2 / params.dt,
+                                           self._cq * h2 * ops.evals)
 
     # ---- norms ------------------------------------------------------------
 
@@ -403,21 +499,33 @@ class CoupledStepper:
         c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff)
         return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
+    def density_operator(self, u_transport: np.ndarray) -> _DensityOperator:
+        """The density solve's operator for transport by ``u_transport``,
+        with the stepper's preconditioner."""
+        h2 = self.flow.h * self.flow.h
+        return _DensityOperator(self.flow, np.asarray(u_transport, dtype=float),
+                                self.params.eps, h2 / self.params.dt, self._cq * h2,
+                                self.ops, self._precondition)
+
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
-                           u_transport: np.ndarray, coeff_field: np.ndarray) -> np.ndarray:
+                           u_transport: np.ndarray, coeff_field: np.ndarray,
+                           operator: Optional[_DensityOperator] = None) -> np.ndarray:
         """One implicit density solve.
 
         Transport (upwind) uses ``u_transport`` (previous macro step);
         drag uses the gradient of ``u_candidate`` (current candidate) with
         the truncated coefficient evaluated on ``coeff_field`` (previous
         fixed-point iterate), which also starts the iteration.
+        ``operator`` is ``density_operator(u_transport)``, built here when
+        not given; the coupled step passes one for all its sweeps.
         """
         fg = self.flow
         h2 = fg.h * fg.h
         rhs = (h2 / self.params.dt) * psi_prev * self.ops.grid.w[None, :]
         rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
-        out = _density_solve(fg, np.asarray(u_transport, dtype=float), self.params.eps,
-                             h2 / self.params.dt, self._cq * h2, self.ops, rhs, coeff_field)
+        if operator is None:
+            operator = self.density_operator(u_transport)
+        out = operator.solve(rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
         return out
@@ -435,6 +543,7 @@ class CoupledStepper:
         """
         p = self.params
         solve = self._momentum_solver(state.u)
+        operator = self.density_operator(state.u)
         u_it = state.u
         psi_it = state.psi
         floor = max(math.sqrt(self.flow.norm_sq(state.u)
@@ -442,7 +551,8 @@ class CoupledStepper:
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
             u_star = self._momentum_solve(solve, state.u, psi_it, f)
-            psi_star = self.fokker_planck_step(state.psi, u_star, state.u, coeff_field=psi_it)
+            psi_star = self.fokker_planck_step(state.psi, u_star, state.u, coeff_field=psi_it,
+                                               operator=operator)
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
             # not be judged relative to itself (the ratio of two noise vectors
@@ -497,9 +607,9 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
 
     h2 = flow.h * flow.h
     m = ops.grid.w
-    rhs = ops.to_modes((h2 / dt) * zeta0 * m[None, :]).reshape(flow.N, flow.N, -1)
-    zeta1 = ops.to_nodes(_fast_inverse(flow, 1.0, h2 / dt, h2 * ops.evals)(rhs)
-                         .reshape(flow.n_c, -1))
+    rhs = ops.to_modes((h2 / dt) * zeta0 * m[None, :])
+    zeta1 = ops.to_nodes(_fast_inverse(flow, 1.0, h2 / dt, h2 * ops.evals)(
+        rhs, np.empty_like(rhs)))
 
     # checked before the entropy and Fisher terms, which reject densities
     # below -SMOOTHING_SLACK themselves

@@ -31,8 +31,7 @@ from feneflow import (
     spectral_gap,
 )
 from feneflow import stepping
-from feneflow.stepping import (_density_solve, _kron_solve, _transport_apply, _transport_band,
-                               _transport_stencil)
+from feneflow.stepping import _density_solve, _kron_solve, _transport_band
 from edge_reference import DenseBasis, csr_weighted_stiffness
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
@@ -284,20 +283,19 @@ def test_kron_solve_names_a_singular_mode(small, rng):
         _kron_solve(ab, stepper._cq * flow.h ** 2, ops, R)
 
 
-def test_transport_apply_matches_reference_matrix(small, rng):
-    # K_x X taken by slices of the (N, N, n) layout is the assembled CSR
-    # reference applied column by column, for zero, projected and random
-    # (not divergence-free) face velocities
-    flow, ops, params, _ = small
-    N, n = flow.N, flow.n_u + flow.n_v
+def test_transport_csr_matches_reference_matrix(small, rng):
+    # the stepper's per-step CSR K_x, applied to all modes at once, is the
+    # assembled CSR reference applied column by column, for zero, projected
+    # and random (not divergence-free) face velocities
+    flow, ops, params, stepper = small
+    n = flow.n_u + flow.n_v
     h2 = flow.h * flow.h
     X = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n)),
               rng.standard_normal(n)):
-        got = _transport_apply(_transport_stencil(flow, u, params.eps, h2 / params.dt),
-                               X.reshape(N, N, -1))
+        got = stepper.density_operator(u).K @ X
         want = transport_matrix(flow, u, params.eps, h2 / params.dt) @ X
-        assert np.abs(got.reshape(want.shape) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def count_fallbacks(monkeypatch):
@@ -309,6 +307,19 @@ def count_fallbacks(monkeypatch):
         return _kron_solve(*args)
 
     monkeypatch.setattr(stepping, "_kron_solve", spy)
+    return calls
+
+
+def count_residuals(monkeypatch):
+    """Spy on the iteration's residual products."""
+    calls = []
+    residual = stepping._residual
+
+    def spy(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(stepping, "_residual", spy)
     return calls
 
 
@@ -429,18 +440,71 @@ def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch
     h2 = flow.h * flow.h
     mass, shift_scale = h2 / params.dt, stepper._cq * h2
     R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-    residuals = []
-
-    def counted(*args):
-        residuals.append(1)
-        return _transport_apply(*args)
-
-    monkeypatch.setattr(stepping, "_transport_apply", counted)
+    residuals = count_residuals(monkeypatch)
     fallbacks = count_fallbacks(monkeypatch)
     got = _density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
     assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
     want = _kron_solve(_transport_band(flow, u, params.eps, mass), shift_scale, ops, R)
     assert got.tobytes() == want.tobytes()
+
+
+def test_density_operator_carries_its_iterate_across_sweeps(small, rng, monkeypatch):
+    # one step's operator through right-hand sides that change like a coupled
+    # step's sweeps, each solve started from the previous one's answer: every
+    # answer is the direct solve's and keeps the mass.  A solve after one
+    # that converged needs no to_modes of its guess; a forced fallback in the
+    # middle leaves the next solve to start afresh from its guess
+    flow, ops, params, stepper = small
+    n = flow.n_u + flow.n_v
+    u = project_divergence_free(flow, rng.standard_normal(n))
+    h2 = flow.h * flow.h
+    mass, shift_scale = h2 / params.dt, stepper._cq * h2
+    ab = _transport_band(flow, u, params.eps, mass)
+    operator = stepper.density_operator(u)
+    base = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
+    drag = rng.standard_normal(base.shape) * ops.grid.w
+    to_modes, transforms = type(ops).to_modes, []
+    monkeypatch.setattr(type(ops), "to_modes",
+                        lambda self, R: transforms.append(1) or to_modes(self, R))
+    fallbacks = count_fallbacks(monkeypatch)
+    guess, counts = base / (mass * ops.grid.w), []
+    for sweep in range(6):
+        if sweep == 3:
+            monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 0)
+        R = base + 10.0 ** -sweep * drag
+        del transforms[:]
+        got = operator.solve(R, guess)
+        counts.append(len(transforms))
+        monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 30)
+        want = _kron_solve(ab, shift_scale, ops, R)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        total = mass * float((got @ ops.grid.w).sum())
+        assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
+        guess = got
+    assert len(fallbacks) == 1
+    # to_modes of B and of a fresh guess; of B alone when carried; of B and
+    # inside the fallback's _kron_solve at sweep 3
+    assert counts == [2, 1, 1, 2, 2, 1]
+
+
+def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, monkeypatch):
+    # the stencil of K_x is written once per coupled step whatever its sweep
+    # count, and the fast-diagonalization scaling once per stepper
+    flow, ops, params, _ = small
+    stencils, scalings = [], []
+    stencil, fast_inverse = stepping._transport_stencil, stepping._fast_inverse
+    monkeypatch.setattr(stepping, "_transport_stencil",
+                        lambda *args: stencils.append(1) or stencil(*args))
+    monkeypatch.setattr(stepping, "_fast_inverse",
+                        lambda *args: scalings.append(1) or fast_inverse(*args))
+    fallbacks = count_fallbacks(monkeypatch)
+    stepper = CoupledStepper(flow, ops, params)
+    state, sweeps = perturbed_state(flow, ops, rng), []
+    for _ in range(2):
+        state, report = stepper.coupled_step(state)
+        sweeps.append(report.iterations)
+    assert min(sweeps) > 1 and fallbacks == []
+    assert len(stencils) == 2 and len(scalings) == 1
 
 
 # --------------------------------------------------------------------------
