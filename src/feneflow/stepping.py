@@ -336,8 +336,8 @@ class _DensityOperator:
 
         The iteration starts from the mode coefficients of ``guess_nodal``.
         When ``guess_nodal`` is the very array the previous solve returned,
-        as in the coupled step's sweeps, it starts instead from that
-        solve's converged ``X`` and takes its first residual as ``B +
+        unmodified, as in the coupled step's sweeps, it starts instead from
+        that solve's converged ``X`` and takes its first residual as ``B +
         (R_prev - B_prev)``, which equals ``B - K X`` in exact arithmetic:
         no ``to_modes`` of the guess and no product.
 
