@@ -39,15 +39,13 @@ residual.  Every term but the upwind transport is diagonal in DCT-II along
 both cell axes times the configuration eigenbasis (fast diagonalization),
 so the preconditioner is a diagonal scaling between two small DCT matmuls;
 the scaling depends on run constants only, and the stepper computes it
-once.  A step's first solve starts from the previous step's density; each
-later sweep's solve starts from the converged mode coefficients of the one
-before, with its first residual carried over rather than recomputed.  The
+once.  Each solve starts from the previous fixed-point iterate.  The
 iteration stops at a max-norm residual of ``1e-14`` of the right-hand
 side's, or of the rounding floor ``4 eps_mach (1 + 8 diffusion / mass)`` if
 larger; one that has not converged after 30 residuals (transport far
 beyond a cell per step) falls back to one direct LAPACK ``dgbsv`` per mode
-on the band of ``K_x``, and the next sweep starts afresh.  The smoothing
-step has no transport: its exact solve is one ``P^{-1}``.
+on the band of ``K_x``.  The smoothing step has no transport: its exact
+solve is one ``P^{-1}``.
 """
 
 from __future__ import annotations
@@ -307,11 +305,10 @@ class _DensityOperator:
     """``Kx Psi M_q + shift_scale * Psi S_q`` for one transport velocity,
     ``Kx`` being :func:`_transport_csr`'s operator, and its solve.
 
-    Built once per coupled step (the transport velocity is the previous
-    step's for every sweep) and once per direct :func:`_density_solve`.
-    ``precondition`` is :func:`_fast_inverse` for the same ``diffusion``,
-    ``mass`` and shifts; it depends on run constants only, so the stepper
-    builds it once.
+    Built once per coupled step, whose sweeps all transport by the previous
+    step's velocity.  ``precondition`` is :func:`_fast_inverse` for the
+    same ``diffusion``, ``mass`` and shifts; it depends on run constants
+    only, so the stepper builds it once.
     """
 
     def __init__(self, grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
@@ -322,8 +319,6 @@ class _DensityOperator:
         self.shifts = shift_scale * ops.evals
         self.rtol = max(_RESIDUAL_RTOL,
                         4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass))
-        # (last solution returned, its mode coefficients X, its R - B)
-        self._carry = None
 
     def solve(self, rhs_nodal: np.ndarray, guess_nodal: np.ndarray) -> np.ndarray:
         """Solve for nodal ``Psi`` with right-hand side ``rhs_nodal``.
@@ -334,65 +329,32 @@ class _DensityOperator:
         ``Kx``, whose columns sum to zero, so every update conserves mass
         to rounding.
 
-        The iteration starts from the mode coefficients of ``guess_nodal``.
-        When ``guess_nodal`` is the very array the previous solve returned,
-        unmodified, as in the coupled step's sweeps, it starts instead from
-        that solve's converged ``X`` and takes its first residual as ``B +
-        (R_prev - B_prev)``, which equals ``B - K X`` in exact arithmetic:
-        no ``to_modes`` of the guess and no product.
-
-        The iteration stops when the max-norm residual is at most
+        The iteration starts from the mode coefficients of ``guess_nodal``
+        and stops when the max-norm residual is at most
         ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
         the second term being the residual's rounding floor.  One that has
         not got there after ``_MAX_ITERATIONS`` residuals (strong upwinding,
-        cell CFL >> 1) is abandoned for the direct :func:`_kron_solve`, and
-        the next solve starts from its guess.
+        cell CFL >> 1) is abandoned for the direct :func:`_kron_solve`.
         """
         ops = self.ops
         B = ops.to_modes(rhs_nodal)
         tol = self.rtol * np.abs(B).max()
-        carry, self._carry = self._carry, None
-        if carry is not None and carry[0] is guess_nodal:
-            _, X, R = carry
-            R += B
-        else:
-            X, R = ops.to_modes(guess_nodal * ops.grid.w[None, :]), None
+        X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
         for _ in range(_MAX_ITERATIONS):
-            if R is None:
-                R = _residual(self.K, self.shifts, X, B, work)
+            R = _residual(self.K, self.shifts, X, B, work)
             if np.abs(R).max() <= tol:
-                out = ops.to_nodes(X)
-                self._carry = (out, X, np.subtract(R, B, out=R))
-                return out
+                return ops.to_nodes(X)
             X += self.precondition(R, work)
-            R = None
         return _kron_solve(_transport_band(self.grid, self.u, self.diffusion, self.mass),
                            self.shift_scale, ops, rhs_nodal)
 
 
-def _density_solve(grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
-                   shift_scale: float, ops: ConfigOperators, rhs_nodal: np.ndarray,
-                   guess_nodal: np.ndarray) -> np.ndarray:
-    """Solve ``Kx Psi M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``
-    once, iterating from ``guess_nodal``.
-
-    Builds what :meth:`CoupledStepper.coupled_step` builds once per step
-    (the CSR ``Kx`` of :class:`_DensityOperator`) and once per stepper (the
-    :func:`_fast_inverse` scaling) for this one solve, so nothing carries
-    over to another call; the iteration, its stop rule and its fallback are
-    those of :meth:`_DensityOperator.solve`.
-    """
-    precondition = _fast_inverse(grid, diffusion, mass, shift_scale * ops.evals)
-    return _DensityOperator(grid, u, diffusion, mass, shift_scale, ops,
-                            precondition).solve(rhs_nodal, guess_nodal)
-
-
 def _kron_solve(ab: np.ndarray, shift_scale: float, ops: ConfigOperators,
                 rhs_nodal: np.ndarray) -> np.ndarray:
-    """Direct fallback of :func:`_density_solve`: solve ``Kx Psi M_q +
-    shift_scale * Psi S_q = R`` for nodal ``Psi``, ``ab`` being the band of
-    ``Kx`` from :func:`_transport_band`.
+    """Direct fallback of :meth:`_DensityOperator.solve`: solve ``Kx Psi
+    M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``, ``ab`` being the
+    band of ``Kx`` from :func:`_transport_band`.
 
     Mode ``j`` is the banded system ``(Kx + shift_scale * evals[j] I) phi_j =
     r_j``.  Each mode copies the band into one work array, shifts the
@@ -508,23 +470,19 @@ class CoupledStepper:
                                 self.ops, self._precondition)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
-                           u_transport: np.ndarray, coeff_field: np.ndarray,
-                           operator: Optional[_DensityOperator] = None) -> np.ndarray:
+                           operator: _DensityOperator, coeff_field: np.ndarray) -> np.ndarray:
         """One implicit density solve.
 
-        Transport (upwind) uses ``u_transport`` (previous macro step);
-        drag uses the gradient of ``u_candidate`` (current candidate) with
-        the truncated coefficient evaluated on ``coeff_field`` (previous
-        fixed-point iterate), which also starts the iteration.
-        ``operator`` is ``density_operator(u_transport)``, built here when
-        not given; the coupled step passes one for all its sweeps.
+        Transport (upwind) is ``operator``'s, ``density_operator(u)`` of the
+        previous macro step's velocity, one for all sweeps of a coupled
+        step; drag uses the gradient of ``u_candidate`` (current candidate)
+        with the truncated coefficient evaluated on ``coeff_field``
+        (previous fixed-point iterate), which also starts the iteration.
         """
         fg = self.flow
         h2 = fg.h * fg.h
         rhs = (h2 / self.params.dt) * psi_prev * self.ops.grid.w[None, :]
         rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
-        if operator is None:
-            operator = self.density_operator(u_transport)
         out = operator.solve(rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
@@ -551,8 +509,7 @@ class CoupledStepper:
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
             u_star = self._momentum_solve(solve, state.u, psi_it, f)
-            psi_star = self.fokker_planck_step(state.psi, u_star, state.u, coeff_field=psi_it,
-                                               operator=operator)
+            psi_star = self.fokker_planck_step(state.psi, u_star, operator, coeff_field=psi_it)
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
             # not be judged relative to itself (the ratio of two noise vectors

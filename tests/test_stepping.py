@@ -31,7 +31,7 @@ from feneflow import (
     spectral_gap,
 )
 from feneflow import stepping
-from feneflow.stepping import _density_solve, _kron_solve, _transport_band
+from feneflow.stepping import _DensityOperator, _fast_inverse, _kron_solve, _transport_band
 from edge_reference import DenseBasis, csr_weighted_stiffness
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
@@ -90,7 +90,7 @@ def test_density_equation_residual(small, rng):
     flow, ops, params, stepper = small
     u = project_divergence_free(flow, rng.standard_normal(flow.n_u + flow.n_v))
     psi_prev = 1.0 + 0.4 * rng.random((flow.n_c, ops.grid.n_nodes))
-    psi_new = stepper.fokker_planck_step(psi_prev, u, u, psi_prev)
+    psi_new = stepper.fokker_planck_step(psi_prev, u, stepper.density_operator(u), psi_prev)
     rho_prev = psi_prev @ ops.grid.w
     rho_new = psi_new @ ops.grid.w
     h2 = flow.h**2
@@ -104,7 +104,7 @@ def test_uniform_density_is_transparent_to_flow(small, rng):
     flow, ops, _, stepper = small
     u = project_divergence_free(flow, rng.standard_normal(flow.n_u + flow.n_v))
     ones = np.ones((flow.n_c, ops.grid.n_nodes))
-    psi_new = stepper.fokker_planck_step(ones, u, u, ones)
+    psi_new = stepper.fokker_planck_step(ones, u, stepper.density_operator(u), ones)
     rho = psi_new @ ops.grid.w
     assert np.abs(rho - 1.0).max() <= 1e-8
 
@@ -298,6 +298,14 @@ def test_transport_csr_matches_reference_matrix(small, rng):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess):
+    """One solve of ``Kx Psi M_q + shift_scale * Psi S_q = R`` from
+    ``guess`` on an operator built for it alone."""
+    precondition = _fast_inverse(flow, diffusion, mass, shift_scale * ops.evals)
+    return _DensityOperator(flow, u, diffusion, mass, shift_scale, ops,
+                            precondition).solve(R, guess)
+
+
 def count_fallbacks(monkeypatch):
     """Spy on the direct solve the iteration falls back to."""
     calls = []
@@ -344,7 +352,7 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         want = _kron_solve(_transport_band(flow, u, diffusion, mass), shift_scale, ops, R)
         for guess in (np.zeros_like(R), want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
-            got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
+            got = density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
 
@@ -361,8 +369,8 @@ def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         ab = _transport_band(flow, u, diffusion, mass)
         want = _kron_solve(ab, shift_scale, dense, R)
-        for got in (_density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
-                                   np.zeros_like(R)),
+        for got in (density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
+                                  np.zeros_like(R)),
                     _kron_solve(ab, shift_scale, ops, R)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
@@ -383,8 +391,8 @@ def test_kernel_eigenpair_is_exact(rng):
     flow = build_flow_grid(6)
     mass = flow.h ** 2 / 0.01
     R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-    got = _density_solve(flow, np.zeros(flow.n_u + flow.n_v), 0.1, mass, flow.h ** 2, ops, R,
-                         np.zeros_like(R))
+    got = density_solve(flow, np.zeros(flow.n_u + flow.n_v), 0.1, mass, flow.h ** 2, ops, R,
+                        np.zeros_like(R))
     total = mass * float((got @ ops.grid.w).sum())
     assert abs(total - R.sum()) <= 1e-14 * abs(R.sum())
 
@@ -398,7 +406,7 @@ def test_density_solve_conserves_mass(small, rng, monkeypatch):
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
-        got = _density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
+        got = density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
         total = mass * float((got @ ops.grid.w).sum())
         assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
     assert fallbacks == []
@@ -423,7 +431,7 @@ def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
     for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n))):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
-        got = _density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
+        got = density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
         want = _kron_solve(_transport_band(flow, u, 1.0, mass), h2, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
@@ -442,18 +450,17 @@ def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch
     R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
     residuals = count_residuals(monkeypatch)
     fallbacks = count_fallbacks(monkeypatch)
-    got = _density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
+    got = density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
     assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
     want = _kron_solve(_transport_band(flow, u, params.eps, mass), shift_scale, ops, R)
     assert got.tobytes() == want.tobytes()
 
 
-def test_density_operator_carries_its_iterate_across_sweeps(small, rng, monkeypatch):
+def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
     # one step's operator through right-hand sides that change like a coupled
     # step's sweeps, each solve started from the previous one's answer: every
-    # answer is the direct solve's and keeps the mass.  A solve after one
-    # that converged needs no to_modes of its guess; a forced fallback in the
-    # middle leaves the next solve to start afresh from its guess
+    # answer is the direct solve's, keeps the mass and is bitwise that of an
+    # operator built for it alone, also after a forced fallback in the middle
     flow, ops, params, stepper = small
     n = flow.n_u + flow.n_v
     u = project_divergence_free(flow, rng.standard_normal(n))
@@ -463,28 +470,23 @@ def test_density_operator_carries_its_iterate_across_sweeps(small, rng, monkeypa
     operator = stepper.density_operator(u)
     base = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
     drag = rng.standard_normal(base.shape) * ops.grid.w
-    to_modes, transforms = type(ops).to_modes, []
-    monkeypatch.setattr(type(ops), "to_modes",
-                        lambda self, R: transforms.append(1) or to_modes(self, R))
     fallbacks = count_fallbacks(monkeypatch)
-    guess, counts = base / (mass * ops.grid.w), []
+    guess = base / (mass * ops.grid.w)
     for sweep in range(6):
         if sweep == 3:
             monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 0)
         R = base + 10.0 ** -sweep * drag
-        del transforms[:]
         got = operator.solve(R, guess)
-        counts.append(len(transforms))
+        fresh = stepper.density_operator(u).solve(R, guess)
         monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 30)
+        assert got.tobytes() == fresh.tobytes()
         want = _kron_solve(ab, shift_scale, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         total = mass * float((got @ ops.grid.w).sum())
         assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
         guess = got
-    assert len(fallbacks) == 1
-    # to_modes of B and of a fresh guess; of B alone when carried; of B and
-    # inside the fallback's _kron_solve at sweep 3
-    assert counts == [2, 1, 1, 2, 2, 1]
+    # the forced fallback ran for the reused and for the fresh operator
+    assert len(fallbacks) == 2
 
 
 def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, monkeypatch):
@@ -517,8 +519,8 @@ def test_non_finite_input_is_detected(small):
     psi = np.ones((flow.n_c, ops.grid.n_nodes))
     psi[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
-        stepper.fokker_planck_step(psi, np.zeros(flow.n_u + flow.n_v),
-                                   np.zeros(flow.n_u + flow.n_v), psi)
+        u = np.zeros(flow.n_u + flow.n_v)
+        stepper.fokker_planck_step(psi, u, stepper.density_operator(u), psi)
     # a NaN in the forcing is reported by the momentum solve it enters, not
     # by the density solve that consumes the resulting velocity
     f = np.zeros(flow.n_u + flow.n_v)
@@ -593,8 +595,7 @@ def test_smoothing_is_one_exact_solve(wide, monkeypatch):
     # nor the direct solve runs, and the output is the direct solve's
     flow, ops = wide
     fallbacks = count_fallbacks(monkeypatch)
-    iterations = []
-    monkeypatch.setattr(stepping, "_density_solve", lambda *args: iterations.append(args))
+    iterations = count_residuals(monkeypatch)
     dt, h2 = 0.01, flow.h ** 2
     psi0 = np.tile(1.0 + 0.1 * ops.grid.qx / math.sqrt(ops.grid.b), (flow.n_c, 1))
     zeta, _ = smooth_initial_density(flow, ops, psi0, dt=dt, clip_level=5.0)
