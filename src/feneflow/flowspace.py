@@ -1,16 +1,25 @@
 """Staggered-grid incompressible flow operators on the square ``(0, S)^2``.
 
 Velocity unknowns live on interior cell faces (MAC layout: x-velocity on
-vertical faces, y-velocity on horizontal faces), pressure on cell centres,
-with strong no-slip walls: normal boundary faces are identically zero and
-tangential wall values enter through ghost reflection.  The discrete
-divergence and gradient are exact negative adjoints under the uniform
-``h^2`` inner products, so pressure does no work on discretely
-divergence-free fields; convection is assembled in antisymmetrized form so
-the trilinear form is skew-symmetric to rounding; the viscous operator is
-symmetric positive definite and *defines* the discrete Dirichlet energy
-``|grad u|^2 = <K u, u>``.  Those three structural facts combine into an
-exact per-step kinetic-energy identity for the implicit momentum update.
+vertical faces, y-velocity on horizontal faces), with strong no-slip walls:
+normal boundary faces are identically zero and tangential wall values enter
+through ghost reflection.  The discrete divergence ``D`` maps faces to cell
+centres, and the discrete curl ``C`` maps a stream function on the interior
+grid nodes (zero on the walls) to faces.  ``D C = 0`` holds exactly, entry
+for entry, and with no-flux walls every discretely divergence-free velocity
+is ``u = C s`` for exactly one ``s`` (Nicolaides, SIAM J. Numer. Anal. 29,
+1992).  So a velocity update is solved in the stream-function basis, with
+no pressure at all (the null-space method, Benzi, Golub & Liesen, Acta
+Numerica 14, 2005, section 6): ``A u = r`` tested with every ``C t`` gives
+``C^T A C s = C^T r``.  Testing with the solution ``u = C s`` itself gives
+``u^T A u = u^T r`` exactly, which is the identity that the pressure's
+adjointness gave in the saddle-point form.
+
+Convection is assembled in antisymmetrized form, so the trilinear form is
+skew-symmetric to rounding.  The viscous operator is symmetric positive
+definite and *defines* the discrete Dirichlet energy
+``|grad u|^2 = <K u, u>``.  With ``D C = 0`` these combine into an exact
+per-step kinetic-energy identity for the implicit momentum update.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from typing import Callable, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "FlowGrid",
@@ -46,7 +57,8 @@ class FlowGrid:
         side: domain side length ``S``.
         n_u, n_v, n_c: unknown counts (x-faces, y-faces, cells).
         D: divergence, faces -> cells, entries ``+-1/h``.
-        G: gradient, cells -> faces, ``G = -D^T`` (exact adjoint).
+        curl: stream function on the ``(N-1)^2`` interior nodes -> faces,
+           entries ``+-1/h``; ``D @ curl`` has no stored entry.
         K: vector Dirichlet "stiffness" (minus Laplacian) on faces; SPD.
         T: tuple of four cell-tensor gradient maps (T_xx, T_xy, T_yx, T_yy)
            with ``T_xx u + T_yy v`` equal to the divergence row-for-row.
@@ -67,7 +79,7 @@ class FlowGrid:
     n_v: int
     n_c: int
     D: sp.csr_matrix
-    G: sp.csr_matrix
+    curl: sp.csr_matrix
     K: sp.csr_matrix
     T: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
     advection_stencils: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
@@ -79,6 +91,10 @@ class FlowGrid:
     @cached_property
     def _visc_lu(self):  # factored on first use by dual_norm_sq
         return spla.splu(self.K.tocsc())
+
+    @cached_property
+    def _curl_t(self) -> sp.csr_matrix:  # faces -> nodes, for stokes_solver
+        return self.curl.T.tocsr()
 
     # ---- inner products ---------------------------------------------------
 
@@ -152,8 +168,32 @@ def _second_difference(n: int, ghost: bool) -> sp.csr_matrix:
     return sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1], format="csr")
 
 
+def _curl(N: int, h: float) -> sp.csr_matrix:
+    """``(n_u + n_v, (N-1)^2)`` discrete curl of a stream function ``s`` on
+    the interior nodes ``((a+1) h, (b+1) h)``, numbered ``a (N-1) + b``, with
+    ``s = 0`` on the walls.  On the nodes ``s[p, q]`` at ``(p h, q h)``,
+    ``u[i, j] = (s[i+1, j+1] - s[i+1, j]) / h`` and
+    ``v[i, j] = -(s[i+1, j+1] - s[i, j+1]) / h``; a wall node's term is left
+    out.  Each cell's divergence then sums the four corner values of ``s``
+    once with each sign, so ``D C = 0`` exactly.
+    """
+    m = N - 1
+    n_u = m * N
+    i, j = np.divmod(np.arange(n_u), N)          # u faces (i, j)
+    a, b = np.divmod(np.arange(N * m), m)        # v faces (a, b)
+    up, down = j < m, j > 0                      # node (i, j), node (i, j-1)
+    right, left = a < m, a > 0                   # node (a, b), node (a-1, b)
+    rows = np.concatenate([np.flatnonzero(up), np.flatnonzero(down),
+                           n_u + np.flatnonzero(right), n_u + np.flatnonzero(left)])
+    cols = np.concatenate([(i * m + j)[up], (i * m + j - 1)[down],
+                           (a * m + b)[right], ((a - 1) * m + b)[left]])
+    sign = np.repeat([1.0, -1.0, -1.0, 1.0],
+                     [up.sum(), down.sum(), right.sum(), left.sum()])
+    return sp.csr_matrix((sign / h, (rows, cols)), shape=(2 * n_u, m * m))
+
+
 def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
-    """Assemble divergence/gradient/viscous/tensor-gradient operators.
+    """Assemble divergence/curl/viscous/tensor-gradient operators.
 
     Face arrays are ordered x-index-major: ``u`` faces as ``(N-1, N)``,
     ``v`` faces as ``(N, N-1)``, cells as ``(N, N)``, so each 2D operator
@@ -169,12 +209,11 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     zero_u, zero_v = sp.csr_matrix((n_c, n_u)), sp.csr_matrix((n_c, n_v))
 
     # divergence: each cell differences its east/west u faces and its
-    # north/south v faces; the gradient is its exact negative adjoint
+    # north/south v faces
     F = _face_difference(N)
     Du = sp.kron(F, I_c)
     Dv = sp.kron(I_c, F)
     D = _scaled(sp.hstack([Du, Dv]), h)
-    G = (-D.T).tocsr()
 
     # viscous (minus vector Laplacian): no-slip walls are zero normal faces
     # (Dirichlet) and ghost-reflected tangential values, u(-h/2) = -u(h/2)
@@ -205,7 +244,7 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
-        D=D, G=G, K=K, T=(Txx, Txy, Tyx, Tyy),
+        D=D, curl=_curl(N, h), K=K, T=(Txx, Txy, Tyx, Tyy),
         advection_stencils=advection_stencils,
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )
@@ -217,37 +256,43 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
 
 def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the saddle-point system of a velocity update
-    ``A u + h^2 G p = r``, ``h^2 D u = 0``, with the pressure gauge pinned
-    by one diagonal entry at cell 0:
+    """Factor the velocity update ``A u = r`` restricted to discretely
+    divergence-free ``u``, and return ``solve(r) -> u``.
 
-        [[A,      h^2 G          ],
-         [h^2 D,  h^2 e_0 e_0^T  ]]
+    ``A`` is the face operator already scaled by the ``h^2`` face measure.
+    The update is solved for the stream function: ``u = C s`` with
+    ``C^T A C s = C^T r``, where ``C`` is ``grid.curl``.  ``C^T A C`` is
+    nonsingular when the symmetric part of ``A`` is positive definite, as
+    it is for every caller, because ``C`` has full column rank.  ``D u = 0``
+    holds for every ``s``, since ``D C = 0``.
 
-    and return ``solve(r) -> u``.  ``A`` is the face operator already
-    scaled by the ``h^2`` face measure.  Every cell keeps its divergence
-    row.  With no-flux walls the rows of ``D`` sum to zero for every ``u``,
-    so summing the constraint rows gives ``p_0 = 0`` and then ``D u = 0``.
-    The system is nonsingular when the symmetric part of ``A`` is positive
-    definite, as it is for every caller.  Because ``G = -D^T``, the
-    pressure does no work on the divergence-free solution.
+    With the nodes numbered ``a (N-1) + b``, ``C^T A C`` is banded, with
+    half-bandwidth ``2 (N-1)`` for the viscous and convective stencils.  It
+    is factored by LAPACK ``dgbtrf`` (banded LU with partial pivoting), and
+    each solve is one ``dgbtrs``.
     """
-    n = grid.n_u + grid.n_v
-    h2 = grid.h * grid.h
-    gauge = sp.csr_matrix(([h2], ([0], [0])), shape=(grid.n_c, grid.n_c))
-    lu = spla.splu(sp.bmat([[A, h2 * grid.G], [h2 * grid.D, gauge]], format="csc"))
-    constraint_rhs = np.zeros(grid.n_c)
+    Ct = grid._curl_t
+    M = (Ct @ (A @ grid.curl)).tocoo()
+    offset = M.row - M.col
+    kl, ku = int(offset.max()), int(-offset.min())
+    ab = np.zeros((2 * kl + ku + 1, M.shape[0]), order="F")
+    ab[kl + ku + offset, M.col] = M.data
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise LinAlgError(f"stream-function solve: dgbtrf returned info={info} "
+                          f"({'singular matrix' if info > 0 else 'illegal argument'})")
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return lu.solve(np.concatenate([r, constraint_rhs]))[:n]
+        return grid.curl @ dgbtrs(lu, kl, ku, Ct @ r, piv)[0]
 
     return solve
 
 
 def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
     """L2-orthogonal projection onto the discretely divergence-free subspace:
-    the constrained solve with ``A = h^2 I``, which returns ``w - G p``.
-    Idempotent to rounding; gradients project to zero."""
+    the constrained solve with ``A = h^2 I``, which returns
+    ``C (C^T C)^{-1} C^T w``.  Idempotent to rounding; gradients ``-D^T p``
+    project to zero, because ``C^T D^T = (D C)^T = 0``."""
     w = np.asarray(w, dtype=float)
     h2 = grid.h * grid.h
     A = h2 * sp.identity(grid.n_u + grid.n_v, format="csr")

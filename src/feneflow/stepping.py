@@ -3,9 +3,10 @@
 One macro time step advances the pair ``(u, psi)`` implicitly:
 
 * momentum: implicit Euler with antisymmetrized convection frozen at the
-  previous velocity, viscous term and pressure implicit, and the polymer
-  stress assembled as the exact adjoint of the configuration-space drag
-  form evaluated on the fixed-point candidate density;
+  previous velocity and the viscous term implicit, solved for the stream
+  function of a divergence-free velocity, and the polymer stress assembled
+  as the exact adjoint of the configuration-space drag form evaluated on
+  the fixed-point candidate density;
 * configuration density: implicit Euler with upwind spatial transport by
   the *previous* velocity, spatial (centre-of-mass) diffusion, weighted
   configuration diffusion, and drag driven by the gradient of the *new*
@@ -442,8 +443,9 @@ class CoupledStepper:
         """One implicit momentum solve against a frozen candidate density.
 
         Satisfies the discrete kinetic-energy identity exactly (to direct-
-        solver residual): testing with the new velocity kills convection
-        (skew) and pressure (adjoint gradient on a divergence-free field).
+        solver residual): the new velocity is ``C s`` for the solved stream
+        function ``s``, so it is a test function of the solve, and testing
+        with it kills convection (skew); no pressure enters.
         """
         u_prev = np.asarray(u_prev, dtype=float)
         return self._momentum_solve(self._momentum_solver(u_prev), u_prev, psi_candidate, f)

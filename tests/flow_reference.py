@@ -1,8 +1,9 @@
 """Loop-built staggered-grid operators: the cell-by-cell reference that the
 Kronecker-assembled operators of ``feneflow.flowspace`` are checked against
-entry for entry, and the bordered mean-zero-gauge saddle-point solve that the
-pinned-gauge ``stokes_solver`` is checked against.  Each builder reads as the
-stencil it encodes; none of them is used by the package."""
+entry for entry, and the bordered saddle-point solve with a mean-zero
+pressure that the stream-function ``stokes_solver`` is checked against.
+Each builder reads as the stencil it encodes; none of them is used by the
+package."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,8 +238,9 @@ def cell_neumann_stiffness(N: int) -> sp.csr_matrix:
 
 
 def bordered_stokes_solver(grid, A):
-    """The saddle-point solve with the mean-zero pressure gauge, bordered by
-    a dense row and column of ones and one multiplier:
+    """The saddle-point solve with a mean-zero pressure, bordered by a dense
+    row and column of ones and one multiplier, ``G = -D^T`` being the
+    gradient:
 
         [[A,      h^2 G,   0     ],
          [h^2 D,  0,       h^2 1 ],
@@ -250,7 +252,7 @@ def bordered_stokes_solver(grid, A):
     ones = np.ones(grid.n_c)
     lu = spla.splu(sp.bmat(
         [
-            [A, h2 * grid.G, None],
+            [A, -h2 * grid.D.T, None],
             [h2 * grid.D, None, h2 * ones[:, None]],
             [None, h2 * ones[None, :], None],
         ],

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError
 
 from feneflow import (
     build_flow_grid,
@@ -63,7 +64,7 @@ def test_operators_match_loop_reference_bitwise(N, side):
     grid = build_flow_grid(N, side)
     D, G, K, T = loop_flow_operators(N, side)
     assert_same_csr(grid.D, D)
-    assert_same_csr(grid.G, G)
+    assert_same_csr((-grid.D.T).tocsr(), G)
     assert_same_csr(grid.K, K)
     for got, want in zip(grid.T, T):
         assert_same_csr(got, want)
@@ -91,8 +92,20 @@ def test_cell_stiffness_matches_reference_bitwise(N):
 # --------------------------------------------------------------------------
 
 
-def test_gradient_is_negative_divergence_transpose(flow12):
-    assert abs(flow12.G + flow12.D.T).max() == 0.0
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("N", [4, 5, 8, 16, 32])
+def test_divergence_annihilates_curl(N, side):
+    # every cell's divergence sums its four corner stream values once with
+    # each sign, so D C has no stored entry; C^T C is the nodal 5-point
+    # Dirichlet Laplacian, whose smallest eigenvalue (8 / h^2) sin^2(pi / (2N))
+    # is positive, so the stream function of a curl is unique
+    grid = build_flow_grid(N, side)
+    DC = grid.D @ grid.curl
+    assert DC.shape == (grid.n_c, (N - 1) ** 2)
+    assert abs(DC).max() == 0.0
+    lam_min = np.linalg.eigvalsh((grid.curl.T @ grid.curl).toarray())[0]
+    assert lam_min == pytest.approx(8.0 / grid.h**2 * math.sin(math.pi / (2 * N)) ** 2,
+                                    rel=1e-10)
 
 
 def test_viscous_form_symmetric_positive(flow12, rng):
@@ -134,10 +147,10 @@ def test_tensor_gradient_exact_on_linear_fields(flow12):
 
 @pytest.mark.parametrize("side", [1.0, 0.7])
 @pytest.mark.parametrize("N", [4, 5, 8, 16, 32])
-def test_pinned_gauge_solve_matches_bordered_reference(N, side):
-    # the pressure gauge only moves the pressure by a constant, so the
-    # velocity equals the mean-zero bordered solve's to rounding, for the
-    # momentum, smoothing and projection operators
+def test_stream_function_solve_matches_bordered_reference(N, side):
+    # the stream-function solve and the bordered saddle-point solve with a
+    # mean-zero pressure give the same divergence-free velocity to rounding,
+    # for the momentum, smoothing and projection operators
     grid = build_flow_grid(N, side)
     rng = np.random.default_rng(N)
     n, h2, dt = grid.n_u + grid.n_v, grid.h**2, 0.01
@@ -154,6 +167,17 @@ def test_pinned_gauge_solve_matches_bordered_reference(N, side):
         ref = bordered_stokes_solver(grid, A)(r)
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max(), name
         assert np.abs(grid.divergence(u)).max() <= 1e-12 * max(np.abs(u).max(), 1.0), name
+
+
+def test_stream_function_solve_names_a_singular_operator(flow12):
+    # a face operator vanishing on the four faces around interior node 0
+    # leaves that node's stream value undetermined: the factorization
+    # raises instead of returning a velocity
+    g = flow12
+    d = np.ones(g.n_u + g.n_v)
+    d[g.curl[:, 0].nonzero()[0]] = 0.0
+    with pytest.raises(LinAlgError, match="singular"):
+        stokes_solver(g, sp.diags(d, format="csr"))
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +199,7 @@ def test_projection_on_random_fields(flow12, rng):
 def test_projection_annihilates_gradients(flow12, rng):
     for _ in range(20):
         phi = rng.standard_normal(flow12.n_c)
-        gphi = flow12.G @ phi
+        gphi = -flow12.D.T @ phi
         p = project_divergence_free(flow12, gphi)
         assert np.abs(p).max() <= 1e-10 * max(1.0, np.abs(gphi).max())
 

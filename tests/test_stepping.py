@@ -181,6 +181,25 @@ def test_momentum_energy_identity(small, rng):
     assert res <= 1e-10 * max(1.0, flow.norm_sq(state.u))
 
 
+@pytest.mark.parametrize("amp", [0.4, 4.0])
+def test_momentum_energy_identity_at_n32(small, wide, rng, amp):
+    # the stream-function matrix C^T A C conditions like a biharmonic, so
+    # the identity is also checked at the largest benchmark grid, N_x = 32,
+    # under strong convection
+    flow, ops = wide
+    params = small[2]
+    stepper = CoupledStepper(flow, ops, params)
+    state = perturbed_state(flow, ops, rng, amp=amp)
+    u_new = stepper.momentum_step(state.u, state.psi)
+    C_hat = ops.stress_matrix(state.psi)
+    sigma = flow.cell_velocity_gradient(u_new)
+    pairing = flow.h**2 * float(np.sum(C_hat * sigma))
+    res = momentum_energy_residual(flow, state.u, u_new, pairing,
+                                   params.dt, params.nu, params.k)
+    assert res <= 1e-10 * max(1.0, flow.norm_sq(state.u))
+    assert np.abs(flow.divergence(u_new)).max() <= 1e-10
+
+
 def test_stress_force_linear_in_k(small, rng):
     flow, ops, params, stepper = small
     import dataclasses
