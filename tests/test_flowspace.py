@@ -92,6 +92,21 @@ def test_cell_stiffness_matches_reference_bitwise(N):
 # --------------------------------------------------------------------------
 
 
+def test_gradient_is_negative_divergence_transpose(flow12, rng):
+    # -D^T applied to cell pressures is the centre-to-face difference
+    # gradient, with no term on the zero normal wall faces; it is orthogonal
+    # to every curl field, so pressure does no work on divergence-free fields
+    g, N = flow12, flow12.N
+    p = rng.standard_normal((N, N))
+    grad = -g.D.T @ p.ravel()
+    want = np.concatenate([((p[1:, :] - p[:-1, :]) / g.h).ravel(),
+                           ((p[:, 1:] - p[:, :-1]) / g.h).ravel()])
+    np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    s = rng.standard_normal((N - 1) ** 2)
+    u = g.curl @ s
+    assert abs(g.ip(u, grad)) <= 1e-12 * g.norm_sq(u) ** 0.5 * g.norm_sq(grad) ** 0.5
+
+
 @pytest.mark.parametrize("side", [1.0, 0.7])
 @pytest.mark.parametrize("N", [4, 5, 8, 16, 32])
 def test_divergence_annihilates_curl(N, side):
