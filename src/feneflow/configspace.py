@@ -301,7 +301,7 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     ValueError
         If a direction has fewer than 8 nodes.
     DomainError
-        If ``b <= 2`` (``gamma = b/2`` must exceed 1).
+        If ``b <= 2`` (``gamma = b/2`` must exceed 1) or ``b`` is not finite.
     GridConstructionError
         If the normalized mass misses 1 by more than 1e-8 or the second
         moment misses its closed form ``2b/(b+4)`` by more than 1e-6

@@ -15,6 +15,10 @@ Numerica 14, 2005, section 6): ``A u = r`` tested with every ``C t`` gives
 ``u^T A u = u^T r`` exactly, which is the identity that the pressure's
 adjointness gave in the saddle-point form.
 
+Both direct solves, of ``C^T A C`` and (once per grid) of the viscous
+operator behind :func:`dual_norm_sq`, are one banded LAPACK LU on the band
+that :func:`band_storage` reads off the sparse matrix.
+
 Convection is assembled in antisymmetrized form, so the trilinear form is
 skew-symmetric to rounding.  The viscous operator is symmetric positive
 definite and *defines* the discrete Dirichlet energy
@@ -31,13 +35,14 @@ from typing import Callable, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "FlowGrid",
     "build_flow_grid",
+    "band_storage",
+    "banded_solver",
     "stokes_solver",
     "project_divergence_free",
     "smooth_initial_velocity",
@@ -69,7 +74,7 @@ class FlowGrid:
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
 
     The cell stiffness ``h^2 D D^T`` is not stored: the density solve writes
-    it into its stencil from ``N`` alone (``stepping._transport_stencil``).
+    it into its transport matrix from ``N`` alone (``stepping._transport_csr``).
     """
 
     N: int
@@ -89,8 +94,8 @@ class FlowGrid:
     yv: np.ndarray
 
     @cached_property
-    def _visc_lu(self):  # factored on first use by dual_norm_sq
-        return spla.splu(self.K.tocsc())
+    def _viscous_solve(self):  # factored on first use by dual_norm_sq
+        return banded_solver(self.K)
 
     @cached_property
     def _curl_t(self) -> sp.csr_matrix:  # faces -> nodes, for stokes_solver
@@ -201,6 +206,8 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     """
     if N < 4:
         raise ValueError(f"flow grid needs at least 4 cells per side, got {N}")
+    if not (side > 0.0 and math.isfinite(side)):
+        raise ValueError(f"flow grid needs a positive finite side, got {side}")
     h = side / N
     n_u = (N - 1) * N
     n_v = N * (N - 1)
@@ -251,8 +258,37 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
 
 # --------------------------------------------------------------------------
-# the divergence-constrained solve
+# banded direct solves and the divergence-constrained solve
 # --------------------------------------------------------------------------
+
+
+def band_storage(M: sp.spmatrix) -> Tuple[np.ndarray, int, int]:
+    """``M`` (square, no duplicate entries) in LAPACK general-band storage.
+
+    Returns ``(ab, kl, ku)``: the half-bandwidths are read off the stored
+    pattern, explicit zeros included, and entry ``(r, c)`` sits in row
+    ``kl + ku + r - c`` of the Fortran-ordered ``(2 kl + ku + 1, n)`` array
+    ``ab``, whose first ``kl`` rows stay zero for the fill-in of ``dgbtrf``'s
+    row pivoting.
+    """
+    M = M.tocoo()
+    offset = M.row - M.col
+    kl, ku = max(int(offset.max()), 0), max(int(-offset.min()), 0)
+    ab = np.zeros((2 * kl + ku + 1, M.shape[0]), order="F")
+    ab[kl + ku + offset, M.col] = M.data
+    return ab, kl, ku
+
+
+def banded_solver(M: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor ``M`` by LAPACK ``dgbtrf`` (banded LU with partial pivoting) on
+    its :func:`band_storage`, and return ``solve(b) -> M^{-1} b``, one
+    ``dgbtrs`` per call.  A singular factor raises ``LinAlgError``."""
+    ab, kl, ku = band_storage(M)
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise LinAlgError(f"banded LU: dgbtrf returned info={info} "
+                          f"({'singular matrix' if info > 0 else 'illegal argument'})")
+    return lambda b: dgbtrs(lu, kl, ku, b, piv)[0]
 
 
 def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -267,25 +303,12 @@ def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.n
     holds for every ``s``, since ``D C = 0``.
 
     With the nodes numbered ``a (N-1) + b``, ``C^T A C`` is banded, with
-    half-bandwidth ``2 (N-1)`` for the viscous and convective stencils.  It
-    is factored by LAPACK ``dgbtrf`` (banded LU with partial pivoting), and
-    each solve is one ``dgbtrs``.
+    half-bandwidth ``2 (N-1)`` for the viscous and convective stencils, and
+    is factored once by :func:`banded_solver`.
     """
     Ct = grid._curl_t
-    M = (Ct @ (A @ grid.curl)).tocoo()
-    offset = M.row - M.col
-    kl, ku = int(offset.max()), int(-offset.min())
-    ab = np.zeros((2 * kl + ku + 1, M.shape[0]), order="F")
-    ab[kl + ku + offset, M.col] = M.data
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
-    if info != 0:
-        raise LinAlgError(f"stream-function solve: dgbtrf returned info={info} "
-                          f"({'singular matrix' if info > 0 else 'illegal argument'})")
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        return grid.curl @ dgbtrs(lu, kl, ku, Ct @ r, piv)[0]
-
-    return solve
+    solve_nodes = banded_solver(Ct @ (A @ grid.curl))
+    return lambda r: grid.curl @ solve_nodes(Ct @ r)
 
 
 def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
@@ -378,8 +401,9 @@ def poincare_constant(N: int, side: float = 1.0) -> Tuple[float, float]:
 
 def dual_norm_sq(grid: FlowGrid, f: np.ndarray) -> float:
     """Square of the negative-Sobolev norm of a face field:
-    ``sup_w (f, w)^2 / |grad w|^2 = h^2 f . K^{-1} f`` (one SPD solve)."""
+    ``sup_w (f, w)^2 / |grad w|^2 = h^2 f . K^{-1} f``, with ``K`` factored
+    by :func:`banded_solver` once per grid."""
     f = np.asarray(f, dtype=float)
     if not np.any(f):
         return 0.0
-    return float(grid.h * grid.h * (f @ grid._visc_lu.solve(f)))
+    return float(grid.h * grid.h * (f @ grid._viscous_solve(f)))

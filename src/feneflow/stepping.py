@@ -45,14 +45,16 @@ iteration stops at a max-norm residual of ``1e-14`` of the right-hand
 side's, or of the rounding floor ``4 eps_mach (1 + 8 diffusion / mass)`` if
 larger; one that has not converged after 30 residuals (transport far
 beyond a cell per step) falls back to one direct LAPACK ``dgbsv`` per mode
-on the band of ``K_x``.  The smoothing step has no transport: its exact
-solve is one ``P^{-1}``.
+on the band that ``flowspace.band_storage`` reads off the step's CSR
+``K_x``.  The smoothing step has no transport: its exact solve is one
+``P^{-1}``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -64,7 +66,7 @@ from scipy.linalg.lapack import dgbsv
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata_json
-from .flowspace import FlowGrid, convection_matrix, stokes_solver
+from .flowspace import FlowGrid, band_storage, convection_matrix, stokes_solver
 
 __all__ = [
     "StepParams",
@@ -159,23 +161,25 @@ class SmoothingReport:
 # --------------------------------------------------------------------------
 
 
-def _transport_stencil(grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float):
-    """``K_x = mass I + diffusion S_cell + Adv(u)`` as its five-point
-    stencil on the ``(N, N)`` cell layout.
+def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
+                   mass: float) -> sp.csr_matrix:
+    """``K_x = mass I + diffusion S_cell + Adv(u)`` as a CSR matrix on the
+    cells ``i N + j``, written from its five-point stencil.
 
     ``S_cell = h^2 D D^T`` is the 5-point cell stiffness with no-flux walls
     (rows sum to 0) and ``Adv(u)`` the donor-cell upwinding, scaled so the
-    weak transport term is ``phi . (Adv psi)``.  Returns ``(diag, sub_x,
-    sup_x, sub_y, sup_y)``: ``diag[i, j]`` is the entry of cell ``(i, j)``,
-    ``sub_x[i, j]`` couples cell ``(i+1, j)``'s row to cell ``(i, j)``'s
-    column and ``sup_x[i, j]`` the reverse; ``sub_y``/``sup_y`` do the same
-    across the faces between ``(i, j)`` and ``(i, j+1)``.
+    weak transport term is ``phi . (Adv psi)``.  Each face flux ``h U``
+    lives in its donor's column, ``+`` on the diagonal and ``-`` in the
+    receiver's row, so columns sum to zero (to rounding) and total mass is
+    conserved; rows applied to constants give ``h^2`` times the discrete
+    divergence, so uniform densities are transported exactly by projected
+    velocities.
 
-    Each face flux ``h U`` lives in its donor's column, ``+`` on the
-    diagonal and ``-`` in the receiver's row, so columns sum to zero (to
-    rounding) and total mass is conserved; rows applied to constants give
-    ``h^2`` times the discrete divergence, so uniform densities are
-    transported exactly by projected velocities.
+    Row ``(i, j)`` holds its neighbours in column order ``(i-1, j)``,
+    ``(i, j-1)``, ``(i, j)``, ``(i, j+1)``, ``(i+1, j)``, those outside the
+    walls left out.  The stencil is written into five slots per cell and
+    the in-wall slots are gathered into the data array, so ``K_x X`` is
+    one pass per nonzero.
     """
     N, h = grid.N, grid.h
     flux_x = h * u[: grid.n_u].reshape(N - 1, N)   # cell (i, j) -> (i+1, j)
@@ -191,51 +195,12 @@ def _transport_stencil(grid: FlowGrid, u: np.ndarray, diffusion: float, mass: fl
     neighbours = np.full((N, N), 4.0)
     neighbours[[0, -1], :] -= 1.0
     neighbours[:, [0, -1]] -= 1.0
-    return ((mass + diffusion * neighbours) + outflow,
-            -diffusion - up_x, -diffusion - down_x, -diffusion - up_y, -diffusion - down_y)
-
-
-def _transport_band(grid: FlowGrid, u: np.ndarray, diffusion: float,
-                    mass: float) -> np.ndarray:
-    """:func:`_transport_stencil`'s ``K_x`` in ``dgbsv`` band storage.
-
-    Cell ``(i, j)`` is number ``i N + j``, so ``kl = ku = N``: entry
-    ``(r, c)`` sits in row ``2N + r - c`` of the Fortran-ordered
-    ``(3N + 1, N^2)`` array, whose first ``N`` rows stay zero for LAPACK's
-    pivoting fill-in.
-    """
-    N = grid.N
-    diag, sub_x, sup_x, sub_y, sup_y = _transport_stencil(grid, u, diffusion, mass)
-    ab = np.zeros((3 * N + 1, grid.n_c), order="F")
-    column = ab.T.reshape(N, N, 3 * N + 1)   # column[i, j]: band column of cell (i, j)
-    centre = 2 * N
-    column[:, :, centre] = diag
-    column[:-1, :, centre + N] = sub_x
-    column[1:, :, centre - N] = sup_x
-    column[:, :-1, centre + 1] = sub_y
-    column[:, 1:, centre - 1] = sup_y
-    return ab
-
-
-def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
-                   mass: float) -> sp.csr_matrix:
-    """:func:`_transport_stencil`'s ``K_x`` as a CSR matrix on the cells
-    ``i N + j``.
-
-    Row ``(i, j)`` holds its neighbours in column order ``(i-1, j)``,
-    ``(i, j-1)``, ``(i, j)``, ``(i, j+1)``, ``(i+1, j)``, those outside the
-    walls left out.  The stencil is written into five slots per cell and
-    the in-wall slots are gathered into the data array, so ``K_x X`` is
-    one pass per nonzero.
-    """
-    N = grid.N
-    diag, sub_x, sup_x, sub_y, sup_y = _transport_stencil(grid, u, diffusion, mass)
     slots = np.zeros((N, N, 5))
-    slots[1:, :, 0] = sub_x
-    slots[:, 1:, 1] = sub_y
-    slots[:, :, 2] = diag
-    slots[:, :-1, 3] = sup_y
-    slots[:-1, :, 4] = sup_x
+    slots[1:, :, 0] = -diffusion - up_x
+    slots[:, 1:, 1] = -diffusion - up_y
+    slots[:, :, 2] = (mass + diffusion * neighbours) + outflow
+    slots[:, :-1, 3] = -diffusion - down_y
+    slots[:-1, :, 4] = -diffusion - down_x
     inside = np.ones((N, N, 5), dtype=bool)
     inside[0, :, 0] = inside[:, 0, 1] = inside[:, -1, 3] = inside[-1, :, 4] = False
     columns = np.arange(grid.n_c).reshape(N, N, 1) + np.array([-N, -1, 0, 1, N])
@@ -314,7 +279,6 @@ class _DensityOperator:
 
     def __init__(self, grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
                  shift_scale: float, ops: ConfigOperators, precondition):
-        self.grid, self.u, self.diffusion, self.mass = grid, u, diffusion, mass
         self.shift_scale, self.ops, self.precondition = shift_scale, ops, precondition
         self.K = _transport_csr(grid, u, diffusion, mass)
         self.shifts = shift_scale * ops.evals
@@ -347,25 +311,25 @@ class _DensityOperator:
             if np.abs(R).max() <= tol:
                 return ops.to_nodes(X)
             X += self.precondition(R, work)
-        return _kron_solve(_transport_band(self.grid, self.u, self.diffusion, self.mass),
-                           self.shift_scale, ops, rhs_nodal)
+        return _kron_solve(self.K, self.shift_scale, ops, rhs_nodal)
 
 
-def _kron_solve(ab: np.ndarray, shift_scale: float, ops: ConfigOperators,
+def _kron_solve(K: sp.csr_matrix, shift_scale: float, ops: ConfigOperators,
                 rhs_nodal: np.ndarray) -> np.ndarray:
     """Direct fallback of :meth:`_DensityOperator.solve`: solve ``Kx Psi
-    M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``, ``ab`` being the
-    band of ``Kx`` from :func:`_transport_band`.
+    M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``, ``K`` being the
+    CSR ``Kx`` from :func:`_transport_csr`.
 
     Mode ``j`` is the banded system ``(Kx + shift_scale * evals[j] I) phi_j =
-    r_j``.  Each mode copies the band into one work array, shifts the
-    diagonal row and factors and solves in place with ``dgbsv`` (the routine
+    r_j`` on the band that ``flowspace.band_storage`` reads off ``K``.  Each
+    mode copies the band into one work array, shifts the diagonal row and
+    factors and solves in place with ``dgbsv`` (the routine
     ``scipy.linalg.solve_banded`` wraps, so results are bitwise those of
     that call).  The mode coefficients are held mode-major, so each
     right-hand side is a contiguous row that LAPACK overwrites with its
     solution.  No LU factor outlives its mode.
     """
-    kl = ku = (ab.shape[0] - 1) // 3
+    ab, kl, ku = band_storage(K)
     work = np.empty_like(ab)
     diagonal = work[kl + ku]
     modes = np.ascontiguousarray(ops.to_modes(rhs_nodal).T)
@@ -655,17 +619,21 @@ def load_checkpoint(path: str, flow: Optional[FlowGrid] = None,
                     ) -> Tuple[SystemState, dict]:
     """Restore a snapshot; verifies grid shapes when grids are supplied.
 
-    A file whose arrays or ``meta`` fields are missing or malformed raises
-    ``ValueError("... is not a coupled-state checkpoint")``."""
-    with np.load(path) as data:
-        try:
+    A file that is not an ``.npz`` archive (a ``.npy`` array, text, an
+    empty or truncated file) or whose arrays or ``meta`` fields are missing
+    or malformed raises ``ValueError("... is not a coupled-state
+    checkpoint")``; a missing file raises ``FileNotFoundError``."""
+    try:
+        # opened here so it is closed whatever np.load raises; a .npy file
+        # loads as a bare array, which is no context manager (TypeError)
+        with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             state = SystemState(u=data["u"].copy(), psi=data["psi"].copy(),
                                 t=float(meta["t"]), n=int(meta["n"]))
-            flow_N, flow_side, config = meta["flow"]["N"], meta["flow"]["side"], meta["config"]
-            foreign = meta["kind"] != _CHECKPOINT_KIND
-        except (KeyError, TypeError, ValueError, OverflowError):
-            foreign = True
+        flow_N, flow_side, config = meta["flow"]["N"], meta["flow"]["side"], meta["config"]
+        foreign = meta["kind"] != _CHECKPOINT_KIND
+    except (KeyError, TypeError, ValueError, OverflowError, EOFError, zipfile.BadZipFile):
+        foreign = True
     if foreign:
         raise ValueError(f"{path} is not a coupled-state checkpoint")
     if flow is not None and (flow_N != flow.N or flow_side != flow.side):

@@ -4,8 +4,8 @@
   mass I + diffusion S_cell + Adv(u)`` as CSR, the donor-cell fluxes by
   COO scatter; :func:`band_layout` lays any CSR out in LAPACK band storage
   with half-bandwidths inferred from its sparsity.  Together they are the
-  oracle that ``feneflow.stepping._transport_band`` is checked against bit
-  for bit.
+  oracle that the band ``feneflow.flowspace.band_storage`` reads off
+  ``feneflow.stepping._transport_csr`` is checked against bit for bit.
 * :func:`loop_kron_solve` is the per-mode ``solve_banded`` loop that
   ``feneflow.stepping._kron_solve`` is checked against bit for bit: it
   copies the compact band, shifts its diagonal by the mode's eigenvalue and

@@ -3,6 +3,10 @@ antisymmetry, the domain constant in the compactness inequality, and the
 initial-data smoothing step."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,8 @@ from feneflow import (
     project_divergence_free,
     smooth_initial_velocity,
 )
-from feneflow.flowspace import stokes_solver
-from feneflow.stepping import _transport_band
+from feneflow.flowspace import band_storage, banded_solver, stokes_solver
+from feneflow.stepping import _transport_csr
 from flow_reference import (
     bordered_stokes_solver,
     cell_neumann_stiffness,
@@ -28,6 +32,7 @@ from flow_reference import (
 )
 from kron_reference import band_layout, band_to_dense
 
+ROOT = Path(__file__).resolve().parents[1]
 POINCARE_UNIT_SQUARE = 1.0 / (math.pi * math.sqrt(2.0))  # 1/sqrt(2 pi^2)
 
 
@@ -81,10 +86,66 @@ def test_cell_stiffness_matches_reference_bitwise(N):
     # no transport) is bitwise the explicit 1D-stencil reference; it is also
     # h^2 D D^T
     grid = build_flow_grid(N, 0.7)
-    S = _transport_band(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0)
+    S = band_storage(_transport_csr(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0))[0]
     assert S.tobytes(order="F") == band_layout(cell_neumann_stiffness(N)).tobytes(order="F")
     np.testing.assert_allclose((grid.D @ grid.D.T).toarray() * grid.h**2, band_to_dense(S),
                                rtol=1e-14, atol=0.0)
+
+
+def test_flow_grid_rejects_impossible_geometry():
+    # a side that is not positive and finite gives no mesh width, as too
+    # few cells give no interior; both are rejected before any arithmetic
+    for side in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite side"):
+            build_flow_grid(8, side=side)
+    with pytest.raises(ValueError, match="at least 4 cells"):
+        build_flow_grid(3)
+
+
+# --------------------------------------------------------------------------
+# banded direct solves
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kl, ku", [(0, 2), (1, 3), (4, 0), (5, 2), (3, 3)])
+def test_band_storage_matches_reference_layout(kl, ku):
+    # random sparse banded matrices with unequal half-bandwidths, about a
+    # third of the in-band entries dropped but the diagonal and both outer
+    # diagonals kept: the band is bitwise the reference layout, with the
+    # half-bandwidths read off the pattern and kl zero fill rows on top; the
+    # banded LU solves the system
+    rng = np.random.default_rng(10 * kl + ku)
+    n = 17
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    keep = (offset <= kl) & (offset >= -ku) & (rng.random((n, n)) > 0.3)
+    keep |= (offset == 0) | (offset == kl) | (offset == -ku)
+    dense = np.where(keep, rng.standard_normal((n, n)), 0.0)
+    dense[np.diag_indices(n)] += 2.0 * (kl + ku + 1)
+    M = sp.csr_matrix(dense)
+    ab, got_kl, got_ku = band_storage(M)
+    assert (got_kl, got_ku) == (kl, ku)
+    assert ab.flags.f_contiguous and ab.shape == (2 * kl + ku + 1, n)
+    assert ab.tobytes(order="F") == band_layout(M).tobytes(order="F")
+    assert not ab[:kl].any()
+    b = rng.standard_normal(n)
+    want = np.linalg.solve(dense, b)
+    assert np.abs(banded_solver(M)(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_package_runs_without_sparse_linalg():
+    # every direct solve is a banded LAPACK LU, so neither importing the
+    # package nor a forced run (stream-function solves and the dual norm)
+    # loads scipy.sparse.linalg; checked in a fresh interpreter, since the
+    # test references import it here
+    code = ("import sys, feneflow\n"
+            "feneflow.run_scenario(feneflow.RunConfig(scenario='forced', N_x=8, N_r=10,\n"
+            "                                         N_theta=10, dt=0.01, T=0.02))\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), FENEFLOW_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------------
@@ -357,3 +418,15 @@ def test_dual_norm_of_gradient_bounded_object(flow12):
     w = random_faces(flow12, rng)
     f = flow12.K @ w
     assert dual_norm_sq(flow12, f) == pytest.approx(flow12.grad_norm_sq(w), rel=1e-10)
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("N", [4, 5, 8, 16])
+def test_dual_norm_matches_dense_solve(N, side):
+    # the banded factor of K gives the dense h^2 f . K^{-1} f
+    grid = build_flow_grid(N, side)
+    rng = np.random.default_rng(N)
+    for f in (random_faces(grid, rng), grid.sample_faces(lambda x, y: np.sin(3 * y),
+                                                         lambda x, y: x * y)):
+        want = grid.h ** 2 * float(f @ np.linalg.solve(grid.K.toarray(), f))
+        assert abs(dual_norm_sq(grid, f) - want) <= 1e-12 * abs(want)

@@ -126,6 +126,19 @@ def test_geometry_validation_messages():
         build_config_grid(2.0, N_r=16, N_theta=16)
 
 
+def test_infinite_extensibility_is_a_domain_error():
+    # b = inf passes b > 2, but the Maxwellian and the Jacobi rule are not
+    # defined there; every entry point that checks b rejects it before any
+    # arithmetic (a RuntimeWarning would fail the suite)
+    b = math.inf
+    for call in (lambda: build_config_grid(b, N_r=16, N_theta=16),
+                 lambda: maxwellian_normalizer(b),
+                 lambda: fene_potential(0.5, b),
+                 lambda: bakry_emery_kappa(b)):
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
 def test_curvature_constant(b):
     kappa, min_eig = bakry_emery_kappa(b)

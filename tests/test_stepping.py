@@ -31,7 +31,8 @@ from feneflow import (
     spectral_gap,
 )
 from feneflow import stepping
-from feneflow.stepping import _DensityOperator, _fast_inverse, _kron_solve, _transport_band
+from feneflow.flowspace import band_storage
+from feneflow.stepping import _DensityOperator, _fast_inverse, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
@@ -227,8 +228,9 @@ def test_beta_saturation_inactive_for_moderate_data(small, rng):
 
 @pytest.mark.parametrize("N", [4, 5, 8, 16])
 def test_transport_band_matches_reference(N):
-    # the band written straight from the face velocities is bitwise the
-    # band laid out from the assembled CSR reference, for the density step
+    # the band read off the CSR written straight from the face velocities is
+    # bitwise the band laid out from the assembled CSR reference, for the
+    # density step
     # (random projected transport with ~30% of faces zeroed, and none) and
     # for the smoothing step (unit diffusion, no transport)
     grid = build_flow_grid(N, 0.7)
@@ -238,8 +240,9 @@ def test_transport_band_matches_reference(N):
     u = project_divergence_free(grid, rng.standard_normal(n))
     u[rng.random(n) < 0.3] = 0.0
     for faces, diffusion in ((u, eps), (np.zeros(n), eps), (np.zeros(n), 1.0)):
-        got = _transport_band(grid, faces, diffusion, h2 / dt)
+        got, kl, ku = band_storage(_transport_csr(grid, faces, diffusion, h2 / dt))
         want = band_layout(transport_matrix(grid, faces, diffusion, h2 / dt))
+        assert kl == ku == N
         assert got.flags.f_contiguous and got.shape == (3 * N + 1, N * N)
         assert got.tobytes(order="F") == want.tobytes(order="F")
 
@@ -248,7 +251,7 @@ def test_transport_band_matches_reference(N):
     # no diffusion, an off-diagonal entry that no flux reaches is -0.0);
     # each flux sits +/- in its donor's column, so the columns sum to zero
     # up to that rounding
-    upwind = _transport_band(grid, u, 0.0, 0.0)
+    upwind = band_storage(_transport_csr(grid, u, 0.0, 0.0))[0]
     assert np.array_equal(upwind, band_layout(upwind_advection(grid, u)))
     assert np.abs(band_to_dense(upwind).sum(axis=0)).max() <= 1e-15 * grid.h * np.abs(u).max()
 
@@ -258,15 +261,16 @@ def test_cell_stiffness_annihilates_constants():
     # is symmetric and maps constants to zero exactly
     for N in (4, 5, 8, 16):
         grid = build_flow_grid(N, 0.7)
-        S = band_to_dense(_transport_band(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0))
+        S = band_to_dense(band_storage(
+            _transport_csr(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0))[0])
         assert np.abs(S @ np.ones(N * N)).max() == 0.0
         assert np.abs(S - S.T).max() == 0.0
 
 
 def test_kron_solve_matches_solve_banded_loop(small, rng):
-    # the direct dgbsv on the reused band runs the same LAPACK routine as the
-    # per-mode solve_banded loop on the reference CSR, so the two agree bit
-    # for bit
+    # the direct dgbsv on the band of the step's CSR runs the same LAPACK
+    # routine as the per-mode solve_banded loop on the reference CSR, so the
+    # two agree bit for bit
     flow, ops, params, stepper = small
     h2 = flow.h * flow.h
     n = flow.n_u + flow.n_v
@@ -277,10 +281,10 @@ def test_kron_solve_matches_solve_banded_loop(small, rng):
         (np.zeros(n), 1.0, h2),   # the smoothing operator
     ]
     for u, diffusion, shift_scale in cases:
-        ab = _transport_band(flow, u, diffusion, h2 / params.dt)
+        K = _transport_csr(flow, u, diffusion, h2 / params.dt)
         Kx = transport_matrix(flow, u, diffusion, h2 / params.dt)
         R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
-        got = _kron_solve(ab, shift_scale, ops, R)
+        got = _kron_solve(K, shift_scale, ops, R)
         assert np.array_equal(got, loop_kron_solve(Kx, shift_scale, ops, R))
 
 
@@ -289,17 +293,16 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     # mode 0 (the constants, whose eigenvalue the assembly sets to exactly 0)
     # is then singular while every shifted mode is not
     flow, ops, params, stepper = small
-    N = flow.N
-    ab = _transport_band(flow, np.zeros(flow.n_u + flow.n_v), params.eps,
-                         flow.h ** 2 / params.dt)
-    ab[:, 0] = 0.0                                   # column 0
-    ab[2 * N - np.arange(N + 1), np.arange(N + 1)] = 0.0   # row 0
-    dense = band_to_dense(ab)
+    K = _transport_csr(flow, np.zeros(flow.n_u + flow.n_v), params.eps,
+                       flow.h ** 2 / params.dt)
+    K.data[K.indices == 0] = 0.0                     # column 0
+    K.data[K.indptr[0]:K.indptr[1]] = 0.0            # row 0
+    dense = K.toarray()
     assert not dense[0].any() and not dense[:, 0].any()
     assert ops.evals[0] == 0.0
     R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
-        _kron_solve(ab, stepper._cq * flow.h ** 2, ops, R)
+        _kron_solve(K, stepper._cq * flow.h ** 2, ops, R)
 
 
 def test_transport_csr_matches_reference_matrix(small, rng):
@@ -369,7 +372,7 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
     mass = flow.h ** 2 / params.dt
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-        want = _kron_solve(_transport_band(flow, u, diffusion, mass), shift_scale, ops, R)
+        want = _kron_solve(_transport_csr(flow, u, diffusion, mass), shift_scale, ops, R)
         for guess in (np.zeros_like(R), want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
             got = density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -386,11 +389,11 @@ def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
     mass = flow.h ** 2 / params.dt
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-        ab = _transport_band(flow, u, diffusion, mass)
-        want = _kron_solve(ab, shift_scale, dense, R)
+        K = _transport_csr(flow, u, diffusion, mass)
+        want = _kron_solve(K, shift_scale, dense, R)
         for got in (density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
                                   np.zeros_like(R)),
-                    _kron_solve(ab, shift_scale, ops, R)):
+                    _kron_solve(K, shift_scale, ops, R)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
     # the dense eigh is accurate to a few eps * max eval, 1.5e-13 of the gap
@@ -451,7 +454,7 @@ def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
         got = density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
-        want = _kron_solve(_transport_band(flow, u, 1.0, mass), h2, ops, R)
+        want = _kron_solve(_transport_csr(flow, u, 1.0, mass), h2, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
 
@@ -471,7 +474,7 @@ def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch
     fallbacks = count_fallbacks(monkeypatch)
     got = density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
     assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
-    want = _kron_solve(_transport_band(flow, u, params.eps, mass), shift_scale, ops, R)
+    want = _kron_solve(_transport_csr(flow, u, params.eps, mass), shift_scale, ops, R)
     assert got.tobytes() == want.tobytes()
 
 
@@ -485,7 +488,7 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
     u = project_divergence_free(flow, rng.standard_normal(n))
     h2 = flow.h * flow.h
     mass, shift_scale = h2 / params.dt, stepper._cq * h2
-    ab = _transport_band(flow, u, params.eps, mass)
+    K = _transport_csr(flow, u, params.eps, mass)
     operator = stepper.density_operator(u)
     base = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
     drag = rng.standard_normal(base.shape) * ops.grid.w
@@ -499,7 +502,7 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
         fresh = stepper.density_operator(u).solve(R, guess)
         monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 30)
         assert got.tobytes() == fresh.tobytes()
-        want = _kron_solve(ab, shift_scale, ops, R)
+        want = _kron_solve(K, shift_scale, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         total = mass * float((got @ ops.grid.w).sum())
         assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
@@ -509,12 +512,12 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
 
 
 def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, monkeypatch):
-    # the stencil of K_x is written once per coupled step whatever its sweep
-    # count, and the fast-diagonalization scaling once per stepper
+    # the CSR K_x is written once per coupled step whatever its sweep count,
+    # and the fast-diagonalization scaling once per stepper
     flow, ops, params, _ = small
     stencils, scalings = [], []
-    stencil, fast_inverse = stepping._transport_stencil, stepping._fast_inverse
-    monkeypatch.setattr(stepping, "_transport_stencil",
+    stencil, fast_inverse = stepping._transport_csr, stepping._fast_inverse
+    monkeypatch.setattr(stepping, "_transport_csr",
                         lambda *args: stencils.append(1) or stencil(*args))
     monkeypatch.setattr(stepping, "_fast_inverse",
                         lambda *args: scalings.append(1) or fast_inverse(*args))
@@ -619,7 +622,7 @@ def test_smoothing_is_one_exact_solve(wide, monkeypatch):
     psi0 = np.tile(1.0 + 0.1 * ops.grid.qx / math.sqrt(ops.grid.b), (flow.n_c, 1))
     zeta, _ = smooth_initial_density(flow, ops, psi0, dt=dt, clip_level=5.0)
     assert fallbacks == [] and iterations == []
-    want = _kron_solve(_transport_band(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt),
+    want = _kron_solve(_transport_csr(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt),
                        h2, ops, (h2 / dt) * psi0 * ops.grid.w)
     assert np.abs(zeta - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -734,3 +737,15 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     np.savez(path, u=arrays["u"], psi=arrays["psi"],
              meta=np.frombuffer(json.dumps(full).encode(), dtype=np.uint8))
     assert load_checkpoint(path)[0].n == 0
+    # files that are no .npz archive at all: a bare .npy array, text, an
+    # empty file and a checkpoint cut in half
+    np.save(str(tmp_path / "array.npy"), np.zeros(3))
+    (tmp_path / "notes.txt").write_text("not a checkpoint\n")
+    (tmp_path / "empty.npz").write_bytes(b"")
+    whole = (tmp_path / "good_meta.npz").read_bytes()
+    (tmp_path / "truncated.npz").write_bytes(whole[: len(whole) // 2])
+    for name in ("array.npy", "notes.txt", "empty.npz", "truncated.npz"):
+        with pytest.raises(ValueError, match="is not a coupled-state checkpoint"):
+            load_checkpoint(str(tmp_path / name))
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(str(tmp_path / "missing.npz"))
