@@ -81,14 +81,6 @@ class CutoffParams:
 # --------------------------------------------------------------------------
 
 
-def _check_extensibility(b: float) -> None:
-    """Raise :class:`DomainError` unless ``b > 2`` (``gamma = b/2 > 1``) is finite."""
-    if not b > 2.0:
-        raise DomainError(f"b={b}: gamma = b/2 must exceed 1")
-    if not math.isfinite(b):
-        raise DomainError(f"b={b}: the extensibility parameter must be finite")
-
-
 def fene_potential(s, b: float):
     """Evaluate the FENE potential and its derivative.
 
@@ -105,7 +97,8 @@ def fene_potential(s, b: float):
         ``U(s) = -(b/2) log(1 - 2s/b)`` and ``U'(s) = (1 - 2s/b)^{-1}``.
     """
     s = np.asarray(s, dtype=float)
-    _check_extensibility(b)
+    if not 2.0 < b < math.inf:
+        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
     arg = 1.0 - 2.0 * s / b
     if np.any(s < 0.0) or np.any(arg <= 0.0):
         raise DomainError("s must lie in [0, b/2) for the FENE potential")
@@ -122,7 +115,8 @@ def maxwellian_normalizer(b: float) -> float:
     cross-checks the closed form ``Z = 2 pi b / (b + 2)``, which differs
     from it in the last bits.
     """
-    _check_extensibility(b)
+    if not 2.0 < b < math.inf:
+        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
     d = 2
     lbeta = math.lgamma(d / 2.0) + math.lgamma(b / 2.0 + 1.0) - math.lgamma(d / 2.0 + b / 2.0 + 1.0)
     Z = 2.0 * math.pi * 0.5 * b ** (d / 2.0) * math.exp(lbeta)
@@ -256,7 +250,8 @@ def bakry_emery_kappa(b: float):
         ``|q| < sqrt(b)``; an :class:`InternalConsistencyError` is raised if
         it drops below ``kappa - KAPPA_TOL``.
     """
-    _check_extensibility(b)
+    if not 2.0 < b < math.inf:
+        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
     kappa = 1.0
     r = np.linspace(0.0, math.sqrt(b), KAPPA_SAMPLES + 2)[1:-1]
     s = 0.5 * r * r

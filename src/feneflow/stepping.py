@@ -624,12 +624,15 @@ def load_checkpoint(path: str, flow: Optional[FlowGrid] = None,
     or malformed raises ``ValueError("... is not a coupled-state
     checkpoint")``; a missing file raises ``FileNotFoundError``."""
     try:
-        # opened here so it is closed whatever np.load raises; a .npy file
-        # loads as a bare array, which is no context manager (TypeError)
-        with open(path, "rb") as fh, np.load(fh) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            state = SystemState(u=data["u"].copy(), psi=data["psi"].copy(),
-                                t=float(meta["t"]), n=int(meta["n"]))
+        # opened here so it is closed whatever np.load raises
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):   # a bare .npy array
+                raise TypeError("not an .npz archive")
+            with data:
+                meta = json.loads(bytes(data["meta"]).decode())
+                state = SystemState(u=data["u"].copy(), psi=data["psi"].copy(),
+                                    t=float(meta["t"]), n=int(meta["n"]))
         flow_N, flow_side, config = meta["flow"]["N"], meta["flow"]["side"], meta["config"]
         foreign = meta["kind"] != _CHECKPOINT_KIND
     except (KeyError, TypeError, ValueError, OverflowError, EOFError, zipfile.BadZipFile):
