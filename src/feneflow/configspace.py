@@ -19,9 +19,9 @@ two flavours:
 where every edge carries a positive weight, so the stiffness is a symmetric
 M-matrix whose kernel is exactly the constants.  Edges join radial and
 angular neighbours of the polar node layout, so every edge difference
-(``ConfigGrid.edge_pairs``), its transpose and the drag's edge divergence
-(``ConfigGrid.edge_divergence``) are slice operations on the
-``(N_r, N_theta)`` view of a node field.  The node weights and both
+(``ConfigGrid.edge_pairs``) and its transpose, the drag's edge divergence
+(``ConfigGrid.edge_divergence``), are shift and slice operations on a
+node field, in whatever memory layout it has.  The node weights and both
 edge-weight families depend on the radius alone, so the mass-weighted
 stiffness is one symmetric tridiagonal ``N_r x N_r`` radial block per
 angular wavenumber times a real Fourier basis in the angle (the
@@ -118,8 +118,9 @@ class ConfigGrid:
     edges ``(m, n) -> (m + 1, n)`` come first, then the ``N_r * N_theta``
     angular edges ``(m, n) -> (m, n + 1 mod N_theta)``, each family in node
     order of its tail.  No index list is stored: :meth:`edge_pairs` and
-    :meth:`edge_divergence` take every edge by slices of the
-    ``(N_r, N_theta)`` view.  Every weight depends on the radius alone, so
+    :meth:`edge_divergence` take every edge by shifts along the node axis
+    and slices of its ``(N_r, N_theta)`` view, in the memory layout of the
+    field they are given.  Every weight depends on the radius alone, so
     each family is stored once per radius (:func:`assemble_fp_operators`
     builds its separable eigenbasis on them).
 
@@ -195,9 +196,10 @@ class ConfigGrid:
     @staticmethod
     def node_major(field) -> np.ndarray:
         """``field`` with its last axis (nodes, or edges) slowest in memory,
-        a copy unless it already is so; on this layout the slices of
-        :meth:`edge_pairs` and :meth:`edge_divergence` run contiguously over
-        the leading axes."""
+        a copy unless it already is so.  :meth:`edge_pairs` of a node-major
+        field is edge-major, the layout on which products such as ``dpsi @
+        edge_gamma`` keep their rounding: BLAS may round them differently
+        on a C-ordered array."""
         field = np.moveaxis(np.asarray(field, dtype=float), -1, 0)
         return np.moveaxis(np.ascontiguousarray(field), 0, -1)
 
@@ -207,38 +209,49 @@ class ConfigGrid:
 
         ``op`` is a binary ufunc and ``field`` a node field (last axis:
         nodes).  The result is written to ``out`` if given, else to a new
-        array laid out edge-major (edges slowest in memory): the ledgers
-        were recorded on that layout, and products such as
-        ``dpsi @ edge_gamma`` round differently on a C-ordered one.
+        array in the memory layout of ``field``: cell-major for a C-ordered
+        field, edge-major for a node-major one.  Each entry is one ``op`` of
+        two node values, so its bits do not depend on the layout; products
+        of the result, such as ``dpsi @ edge_gamma``, may.
         """
-        x = self._polar(self.node_major(field))
+        field = np.asarray(field)
         if out is None:
-            out = np.moveaxis(np.empty((self.n_edges,) + x.shape[:-2]), 0, -1)
-        rad, ang = self._families(out)
-        op(x[..., 1:, :], x[..., :-1, :], out=rad)
-        op(x[..., :, 1:], x[..., :, :-1], out=ang[..., :, :-1])
+            out = np.empty_like(field, dtype=float, shape=field.shape[:-1] + (self.n_edges,))
+        N_theta = self.N_theta
+        n_rad = (self.N_r - 1) * N_theta
+        op(field[..., N_theta:], field[..., :-N_theta], out=out[..., :n_rad])
+        # the angular edges (m, n) -> (m, n + 1) as one shift along the
+        # nodes; the pairs it forms across two radii are the wrap edges'
+        # slots, which the last call overwrites
+        op(field[..., 1:], field[..., :-1], out=out[..., n_rad:-1])
+        x, ang = self._polar(field), self._families(out)[1]
         op(x[..., :, :1], x[..., :, -1:], out=ang[..., :, -1:])
         return out
 
     def edge_divergence(self, values) -> np.ndarray:
         """Transpose of ``edge_pairs(np.subtract, x)``: each node sums
         ``+values`` over the edges it heads and ``-values`` over those it
-        tails (last axis of ``values``: edges).
+        tails (last axis of ``values``: edges), in the memory layout of
+        ``values``.
 
         Per node the terms are added to zero in increasing edge index, so
         the sums are bitwise those of the sparse incidence product.
         """
-        values = self.node_major(values)
-        lead = values.shape[:-1]
-        out = np.moveaxis(np.zeros((self.n_nodes,) + lead), 0, -1)
-        y = self._polar(out)
-        rad, ang = self._families(values)
-        y[..., 1:, :] += rad                 # radial edge in
-        y[..., :-1, :] -= rad                # radial edge out
-        y[..., :, 1:] += ang[..., :, :-1]    # angular edge in ...
-        y[..., :, 1:] -= ang[..., :, 1:]     # ... before angular edge out,
-        y[..., :, :1] -= ang[..., :, :1]     # except at n = 0, where edge 0
-        y[..., :, :1] += ang[..., :, -1:]    # precedes edge N_theta - 1
+        values = np.asarray(values)
+        out = np.zeros_like(values, dtype=float, shape=values.shape[:-1] + (self.n_nodes,))
+        N_theta = self.N_theta
+        n_rad = (self.N_r - 1) * N_theta
+        rad, ang = values[..., :n_rad], values[..., n_rad:]
+        out[..., N_theta:] += rad            # radial edge in
+        out[..., :-N_theta] -= rad           # radial edge out
+        # at n = 0 the angular out-edge 0 precedes in-edge N_theta - 1; the
+        # shifts below add them the other way round, so n = 0 is summed aside
+        y, a = self._polar(out), self._families(values)[1]
+        first = y[..., :, 0] - a[..., :, 0]
+        first += a[..., :, -1]
+        out[..., 1:] += ang[..., :-1]        # angular edge in ...
+        out -= ang                           # ... before angular edge out
+        y[..., :, 0] = first
         return out
 
 
@@ -504,7 +517,7 @@ class ConfigOperators:
         """
         g = self.grid
         psi_hat = np.asarray(psi_hat, dtype=float)
-        dpsi = g.edge_pairs(np.subtract, psi_hat)
+        dpsi = g.edge_pairs(np.subtract, g.node_major(psi_hat))
         return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
 
 

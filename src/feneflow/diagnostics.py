@@ -51,42 +51,68 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _clamped(psi: np.ndarray, tol: float) -> np.ndarray:
-    lo = float(psi.min())
-    if lo < -tol:
-        raise ValueError(f"density has negative values down to {lo:.3e}")
-    return np.maximum(psi, 0.0)
+def _check_nonnegative(psi: np.ndarray, tol: float) -> None:
+    """Raise unless ``psi >= -tol``; the callers clamp the rest at 0, and
+    ``tol = inf`` clamps without a check."""
+    if tol < math.inf:
+        lo = float(psi.min())
+        if lo < -tol:
+            raise ValueError(f"density has negative values down to {lo:.3e}")
 
 
 def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
                      neg_tol: float = 1.0e-10) -> float:
-    """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest)."""
-    vals = entropy_F(_clamped(np.asarray(psi), neg_tol))
+    """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest).
+
+    ``F(s)`` is evaluated as :func:`~feneflow.kinetic.entropy_F` does it,
+    ``s log s - (s - 1)`` with ``0 log 0 = 0``, through one masked ``log``."""
+    psi = np.asarray(psi, dtype=float)
+    _check_nonnegative(psi, neg_tol)
+    s = np.maximum(psi, 0.0)
+    vals = np.zeros_like(s)
+    np.log(s, out=vals, where=s > 0.0)
+    vals *= s
+    s -= 1.0
+    vals -= s
     return flow.h * flow.h * float((vals @ grid.w).sum())
 
 
 def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
              neg_tol: float = 1.0e-10) -> float:
     """x-direction Fisher information, edge form: 4 sum (d sqrt(psi))^2 w_q."""
-    root = np.sqrt(_clamped(np.asarray(psi), neg_tol))
-    cube = root.reshape(flow.N, flow.N, grid.n_nodes)
-    acc = (np.diff(cube, axis=0) ** 2).sum(axis=(0, 1)) \
-        + (np.diff(cube, axis=1) ** 2).sum(axis=(0, 1))
+    psi = np.asarray(psi, dtype=float)
+    _check_nonnegative(psi, neg_tol)
+    root = np.maximum(psi, 0.0)
+    cube = np.sqrt(root, out=root).reshape(flow.N, flow.N, grid.n_nodes)
+    acc = 0.0
+    for axis in (0, 1):
+        d = np.diff(cube, axis=axis)
+        d *= d
+        acc = acc + d.sum(axis=(0, 1))
     return 4.0 * float(acc @ grid.w)
 
 
 def _root_dirichlet(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
-    """``sum_e W_e (d sqrt(psi))^2`` for a nonnegative density, per row."""
-    root = np.sqrt(psi)
+    """``sum_e W_e (d sqrt(psi))^2`` per row, ``psi`` clamped at 0.
+
+    The root is written node-major, so its edge differences come out
+    edge-major and their product with ``edge_w`` rounds as the ledger's
+    Fisher columns always have; the same product on a C-ordered array
+    rounds differently."""
+    root = np.moveaxis(np.empty((grid.n_nodes,) + psi.shape[:-1]), 0, -1)
+    np.maximum(psi, 0.0, out=root)
+    np.sqrt(root, out=root)
     d = grid.edge_pairs(np.subtract, root)
-    return (d * d) @ grid.edge_w
+    d *= d
+    return d @ grid.edge_w
 
 
 def fisher_q(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
              neg_tol: float = 1.0e-10) -> float:
     """configuration Fisher information: 4 h^2 sum_cells W_e (d sqrt(psi))^2."""
-    dirichlet = _root_dirichlet(grid, _clamped(np.asarray(psi), neg_tol))
-    return 4.0 * flow.h * flow.h * float(dirichlet.sum())
+    psi = np.asarray(psi, dtype=float)
+    _check_nonnegative(psi, neg_tol)
+    return 4.0 * flow.h * flow.h * float(_root_dirichlet(grid, psi).sum())
 
 
 def free_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
@@ -97,7 +123,8 @@ def free_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
 def decay_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
                  psi: np.ndarray, k: float) -> float:
     """``|u|^2 + (k/|Omega|) |psi - 1|_{L1 of M}^2`` — the decaying quantity."""
-    l1 = flow.h * flow.h * float((np.abs(np.asarray(psi) - 1.0) @ grid.w).sum())
+    dev = np.subtract(psi, 1.0)
+    l1 = flow.h * flow.h * float((np.abs(dev, out=dev) @ grid.w).sum())
     area = flow.side * flow.side
     return flow.norm_sq(u) + (k / area) * l1 * l1
 

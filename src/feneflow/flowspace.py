@@ -19,8 +19,8 @@ Both direct solves, of ``C^T A C`` and (once per grid) of the viscous
 operator behind :func:`dual_norm_sq`, are one banded LAPACK LU on the band
 that :func:`band_storage` reads off the sparse matrix.
 
-Convection is assembled in antisymmetrized form, so the trilinear form is
-skew-symmetric to rounding.  The viscous operator is symmetric positive
+Convection is written in antisymmetrized form, entry by entry from its
+five-point stencil, so the trilinear form is exactly skew-symmetric.  The viscous operator is symmetric positive
 definite and *defines* the discrete Dirichlet energy
 ``|grad u|^2 = <K u, u>``.  With ``D C = 0`` these combine into an exact
 per-step kinetic-energy identity for the implicit momentum update.
@@ -41,6 +41,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 __all__ = [
     "FlowGrid",
     "build_flow_grid",
+    "five_point_csr",
     "band_storage",
     "banded_solver",
     "stokes_solver",
@@ -67,14 +68,12 @@ class FlowGrid:
         K: vector Dirichlet "stiffness" (minus Laplacian) on faces; SPD.
         T: tuple of four cell-tensor gradient maps (T_xx, T_xy, T_yx, T_yy)
            with ``T_xx u + T_yy v`` equal to the divergence row-for-row.
-        advection_stencils: the unscaled centred differences ``(d_x, d_y)``
-           on x-faces, then ``(d_x, d_y)`` on y-faces, that
-           :func:`convection_matrix` scales row-wise by the advecting
-           velocity; they depend on ``N`` only.
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
 
-    The cell stiffness ``h^2 D D^T`` is not stored: the density solve writes
-    it into its transport matrix from ``N`` alone (``stepping._transport_csr``).
+    Neither convection nor the cell stiffness ``h^2 D D^T`` is stored: each
+    is a five-point stencil per face or cell, written into a CSR matrix by
+    :func:`five_point_csr` when it is needed (:func:`convection_matrix`,
+    ``stepping._transport_csr``).
     """
 
     N: int
@@ -87,7 +86,6 @@ class FlowGrid:
     curl: sp.csr_matrix
     K: sp.csr_matrix
     T: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
-    advection_stencils: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
     xu: np.ndarray
     yu: np.ndarray
     xv: np.ndarray
@@ -155,13 +153,11 @@ def _face_sum(N: int) -> sp.csr_matrix:
     return (sp.eye(N, N - 1) + sp.eye(N, N - 1, k=-1)).tocsr()
 
 
-def _centred_difference(n: int, ghost: bool) -> sp.csr_matrix:
-    """``(n, n)``: ``w[i+1] - w[i-1]``; with ``ghost`` the missing neighbour at
-    a wall is the reflection ``-w[i]`` of the wall-adjacent value."""
+def _centred_difference(n: int) -> sp.csr_matrix:
+    """``(n, n)``: ``w[i+1] - w[i-1]``, the missing neighbour at a wall being
+    the reflection ``-w[i]`` of the wall-adjacent value."""
     C = sp.eye(n, k=1) - sp.eye(n, k=-1)
-    if ghost:
-        C = C + sp.diags([[1.0] + [0.0] * (n - 2) + [-1.0]], [0], shape=(n, n))
-    return C.tocsr()
+    return (C + sp.diags([[1.0] + [0.0] * (n - 2) + [-1.0]], [0], shape=(n, n))).tocsr()
 
 
 def _second_difference(n: int, ghost: bool) -> sp.csr_matrix:
@@ -233,16 +229,10 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     # face-pair sums with ghost reflection at the walls
     Txx = _scaled(sp.hstack([Du, zero_v]), h)
     Tyy = _scaled(sp.hstack([zero_u, Dv]), h)
-    Txy = _scaled(sp.hstack([sp.kron(_face_sum(N), _centred_difference(N, True)), zero_v]),
+    Txy = _scaled(sp.hstack([sp.kron(_face_sum(N), _centred_difference(N)), zero_v]),
                   4.0 * h)
-    Tyx = _scaled(sp.hstack([zero_u, sp.kron(_centred_difference(N, True), _face_sum(N))]),
+    Tyx = _scaled(sp.hstack([zero_u, sp.kron(_centred_difference(N), _face_sum(N))]),
                   4.0 * h)
-
-    # convection: centred differences along each face normal between
-    # interior faces, and across it with ghost reflection at the walls
-    C_wall, C_ghost = _centred_difference(N - 1, False), _centred_difference(N, True)
-    advection_stencils = tuple(sp.csr_matrix(M) for M in (
-        sp.kron(C_wall, I_c), sp.kron(I_f, C_ghost), sp.kron(C_ghost, I_f), sp.kron(I_c, C_wall)))
 
     ih = np.arange(1, N) * h
     jh = (np.arange(N) + 0.5) * h
@@ -252,7 +242,6 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
         D=D, curl=_curl(N, h), K=K, T=(Txx, Txy, Tyx, Tyy),
-        advection_stencils=advection_stencils,
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )
 
@@ -260,6 +249,33 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 # --------------------------------------------------------------------------
 # banded direct solves and the divergence-constrained solve
 # --------------------------------------------------------------------------
+
+
+def five_point_csr(*blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal CSR matrix of five-point stencils.
+
+    Each block is an ``(n_x, n_y, 5)`` array on a grid of unknowns ``(i,
+    j)``, numbered ``i n_y + j`` after the unknowns of the blocks before it.
+    Row ``(i, j)`` holds its coefficients of ``(i-1, j)``, ``(i, j-1)``,
+    ``(i, j)``, ``(i, j+1)`` and ``(i+1, j)``, in that (column) order.  The
+    slots of neighbours beyond the block are left out; every other slot is
+    stored, zeros included.
+    """
+    data, columns, counts, start = [], [], [], 0
+    for slots in blocks:
+        n_x, n_y = slots.shape[:2]
+        inside = np.ones(slots.shape, dtype=bool)
+        inside[0, :, 0] = inside[:, 0, 1] = inside[:, -1, 3] = inside[-1, :, 4] = False
+        index = (start + np.arange(n_x * n_y).reshape(n_x, n_y, 1)
+                 + np.array([-n_y, -1, 0, 1, n_y]))
+        data.append(slots[inside])
+        columns.append(index[inside])
+        counts.append(inside.sum(axis=2).ravel())
+        start += n_x * n_y
+    indptr = np.zeros(start + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(columns).astype(np.int32),
+                          indptr), shape=(start, start))
 
 
 def band_storage(M: sp.spmatrix) -> Tuple[np.ndarray, int, int]:
@@ -355,29 +371,46 @@ def _cross_average(w: np.ndarray) -> np.ndarray:
     return (pair[:, :-1] + pair[:, 1:]) * 0.25
 
 
-def _plain_advection_matrix(grid: FlowGrid, vfield: np.ndarray) -> sp.csr_matrix:
-    """Centred matrix of ``w -> (v . grad) w`` on faces (before antisymmetrization).
+def _skew_stencil(along_x: np.ndarray, along_y: np.ndarray) -> np.ndarray:
+    """Five-point slots (for :func:`five_point_csr`) of ``(A - A^T) / 2`` on
+    one face family, ``A`` being the centred difference along each axis
+    scaled row-wise by ``along_x`` or ``along_y`` (the advecting velocity
+    over ``2 h``, one value per face).
 
-    Each face row is its advecting velocity times one of the grid's
-    ``advection_stencils``.
-    """
-    N, n_u = grid.N, grid.n_u
-    u = vfield[:n_u].reshape(N - 1, N)
-    v = vfield[n_u:].reshape(N, N - 1)
-    du_dx, du_dy, dv_dx, dv_dy = grid.advection_stencils
-    A_u = sp.diags(u.ravel()) @ du_dx + sp.diags(_cross_average(v).ravel()) @ du_dy
-    A_v = sp.diags(_cross_average(u.T).T.ravel()) @ dv_dx + sp.diags(v.ravel()) @ dv_dy
-    return _scaled(sp.block_diag([A_u, A_v]), 2 * grid.h)
+    Neighbours ``r`` and ``c`` one face apart along an axis give ``A_rc =
+    a_r`` and ``A_cr = -a_c``, so the pair's entries are ``+-(a_r + a_c) /
+    2``.  A wall's ghost reflection sits on the diagonal of ``A``, where
+    ``A - A^T`` is 0."""
+    slots = np.zeros(along_x.shape + (5,))
+    pair_x = (along_x[:-1] + along_x[1:]) * 0.5
+    pair_y = (along_y[:, :-1] + along_y[:, 1:]) * 0.5
+    slots[:-1, :, 4] = pair_x
+    slots[1:, :, 0] = -pair_x
+    slots[:, :-1, 3] = pair_y
+    slots[:, 1:, 1] = -pair_y
+    return slots
 
 
 def convection_matrix(grid: FlowGrid, vfield: np.ndarray) -> sp.csr_matrix:
     """Antisymmetrized convection operator ``C(v) = (A(v) - A(v)^T) / 2``.
 
-    The induced trilinear form ``t(v; w1, w2) = h^2 w2 . C(v) w1`` is skew
-    in its last two arguments to rounding, for every advecting field.
+    ``A(v)`` is the centred matrix of ``w -> (v . grad) w`` on faces: along
+    each face normal between interior faces, across it with ghost
+    reflection at the walls, each face row scaled by its advecting
+    velocity (the face's own component, and the average of the four
+    other-family faces around it for the other).  ``C(v)`` is written
+    entry by entry from the face velocities by :func:`five_point_csr`,
+    with explicit zeros on the diagonal.  The induced trilinear form
+    ``t(v; w1, w2) = h^2 w2 . C(v) w1`` is skew in its last two arguments,
+    exactly: the two entries of each pair are each other's negatives.
     """
-    A = _plain_advection_matrix(grid, np.asarray(vfield, dtype=float))
-    return ((A - A.T) * 0.5).tocsr()
+    N, n_u = grid.N, grid.n_u
+    vfield = np.asarray(vfield, dtype=float)
+    u = vfield[:n_u].reshape(N - 1, N)
+    v = vfield[n_u:].reshape(N, N - 1)
+    scale = 2 * grid.h
+    return five_point_csr(_skew_stencil(u / scale, _cross_average(v) / scale),
+                          _skew_stencil(_cross_average(u.T).T / scale, v / scale))
 
 
 # --------------------------------------------------------------------------

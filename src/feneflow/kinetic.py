@@ -160,8 +160,9 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
     """
     # node- and edge-sized buffers are reused in place (m, bound, out): at
     # run sizes a fresh array costs about as much in page faults as the
-    # arithmetic done on it
-    psi = grid.node_major(psi)
+    # arithmetic done on it.  Every buffer, and the result, keeps the memory
+    # layout of psi, so no pass transposes.
+    psi = np.asarray(psi, dtype=float)
     m = np.clip(psi, cutoff.delta, cutoff.L)
     d1 = psi - m
     d1 /= m
@@ -177,7 +178,7 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
     # midpoint 0.5 (a + c), which the final clip turns into beta^L_delta of it
     grid.edge_pairs(np.add, psi, out=out)
     out *= 0.5
-    np.divide(dnum, dden, out=out, where=~tiny)
+    np.divide(dnum, dden, out=out, where=np.logical_not(tiny, out=tiny))
     return np.clip(out, cutoff.delta, cutoff.L, out=out)
 
 

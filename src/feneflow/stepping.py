@@ -66,7 +66,7 @@ from scipy.linalg.lapack import dgbsv
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata_json
-from .flowspace import FlowGrid, band_storage, convection_matrix, stokes_solver
+from .flowspace import FlowGrid, band_storage, convection_matrix, five_point_csr, stokes_solver
 
 __all__ = [
     "StepParams",
@@ -175,11 +175,10 @@ def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
     divergence, so uniform densities are transported exactly by projected
     velocities.
 
-    Row ``(i, j)`` holds its neighbours in column order ``(i-1, j)``,
-    ``(i, j-1)``, ``(i, j)``, ``(i, j+1)``, ``(i+1, j)``, those outside the
-    walls left out.  The stencil is written into five slots per cell and
-    the in-wall slots are gathered into the data array, so ``K_x X`` is
-    one pass per nonzero.
+    The stencil is written into five slots per cell, which
+    :func:`~feneflow.flowspace.five_point_csr` gathers into the CSR arrays
+    (those outside the walls left out), so ``K_x X`` is one pass per
+    nonzero.
     """
     N, h = grid.N, grid.h
     flux_x = h * u[: grid.n_u].reshape(N - 1, N)   # cell (i, j) -> (i+1, j)
@@ -201,13 +200,7 @@ def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
     slots[:, :, 2] = (mass + diffusion * neighbours) + outflow
     slots[:, :-1, 3] = -diffusion - down_y
     slots[:-1, :, 4] = -diffusion - down_x
-    inside = np.ones((N, N, 5), dtype=bool)
-    inside[0, :, 0] = inside[:, 0, 1] = inside[:, -1, 3] = inside[-1, :, 4] = False
-    columns = np.arange(grid.n_c).reshape(N, N, 1) + np.array([-N, -1, 0, 1, N])
-    indptr = np.zeros(grid.n_c + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(inside.sum(axis=2))
-    return sp.csr_matrix((slots[inside], columns[inside].astype(np.int32), indptr),
-                         shape=(grid.n_c, grid.n_c))
+    return five_point_csr(slots)
 
 
 def _cell_dct(N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -361,6 +354,9 @@ class CoupledStepper:
         h2 = flow.h * flow.h
         self._precondition = _fast_inverse(flow, params.eps, h2 / params.dt,
                                            self._cq * h2 * ops.evals)
+        # the velocity-independent part of the momentum operator
+        self._momentum_base = ((1.0 / params.dt) * sp.identity(flow.n_u + flow.n_v, format="csr")
+                               + params.nu * flow.K)
 
     # ---- norms ------------------------------------------------------------
 
@@ -374,10 +370,7 @@ class CoupledStepper:
     def _momentum_solver(self, u_prev: np.ndarray):
         """Factored momentum solve ``r -> u`` for convection frozen at ``u_prev``."""
         fg = self.flow
-        n = fg.n_u + fg.n_v
-        A = (fg.h * fg.h) * ((1.0 / self.params.dt) * sp.identity(n, format="csr")
-                             + self.params.nu * fg.K
-                             + convection_matrix(fg, u_prev))
+        A = (fg.h * fg.h) * (self._momentum_base + convection_matrix(fg, u_prev))
         return stokes_solver(fg, A)
 
     def _stress_force(self, C_hat: np.ndarray) -> np.ndarray:
@@ -445,10 +438,14 @@ class CoupledStepper:
         with the truncated coefficient evaluated on ``coeff_field``
         (previous fixed-point iterate), which also starts the iteration.
         """
-        fg = self.flow
-        h2 = fg.h * fg.h
-        rhs = (h2 / self.params.dt) * psi_prev * self.ops.grid.w[None, :]
-        rhs = rhs + h2 * self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
+        h2 = self.flow.h * self.flow.h
+        # h^2 drag + (h^2/dt) psi_prev w, summed in the drag's array
+        rhs = self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
+        rhs *= h2
+        mass = np.multiply(psi_prev, h2 / self.params.dt)
+        mass *= self.ops.grid.w
+        rhs += mass
+        del mass
         out = operator.solve(rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")

@@ -87,10 +87,6 @@ class GatherEdges:
         self.edges_a = np.asarray(edges_a)
         self.edges_b = np.asarray(edges_b)
 
-    @staticmethod
-    def node_major(field):
-        return np.asarray(field, dtype=float)
-
     def edge_pairs(self, op, field, out=None):
         field = np.asarray(field)
         return op(field[..., self.edges_b], field[..., self.edges_a], out=out)

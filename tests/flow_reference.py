@@ -3,7 +3,9 @@ Kronecker-assembled operators of ``feneflow.flowspace`` are checked against
 entry for entry, and the bordered saddle-point solve with a mean-zero
 pressure that the stream-function ``stokes_solver`` is checked against.
 Each builder reads as the stencil it encodes; none of them is used by the
-package."""
+package.  :func:`convection_reference` is the scipy assembly of the
+convection operator that ``convection_matrix`` replaced by writing its CSR
+from the five-point stencil."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,6 +209,41 @@ def loop_plain_advection_matrix(N: int, side: float, vfield: np.ndarray) -> sp.c
 
 def loop_convection_matrix(N: int, side: float, vfield: np.ndarray) -> sp.csr_matrix:
     A = loop_plain_advection_matrix(N, side, np.asarray(vfield, dtype=float))
+    return ((A - A.T) * 0.5).tocsr()
+
+
+def convection_reference(grid, vfield: np.ndarray) -> sp.csr_matrix:
+    """``(A - A^T) / 2`` by sparse products: the centred advection stencils
+    (``N`` only; between interior faces along each face normal, with ghost
+    reflection across it) scaled row-wise by the advecting velocity through
+    ``diags`` products, divided by ``2 h`` entry by entry, antisymmetrized."""
+    N, n_u = grid.N, grid.n_u
+    vfield = np.asarray(vfield, dtype=float)
+    u = vfield[:n_u].reshape(N - 1, N)
+    v = vfield[n_u:].reshape(N, N - 1)
+
+    def centred(n, ghost):
+        C = sp.eye(n, k=1) - sp.eye(n, k=-1)
+        if ghost:
+            C = C + sp.diags([[1.0] + [0.0] * (n - 2) + [-1.0]], [0], shape=(n, n))
+        return C.tocsr()
+
+    def cross_average(w):
+        # the four other-family faces around each face; beyond a wall, zero
+        pair = np.zeros((w.shape[0] - 1, w.shape[0] + 1))
+        pair[:, 1:-1] = w[:-1] + w[1:]
+        return (pair[:, :-1] + pair[:, 1:]) * 0.25
+
+    I_c, I_f = sp.identity(N), sp.identity(N - 1)
+    C_wall, C_ghost = centred(N - 1, False), centred(N, True)
+    du_dx, du_dy = sp.kron(C_wall, I_c), sp.kron(I_f, C_ghost)
+    dv_dx, dv_dy = sp.kron(C_ghost, I_f), sp.kron(I_c, C_wall)
+    A_u = sp.diags(u.ravel()) @ du_dx + sp.diags(cross_average(v).ravel()) @ du_dy
+    A_v = sp.diags(cross_average(u.T).T.ravel()) @ dv_dx + sp.diags(v.ravel()) @ dv_dy
+    A = sp.csr_matrix(sp.block_diag([A_u, A_v]), copy=True)
+    A.sum_duplicates()
+    A.data = A.data / (2 * grid.h)
+    A.eliminate_zeros()
     return ((A - A.T) * 0.5).tocsr()
 
 

@@ -297,6 +297,43 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
                2.0 * gather_lsi_fisher(g, np.sqrt(row)))
 
 
+@pytest.mark.parametrize("N_r,N_theta", [(8, 12), (16, 16), (40, 40)])
+def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
+    # the drag pass works in the layout of the density it is given: a
+    # C-ordered (cells x nodes) field and the same field stored node-major
+    # give the same bits, and the batched pairing is exact.  A single row
+    # goes through a BLAS matrix-vector product where a batch goes through
+    # a matrix product, which round differently, so the stress and the drag
+    # of a row equal the batch's row to rounding; the secant, which takes
+    # no product, to the bit
+    ops = assemble_fp_operators(build_config_grid(4.0, N_r, N_theta))
+    g = ops.grid
+    rng = np.random.default_rng(10 * N_r + N_theta)
+    n_c, cutoff = 12, CutoffParams(5.0, 1e-4)
+    psi = rng.uniform(-0.5, 8.0, (n_c, g.n_nodes))
+    sigma = rng.standard_normal((n_c, 2, 2))
+    coeff = secant_cutoff_coefficient(psi, g, cutoff)
+    stress, drag = ops.stress_matrix(psi), ops.drag_rhs(sigma, coeff)
+    assert coeff.flags.c_contiguous and drag.flags.c_contiguous
+
+    lhs = float(np.sum(sigma * stress))
+    rhs = float(np.sum(ops.drag_rhs(sigma, np.ones((n_c, g.n_edges))) * psi))
+    assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    psi_nm, coeff_nm = g.node_major(psi), g.node_major(coeff)
+    assert not psi_nm.flags.c_contiguous and not coeff_nm.flags.c_contiguous
+    _same_bits(secant_cutoff_coefficient(psi_nm, g, cutoff), coeff)
+    _same_bits(ops.stress_matrix(psi_nm), stress)
+    _same_bits(ops.drag_rhs(sigma, coeff_nm), drag)
+
+    for row in range(n_c):
+        _same_bits(secant_cutoff_coefficient(psi[row], g, cutoff), coeff[row])
+        np.testing.assert_allclose(ops.stress_matrix(psi[row]), stress[row],
+                                   rtol=0.0, atol=1e-13 * np.abs(stress[row]).max())
+        np.testing.assert_allclose(ops.drag_rhs(sigma[row], coeff[row]), drag[row],
+                                   rtol=0.0, atol=1e-14 * np.abs(drag[row]).max())
+
+
 @pytest.mark.parametrize("b", [4.0, 10.0])
 @pytest.mark.parametrize("N_r,N_theta",
                          [(8, 8), (8, 12), (12, 8), (10, 10), (16, 16), (9, 31), (40, 40)])

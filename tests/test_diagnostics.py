@@ -16,6 +16,7 @@ from feneflow import (
     decay_energy,
     decay_verdict,
     energy_inequality_check,
+    entropy_F,
     fisher_q,
     fisher_x,
     free_energy,
@@ -63,6 +64,15 @@ def test_equilibrium_run_reports_entropy_at_rounding_level():
     cfg = RunConfig(scenario="equilibrium", N_x=8, N_r=10, N_theta=10, dt=0.01, T=0.05)
     entropy = run_scenario(cfg).ledger.column("entropy")
     assert np.abs(entropy).max() <= 1e-25
+
+
+def test_relative_entropy_is_entropy_F_near_equilibrium(flow8, grid16, rng):
+    # within 1e-9 of psi = 1, F(psi) ~ 5e-19: the ledger's entropy keeps
+    # entropy_F's cancellation-free form there (s log s - s + 1 would carry
+    # 1e-16 absolute error per node)
+    psi = 1.0 + 1e-9 * rng.standard_normal((flow8.n_c, grid16.n_nodes))
+    want = flow8.h * flow8.h * float((entropy_F(psi) @ grid16.w).sum())
+    assert relative_entropy(flow8, grid16, psi) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_relative_entropy_rejects_negative(flow8, grid16):

@@ -26,6 +26,7 @@ from feneflow.stepping import _transport_csr
 from flow_reference import (
     bordered_stokes_solver,
     cell_neumann_stiffness,
+    convection_reference,
     loop_convection_matrix,
     loop_flow_operators,
     scalar_dirichlet_stiffness,
@@ -316,6 +317,24 @@ def test_convection_trilinear_antisymmetry(flow12, rng):
 def test_convection_zero_advector(flow12, rng):
     C = convection_matrix(flow12, np.zeros(flow12.n_u + flow12.n_v))
     assert abs(C).max() == 0.0
+
+
+@pytest.mark.parametrize("N", [4, 5, 12, 32])
+def test_convection_stencil_matches_sparse_assembly(N):
+    # the CSR written from the five-point stencil holds the values of the
+    # scipy product assembly it replaced, entry for entry (its stored
+    # pattern adds explicit zeros: the diagonal, and pairs of resting
+    # faces), and C + C^T has no nonzero at all
+    grid = build_flow_grid(N, 0.7)
+    rng = np.random.default_rng(N)
+    zero = np.zeros(grid.n_u + grid.n_v)
+    sparse = random_faces(grid, rng)
+    sparse[rng.random(sparse.size) < 0.3] = 0.0
+    for adv in (random_faces(grid, rng), sparse, zero):
+        got, want = convection_matrix(grid, adv), convection_reference(grid, adv)
+        assert got.format == "csr" and got.has_sorted_indices
+        np.testing.assert_array_equal(got.toarray(), want.toarray())
+        assert (got + got.T).count_nonzero() == 0
 
 
 # --------------------------------------------------------------------------

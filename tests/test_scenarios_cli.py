@@ -237,6 +237,34 @@ def test_smoothing_report_attached():
     assert rep.min_value >= -1e-8
 
 
+@pytest.mark.parametrize("dip,exit_status", [(-5e-9, 0), (-5e-8, 2)])
+def test_a_density_dip_is_judged_by_the_nonnegativity_verdict_alone(
+        dip, exit_status, tmp_path, monkeypatch):
+    # every step ends with one density value at `dip`, its old value moved
+    # onto its angular neighbour (same radius, same weight) so that no mass
+    # moves; the ledger terms clamp the dip, and the run completes and
+    # writes its ledger whichever way the nonnegativity verdict (psi_min >=
+    # -1e-8) goes
+    import feneflow.stepping as stepping
+
+    step = stepping.CoupledStepper.coupled_step
+
+    def dipping(self, state, f=None):
+        new, report = step(self, state, f)
+        new.psi[0, -2] += new.psi[0, -1] - dip
+        new.psi[0, -1] = dip
+        return new, report
+
+    monkeypatch.setattr(stepping.CoupledStepper, "coupled_step", dipping)
+    out = tmp_path / "out"
+    result = run_scenario(tiny("decay"), out_dir=str(out))
+    assert result.exit_status == exit_status
+    assert result.verdicts.pop("nonnegativity") == (exit_status == 0)
+    assert all(result.verdicts.values()), result.verdicts
+    assert result.ledger.column("psi_min").min() == dip
+    assert (out / "ledger.tsv").read_text() == result.ledger.to_text()
+
+
 # --------------------------------------------------------------------------
 # output directory
 # --------------------------------------------------------------------------
