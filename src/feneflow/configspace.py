@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -72,6 +73,24 @@ MOMENT_TOL = 1e-6
 
 class GridConstructionError(RuntimeError):
     """Raised when a freshly built grid fails its own acceptance checks."""
+
+
+@contextmanager
+def _rows_in_place():
+    """Run NumPy ufuncs on strided operands one row at a time.
+
+    NumPy 2 runs a ufunc whose operands' rows are shorter than its buffer
+    (8192 elements by default) by copying several rows at a time through
+    the buffer, to lengthen the inner loop.  On the node and edge fields of
+    a cell-major density the copies cost more than the arithmetic: a field
+    of 144 cells on the 40 x 40 grid takes 1.7 times as long.  A 16-element
+    buffer is shorter than any row, so every operand stays in place.  Only
+    elementwise ufuncs run inside, so no bit changes."""
+    size = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
@@ -219,13 +238,14 @@ class ConfigGrid:
             out = np.empty_like(field, dtype=float, shape=field.shape[:-1] + (self.n_edges,))
         N_theta = self.N_theta
         n_rad = (self.N_r - 1) * N_theta
-        op(field[..., N_theta:], field[..., :-N_theta], out=out[..., :n_rad])
-        # the angular edges (m, n) -> (m, n + 1) as one shift along the
-        # nodes; the pairs it forms across two radii are the wrap edges'
-        # slots, which the last call overwrites
-        op(field[..., 1:], field[..., :-1], out=out[..., n_rad:-1])
         x, ang = self._polar(field), self._families(out)[1]
-        op(x[..., :, :1], x[..., :, -1:], out=ang[..., :, -1:])
+        with _rows_in_place():
+            op(field[..., N_theta:], field[..., :-N_theta], out=out[..., :n_rad])
+            # the angular edges (m, n) -> (m, n + 1) as one shift along the
+            # nodes; the pairs it forms across two radii are the wrap
+            # edges' slots, which the last call overwrites
+            op(field[..., 1:], field[..., :-1], out=out[..., n_rad:-1])
+            op(x[..., :, :1], x[..., :, -1:], out=ang[..., :, -1:])
         return out
 
     def edge_divergence(self, values) -> np.ndarray:
@@ -242,16 +262,18 @@ class ConfigGrid:
         N_theta = self.N_theta
         n_rad = (self.N_r - 1) * N_theta
         rad, ang = values[..., :n_rad], values[..., n_rad:]
-        out[..., N_theta:] += rad            # radial edge in
-        out[..., :-N_theta] -= rad           # radial edge out
-        # at n = 0 the angular out-edge 0 precedes in-edge N_theta - 1; the
-        # shifts below add them the other way round, so n = 0 is summed aside
         y, a = self._polar(out), self._families(values)[1]
-        first = y[..., :, 0] - a[..., :, 0]
-        first += a[..., :, -1]
-        out[..., 1:] += ang[..., :-1]        # angular edge in ...
-        out -= ang                           # ... before angular edge out
-        y[..., :, 0] = first
+        with _rows_in_place():
+            out[..., N_theta:] += rad            # radial edge in
+            out[..., :-N_theta] -= rad           # radial edge out
+            # at n = 0 the angular out-edge 0 precedes in-edge N_theta - 1;
+            # the shifts below add them the other way round, so n = 0 is
+            # summed aside
+            first = y[..., :, 0] - a[..., :, 0]
+            first += a[..., :, -1]
+            out[..., 1:] += ang[..., :-1]        # angular edge in ...
+            out -= ang                           # ... before angular edge out
+            y[..., :, 0] = first
         return out
 
 

@@ -542,11 +542,11 @@ def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, mo
 
 
 # peak traced memory, in (n_c, n_nodes) arrays, of one density solve and of
-# one step's ledger calls on a fine configuration grid; the values this
-# code measures (with NumPy's 8192-element ufunc buffers), against 11.22
-# and 6.05 before the drag pass and the ledger kept their arrays' layout
-FP_STEP_PEAK = 9.30
-LEDGER_PEAK = 3.10
+# one step's ledger calls on a fine configuration grid: the values this code
+# measures with NumPy 2.4, against 11.22 and 6.05 before the drag pass and
+# the ledger kept their arrays' layout (NumPy's ufunc buffers included)
+FP_STEP_PEAK = 8.15
+LEDGER_PEAK = 2.98
 
 
 def test_density_step_and_ledger_allocate_few_density_arrays(rng):
