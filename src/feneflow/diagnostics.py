@@ -51,6 +51,9 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+_SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
+
+
 def _check_nonnegative(psi: np.ndarray, tol: float) -> None:
     """Raise unless ``psi >= -tol``; the callers clamp the rest at 0, and
     ``tol = inf`` clamps without a check."""
@@ -65,12 +68,13 @@ def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
     """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest).
 
     ``F(s)`` is evaluated as :func:`~feneflow.kinetic.entropy_F` does it,
-    ``s log s - (s - 1)`` with ``0 log 0 = 0``, through one masked ``log``."""
+    ``s log s - (s - 1)``, on ``s = max(psi, 5e-324)``: at that smallest
+    positive double the form rounds to ``F(0) = 1`` exactly, so no mask is
+    needed and every value has the bits of ``entropy_F(max(psi, 0))``."""
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
-    s = np.maximum(psi, 0.0)
-    vals = np.zeros_like(s)
-    np.log(s, out=vals, where=s > 0.0)
+    s = np.maximum(psi, _SMALLEST_POSITIVE)
+    vals = np.log(s)
     vals *= s
     s -= 1.0
     vals -= s

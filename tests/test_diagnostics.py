@@ -73,6 +73,10 @@ def test_relative_entropy_is_entropy_F_near_equilibrium(flow8, grid16, rng):
     psi = 1.0 + 1e-9 * rng.standard_normal((flow8.n_c, grid16.n_nodes))
     want = flow8.h * flow8.h * float((entropy_F(psi) @ grid16.w).sum())
     assert relative_entropy(flow8, grid16, psi) == pytest.approx(want, rel=1e-15, abs=0.0)
+    # zeros, clamped dips and subnormals take F(max(psi, 0)) exactly
+    psi[0, :6] = [0.0, -0.0, -1e-11, 5e-324, 1e-310, 1e-300]
+    want = flow8.h * flow8.h * float((entropy_F(np.maximum(psi, 0.0)) @ grid16.w).sum())
+    assert relative_entropy(flow8, grid16, psi) == want
 
 
 def test_relative_entropy_rejects_negative(flow8, grid16):
