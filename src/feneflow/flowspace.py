@@ -20,9 +20,9 @@ operator behind :func:`dual_norm_sq`, are one banded LAPACK LU on the band
 that :func:`band_storage` reads off the sparse matrix.
 
 Convection is written in antisymmetrized form, entry by entry from its
-five-point stencil, so the trilinear form is exactly skew-symmetric.  The viscous operator is symmetric positive
-definite and *defines* the discrete Dirichlet energy
-``|grad u|^2 = <K u, u>``.  With ``D C = 0`` these combine into an exact
+five-point stencil, so the trilinear form is exactly skew-symmetric.  The
+viscous operator is symmetric positive definite and *defines* the discrete
+Dirichlet energy ``|grad u|^2 = <K u, u>``.  With ``D C = 0`` these combine into an exact
 per-step kinetic-energy identity for the implicit momentum update.
 """
 

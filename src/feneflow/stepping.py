@@ -439,13 +439,9 @@ class CoupledStepper:
         (previous fixed-point iterate), which also starts the iteration.
         """
         h2 = self.flow.h * self.flow.h
-        # h^2 drag + (h^2/dt) psi_prev w, summed in the drag's array
         rhs = self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
         rhs *= h2
-        mass = np.multiply(psi_prev, h2 / self.params.dt)
-        mass *= self.ops.grid.w
-        rhs += mass
-        del mass
+        rhs += (h2 / self.params.dt) * psi_prev * self.ops.grid.w
         out = operator.solve(rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
