@@ -549,7 +549,8 @@ FP_STEP_PEAK = 8.15
 LEDGER_PEAK = 2.98
 
 
-def test_density_step_and_ledger_allocate_few_density_arrays(rng):
+def test_density_step_and_ledger_allocate_few_density_arrays():
+    rng = np.random.default_rng(6)
     flow = build_flow_grid(6)
     ops = assemble_fp_operators(build_config_grid(4.0, N_r=24, N_theta=24))
     stepper = CoupledStepper(flow, ops, StepParams(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
