@@ -21,14 +21,15 @@ M-matrix whose kernel is exactly the constants.  Edges join radial and
 angular neighbours of the polar node layout, so every edge difference
 (``ConfigGrid.edge_pairs``) and its transpose, the drag's edge divergence
 (``ConfigGrid.edge_divergence``), are shift and slice operations on a
-node field, in whatever memory layout it has.  The node weights and both
-edge-weight families depend on the radius alone, so the mass-weighted
-stiffness is one symmetric tridiagonal ``N_r x N_r`` radial block per
-angular wavenumber times a real Fourier basis in the angle (the
-tensor-product fast diagonalization of Lynch, Rice & Thomas, 1964).  The
-assembled operators carry that separable eigenbasis, computed once per grid
-without ever forming the ``n_nodes x n_nodes`` stiffness; the stepper's
-Kronecker solves and the spectral gap both read it.
+node field, in whatever memory layout it has, so the secant coefficient,
+the drag and the Kramers pairing all run in the density's own layout.  The
+node weights and both edge-weight families depend on the radius alone, so
+the mass-weighted stiffness is one symmetric tridiagonal ``N_r x N_r``
+radial block per angular wavenumber times a real Fourier basis in the
+angle (the tensor-product fast diagonalization of Lynch, Rice & Thomas,
+1964).  The assembled operators carry that separable eigenbasis, computed
+once per grid without ever forming the ``n_nodes x n_nodes`` stiffness; the
+stepper's Kronecker solves and the spectral gap both read it.
 Node-wise spectral/4th-order gradients are provided separately for the
 integration-by-parts diagnostics.
 """
@@ -212,16 +213,6 @@ class ConfigGrid:
         return (rad.reshape(rad.shape[:-1] + (self.N_r - 1, self.N_theta), copy=False),
                 self._polar(edge_field[..., n_rad:]))
 
-    @staticmethod
-    def node_major(field) -> np.ndarray:
-        """``field`` with its last axis (nodes, or edges) slowest in memory,
-        a copy unless it already is so.  :meth:`edge_pairs` of a node-major
-        field is edge-major, the layout on which products such as ``dpsi @
-        edge_gamma`` keep their rounding: BLAS may round them differently
-        on a C-ordered array."""
-        field = np.moveaxis(np.asarray(field, dtype=float), -1, 0)
-        return np.moveaxis(np.ascontiguousarray(field), 0, -1)
-
     def edge_pairs(self, op, field, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``op(field at b, field at a)`` for every edge ``a -> b``, in edge
         order (last axis: edges).
@@ -230,8 +221,7 @@ class ConfigGrid:
         nodes).  The result is written to ``out`` if given, else to a new
         array in the memory layout of ``field``: cell-major for a C-ordered
         field, edge-major for a node-major one.  Each entry is one ``op`` of
-        two node values, so its bits do not depend on the layout; products
-        of the result, such as ``dpsi @ edge_gamma``, may.
+        two node values, so its bits do not depend on the layout.
         """
         field = np.asarray(field)
         if out is None:
@@ -536,11 +526,15 @@ class ConfigOperators:
 
         Consistent with ``C(M psi)`` up to the integration-by-parts residual
         for trace-free contractions.  ``psi_hat`` may carry leading axes.
+        The edge differences keep the layout of ``psi_hat``, and the pairing
+        is taken as ``(Gamma^T dpsi^T)^T`` on their ``(rows, n_edges)``
+        view: BLAS rounds that as the edge-major ``dpsi @ edge_gamma``,
+        which it rounds differently on a C-ordered ``dpsi``.
         """
         g = self.grid
         psi_hat = np.asarray(psi_hat, dtype=float)
-        dpsi = g.edge_pairs(np.subtract, g.node_major(psi_hat))
-        return (dpsi @ g.edge_gamma).reshape(psi_hat.shape[:-1] + (2, 2))
+        dpsi = g.edge_pairs(np.subtract, psi_hat).reshape(-1, g.n_edges)
+        return (g.edge_gamma.T @ dpsi.T).T.reshape(psi_hat.shape[:-1] + (2, 2))
 
 
 def _radial_stiffness(a: np.ndarray):

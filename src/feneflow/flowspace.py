@@ -347,8 +347,8 @@ def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.nda
     Guarantees ``|u|^2 + dt |grad u|^2 <= |u0|^2`` (checked by the caller's
     tests).
     """
-    if dt <= 0.0:
-        raise ValueError(f"smoothing step needs dt > 0, got {dt}")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"smoothing step needs a positive finite dt, got {dt}")
     u0 = np.asarray(u0, dtype=float)
     h2 = grid.h * grid.h
     A = h2 * (sp.identity(grid.n_u + grid.n_v, format="csr") + dt * grid.K)

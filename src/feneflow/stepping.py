@@ -358,13 +358,6 @@ class CoupledStepper:
         self._momentum_base = ((1.0 / params.dt) * sp.identity(flow.n_u + flow.n_v, format="csr")
                                + params.nu * flow.K)
 
-    # ---- norms ------------------------------------------------------------
-
-    def psi_norm(self, psi: np.ndarray) -> float:
-        """Weighted L2 norm over cells x configuration nodes."""
-        h2 = self.flow.h * self.flow.h
-        return math.sqrt(h2 * float(((psi * psi) @ self.ops.grid.w).sum()))
-
     # ---- momentum ---------------------------------------------------------
 
     def _momentum_solver(self, u_prev: np.ndarray):
@@ -463,8 +456,14 @@ class CoupledStepper:
         operator = self.density_operator(state.u)
         u_it = state.u
         psi_it = state.psi
+        h2, w = self.flow.h * self.flow.h, self.ops.grid.w
+
+        def psi_norm(sq):
+            # weighted L2 norm over cells x configuration nodes, from the square
+            return math.sqrt(h2 * float((sq @ w).sum()))
+
         floor = max(math.sqrt(self.flow.norm_sq(state.u)
-                              + self.psi_norm(state.psi) ** 2), 1.0e-12)
+                              + psi_norm(state.psi * state.psi) ** 2), 1.0e-12)
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
             u_star = self._momentum_solve(solve, state.u, psi_it, f)
@@ -472,11 +471,14 @@ class CoupledStepper:
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
             # not be judged relative to itself (the ratio of two noise vectors
-            # does not contract)
+            # does not contract).  One buffer squares the increment, then psi_star
+            sq = psi_star - psi_it
+            dpsi = psi_norm(np.multiply(sq, sq, out=sq))
             scale = max(math.sqrt(self.flow.norm_sq(u_star)
-                                  + self.psi_norm(psi_star) ** 2), floor)
+                                  + psi_norm(np.multiply(psi_star, psi_star, out=sq)) ** 2), floor)
+            del sq  # not held through the next sweep's solves
             du = math.sqrt(self.flow.norm_sq(u_star - u_it)) / scale
-            dpsi = self.psi_norm(psi_star - psi_it) / scale
+            dpsi /= scale
             u_it, psi_it = u_star, psi_star
             report.iterations += 1
             report.increments.append(max(du, dpsi))
@@ -512,11 +514,13 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
         (the Fisher terms carry their factor 4) is bounded by the entropy
         of the input.
     """
-    if dt <= 0.0:
-        raise ValueError(f"smoothing step needs dt > 0, got {dt}")
-    if clip_level <= 1.0:
-        raise ValueError(f"clip level must exceed 1, got {clip_level}")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"smoothing step needs a positive finite dt, got {dt}")
+    if not (clip_level > 1.0) or not math.isfinite(clip_level):
+        raise ValueError(f"clip level must be finite and exceed 1, got {clip_level}")
     psi0 = np.asarray(psi0, dtype=float)
+    if not np.isfinite(psi0).all():
+        raise ValueError("raw initial density must be finite")
     if psi0.min() < 0.0:
         raise ValueError("raw initial density must be nonnegative")
     zeta0 = np.minimum(psi0, clip_level)

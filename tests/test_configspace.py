@@ -272,7 +272,9 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
         out[..., i + 1] = out[..., i] + 0.75e-12 * (2.0 * np.abs(out[..., i]) + 1.0)
         return out
 
-    for lead in [(), (5,), (3, 4)]:
+    # (144,) and (256,) are the cell counts of the benchmark's fine-grid and
+    # N = 16 runs, where the stress product runs through BLAS at run size
+    for lead in [(), (5,), (3, 4), (144,), (256,)]:
         for psi in (field(lead), np.ascontiguousarray(field(lead))):
             _same_bits(secant_cutoff_coefficient(psi, g, CutoffParams(L, delta)),
                        routed_secant_coefficient(psi, edges_a, edges_b, L, delta))
@@ -320,7 +322,11 @@ def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
     rhs = float(np.sum(ops.drag_rhs(sigma, np.ones((n_c, g.n_edges))) * psi))
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
-    psi_nm, coeff_nm = g.node_major(psi), g.node_major(coeff)
+    def node_major(field):
+        # the same values with the last axis slowest in memory
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(field, -1, 0)), 0, -1)
+
+    psi_nm, coeff_nm = node_major(psi), node_major(coeff)
     assert not psi_nm.flags.c_contiguous and not coeff_nm.flags.c_contiguous
     _same_bits(secant_cutoff_coefficient(psi_nm, g, cutoff), coeff)
     _same_bits(ops.stress_matrix(psi_nm), stress)

@@ -396,6 +396,13 @@ def test_smoothing_zero_is_fixed(flow12):
     assert np.abs(out).max() == 0.0
 
 
+def test_smoothing_rejects_a_bad_step(flow12):
+    u0 = np.zeros(flow12.n_u + flow12.n_v)
+    for dt in (0.0, -1e-2, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite dt"):
+            smooth_initial_velocity(flow12, u0, dt=dt)
+
+
 def test_smoothing_energy_bound(flow12, rng):
     # || u^0 ||^2 + dt || grad u^0 ||^2 <= || u_0 ||^2 (+ rounding)
     for _ in range(25):

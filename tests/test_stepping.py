@@ -656,6 +656,17 @@ def test_smoothing_rejects_bad_input(small):
         smooth_initial_density(flow, ops, ones, dt=0.0, clip_level=5.0)
     with pytest.raises(ValueError):
         smooth_initial_density(flow, ops, ones, dt=0.01, clip_level=0.5)
+    # every comparison with NaN is false, so each bound is checked as
+    # "positive and finite" rather than by its negation
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            smooth_initial_density(flow, ops, ones, dt=bad, clip_level=5.0)
+        with pytest.raises(ValueError, match="finite"):
+            smooth_initial_density(flow, ops, ones, dt=0.01, clip_level=bad)
+        psi0 = ones.copy()
+        psi0[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            smooth_initial_density(flow, ops, psi0, dt=0.01, clip_level=5.0)
 
 
 def test_smoothing_is_one_exact_solve(wide, monkeypatch):
