@@ -205,13 +205,9 @@ class ConfigGrid:
         """View of a node field's last axis as ``(N_r, N_theta)``."""
         return field.reshape(field.shape[:-1] + (self.N_r, self.N_theta), copy=False)
 
-    def _families(self, edge_field: np.ndarray):
-        """Views of an edge field's radial ``(N_r - 1, N_theta)`` and
-        angular ``(N_r, N_theta)`` blocks."""
-        n_rad = (self.N_r - 1) * self.N_theta
-        rad = edge_field[..., :n_rad]
-        return (rad.reshape(rad.shape[:-1] + (self.N_r - 1, self.N_theta), copy=False),
-                self._polar(edge_field[..., n_rad:]))
+    def _angular(self, edge_field: np.ndarray) -> np.ndarray:
+        """View of an edge field's angular ``(N_r, N_theta)`` block."""
+        return self._polar(edge_field[..., (self.N_r - 1) * self.N_theta:])
 
     def edge_pairs(self, op, field, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``op(field at b, field at a)`` for every edge ``a -> b``, in edge
@@ -228,7 +224,7 @@ class ConfigGrid:
             out = np.empty_like(field, dtype=float, shape=field.shape[:-1] + (self.n_edges,))
         N_theta = self.N_theta
         n_rad = (self.N_r - 1) * N_theta
-        x, ang = self._polar(field), self._families(out)[1]
+        x, ang = self._polar(field), self._angular(out)
         with _rows_in_place():
             op(field[..., N_theta:], field[..., :-N_theta], out=out[..., :n_rad])
             # the angular edges (m, n) -> (m, n + 1) as one shift along the
@@ -252,7 +248,7 @@ class ConfigGrid:
         N_theta = self.N_theta
         n_rad = (self.N_r - 1) * N_theta
         rad, ang = values[..., :n_rad], values[..., n_rad:]
-        y, a = self._polar(out), self._families(values)[1]
+        y, a = self._polar(out), self._angular(values)
         with _rows_in_place():
             out[..., N_theta:] += rad            # radial edge in
             out[..., :-N_theta] -= rad           # radial edge out

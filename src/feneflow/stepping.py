@@ -119,8 +119,12 @@ class StepParams:
             val = getattr(self, name)
             if not (val > 0.0) or not math.isfinite(val):
                 raise ValueError(f"{name} must be positive and finite, got {val}")
-        if self.k < 0.0:
-            raise ValueError(f"stress scale k must be nonnegative, got {self.k}")
+        if not (self.k >= 0.0) or not math.isfinite(self.k):
+            raise ValueError(f"stress scale k must be nonnegative and finite, got {self.k}")
+        if not (self.fp_tol > 0.0):
+            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
+        if not (self.fp_max_iter >= 1):
+            raise ValueError(f"fp_max_iter must be at least 1, got {self.fp_max_iter}")
 
 
 @dataclass
@@ -229,28 +233,6 @@ _MAX_ITERATIONS = 30
 _RESIDUAL_RTOL = 1.0e-14
 
 
-def _fast_inverse(grid: FlowGrid, diffusion: float, mass: float, shifts: np.ndarray):
-    """``P^{-1}`` on mode coefficients ``(n_c, n_modes)``, ``P = mass +
-    diffusion S_cell + diag(shifts)``.  ``P = mass + diffusion (mu_a + mu_b) +
-    shifts[j]`` in DCT-II along both cell axes (fast diagonalization), so
-    ``P^{-1}`` costs four small matmuls, and it conserves mass.
-
-    The DCT matrix and the scaling are computed here, once; the returned
-    ``precondition(R, work)`` overwrites ``R`` with ``P^{-1} R``, using
-    ``work`` (same shape) as scratch, and returns it."""
-    C, mu = _cell_dct(grid.N)
-    inv_p = 1.0 / ((mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None] + shifts)
-    inv_p = inv_p.reshape(grid.n_c, -1)
-
-    def precondition(R: np.ndarray, work: np.ndarray) -> np.ndarray:
-        _along_cells(C, R, work)
-        R *= inv_p
-        _along_cells(C.T, R, work)
-        return R
-
-    return precondition
-
-
 def _residual(K: sp.csr_matrix, shifts: np.ndarray, X: np.ndarray, B: np.ndarray,
               work: np.ndarray) -> np.ndarray:
     """``B - (K_x X + X diag(shifts))`` in a new array, for mode
@@ -260,39 +242,57 @@ def _residual(K: sp.csr_matrix, shifts: np.ndarray, X: np.ndarray, B: np.ndarray
     return np.subtract(B, R, out=R)
 
 
-class _DensityOperator:
-    """``Kx Psi M_q + shift_scale * Psi S_q`` for one transport velocity,
-    ``Kx`` being :func:`_transport_csr`'s operator, and its solve.
+class _DensitySystem:
+    """``Kx Psi M_q + shift_scale * Psi S_q = R`` for ``Kx = mass I +
+    diffusion S_cell + Adv(u)``, and everything of its solve that does not
+    depend on the transport velocity ``u``.
 
-    Built once per coupled step, whose sweeps all transport by the previous
-    step's velocity.  ``precondition`` is :func:`_fast_inverse` for the
-    same ``diffusion``, ``mass`` and shifts; it depends on run constants
-    only, so the stepper builds it once.
+    Mode ``j`` of the configuration eigenbasis is ``(Kx + shifts[j] I) X_j
+    = B_j``, ``shifts = shift_scale * evals``.  ``P = mass + diffusion
+    S_cell + diag(shifts)`` drops the upwind part of ``Kx``; it is ``mass +
+    diffusion (mu_a + mu_b) + shifts[j]`` in DCT-II along both cell axes
+    (fast diagonalization), so ``P^{-1}`` costs four small matmuls and
+    conserves mass.  The shifts, the stop tolerance, the DCT matrix and the
+    scaling ``P^{-1}`` are computed here, once.
     """
 
-    def __init__(self, grid: FlowGrid, u: np.ndarray, diffusion: float, mass: float,
-                 shift_scale: float, ops: ConfigOperators, precondition):
-        self.shift_scale, self.ops, self.precondition = shift_scale, ops, precondition
-        self.K = _transport_csr(grid, u, diffusion, mass)
+    def __init__(self, grid: FlowGrid, ops: ConfigOperators, diffusion: float, mass: float,
+                 shift_scale: float):
+        self.grid, self.ops, self.diffusion, self.mass = grid, ops, diffusion, mass
         self.shifts = shift_scale * ops.evals
         self.rtol = max(_RESIDUAL_RTOL,
                         4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass))
+        self._dct, mu = _cell_dct(grid.N)
+        inv_p = 1.0 / ((mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None]
+                       + self.shifts)
+        self._inv_p = inv_p.reshape(grid.n_c, -1)
 
-    def solve(self, rhs_nodal: np.ndarray, guess_nodal: np.ndarray) -> np.ndarray:
-        """Solve for nodal ``Psi`` with right-hand side ``rhs_nodal``.
+    def transport(self, u: np.ndarray) -> sp.csr_matrix:
+        """The CSR ``Kx`` of :func:`_transport_csr` for transport by ``u``."""
+        return _transport_csr(self.grid, u, self.diffusion, self.mass)
 
-        In the configuration eigenbasis mode ``j`` is ``(Kx + shift_scale *
-        evals[j] I) X_j = B_j``.  All modes are iterated at once, ``X <- X +
-        P^{-1} R`` with ``R = B - K X``; ``P`` drops the upwind part of
-        ``Kx``, whose columns sum to zero, so every update conserves mass
-        to rounding.
+    def precondition(self, R: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Overwrite mode coefficients ``R`` (shape ``(n_c, n_modes)``) with
+        ``P^{-1} R``, using ``work`` (same shape) as scratch, and return it."""
+        _along_cells(self._dct, R, work)
+        R *= self._inv_p
+        _along_cells(self._dct.T, R, work)
+        return R
 
-        The iteration starts from the mode coefficients of ``guess_nodal``
-        and stops when the max-norm residual is at most
-        ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
-        the second term being the residual's rounding floor.  One that has
-        not got there after ``_MAX_ITERATIONS`` residuals (strong upwinding,
-        cell CFL >> 1) is abandoned for the direct :func:`_kron_solve`.
+    def solve(self, K: sp.csr_matrix, rhs_nodal: np.ndarray,
+              guess_nodal: np.ndarray) -> np.ndarray:
+        """Solve for nodal ``Psi`` with right-hand side ``rhs_nodal``, ``K``
+        being :meth:`transport`'s ``Kx``.
+
+        All modes are iterated at once, ``X <- X + P^{-1} R`` with ``R = B -
+        K X``; the upwind part that ``P`` drops has columns summing to zero,
+        so every update conserves mass to rounding.  The iteration starts
+        from the mode coefficients of ``guess_nodal`` and stops when the
+        max-norm residual is at most ``max(_RESIDUAL_RTOL, 4 eps_mach (1 +
+        8 diffusion / mass)) max|B|``, the second term being the residual's
+        rounding floor.  One that has not got there after
+        ``_MAX_ITERATIONS`` residuals (strong upwinding, cell CFL >> 1) is
+        abandoned for the direct :func:`_kron_solve`.
         """
         ops = self.ops
         B = ops.to_modes(rhs_nodal)
@@ -300,21 +300,22 @@ class _DensityOperator:
         X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
         for _ in range(_MAX_ITERATIONS):
-            R = _residual(self.K, self.shifts, X, B, work)
+            R = _residual(K, self.shifts, X, B, work)
             if np.abs(R).max() <= tol:
                 return ops.to_nodes(X)
             X += self.precondition(R, work)
-        return _kron_solve(self.K, self.shift_scale, ops, rhs_nodal)
+        return _kron_solve(K, self.shifts, ops, rhs_nodal)
 
 
-def _kron_solve(K: sp.csr_matrix, shift_scale: float, ops: ConfigOperators,
+def _kron_solve(K: sp.csr_matrix, shifts: np.ndarray, ops: ConfigOperators,
                 rhs_nodal: np.ndarray) -> np.ndarray:
-    """Direct fallback of :meth:`_DensityOperator.solve`: solve ``Kx Psi
+    """Direct fallback of :meth:`_DensitySystem.solve`: solve ``Kx Psi
     M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``, ``K`` being the
-    CSR ``Kx`` from :func:`_transport_csr`.
+    CSR ``Kx`` from :func:`_transport_csr` and ``shifts`` the system's
+    ``shift_scale * evals``.
 
-    Mode ``j`` is the banded system ``(Kx + shift_scale * evals[j] I) phi_j =
-    r_j`` on the band that ``flowspace.band_storage`` reads off ``K``.  Each
+    Mode ``j`` is the banded system ``(Kx + shifts[j] I) phi_j = r_j`` on
+    the band that ``flowspace.band_storage`` reads off ``K``.  Each
     mode copies the band into one work array, shifts the diagonal row and
     factors and solves in place with ``dgbsv`` (the routine
     ``scipy.linalg.solve_banded`` wraps, so results are bitwise those of
@@ -326,7 +327,7 @@ def _kron_solve(K: sp.csr_matrix, shift_scale: float, ops: ConfigOperators,
     work = np.empty_like(ab)
     diagonal = work[kl + ku]
     modes = np.ascontiguousarray(ops.to_modes(rhs_nodal).T)
-    for jmode, shift in enumerate(shift_scale * ops.evals):
+    for jmode, shift in enumerate(shifts):
         np.copyto(work, ab)
         diagonal += shift
         info = dgbsv(kl, ku, work, modes[jmode], overwrite_ab=1, overwrite_b=1)[3]
@@ -352,8 +353,7 @@ class CoupledStepper:
         # dumbbell Rouse matrix A = [1]
         self._cq = 1.0 / (2.0 * params.lam)
         h2 = flow.h * flow.h
-        self._precondition = _fast_inverse(flow, params.eps, h2 / params.dt,
-                                           self._cq * h2 * ops.evals)
+        self._density = _DensitySystem(flow, ops, params.eps, h2 / params.dt, self._cq * h2)
         # the velocity-independent part of the momentum operator
         self._momentum_base = ((1.0 / params.dt) * sp.identity(flow.n_u + flow.n_v, format="csr")
                                + params.nu * flow.K)
@@ -375,14 +375,17 @@ class CoupledStepper:
             + Tyx.T @ C_hat[:, 1, 0] + Tyy.T @ C_hat[:, 1, 1]
         return -self.params.k * h2 * out
 
-    def _momentum_solve(self, solve, u_prev: np.ndarray, psi_candidate: np.ndarray,
-                        f: Optional[np.ndarray]) -> np.ndarray:
-        fg = self.flow
-        h2 = fg.h * fg.h
-        rhs = h2 * (u_prev / self.params.dt)
+    def _momentum_data(self, u_prev: np.ndarray, f: Optional[np.ndarray]) -> np.ndarray:
+        """The density-independent part ``h^2 (u_prev / dt) + h^2 f`` of the
+        momentum right-hand side, the same for every sweep of a step."""
+        h2 = self.flow.h * self.flow.h
+        data = h2 * (u_prev / self.params.dt)
         if f is not None:
-            rhs = rhs + h2 * f
-        rhs = rhs + self._stress_force(self.ops.stress_matrix(psi_candidate))
+            data = data + h2 * f
+        return data
+
+    def _momentum_solve(self, solve, data: np.ndarray, psi_candidate: np.ndarray) -> np.ndarray:
+        rhs = data + self._stress_force(self.ops.stress_matrix(psi_candidate))
         out = solve(rhs)
         if not np.isfinite(out).all():
             raise FloatingPointError("momentum solve produced non-finite values")
@@ -398,7 +401,8 @@ class CoupledStepper:
         with it kills convection (skew); no pressure enters.
         """
         u_prev = np.asarray(u_prev, dtype=float)
-        return self._momentum_solve(self._momentum_solver(u_prev), u_prev, psi_candidate, f)
+        return self._momentum_solve(self._momentum_solver(u_prev),
+                                    self._momentum_data(u_prev, f), psi_candidate)
 
     # ---- configuration density --------------------------------------------
 
@@ -413,21 +417,17 @@ class CoupledStepper:
         c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff)
         return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
-    def density_operator(self, u_transport: np.ndarray) -> _DensityOperator:
-        """The density solve's operator for transport by ``u_transport``,
-        with the stepper's preconditioner."""
-        h2 = self.flow.h * self.flow.h
-        return _DensityOperator(self.flow, np.asarray(u_transport, dtype=float),
-                                self.params.eps, h2 / self.params.dt, self._cq * h2,
-                                self.ops, self._precondition)
+    def density_operator(self, u_transport: np.ndarray) -> sp.csr_matrix:
+        """The density solve's CSR ``K_x`` for transport by ``u_transport``."""
+        return self._density.transport(np.asarray(u_transport, dtype=float))
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
-                           operator: _DensityOperator, coeff_field: np.ndarray) -> np.ndarray:
+                           K: sp.csr_matrix, coeff_field: np.ndarray) -> np.ndarray:
         """One implicit density solve.
 
-        Transport (upwind) is ``operator``'s, ``density_operator(u)`` of the
-        previous macro step's velocity, one for all sweeps of a coupled
-        step; drag uses the gradient of ``u_candidate`` (current candidate)
+        Transport (upwind) is ``K``, ``density_operator(u)`` of the previous
+        macro step's velocity, one for all sweeps of a coupled step; drag
+        uses the gradient of ``u_candidate`` (current candidate)
         with the truncated coefficient evaluated on ``coeff_field``
         (previous fixed-point iterate), which also starts the iteration.
         """
@@ -435,7 +435,7 @@ class CoupledStepper:
         rhs = self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
         rhs *= h2
         rhs += (h2 / self.params.dt) * psi_prev * self.ops.grid.w
-        out = operator.solve(rhs, coeff_field)
+        out = self._density.solve(K, rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
         return out
@@ -453,7 +453,8 @@ class CoupledStepper:
         """
         p = self.params
         solve = self._momentum_solver(state.u)
-        operator = self.density_operator(state.u)
+        data = self._momentum_data(state.u, f)
+        K = self.density_operator(state.u)
         u_it = state.u
         psi_it = state.psi
         h2, w = self.flow.h * self.flow.h, self.ops.grid.w
@@ -466,8 +467,8 @@ class CoupledStepper:
                               + psi_norm(state.psi * state.psi) ** 2), 1.0e-12)
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
-            u_star = self._momentum_solve(solve, state.u, psi_it, f)
-            psi_star = self.fokker_planck_step(state.psi, u_star, operator, coeff_field=psi_it)
+            u_star = self._momentum_solve(solve, data, psi_it)
+            psi_star = self.fokker_planck_step(state.psi, u_star, K, coeff_field=psi_it)
             # both increments are measured against the joint state scale:
             # a component that has relaxed to rounding level around zero must
             # not be judged relative to itself (the ratio of two noise vectors
@@ -504,7 +505,8 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
                            dt: float, clip_level: float) -> Tuple[np.ndarray, SmoothingReport]:
     """Clip the raw density at ``clip_level`` and take one implicit
     unit-coefficient heat step in both variables; with no transport its
-    exact solve is one :func:`_fast_inverse` in the configuration eigenbasis.
+    exact solve is one ``P^{-1}`` of a :class:`_DensitySystem` in the
+    configuration eigenbasis.
 
     Guarantees, each checked to ``SMOOTHING_SLACK`` and fatal on failure:
       * nonnegativity (the implicit operator is an M-matrix, and the output
@@ -528,7 +530,7 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
     h2 = flow.h * flow.h
     m = ops.grid.w
     rhs = ops.to_modes((h2 / dt) * zeta0 * m[None, :])
-    zeta1 = ops.to_nodes(_fast_inverse(flow, 1.0, h2 / dt, h2 * ops.evals)(
+    zeta1 = ops.to_nodes(_DensitySystem(flow, ops, 1.0, h2 / dt, h2).precondition(
         rhs, np.empty_like(rhs)))
 
     # checked before the entropy and Fisher terms, which reject densities

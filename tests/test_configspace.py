@@ -374,7 +374,7 @@ def test_weights_are_stored_once_per_radius():
     # once per grid and cannot be written, so no weight varies with angle
     g = build_config_grid(4.0, 8, 12)
     assert g.w is g.w and g.edge_w is g.edge_w
-    rad, ang = g._families(g.edge_w)
+    rad, ang = g.edge_w[:7 * 12].reshape(7, 12), g._angular(g.edge_w)
     for field, per_radius in ((g._polar(g.w), g.w_r), (rad, g.edge_w_r), (ang, g.edge_w_t)):
         _same_bits(field, np.repeat(per_radius[:, None], 12, axis=1))
     for field in (g.w, g.edge_w):

@@ -37,7 +37,7 @@ from feneflow import (
 )
 from feneflow import stepping
 from feneflow.flowspace import band_storage
-from feneflow.stepping import _DensityOperator, _fast_inverse, _kron_solve, _transport_csr
+from feneflow.stepping import _DensitySystem, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
@@ -289,7 +289,7 @@ def test_kron_solve_matches_solve_banded_loop(small, rng):
         K = _transport_csr(flow, u, diffusion, h2 / params.dt)
         Kx = transport_matrix(flow, u, diffusion, h2 / params.dt)
         R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
-        got = _kron_solve(K, shift_scale, ops, R)
+        got = _kron_solve(K, shift_scale * ops.evals, ops, R)
         assert np.array_equal(got, loop_kron_solve(Kx, shift_scale, ops, R))
 
 
@@ -307,7 +307,7 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     assert ops.evals[0] == 0.0
     R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
-        _kron_solve(K, stepper._cq * flow.h ** 2, ops, R)
+        _kron_solve(K, stepper._cq * flow.h ** 2 * ops.evals, ops, R)
 
 
 def test_transport_csr_matches_reference_matrix(small, rng):
@@ -320,7 +320,7 @@ def test_transport_csr_matches_reference_matrix(small, rng):
     X = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n)),
               rng.standard_normal(n)):
-        got = stepper.density_operator(u).K @ X
+        got = stepper.density_operator(u) @ X
         want = transport_matrix(flow, u, params.eps, h2 / params.dt) @ X
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -328,9 +328,8 @@ def test_transport_csr_matches_reference_matrix(small, rng):
 def density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess):
     """One solve of ``Kx Psi M_q + shift_scale * Psi S_q = R`` from
     ``guess`` on an operator built for it alone."""
-    precondition = _fast_inverse(flow, diffusion, mass, shift_scale * ops.evals)
-    return _DensityOperator(flow, u, diffusion, mass, shift_scale, ops,
-                            precondition).solve(R, guess)
+    system = _DensitySystem(flow, ops, diffusion, mass, shift_scale)
+    return system.solve(system.transport(u), R, guess)
 
 
 def count_fallbacks(monkeypatch):
@@ -377,7 +376,8 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
     mass = flow.h ** 2 / params.dt
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-        want = _kron_solve(_transport_csr(flow, u, diffusion, mass), shift_scale, ops, R)
+        want = _kron_solve(_transport_csr(flow, u, diffusion, mass), shift_scale * ops.evals,
+                           ops, R)
         for guess in (np.zeros_like(R), want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
             got = density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -395,10 +395,10 @@ def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         K = _transport_csr(flow, u, diffusion, mass)
-        want = _kron_solve(K, shift_scale, dense, R)
+        want = _kron_solve(K, shift_scale * dense.evals, dense, R)
         for got in (density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
                                   np.zeros_like(R)),
-                    _kron_solve(K, shift_scale, ops, R)):
+                    _kron_solve(K, shift_scale * ops.evals, ops, R)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
     # the dense eigh is accurate to a few eps * max eval, 1.5e-13 of the gap
@@ -459,7 +459,7 @@ def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
         got = density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
-        want = _kron_solve(_transport_csr(flow, u, 1.0, mass), h2, ops, R)
+        want = _kron_solve(_transport_csr(flow, u, 1.0, mass), h2 * ops.evals, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
 
@@ -479,7 +479,8 @@ def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch
     fallbacks = count_fallbacks(monkeypatch)
     got = density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
     assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
-    want = _kron_solve(_transport_csr(flow, u, params.eps, mass), shift_scale, ops, R)
+    want = _kron_solve(_transport_csr(flow, u, params.eps, mass), shift_scale * ops.evals,
+                       ops, R)
     assert got.tobytes() == want.tobytes()
 
 
@@ -495,6 +496,7 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
     mass, shift_scale = h2 / params.dt, stepper._cq * h2
     K = _transport_csr(flow, u, params.eps, mass)
     operator = stepper.density_operator(u)
+    system = stepper._density
     base = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
     drag = rng.standard_normal(base.shape) * ops.grid.w
     fallbacks = count_fallbacks(monkeypatch)
@@ -503,11 +505,11 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
         if sweep == 3:
             monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 0)
         R = base + 10.0 ** -sweep * drag
-        got = operator.solve(R, guess)
-        fresh = stepper.density_operator(u).solve(R, guess)
+        got = system.solve(operator, R, guess)
+        fresh = system.solve(stepper.density_operator(u), R, guess)
         monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 30)
         assert got.tobytes() == fresh.tobytes()
-        want = _kron_solve(K, shift_scale, ops, R)
+        want = _kron_solve(K, shift_scale * ops.evals, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         total = mass * float((got @ ops.grid.w).sum())
         assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
@@ -521,11 +523,11 @@ def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, mo
     # and the fast-diagonalization scaling once per stepper
     flow, ops, params, _ = small
     stencils, scalings = [], []
-    stencil, fast_inverse = stepping._transport_csr, stepping._fast_inverse
+    stencil, system = stepping._transport_csr, stepping._DensitySystem
     monkeypatch.setattr(stepping, "_transport_csr",
                         lambda *args: stencils.append(1) or stencil(*args))
-    monkeypatch.setattr(stepping, "_fast_inverse",
-                        lambda *args: scalings.append(1) or fast_inverse(*args))
+    monkeypatch.setattr(stepping, "_DensitySystem",
+                        lambda *args: scalings.append(1) or system(*args))
     fallbacks = count_fallbacks(monkeypatch)
     stepper = CoupledStepper(flow, ops, params)
     state, sweeps = perturbed_state(flow, ops, rng), []
@@ -610,7 +612,12 @@ def test_step_params_validation():
     good = dict(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
                 cutoff=CutoffParams(L=5.0, delta=1e-4))
     StepParams(**good)
-    for key, bad in [("dt", 0.0), ("nu", 0.0), ("k", -1.0), ("lam", 0.0), ("eps", -0.1)]:
+    for key, bad in [("dt", 0.0), ("nu", 0.0), ("k", -1.0), ("lam", 0.0), ("eps", -0.1),
+                     # each of these got past the constructor and failed in
+                     # the first coupled step, or stalled there after 80 sweeps
+                     ("k", math.nan), ("k", math.inf), ("fp_max_iter", 0),
+                     ("fp_max_iter", -1), ("fp_tol", 0.0), ("fp_tol", -1e-12),
+                     ("fp_tol", math.nan)]:
         with pytest.raises(ValueError):
             StepParams(**{**good, key: bad})
 
@@ -681,7 +688,7 @@ def test_smoothing_is_one_exact_solve(wide, monkeypatch):
     zeta, _ = smooth_initial_density(flow, ops, psi0, dt=dt, clip_level=5.0)
     assert fallbacks == [] and iterations == []
     want = _kron_solve(_transport_csr(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt),
-                       h2, ops, (h2 / dt) * psi0 * ops.grid.w)
+                       h2 * ops.evals, ops, (h2 / dt) * psi0 * ops.grid.w)
     assert np.abs(zeta - want).max() <= 1e-12 * np.abs(want).max()
 
 
