@@ -66,8 +66,9 @@ class FlowGrid:
         curl: stream function on the ``(N-1)^2`` interior nodes -> faces,
            entries ``+-1/h``; ``D @ curl`` has no stored entry.
         K: vector Dirichlet "stiffness" (minus Laplacian) on faces; SPD.
-        T: tuple of four cell-tensor gradient maps (T_xx, T_xy, T_yx, T_yy)
-           with ``T_xx u + T_yy v`` equal to the divergence row-for-row.
+        grad: cell velocity gradient, faces -> ``4 n_c`` rows, row ``4 c + 2 a
+           + b`` holding entry ``(a, b)`` of the tensor at cell ``c``; rows
+           ``4 c`` and ``4 c + 3`` sum to the divergence row-for-row.
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
 
     Neither convection nor the cell stiffness ``h^2 D D^T`` is stored: each
@@ -85,7 +86,7 @@ class FlowGrid:
     D: sp.csr_matrix
     curl: sp.csr_matrix
     K: sp.csr_matrix
-    T: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    grad: sp.csr_matrix
     xu: np.ndarray
     yu: np.ndarray
     xv: np.ndarray
@@ -98,6 +99,10 @@ class FlowGrid:
     @cached_property
     def _curl_t(self) -> sp.csr_matrix:  # faces -> nodes, for stokes_solver
         return self.curl.T.tocsr()
+
+    @cached_property
+    def _grad_t(self) -> sp.csr_matrix:  # cell tensors -> faces, for the stress force
+        return self.grad.T.tocsr()
 
     # ---- inner products ---------------------------------------------------
 
@@ -118,13 +123,7 @@ class FlowGrid:
     def cell_velocity_gradient(self, a: np.ndarray) -> np.ndarray:
         """Velocity-gradient tensor per cell, shape ``(n_c, 2, 2)``;
         the trace equals the discrete divergence row-for-row."""
-        Txx, Txy, Tyx, Tyy = self.T
-        out = np.empty((self.n_c, 2, 2))
-        out[:, 0, 0] = Txx @ a
-        out[:, 0, 1] = Txy @ a
-        out[:, 1, 0] = Tyx @ a
-        out[:, 1, 1] = Tyy @ a
-        return out
+        return (self.grad @ a).reshape(self.n_c, 2, 2)
 
     def sample_faces(self, fx: Callable, fy: Callable) -> np.ndarray:
         """Sample an analytic vector field at the face centres."""
@@ -194,7 +193,7 @@ def _curl(N: int, h: float) -> sp.csr_matrix:
 
 
 def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
-    """Assemble divergence/curl/viscous/tensor-gradient operators.
+    """Assemble the divergence, curl, viscous and velocity-gradient operators.
 
     Face arrays are ordered x-index-major: ``u`` faces as ``(N-1, N)``,
     ``v`` faces as ``(N, N-1)``, cells as ``(N, N)``, so each 2D operator
@@ -224,15 +223,18 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     Kv = sp.kron(_second_difference(N, True), I_f) + sp.kron(I_c, _second_difference(N - 1, False))
     K = _scaled(sp.block_diag([Ku, Kv]), h * h)
 
-    # cell velocity-gradient tensor: diagonal entries are the exact
-    # divergence pieces, off-diagonal entries centred differences of
-    # face-pair sums with ghost reflection at the walls
+    # cell velocity-gradient tensor, entry (a, b) of cell c in row
+    # 4 c + 2 a + b: diagonal entries are the exact divergence pieces,
+    # off-diagonal entries centred differences of face-pair sums with ghost
+    # reflection at the walls
     Txx = _scaled(sp.hstack([Du, zero_v]), h)
     Tyy = _scaled(sp.hstack([zero_u, Dv]), h)
     Txy = _scaled(sp.hstack([sp.kron(_face_sum(N), _centred_difference(N)), zero_v]),
                   4.0 * h)
     Tyx = _scaled(sp.hstack([zero_u, sp.kron(_centred_difference(N), _face_sum(N))]),
                   4.0 * h)
+    interleave = np.arange(4 * n_c).reshape(4, n_c).T.ravel()
+    grad = sp.vstack([Txx, Txy, Tyx, Tyy], format="csr")[interleave]
 
     ih = np.arange(1, N) * h
     jh = (np.arange(N) + 0.5) * h
@@ -241,7 +243,7 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
 
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
-        D=D, curl=_curl(N, h), K=K, T=(Txx, Txy, Tyx, Tyy),
+        D=D, curl=_curl(N, h), K=K, grad=grad,
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )
 

@@ -31,23 +31,25 @@ grid): the monolithic system splits into one x-system per configuration
 eigenmode, and neither the full operator nor the dense configuration
 stiffness is ever formed.
 
-Every sweep of a step transports by the same velocity, so each coupled
-step builds one density operator for all its sweeps: ``K_x`` as a CSR
-matrix on the cells, filled from its five-point stencil, which is written
-straight from the face velocities.  All modes are solved at once by
-preconditioned Richardson iteration, one sparse product ``K_x X`` per
-residual.  Every term but the upwind transport is diagonal in DCT-II along
-both cell axes times the configuration eigenbasis (fast diagonalization),
-so the preconditioner is a diagonal scaling between two small DCT matmuls;
-the scaling depends on run constants only, and the stepper computes it
-once.  Each solve starts from the previous fixed-point iterate.  The
-iteration stops at a max-norm residual of ``1e-14`` of the right-hand
-side's, or of the rounding floor ``4 eps_mach (1 + 8 diffusion / mass)`` if
-larger; one that has not converged after 30 residuals (transport far
-beyond a cell per step) falls back to one direct LAPACK ``dgbsv`` per mode
-on the band that ``flowspace.band_storage`` reads off the step's CSR
-``K_x``.  The smoothing step has no transport: its exact solve is one
-``P^{-1}``.
+The density solve's run constants (mode shifts, stop tolerance and
+preconditioner) are built once per stepper, in one ``_DensitySystem``;
+every sweep of a step transports by the same velocity, so a step builds
+only ``K_x``, a CSR matrix on the cells written from its five-point stencil
+straight from the face velocities, and the momentum data term.  All modes are solved at once by preconditioned Richardson
+iteration, one sparse product ``K_x X`` per residual.  Every term but the
+upwind transport is diagonal in DCT-II along both cell axes times the
+configuration eigenbasis (fast diagonalization), so the preconditioner is
+a diagonal scaling between two small DCT matmuls.  Each solve starts from
+the previous fixed-point iterate.  The iteration stops at a max-norm
+residual of ``1e-14`` of the right-hand side's, or of the rounding floor
+``4 eps_mach (1 + 8 diffusion / mass)`` if larger; one that has not
+converged after 30 residuals (transport far beyond a cell per step) falls
+back to one direct LAPACK ``dgbsv`` per mode on the band that
+``flowspace.band_storage`` reads off the step's CSR ``K_x``.  The smoothing
+step has no transport: its exact solve is one ``P^{-1}``.
+
+The drag reads the velocity gradient ``FlowGrid.grad @ u`` per cell, and
+the stress force is one product with its transpose: exact adjoints.
 """
 
 from __future__ import annotations
@@ -243,18 +245,13 @@ def _residual(K: sp.csr_matrix, shifts: np.ndarray, X: np.ndarray, B: np.ndarray
 
 
 class _DensitySystem:
-    """``Kx Psi M_q + shift_scale * Psi S_q = R`` for ``Kx = mass I +
-    diffusion S_cell + Adv(u)``, and everything of its solve that does not
-    depend on the transport velocity ``u``.
-
-    Mode ``j`` of the configuration eigenbasis is ``(Kx + shifts[j] I) X_j
-    = B_j``, ``shifts = shift_scale * evals``.  ``P = mass + diffusion
-    S_cell + diag(shifts)`` drops the upwind part of ``Kx``; it is ``mass +
+    """The density solve ``Kx Psi M_q + shift_scale * Psi S_q = R``, ``Kx``
+    being :func:`_transport_csr`'s, with all that does not depend on the
+    transport velocity computed once: the mode shifts ``shift_scale *
+    evals``, the stop tolerance, and ``P = mass + diffusion S_cell +
+    diag(shifts)``, ``Kx`` without its upwind part, which is ``mass +
     diffusion (mu_a + mu_b) + shifts[j]`` in DCT-II along both cell axes
-    (fast diagonalization), so ``P^{-1}`` costs four small matmuls and
-    conserves mass.  The shifts, the stop tolerance, the DCT matrix and the
-    scaling ``P^{-1}`` are computed here, once.
-    """
+    (fast diagonalization), so ``P^{-1}`` costs four small matmuls."""
 
     def __init__(self, grid: FlowGrid, ops: ConfigOperators, diffusion: float, mass: float,
                  shift_scale: float):
@@ -281,18 +278,16 @@ class _DensitySystem:
 
     def solve(self, K: sp.csr_matrix, rhs_nodal: np.ndarray,
               guess_nodal: np.ndarray) -> np.ndarray:
-        """Solve for nodal ``Psi`` with right-hand side ``rhs_nodal``, ``K``
-        being :meth:`transport`'s ``Kx``.
+        """Nodal ``Psi`` for ``rhs_nodal``, ``K`` being :meth:`transport`'s.
 
-        All modes are iterated at once, ``X <- X + P^{-1} R`` with ``R = B -
-        K X``; the upwind part that ``P`` drops has columns summing to zero,
-        so every update conserves mass to rounding.  The iteration starts
-        from the mode coefficients of ``guess_nodal`` and stops when the
-        max-norm residual is at most ``max(_RESIDUAL_RTOL, 4 eps_mach (1 +
-        8 diffusion / mass)) max|B|``, the second term being the residual's
-        rounding floor.  One that has not got there after
-        ``_MAX_ITERATIONS`` residuals (strong upwinding, cell CFL >> 1) is
-        abandoned for the direct :func:`_kron_solve`.
+        All modes are iterated at once from the modes of ``guess_nodal``,
+        ``X <- X + P^{-1} (B - K X)``; the upwind part that ``P`` drops has
+        columns summing to zero, so every update conserves mass to
+        rounding.  The iteration stops at a max-norm residual of
+        ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
+        the second term being its rounding floor; one that has not got
+        there after ``_MAX_ITERATIONS`` residuals (strong upwinding, cell
+        CFL >> 1) is abandoned for the direct :func:`_kron_solve`.
         """
         ops = self.ops
         B = ops.to_modes(rhs_nodal)
@@ -366,15 +361,6 @@ class CoupledStepper:
         A = (fg.h * fg.h) * (self._momentum_base + convection_matrix(fg, u_prev))
         return stokes_solver(fg, A)
 
-    def _stress_force(self, C_hat: np.ndarray) -> np.ndarray:
-        """Weak polymer force ``w -> -k sum_cells h^2 C_hat : grad w``."""
-        fg = self.flow
-        h2 = fg.h * fg.h
-        Txx, Txy, Tyx, Tyy = fg.T
-        out = Txx.T @ C_hat[:, 0, 0] + Txy.T @ C_hat[:, 0, 1] \
-            + Tyx.T @ C_hat[:, 1, 0] + Tyy.T @ C_hat[:, 1, 1]
-        return -self.params.k * h2 * out
-
     def _momentum_data(self, u_prev: np.ndarray, f: Optional[np.ndarray]) -> np.ndarray:
         """The density-independent part ``h^2 (u_prev / dt) + h^2 f`` of the
         momentum right-hand side, the same for every sweep of a step."""
@@ -385,7 +371,12 @@ class CoupledStepper:
         return data
 
     def _momentum_solve(self, solve, data: np.ndarray, psi_candidate: np.ndarray) -> np.ndarray:
-        rhs = data + self._stress_force(self.ops.stress_matrix(psi_candidate))
+        # the weak polymer force w -> -k sum_cells h^2 C_hat : grad w, one
+        # product with the transpose of the drag's velocity gradient
+        fg = self.flow
+        h2 = fg.h * fg.h
+        C_hat = self.ops.stress_matrix(psi_candidate)
+        rhs = data - self.params.k * h2 * (fg._grad_t @ C_hat.reshape(-1))
         out = solve(rhs)
         if not np.isfinite(out).all():
             raise FloatingPointError("momentum solve produced non-finite values")

@@ -218,6 +218,25 @@ def test_stress_force_linear_in_k(small, rng):
     np.testing.assert_allclose(double - free, 2.0 * (base - free), atol=1e-12)
 
 
+@pytest.mark.parametrize("N", [12, 32])
+def test_stress_force_is_the_adjoint_of_the_velocity_gradient(N, small):
+    # w . F(psi) = -k h^2 sum_cells sigma(w) : C_hat(psi), F being the stress
+    # part of the momentum right-hand side: with no data term and the
+    # identity for the solve, the momentum solve returns F itself
+    flow = build_flow_grid(N)
+    ops = assemble_fp_operators(build_config_grid(4.0, N_r=8, N_theta=8))
+    params = dataclasses.replace(small[2], k=2.5)
+    stepper = CoupledStepper(flow, ops, params)
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        w = rng.standard_normal(flow.n_u + flow.n_v)
+        psi = rng.uniform(0.2, 3.0, (flow.n_c, ops.grid.n_nodes))
+        force = stepper._momentum_solve(lambda r: r, np.zeros_like(w), psi)
+        want = -params.k * flow.h ** 2 * float(
+            np.sum(flow.cell_velocity_gradient(w) * ops.stress_matrix(psi)))
+        assert abs(float(w @ force) - want) <= 1e-13 * abs(want)
+
+
 def test_beta_saturation_inactive_for_moderate_data(small, rng):
     # the one-sided cut-off never engages when the density stays below L
     flow, ops, params, stepper = small
