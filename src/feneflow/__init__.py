@@ -22,6 +22,7 @@ from .kinetic import (                                   # noqa: E402
     DomainError,
     InternalConsistencyError,
     bakry_emery_kappa,
+    check_extensibility,
     entropy_F,
     entropy_FLdelta,
     fene_potential,

@@ -10,13 +10,15 @@ the elastic potential
 
 whose normalized Boltzmann factor is the Maxwellian
 
-    M(q) = Z^{-1} (1 - |q|^2 / b)^{b/2},   Z = int_D exp(-U) dq.
+    M(q) = Z^{-1} (1 - |q|^2 / b)^{b/2},   Z = int_D exp(-U) dq = 2 pi b / (b + 2).
 
 ``M`` satisfies the structural identity ``grad_q M = -M U'(|q|^2/2) q`` on
 which every integration-by-parts manipulation in the coupled solver rests,
 and ``-log M`` is uniformly convex with Hessian bounded below by the
 identity (curvature constant ``kappa = 1``), which is what powers the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
+Each fact about ``M`` has one home here: ``check_extensibility`` (``2 < b < inf``),
+``maxwellian_normalizer`` (closed form) and ``maxwellian_value`` (the profile).
 
 The module also provides the relative-entropy integrands: the value of
 ``F(s) = s (log s - 1) + 1`` (``entropy_F``) and its two-sided ``C^2``
@@ -26,7 +28,7 @@ the reciprocal of the cut-off ``beta^L_delta(s) = max(min(s, L), delta)``,
 whose secant form along configuration-grid edges
 (``secant_cutoff_coefficient``, which forms only ``[F^L_delta]'`` per node
 and pairs it along the grid's edges) is the drag coefficient of the scheme.
-Both take the cut-off pair as one :class:`CutoffParams`, validated once.
+Both take the cut-off pair as one :class:`CutoffParams`, the one check of it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "CutoffParams",
+    "check_extensibility",
     "fene_potential",
     "maxwellian_normalizer",
     "maxwellian_value",
@@ -69,16 +72,23 @@ class CutoffParams:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0 < self.L):
-            raise ValueError(
-                f"cut-off parameters must satisfy 0 < delta < 1 < L, got "
-                f"delta={self.delta}, L={self.L}"
-            )
+        failed = [msg for ok, msg in (
+            (self.L > 1.0, f"cutoff level must exceed 1, got L = {self.L}"),
+            (0.0 < self.delta < 1.0, f"regularization level must lie in (0, 1), got {self.delta}"),
+        ) if not ok]
+        if failed:
+            raise ValueError("cut-off pair needs 0 < delta < 1 < L: " + "; ".join(failed))
 
 
 # --------------------------------------------------------------------------
 # potential and Maxwellian
 # --------------------------------------------------------------------------
+
+
+def check_extensibility(b: float) -> None:
+    """Raise :class:`DomainError` unless ``2 < b < inf``, where ``M`` has finite entropy moments."""
+    if not 2.0 < b < math.inf:
+        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
 
 
 def fene_potential(s, b: float):
@@ -97,8 +107,7 @@ def fene_potential(s, b: float):
         ``U(s) = -(b/2) log(1 - 2s/b)`` and ``U'(s) = (1 - 2s/b)^{-1}``.
     """
     s = np.asarray(s, dtype=float)
-    if not 2.0 < b < math.inf:
-        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
+    check_extensibility(b)
     arg = 1.0 - 2.0 * s / b
     if np.any(s < 0.0) or np.any(arg <= 0.0):
         raise DomainError("s must lie in [0, b/2) for the FENE potential")
@@ -108,24 +117,10 @@ def fene_potential(s, b: float):
 
 
 def maxwellian_normalizer(b: float) -> float:
-    """Normalizing constant ``Z = int_D (1 - |q|^2/b)^{b/2} dq`` over the disc.
-
-    Uses the exact Beta-function reduction
-    ``Z = |S^{d-1}| (b^{d/2}/2) B(d/2, b/2 + 1)`` at ``d = 2`` and
-    cross-checks the closed form ``Z = 2 pi b / (b + 2)``, which differs
-    from it in the last bits.
-    """
-    if not 2.0 < b < math.inf:
-        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
-    d = 2
-    lbeta = math.lgamma(d / 2.0) + math.lgamma(b / 2.0 + 1.0) - math.lgamma(d / 2.0 + b / 2.0 + 1.0)
-    Z = 2.0 * math.pi * 0.5 * b ** (d / 2.0) * math.exp(lbeta)
-    closed = 2.0 * math.pi * b / (b + 2.0)
-    if abs(Z - closed) > 1e-12 * closed:
-        raise InternalConsistencyError(
-            f"normalizer mismatch: Beta form {Z!r} vs closed form {closed!r}"
-        )
-    return Z
+    """Normalizing constant in closed form: with ``t = |q|^2 / b``, ``Z = int_D (1 - |q|^2/b)^{b/2}
+    dq = pi b int_0^1 (1 - t)^{b/2} dt = 2 pi b / (b + 2)``."""
+    check_extensibility(b)
+    return 2.0 * math.pi * b / (b + 2.0)
 
 
 def maxwellian_value(r, b: float, Z: float):
@@ -251,15 +246,11 @@ def bakry_emery_kappa(b: float):
         ``|q| < sqrt(b)``; an :class:`InternalConsistencyError` is raised if
         it drops below ``kappa - KAPPA_TOL``.
     """
-    if not 2.0 < b < math.inf:
-        raise DomainError(f"b={b}: gamma = b/2 must exceed 1, and b must be finite")
+    check_extensibility(b)
     kappa = 1.0
     r = np.linspace(0.0, math.sqrt(b), KAPPA_SAMPLES + 2)[1:-1]
-    s = 0.5 * r * r
-    arg = 1.0 - 2.0 * s / b
-    Uprime = 1.0 / arg
-    Usecond = (2.0 / b) / (arg * arg)
-    radial = Uprime + Usecond * r * r
+    _, Uprime = fene_potential(0.5 * r * r, b)
+    radial = Uprime + (2.0 / b) * Uprime * Uprime * r * r     # U' + U'' |q|^2, U'' = (2/b) U'^2
     min_eig = min(float(np.min(Uprime)), float(np.min(radial)))
     if min_eig < kappa - KAPPA_TOL:
         raise InternalConsistencyError(

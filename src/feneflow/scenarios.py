@@ -20,7 +20,7 @@ import numpy as np
 from . import diagnostics as dg
 from .configspace import ConfigGrid, ConfigOperators, assemble_fp_operators, build_config_grid
 from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constant, smooth_initial_velocity
-from .kinetic import CutoffParams, bakry_emery_kappa
+from .kinetic import CutoffParams, DomainError, bakry_emery_kappa, check_extensibility
 from .stepping import (
     CoupledStepper,
     ScheduleError,
@@ -88,7 +88,7 @@ class RunConfig:
     record_every: int = 1
     seed: int = 0
     # scenario parameters
-    amplitude: float = 0.1            # decay: density perturbation a in 1 + a q_x / sqrt(b)
+    amplitude: float = 0.1            # decay: a in 1 + a q_x / sqrt(b), |a| <= 1
     stream_amplitude: float = 0.25    # decay: stream-function scale
     force_amplitude: float = 1.0      # couette / forced: body-force scale
 
@@ -117,19 +117,22 @@ class RunConfig:
             return v
         if self.scenario not in SCENARIOS:
             v.append(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.b <= 2.0:
-            v.append(f"b = {self.b}: gamma = b/2 must exceed 1 for finite entropy moments")
+        try:
+            check_extensibility(self.b)
+        except DomainError as exc:
+            v.append(str(exc))
         for name in ("nu", "lam", "eps", "T", "side"):
             if not (getattr(self, name) > 0.0):
                 v.append(f"{name} must be positive, got {getattr(self, name)}")
         if self.k < 0.0:
             v.append(f"k must be nonnegative, got {self.k}")
-        if not (self.L > 1.0):
-            v.append(f"cutoff level must exceed 1, got L = {self.L}")
-        if not (0.0 < self.delta < 1.0):
-            v.append(f"regularization level must lie in (0, 1), got delta = {self.delta}")
-        if self.delta >= self.L:
-            v.append(f"need delta < L, got {self.delta} >= {self.L}")
+        try:
+            cutoff = CutoffParams(self.L, self.delta)
+        except ValueError as exc:
+            v.append(str(exc))
+            cutoff = None
+        if not abs(self.amplitude) <= 1.0:
+            v.append(f"amplitude must lie in [-1, 1], got {self.amplitude}")
         if self.clip_level is not None and self.clip_level <= 1.0:
             v.append(f"clip_level must exceed 1, got {self.clip_level}")
         if self.dt is None and self.C0 is None:
@@ -146,7 +149,7 @@ class RunConfig:
                 dt_schedule(self.L, self.C0, self.T)
             except ScheduleError as exc:
                 v.append(str(exc))
-        if self.dt is not None and self.C0 is not None and self.L > 1.0:
+        if self.dt is not None and self.C0 is not None and cutoff is not None:
             cap = self.C0 / (self.L * math.log(self.L))
             if self.dt > cap * (1.0 + 1.0e-12):
                 msg = (f"dt = {self.dt} exceeds the step rule C0/(L log L) = {cap:.6g}")

@@ -58,6 +58,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -125,8 +126,9 @@ class StepParams:
             raise ValueError(f"stress scale k must be nonnegative and finite, got {self.k}")
         if not (self.fp_tol > 0.0):
             raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
-        if not (self.fp_max_iter >= 1):
-            raise ValueError(f"fp_max_iter must be at least 1, got {self.fp_max_iter}")
+        if (isinstance(self.fp_max_iter, bool) or not isinstance(self.fp_max_iter, Integral)
+                or self.fp_max_iter < 1):
+            raise ValueError(f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
 
 
 @dataclass
@@ -137,9 +139,6 @@ class SystemState:
     psi: np.ndarray
     t: float
     n: int
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.u.copy(), self.psi.copy(), self.t, self.n)
 
 
 @dataclass
@@ -264,10 +263,6 @@ class _DensitySystem:
                        + self.shifts)
         self._inv_p = inv_p.reshape(grid.n_c, -1)
 
-    def transport(self, u: np.ndarray) -> sp.csr_matrix:
-        """The CSR ``Kx`` of :func:`_transport_csr` for transport by ``u``."""
-        return _transport_csr(self.grid, u, self.diffusion, self.mass)
-
     def precondition(self, R: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Overwrite mode coefficients ``R`` (shape ``(n_c, n_modes)``) with
         ``P^{-1} R``, using ``work`` (same shape) as scratch, and return it."""
@@ -278,7 +273,8 @@ class _DensitySystem:
 
     def solve(self, K: sp.csr_matrix, rhs_nodal: np.ndarray,
               guess_nodal: np.ndarray) -> np.ndarray:
-        """Nodal ``Psi`` for ``rhs_nodal``, ``K`` being :meth:`transport`'s.
+        """Nodal ``Psi`` for ``rhs_nodal``, ``K`` being :func:`_transport_csr`'s
+        with this system's diffusion and mass.
 
         All modes are iterated at once from the modes of ``guess_nodal``,
         ``X <- X + P^{-1} (B - K X)``; the upwind part that ``P`` drops has
@@ -410,7 +406,8 @@ class CoupledStepper:
 
     def density_operator(self, u_transport: np.ndarray) -> sp.csr_matrix:
         """The density solve's CSR ``K_x`` for transport by ``u_transport``."""
-        return self._density.transport(np.asarray(u_transport, dtype=float))
+        d = self._density
+        return _transport_csr(d.grid, np.asarray(u_transport, dtype=float), d.diffusion, d.mass)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
                            K: sp.csr_matrix, coeff_field: np.ndarray) -> np.ndarray:

@@ -7,15 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from feneflow import (
     CutoffParams,
     DomainError,
+    RunConfig,
     bakry_emery_kappa,
     build_config_grid,
+    check_extensibility,
     entropy_F,
     entropy_FLdelta,
     fene_potential,
@@ -107,6 +109,34 @@ def test_maxwellian_integrates_to_one():
     Z = maxwellian_normalizer(b)
     val, _ = quad(lambda r: maxwellian_value(r, b, Z) * r, 0.0, math.sqrt(b))
     assert 2.0 * math.pi * val == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@example(1.7e3)
+@example(2.1e3)
+@example(1e6)
+@example(1e300)
+@given(st.floats(min_value=2.0, max_value=1e300, exclude_min=True))
+def test_normalizer_is_the_closed_form_for_every_b(b):
+    # Z is 2 pi b / (b + 2) bitwise and raises nothing for any b > 2, large
+    # b included, where a cross-check of two routes would cancel badly
+    assert maxwellian_normalizer(b) == 2 * math.pi * b / (b + 2)
+
+
+def test_every_b_check_is_check_extensibility():
+    # one function owns the rule 2 < b < inf and its message; the kinetic
+    # primitives and the run configuration all report it word for word
+    for b in (2.0, 1.0, -3.0, math.inf, math.nan):
+        with pytest.raises(DomainError) as want:
+            check_extensibility(b)
+        for call in (lambda: fene_potential(0.5, b), lambda: maxwellian_normalizer(b),
+                     lambda: bakry_emery_kappa(b)):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+        if math.isfinite(b):
+            assert str(want.value) in RunConfig(b=b).validate()
+    check_extensibility(2.0 + 1e-12)
 
 
 def test_normalizer_rejects_bad_input():
@@ -270,6 +300,23 @@ def test_cutoff_params_validation():
         CutoffParams(L=5.0, delta=1.5)
     with pytest.raises(ValueError):
         CutoffParams(L=5.0, delta=0.0)
+
+
+def test_cutoff_params_report_every_failed_bound_in_one_message():
+    # the one check of 0 < delta < 1 < L names each bound that fails, and the
+    # run configuration records that message instead of restating the rule
+    with pytest.raises(ValueError) as err:
+        CutoffParams(L=0.5, delta=1.5)
+    text = str(err.value)
+    assert "0 < delta < 1 < L" in text
+    assert "cutoff level must exceed 1, got L = 0.5" in text
+    assert "regularization level must lie in (0, 1), got 1.5" in text
+    for L, delta, bound in [(0.5, 1e-4, "cutoff level"), (5.0, 0.0, "regularization level")]:
+        with pytest.raises(ValueError) as one:
+            CutoffParams(L=L, delta=delta)
+        assert bound in str(one.value) and "; " not in str(one.value)
+        assert [str(one.value)] == [m for m in RunConfig(L=L, delta=delta).validate()
+                                    if "0 < delta < 1 < L" in m]
 
 
 def edge_coefficient(a, c, L, delta):

@@ -442,6 +442,21 @@ def test_cli_check_exit_codes(tmp_path, capsys):
             assert "config error" in err and message in err
 
 
+def test_cli_rejects_an_amplitude_outside_the_unit_interval(tmp_path, capsys):
+    # the decay density 1 + a q_x / sqrt(b) is nonnegative on the disc only
+    # for |a| <= 1, so a larger amplitude is a config error (exit 2) for
+    # check and run alike, not an execution error (exit 1) of the run
+    bad = tmp_path / "bad.json"
+    for amplitude in (1.5, -3):
+        bad.write_text(json.dumps({"scenario": "decay", "amplitude": amplitude, "T": 0.02,
+                                   "dt": 0.01, "N_x": 4, "N_r": 8, "N_theta": 8}))
+        for command in ("check", "run"):
+            assert main([command, str(bad)]) == 2
+            assert "config error: amplitude" in capsys.readouterr().err
+    for amplitude in (1.0, -1.0):
+        assert RunConfig(amplitude=amplitude).validate() == []
+
+
 def test_cli_run_passes_and_writes(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny("equilibrium", T=0.05))
     out = tmp_path / "runout"

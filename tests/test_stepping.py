@@ -348,7 +348,7 @@ def density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess):
     """One solve of ``Kx Psi M_q + shift_scale * Psi S_q = R`` from
     ``guess`` on an operator built for it alone."""
     system = _DensitySystem(flow, ops, diffusion, mass, shift_scale)
-    return system.solve(system.transport(u), R, guess)
+    return system.solve(_transport_csr(flow, u, diffusion, mass), R, guess)
 
 
 def count_fallbacks(monkeypatch):
@@ -636,7 +636,9 @@ def test_step_params_validation():
                      # the first coupled step, or stalled there after 80 sweeps
                      ("k", math.nan), ("k", math.inf), ("fp_max_iter", 0),
                      ("fp_max_iter", -1), ("fp_tol", 0.0), ("fp_tol", -1e-12),
-                     ("fp_tol", math.nan)]:
+                     ("fp_tol", math.nan),
+                     # range() in the first coupled step needs an integer
+                     ("fp_max_iter", 2.5), ("fp_max_iter", True)]:
         with pytest.raises(ValueError):
             StepParams(**{**good, key: bad})
 
