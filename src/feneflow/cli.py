@@ -2,9 +2,10 @@
 configuration, or exercise the structural self-tests.
 
 Exit codes: 0 all verdicts pass, 2 a verdict failed or the configuration
-is invalid (not UTF-8, not JSON, or a rejected value, including a rejected
-command-line option such as a negative ``--seed``), 1 a missing config
-file or an execution error.
+is invalid (not UTF-8, not JSON, or a rejected value, including a ``b``
+the configuration grid cannot be built for and a rejected command-line
+option such as a negative ``--seed``), 1 a missing config file or an
+execution error.
 """
 
 from __future__ import annotations
@@ -65,13 +66,18 @@ def _load_config(args):
               f"at byte {exc.start})", file=sys.stderr)
         return None, 2
     except ConfigError as exc:
-        for line in exc.violations:
-            print(f"config error: {line}", file=sys.stderr)
-        return None, 2
+        return None, _config_error(exc)
+
+
+def _config_error(exc) -> int:
+    """Report every violation of a ConfigError; the exit code is 2."""
+    for line in exc.violations:
+        print(f"config error: {line}", file=sys.stderr)
+    return 2
 
 
 def _cmd_run(args) -> int:
-    from .scenarios import run_scenario
+    from .scenarios import ConfigError, run_scenario
 
     cfg, status = _load_config(args)
     if cfg is None:
@@ -81,7 +87,10 @@ def _cmd_run(args) -> int:
 
         cfg = replace(cfg, seed=args.seed)
     t0 = time.time()
-    result = run_scenario(cfg, out_dir=args.out_dir)
+    try:
+        result = run_scenario(cfg, out_dir=args.out_dir)
+    except ConfigError as exc:
+        return _config_error(exc)
     elapsed = time.time() - t0
     for name, ok in sorted(result.verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -96,9 +105,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .scenarios import ConfigError, config_grid
+
     cfg, status = _load_config(args)
     if cfg is None:
         return status
+    try:
+        config_grid(cfg)
+    except ConfigError as exc:
+        return _config_error(exc)
     print(f"config ok: scenario={cfg.scenario} grids {cfg.N_x}^2 flow / "
           f"{cfg.N_r}x{cfg.N_theta} config, horizon T={cfg.T}")
     return 0
@@ -118,6 +133,7 @@ def _selftest_checks(seed: int):
         ibp_residual,
         lsi_check,
         maxwellian_normalizer,
+        maxwellian_value,
         project_divergence_free,
         run_scenario,
         smooth_initial_density,
@@ -130,8 +146,16 @@ def _selftest_checks(seed: int):
     def check_normalizer():
         import math
 
-        z = maxwellian_normalizer(4.0)
-        return abs(z - 4.0 * math.pi / 3.0) < 1.0e-10, f"Z={z!r}"
+        # 2 pi int_0^sqrt(b) M r dr = 1 by Gauss-Legendre quadrature, which is
+        # exact for this degree-5 polynomial integrand at b = 4 and does not
+        # use the closed form of Z
+        b = 4.0
+        half = 0.5 * math.sqrt(b)               # maps [-1, 1] onto [0, sqrt(b)]
+        x, wx = np.polynomial.legendre.leggauss(4)
+        r = half * (x + 1.0)
+        profile = maxwellian_value(r, b, maxwellian_normalizer(b))
+        mass = 2.0 * math.pi * half * float(wx @ (profile * r))
+        return abs(mass - 1.0) < 1.0e-12, f"mass={mass!r}"
 
     def check_quadrature():
         m2 = float((grid.qx**2 + grid.qy**2) @ grid.w)

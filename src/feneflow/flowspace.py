@@ -130,42 +130,15 @@ class FlowGrid:
         return np.concatenate([fx(self.xu, self.yu), fy(self.xv, self.yv)])
 
 
-def _scaled(M, denom: float) -> sp.csr_matrix:
-    """Canonical CSR of ``M / denom``, dividing each stored entry (so an
-    integer stencil value ``v`` becomes exactly ``v / denom``), with explicit
-    zeros dropped."""
-    M = sp.csr_matrix(M, copy=True)
-    M.sum_duplicates()
-    M.data = M.data / denom
-    M.eliminate_zeros()
-    return M
-
-
-def _face_difference(N: int) -> sp.csr_matrix:
-    """``(N, N-1)``: cell ``i`` takes interior face ``i`` minus interior face
-    ``i-1`` (a missing face is a wall face, where the normal velocity is zero)."""
-    return (sp.eye(N, N - 1) - sp.eye(N, N - 1, k=-1)).tocsr()
-
-
-def _face_sum(N: int) -> sp.csr_matrix:
-    """``(N, N-1)``: cell ``i`` sums its interior faces ``i-1`` and ``i``."""
-    return (sp.eye(N, N - 1) + sp.eye(N, N - 1, k=-1)).tocsr()
-
-
-def _centred_difference(n: int) -> sp.csr_matrix:
-    """``(n, n)``: ``w[i+1] - w[i-1]``, the missing neighbour at a wall being
-    the reflection ``-w[i]`` of the wall-adjacent value."""
-    C = sp.eye(n, k=1) - sp.eye(n, k=-1)
-    return (C + sp.diags([[1.0] + [0.0] * (n - 2) + [-1.0]], [0], shape=(n, n))).tocsr()
-
-
-def _second_difference(n: int, ghost: bool) -> sp.csr_matrix:
-    """``(n, n)``: ``2 w[i] - w[i-1] - w[i+1]``; zero Dirichlet neighbours
-    beyond the ends, or with ``ghost`` reflected ones (diagonal 3 at the ends)."""
-    main = np.full(n, 2.0)
-    if ghost:
-        main[0] = main[-1] = 3.0
-    return sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1], format="csr")
+def _slot_csr(columns: np.ndarray, values: np.ndarray, keep: np.ndarray,
+              n_cols: int) -> sp.csr_matrix:
+    """CSR matrix whose row ``r`` stores ``values[r, k]`` in column
+    ``columns[r, k]`` for each slot ``k`` with ``keep[r, k]``, in slot order,
+    so the kept columns of each row must ascend."""
+    indptr = np.zeros(keep.shape[0] + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((values[keep], columns[keep].astype(np.int32), indptr),
+                         shape=(keep.shape[0], n_cols))
 
 
 def _curl(N: int, h: float) -> sp.csr_matrix:
@@ -181,23 +154,23 @@ def _curl(N: int, h: float) -> sp.csr_matrix:
     n_u = m * N
     i, j = np.divmod(np.arange(n_u), N)          # u faces (i, j)
     a, b = np.divmod(np.arange(N * m), m)        # v faces (a, b)
-    up, down = j < m, j > 0                      # node (i, j), node (i, j-1)
-    right, left = a < m, a > 0                   # node (a, b), node (a-1, b)
-    rows = np.concatenate([np.flatnonzero(up), np.flatnonzero(down),
-                           n_u + np.flatnonzero(right), n_u + np.flatnonzero(left)])
-    cols = np.concatenate([(i * m + j)[up], (i * m + j - 1)[down],
-                           (a * m + b)[right], ((a - 1) * m + b)[left]])
-    sign = np.repeat([1.0, -1.0, -1.0, 1.0],
-                     [up.sum(), down.sum(), right.sum(), left.sum()])
-    return sp.csr_matrix((sign / h, (rows, cols)), shape=(2 * n_u, m * m))
+    # u face: node (i, j-1), node (i, j); v face: node (a-1, b), node (a, b)
+    columns = np.concatenate([np.stack([i * m + j - 1, i * m + j], axis=1),
+                              np.stack([(a - 1) * m + b, a * m + b], axis=1)])
+    keep = np.concatenate([np.stack([j > 0, j < m], axis=1),
+                           np.stack([a > 0, a < m], axis=1)])
+    signs = np.repeat([[-1.0, 1.0], [1.0, -1.0]], n_u, axis=0)
+    return _slot_csr(columns, signs / h, keep, m * m)
 
 
 def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     """Assemble the divergence, curl, viscous and velocity-gradient operators.
 
     Face arrays are ordered x-index-major: ``u`` faces as ``(N-1, N)``,
-    ``v`` faces as ``(N, N-1)``, cells as ``(N, N)``, so each 2D operator
-    is a Kronecker product of 1D stencils ``(x stencil) (x) (y stencil)``.
+    ``v`` faces as ``(N, N-1)``, cells as ``(N, N)``.  Each operator is
+    written into its CSR straight from its per-cell or per-face stencil of
+    small integers ``v``, every stored value being ``v / h``, ``v / h^2`` or
+    ``v / (4 h)``; no zero is stored and each row's columns ascend.
     """
     if N < 4:
         raise ValueError(f"flow grid needs at least 4 cells per side, got {N}")
@@ -207,34 +180,52 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     n_u = (N - 1) * N
     n_v = N * (N - 1)
     n_c = N * N
-    I_c, I_f = sp.identity(N), sp.identity(N - 1)
-    zero_u, zero_v = sp.csr_matrix((n_c, n_u)), sp.csr_matrix((n_c, n_v))
 
-    # divergence: each cell differences its east/west u faces and its
-    # north/south v faces
-    F = _face_difference(N)
-    Du = sp.kron(F, I_c)
-    Dv = sp.kron(I_c, F)
-    D = _scaled(sp.hstack([Du, Dv]), h)
+    # divergence: cell (ci, cj) differences its u faces (ci-1, cj) and
+    # (ci, cj), numbered i N + j, and its v faces (ci, cj-1) and (ci, cj),
+    # numbered n_u + i (N-1) + j; a missing face is a zero normal wall face
+    c = np.arange(n_c)
+    ci, cj = np.divmod(c, N)
+    west, east, south, north = ci > 0, ci < N - 1, cj > 0, cj < N - 1
+    v_face = n_u + c - ci                       # v face (ci, cj)
+    faces = np.stack([c - N, c, v_face - 1, v_face], axis=1)
+    sides = np.stack([west, east, south, north], axis=1)
+    differences = np.broadcast_to([-1.0, 1.0, -1.0, 1.0], faces.shape) / h
+    D = _slot_csr(faces, differences, sides, n_u + n_v)
 
     # viscous (minus vector Laplacian): no-slip walls are zero normal faces
-    # (Dirichlet) and ghost-reflected tangential values, u(-h/2) = -u(h/2)
-    Ku = sp.kron(_second_difference(N - 1, False), I_c) + sp.kron(I_f, _second_difference(N, True))
-    Kv = sp.kron(_second_difference(N, True), I_f) + sp.kron(I_c, _second_difference(N - 1, False))
-    K = _scaled(sp.block_diag([Ku, Kv]), h * h)
+    # (Dirichlet, a slot beyond the block) and ghost-reflected tangential
+    # values, u(-h/2) = -u(h/2), one more on the diagonal per wall
+    Ku = np.full((N - 1, N, 5), -1.0)
+    Ku[..., 2] = 4.0
+    Ku[:, [0, -1], 2] = 5.0
+    Kv = np.full((N, N - 1, 5), -1.0)
+    Kv[..., 2] = 4.0
+    Kv[[0, -1], :, 2] = 5.0
+    K = five_point_csr(Ku / (h * h), Kv / (h * h))
 
     # cell velocity-gradient tensor, entry (a, b) of cell c in row
     # 4 c + 2 a + b: diagonal entries are the exact divergence pieces,
-    # off-diagonal entries centred differences of face-pair sums with ghost
-    # reflection at the walls
-    Txx = _scaled(sp.hstack([Du, zero_v]), h)
-    Tyy = _scaled(sp.hstack([zero_u, Dv]), h)
-    Txy = _scaled(sp.hstack([sp.kron(_face_sum(N), _centred_difference(N)), zero_v]),
-                  4.0 * h)
-    Tyx = _scaled(sp.hstack([zero_u, sp.kron(_centred_difference(N), _face_sum(N))]),
-                  4.0 * h)
-    interleave = np.arange(4 * n_c).reshape(4, n_c).T.ravel()
-    grad = sp.vstack([Txx, Txy, Tyx, Tyy], format="csr")[interleave]
+    # off-diagonal ones centred differences across the two rows (du/dy) or
+    # columns (dv/dx) of faces around the cell, each summed over its pair of
+    # faces; a row beyond a wall is the reflected wall-adjacent row
+    low_u, high_u = np.where(south, -1.0, 1.0), np.where(north, 1.0, -1.0)
+    low_v, high_v = np.where(west, -1.0, 1.0), np.where(east, 1.0, -1.0)
+    v_low, v_high = v_face - west * (N - 1), v_face + east * (N - 1)
+    columns = np.stack([faces,
+                        np.stack([c - N - south, c - N + north, c - south, c + north], axis=1),
+                        np.stack([v_low - 1, v_low, v_high - 1, v_high], axis=1),
+                        faces], axis=1)
+    values = np.stack([differences,
+                       np.stack([low_u, high_u, low_u, high_u], axis=1) / (4.0 * h),
+                       np.stack([low_v, low_v, high_v, high_v], axis=1) / (4.0 * h),
+                       differences], axis=1)
+    keep = np.stack([sides & [True, True, False, False],
+                     np.stack([west, west, east, east], axis=1),
+                     np.stack([south, north, south, north], axis=1),
+                     sides & [False, False, True, True]], axis=1)
+    grad = _slot_csr(columns.reshape(-1, 4), values.reshape(-1, 4), keep.reshape(-1, 4),
+                     n_u + n_v)
 
     ih = np.arange(1, N) * h
     jh = (np.arange(N) + 0.5) * h

@@ -18,7 +18,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import diagnostics as dg
-from .configspace import ConfigGrid, ConfigOperators, assemble_fp_operators, build_config_grid
+from .configspace import (
+    ConfigGrid,
+    ConfigOperators,
+    GridConstructionError,
+    assemble_fp_operators,
+    build_config_grid,
+)
 from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constant, smooth_initial_velocity
 from .kinetic import CutoffParams, DomainError, bakry_emery_kappa, check_extensibility
 from .stepping import (
@@ -37,6 +43,7 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "parse_config",
+    "config_grid",
     "emit_config",
     "RunResult",
     "run_scenario",
@@ -201,6 +208,15 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     return cfg
 
 
+def config_grid(cfg: RunConfig) -> ConfigGrid:
+    """The configuration grid of a validated ``cfg``.  A ``b`` for which the
+    grid cannot be built is a ConfigError, as is every other rejected value."""
+    try:
+        return build_config_grid(cfg.b, N_r=cfg.N_r, N_theta=cfg.N_theta)
+    except GridConstructionError as exc:
+        raise ConfigError([f"b = {cfg.b} gives no configuration grid: {exc}"]) from exc
+
+
 def emit_config(cfg: RunConfig) -> str:
     return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
@@ -306,14 +322,15 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
 
     Returns the final state, the complete ledger, the decay verdict (decay
     scenario only) and an exit status: 0 when every applicable verdict
-    holds, 2 otherwise.  Stepper failures propagate with the step index.
+    holds, 2 otherwise.  A configuration that :func:`config_grid` cannot
+    build raises ConfigError; stepper failures propagate with the step index.
     """
     violations = cfg.validate()
     if violations:
         raise ConfigError(violations)
     dt, n_steps = _resolve_dt(cfg)
 
-    grid = build_config_grid(cfg.b, N_r=cfg.N_r, N_theta=cfg.N_theta)
+    grid = config_grid(cfg)
     ops = assemble_fp_operators(grid)
     fg = build_flow_grid(cfg.N_x, side=cfg.side)
     params = StepParams(dt=dt, nu=cfg.nu, k=cfg.k, lam=cfg.lam, eps=cfg.eps,

@@ -1,5 +1,5 @@
 """Loop-built staggered-grid operators: the cell-by-cell reference that the
-Kronecker-assembled operators of ``feneflow.flowspace`` are checked against
+stencil-written operators of ``feneflow.flowspace`` are checked against
 entry for entry, and the bordered saddle-point solve with a mean-zero
 pressure that the stream-function ``stokes_solver`` is checked against.
 Each builder reads as the stencil it encodes; none of them is used by the

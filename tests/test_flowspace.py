@@ -58,7 +58,7 @@ def assert_same_csr(got, want):
 
 
 # --------------------------------------------------------------------------
-# Kronecker assembly against the loop-built reference
+# stencil-written operators against the loop-built reference
 # --------------------------------------------------------------------------
 
 
@@ -79,6 +79,22 @@ def test_operators_match_loop_reference_bitwise(N, side):
         adv = random_faces(grid, rng)
         adv[rng.random(adv.size) < 0.3] = 0.0   # zero advectors drop entries
         assert_same_csr(convection_matrix(grid, adv), loop_convection_matrix(N, side, adv))
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("N", [4, 5, 8, 12, 16, 32])
+def test_operators_are_stored_canonically(N, side):
+    # the bitwise comparison above canonicalizes both sides first; the
+    # operators as built must already be canonical (sorted columns, no
+    # duplicate) and store no zero, since band_storage reads the half-
+    # bandwidths off the stored pattern, zeros included
+    grid = build_flow_grid(N, side)
+    for M in (grid.D, grid.K, grid.grad, grid.curl):
+        assert M.format == "csr" and M.has_canonical_format
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        in_row = rows[1:] == rows[:-1]
+        assert np.all(np.diff(M.indices.astype(np.int64))[in_row] > 0)
+        assert np.count_nonzero(M.data) == M.nnz
 
 
 @pytest.mark.parametrize("N", [4, 5, 8, 16])

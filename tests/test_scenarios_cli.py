@@ -457,6 +457,23 @@ def test_cli_rejects_an_amplitude_outside_the_unit_interval(tmp_path, capsys):
         assert RunConfig(amplitude=amplitude).validate() == []
 
 
+def test_cli_rejects_a_b_the_configuration_grid_cannot_build(tmp_path, capsys):
+    # b = 3000 passes every rule of RunConfig.validate, but its Gauss-Jacobi
+    # weights overflow, so build_config_grid raises GridConstructionError;
+    # check builds the grid too, and both commands report a config error
+    # (exit 2), as run_scenario raises ConfigError
+    config = {"scenario": "decay", "b": 3000, "T": 0.02, "dt": 0.01,
+              "N_x": 4, "N_r": 8, "N_theta": 8}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    for command in ("check", "run"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: b = 3000 gives no configuration grid" in err
+    with pytest.raises(ConfigError, match="normalized Maxwellian mass defect"):
+        run_scenario(RunConfig(**config))
+
+
 def test_cli_run_passes_and_writes(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny("equilibrium", T=0.05))
     out = tmp_path / "runout"
@@ -506,6 +523,19 @@ def test_cli_selftest(tmp_path, capsys):
     assert "selftest: 9/9 passed" in captured.out
     report = json.loads((out / "selftest.json").read_text())
     assert len(report) == 9 and all(entry["ok"] for entry in report)
+
+
+def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):
+    # the check integrates the normalized profile by a quadrature of its own,
+    # so a profile that the closed-form Z does not normalize fails it
+    import feneflow
+    from feneflow.cli import _selftest_checks
+
+    assert dict(_selftest_checks(0))["maxwellian normalizer"]()[0]
+    monkeypatch.setattr(feneflow, "maxwellian_value",
+                        lambda r, b, Z: (1.0 - r * r / b) ** (b / 2.0 + 1.0) / Z)
+    ok, detail = dict(_selftest_checks(0))["maxwellian normalizer"]()
+    assert not ok and detail.startswith("mass=")
 
 
 def test_cli_rejects_unknown_command(capsys):
