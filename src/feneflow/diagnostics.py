@@ -24,7 +24,7 @@ import numpy as np
 
 from .configspace import ConfigGrid
 from .flowspace import FlowGrid
-from .kinetic import entropy_F
+from .kinetic import _entropy_F
 
 __all__ = [
     "LEDGER_COLUMNS",
@@ -51,9 +51,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-_SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
-
-
 def _check_nonnegative(psi: np.ndarray, tol: float) -> None:
     """Raise unless ``psi >= -tol``; the callers clamp the rest at 0, and
     ``tol = inf`` clamps without a check."""
@@ -67,18 +64,11 @@ def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
                      neg_tol: float = 1.0e-10) -> float:
     """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest).
 
-    ``F(s)`` is evaluated as :func:`~feneflow.kinetic.entropy_F` does it,
-    ``s log s - (s - 1)``, on ``s = max(psi, 5e-324)``: at that smallest
-    positive double the form rounds to ``F(0) = 1`` exactly, so no mask is
-    needed and every value has the bits of ``entropy_F(max(psi, 0))``."""
+    ``F`` is the form behind :func:`~feneflow.kinetic.entropy_F`, without
+    its check, which takes a negative value as ``F(0) = 1``."""
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
-    s = np.maximum(psi, _SMALLEST_POSITIVE)
-    vals = np.log(s)
-    vals *= s
-    s -= 1.0
-    vals -= s
-    return flow.h * flow.h * float((vals @ grid.w).sum())
+    return flow.h * flow.h * float((_entropy_F(psi) @ grid.w).sum())
 
 
 def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
@@ -287,7 +277,7 @@ def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) ->
     if drift > CK_MASS_TOL:
         raise ValueError(f"local mass deviates from 1 by {drift:.3e} "
                          f"(tolerance {CK_MASS_TOL:.1e})")
-    F_cell = entropy_F(np.maximum(psi, 0.0)) @ grid.w
+    F_cell = _entropy_F(psi) @ grid.w
     l1_cell = np.abs(psi - 1.0) @ grid.w
     point_margin = float((np.sqrt(2.0 * np.maximum(F_cell, 0.0)) - l1_cell).min())
     h2 = flow.h * flow.h

@@ -94,7 +94,7 @@ class FlowGrid:
 
     @cached_property
     def _viscous_solve(self):  # factored on first use by dual_norm_sq
-        return banded_solver(self.K)
+        return banded_solver(*band_storage(self.K))
 
     @cached_property
     def _curl_t(self) -> sp.csr_matrix:  # faces -> nodes, for stokes_solver
@@ -254,21 +254,16 @@ def five_point_csr(*blocks: np.ndarray) -> sp.csr_matrix:
     slots of neighbours beyond the block are left out; every other slot is
     stored, zeros included.
     """
-    data, columns, counts, start = [], [], [], 0
+    columns, keep, start = [], [], 0
     for slots in blocks:
         n_x, n_y = slots.shape[:2]
         inside = np.ones(slots.shape, dtype=bool)
         inside[0, :, 0] = inside[:, 0, 1] = inside[:, -1, 3] = inside[-1, :, 4] = False
-        index = (start + np.arange(n_x * n_y).reshape(n_x, n_y, 1)
-                 + np.array([-n_y, -1, 0, 1, n_y]))
-        data.append(slots[inside])
-        columns.append(index[inside])
-        counts.append(inside.sum(axis=2).ravel())
+        columns.append(start + np.arange(n_x * n_y)[:, None] + np.array([-n_y, -1, 0, 1, n_y]))
+        keep.append(inside.reshape(-1, 5))
         start += n_x * n_y
-    indptr = np.zeros(start + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(columns).astype(np.int32),
-                          indptr), shape=(start, start))
+    values = np.concatenate([slots.reshape(-1, 5) for slots in blocks])
+    return _slot_csr(np.concatenate(columns), values, np.concatenate(keep), start)
 
 
 def band_storage(M: sp.spmatrix) -> Tuple[np.ndarray, int, int]:
@@ -288,11 +283,11 @@ def band_storage(M: sp.spmatrix) -> Tuple[np.ndarray, int, int]:
     return ab, kl, ku
 
 
-def banded_solver(M: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor ``M`` by LAPACK ``dgbtrf`` (banded LU with partial pivoting) on
-    its :func:`band_storage`, and return ``solve(b) -> M^{-1} b``, one
-    ``dgbtrs`` per call.  A singular factor raises ``LinAlgError``."""
-    ab, kl, ku = band_storage(M)
+def banded_solver(ab: np.ndarray, kl: int, ku: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the band ``(ab, kl, ku)`` that :func:`band_storage` returns by
+    LAPACK ``dgbtrf`` (banded LU with partial pivoting), in place, and
+    return ``solve(b) -> M^{-1} b``, one ``dgbtrs`` per call.  A singular
+    factor raises ``LinAlgError``."""
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
         raise LinAlgError(f"banded LU: dgbtrf returned info={info} "
@@ -316,7 +311,7 @@ def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.n
     is factored once by :func:`banded_solver`.
     """
     Ct = grid._curl_t
-    solve_nodes = banded_solver(Ct @ (A @ grid.curl))
+    solve_nodes = banded_solver(*band_storage(Ct @ (A @ grid.curl)))
     return lambda r: grid.curl @ solve_nodes(Ct @ r)
 
 

@@ -182,6 +182,21 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
 # --------------------------------------------------------------------------
 
 
+_SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
+
+
+def _entropy_F(s):
+    """Unchecked ``F(s) = s log s - (s - 1)`` on ``max(s, 5e-324)``, where it
+    rounds to ``F(0) = 1`` exactly, so no mask is needed; two arrays the size
+    of ``s`` are allocated, one of them the result."""
+    s = np.maximum(s, _SMALLEST_POSITIVE)
+    vals = np.log(s)
+    vals *= s
+    s -= 1.0
+    vals -= s
+    return vals
+
+
 def entropy_F(s):
     """Boltzmann entropy ``F(s) = s(log s - 1) + 1``.
 
@@ -194,10 +209,8 @@ def entropy_F(s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("F(s) = s(log s - 1) + 1 requires s >= 0")
-    pos = s > 0.0
-    log_s = np.log(np.where(pos, s, 1.0))
     with np.errstate(over="ignore"):
-        return np.where(pos, s * log_s - (s - 1.0), 1.0)
+        return _entropy_F(s)
 
 
 def entropy_FLdelta(s, cutoff: CutoffParams):
@@ -210,15 +223,15 @@ def entropy_FLdelta(s, cutoff: CutoffParams):
 
         F^L_delta(s) = F(m) + log(m) (s - m) + (s - m)^2 / (2 m),
 
-    with ``F(m)`` evaluated as ``m log m - (m - 1)``, as :func:`entropy_F`
-    does; so ``[F^L_delta]'(s) = log(m) + (s - m)/m`` and
+    with ``F(m)`` from :func:`entropy_F`'s form; so
+    ``[F^L_delta]'(s) = log(m) + (s - m)/m`` and
     ``(F^L_delta)''(s) = 1/m = 1 / beta^L_delta(s)``.
     """
     s = np.asarray(s, dtype=float)
     m = np.clip(s, cutoff.delta, cutoff.L)
     log_m = np.log(m)
     ds = s - m
-    return (m * log_m - (m - 1.0) + log_m * ds + ds * ds / (2.0 * m),
+    return (_entropy_F(m) + log_m * ds + ds * ds / (2.0 * m),
             log_m + ds / m, 1.0 / m)
 
 

@@ -44,9 +44,9 @@ the previous fixed-point iterate.  The iteration stops at a max-norm
 residual of ``1e-14`` of the right-hand side's, or of the rounding floor
 ``4 eps_mach (1 + 8 diffusion / mass)`` if larger; one that has not
 converged after 30 residuals (transport far beyond a cell per step) falls
-back to one direct LAPACK ``dgbsv`` per mode on the band that
-``flowspace.band_storage`` reads off the step's CSR ``K_x``.  The smoothing
-step has no transport: its exact solve is one ``P^{-1}``.
+back to one direct banded LU per mode, ``flowspace.banded_solver`` on the
+band that ``flowspace.band_storage`` reads off the step's CSR ``K_x``.  The
+smoothing step has no transport: its exact solve is one ``P^{-1}``.
 
 The drag reads the velocity gradient ``FlowGrid.grad @ u`` per cell, and
 the stress force is one product with its transpose: exact adjoints.
@@ -64,12 +64,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
 
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata_json
-from .flowspace import FlowGrid, band_storage, convection_matrix, five_point_csr, stokes_solver
+from .flowspace import (FlowGrid, band_storage, banded_solver, convection_matrix, five_point_csr,
+                        stokes_solver)
 
 __all__ = [
     "StepParams",
@@ -306,13 +306,13 @@ def _kron_solve(K: sp.csr_matrix, shifts: np.ndarray, ops: ConfigOperators,
     ``shift_scale * evals``.
 
     Mode ``j`` is the banded system ``(Kx + shifts[j] I) phi_j = r_j`` on
-    the band that ``flowspace.band_storage`` reads off ``K``.  Each
-    mode copies the band into one work array, shifts the diagonal row and
-    factors and solves in place with ``dgbsv`` (the routine
-    ``scipy.linalg.solve_banded`` wraps, so results are bitwise those of
-    that call).  The mode coefficients are held mode-major, so each
-    right-hand side is a contiguous row that LAPACK overwrites with its
-    solution.  No LU factor outlives its mode.
+    the band that ``flowspace.band_storage`` reads off ``K``.  Each mode
+    copies the band into one work array, shifts the diagonal row and
+    factors it in place by ``flowspace.banded_solver``, whose LU and solve
+    are the two LAPACK steps that ``scipy.linalg.solve_banded`` runs, so
+    results are bitwise those of that call.  The mode coefficients are held
+    mode-major, so each right-hand side is a contiguous row.  No LU factor
+    outlives its mode.
     """
     ab, kl, ku = band_storage(K)
     work = np.empty_like(ab)
@@ -321,10 +321,11 @@ def _kron_solve(K: sp.csr_matrix, shifts: np.ndarray, ops: ConfigOperators,
     for jmode, shift in enumerate(shifts):
         np.copyto(work, ab)
         diagonal += shift
-        info = dgbsv(kl, ku, work, modes[jmode], overwrite_ab=1, overwrite_b=1)[3]
-        if info != 0:
-            raise LinAlgError(f"configuration mode {jmode}: dgbsv returned info={info} "
-                              f"({'singular matrix' if info > 0 else 'illegal argument'})")
+        try:
+            solve = banded_solver(work, kl, ku)
+        except LinAlgError as err:
+            raise LinAlgError(f"configuration mode {jmode}: {err}") from None
+        modes[jmode] = solve(modes[jmode])
     return ops.to_nodes(modes.T)
 
 

@@ -146,7 +146,7 @@ def test_band_storage_matches_reference_layout(kl, ku):
     assert not ab[:kl].any()
     b = rng.standard_normal(n)
     want = np.linalg.solve(dense, b)
-    assert np.abs(banded_solver(M)(b) - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(banded_solver(*band_storage(M))(b) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_package_runs_without_sparse_linalg():
