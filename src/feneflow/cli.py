@@ -5,13 +5,15 @@ Exit codes: 0 all verdicts pass, 2 a verdict failed or the configuration
 is invalid (not UTF-8, not JSON, or a rejected value, including a ``b``
 the configuration grid cannot be built for and a rejected command-line
 option such as a negative ``--seed``), 1 a missing config file or an
-execution error.
+execution error.  A standard output closed by its reader (``feneflow
+selftest | head -1``) also ends the command with 1, and with no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -265,6 +267,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_selftest(args)
         return 1
     except KeyboardInterrupt:
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the
+        # interpreter's final flush of what is buffered stays silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)

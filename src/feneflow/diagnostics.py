@@ -52,12 +52,12 @@ __all__ = [
 
 
 def _check_nonnegative(psi: np.ndarray, tol: float) -> None:
-    """Raise unless ``psi >= -tol``; the callers clamp the rest at 0, and
-    ``tol = inf`` clamps without a check."""
+    """Raise unless ``psi >= -tol``, which a NaN fails; the callers clamp the
+    rest at 0, and ``tol = inf`` clamps without a check."""
     if tol < math.inf:
         lo = float(psi.min())
-        if lo < -tol:
-            raise ValueError(f"density has negative values down to {lo:.3e}")
+        if not lo >= -tol:
+            raise ValueError(f"density has negative or NaN values down to {lo:.3e}")
 
 
 def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
@@ -274,7 +274,7 @@ def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) ->
     psi = np.asarray(psi, dtype=float)
     rho = psi @ grid.w
     drift = float(np.abs(rho - 1.0).max())
-    if drift > CK_MASS_TOL:
+    if not drift <= CK_MASS_TOL:
         raise ValueError(f"local mass deviates from 1 by {drift:.3e} "
                          f"(tolerance {CK_MASS_TOL:.1e})")
     F_cell = _entropy_F(psi) @ grid.w

@@ -203,12 +203,12 @@ def entropy_F(s):
     The value is evaluated as ``s log s - (s - 1)``: both terms vanish at
     ``s = 1``, so near equilibrium the error stays relative to ``F`` itself
     instead of the ``1e-16`` absolute that rounding ``log s - 1`` costs.
-    Requires ``s >= 0``; ``F(0) = 1``, and ``F`` overflows to ``inf`` for
-    ``s`` near the largest float.
+    Requires ``s >= 0``, so a NaN raises; ``F(0) = 1``, and ``F`` overflows
+    to ``inf`` for ``s`` near the largest float.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise DomainError("F(s) = s(log s - 1) + 1 requires s >= 0")
+    if not np.all(s >= 0.0):
+        raise DomainError("F(s) = s(log s - 1) + 1 requires s >= 0, and not NaN")
     with np.errstate(over="ignore"):
         return _entropy_F(s)
 

@@ -89,6 +89,20 @@ def test_relative_entropy_rejects_negative(flow8, grid16):
     assert relative_entropy(flow8, grid16, psi) >= 0.0
 
 
+def test_density_functionals_reject_nan(flow8, grid16):
+    # a NaN density fails the nonnegativity check at any finite tolerance
+    # (before, each functional returned nan); neg_tol = inf checks nothing
+    psi = np.ones((flow8.n_c, grid16.n_nodes))
+    psi[3, 5] = math.nan
+    for functional in (relative_entropy, fisher_x, fisher_q):
+        for tol in (1e-10, 1e300):
+            with pytest.raises(ValueError, match="NaN"):
+                functional(flow8, grid16, psi, neg_tol=tol)
+        assert math.isnan(functional(flow8, grid16, psi, neg_tol=math.inf))
+    with pytest.raises(ValueError, match="mass"):
+        csiszar_kullback_check(flow8, grid16, psi)
+
+
 def test_fisher_terms_vanish_on_flat_states(flow8, grid16):
     psi = 2.0 * np.ones((flow8.n_c, grid16.n_nodes))
     assert fisher_x(flow8, grid16, psi) == 0.0

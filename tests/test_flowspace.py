@@ -97,6 +97,43 @@ def test_operators_are_stored_canonically(N, side):
         assert np.count_nonzero(M.data) == M.nnz
 
 
+def five_point_pattern(*shapes):
+    """indptr and indices of the block-diagonal five-point pattern on grids
+    of ``shapes``, every in-grid neighbour slot kept, by loops."""
+    indptr, indices, start = [0], [], 0
+    for n_x, n_y in shapes:
+        for i in range(n_x):
+            for j in range(n_y):
+                for a, b in ((i - 1, j), (i, j - 1), (i, j), (i, j + 1), (i + 1, j)):
+                    if 0 <= a < n_x and 0 <= b < n_y:
+                        indices.append(start + a * n_y + b)
+                indptr.append(len(indices))
+        start += n_x * n_y
+    return np.array(indptr), np.array(indices)
+
+
+@pytest.mark.parametrize("N", [4, 5, 8, 16])
+def test_per_step_matrices_store_every_in_grid_slot(N):
+    # band_storage reads the half-bandwidths off the stored pattern, so the
+    # per-step convection and transport matrices must store every in-grid
+    # five-point slot, zeros included, even at zero velocity; and, as the
+    # operators above, be canonical CSR with int32 indices
+    grid = build_flow_grid(N, 0.7)
+    faces = random_faces(grid, np.random.default_rng(N))
+    faces[::3] = 0.0
+    conv = ((N - 1, N), (N, N - 1))
+    for u in (faces, np.zeros_like(faces)):
+        for M, shapes in ((convection_matrix(grid, u), conv),
+                          (_transport_csr(grid, u, 1.0, 0.5), ((N, N),)),
+                          (_transport_csr(grid, u, 0.0, 0.0), ((N, N),))):
+            indptr, indices = five_point_pattern(*shapes)
+            assert M.format == "csr" and M.has_canonical_format
+            assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
+            np.testing.assert_array_equal(M.indptr, indptr)
+            np.testing.assert_array_equal(M.indices, indices)
+    assert not convection_matrix(grid, np.zeros_like(faces)).data.any()
+
+
 @pytest.mark.parametrize("N", [4, 5, 8, 16])
 def test_cell_stiffness_matches_reference_bitwise(N):
     # the stiffness part of the density-solve band (unit diffusion, no mass,

@@ -207,6 +207,13 @@ def test_entropy_F_rejects_negative():
         entropy_F(-1e-3)
 
 
+def test_entropy_F_rejects_nan():
+    # a NaN is not a density: it raises instead of taking the value F(0) = 1
+    for s in (math.nan, np.array([1.0, math.nan, 0.0])):
+        with pytest.raises(DomainError):
+            entropy_F(s)
+
+
 def test_entropy_FL_quadratic_branch():
     # above L, F^L_delta is the quadratic continuation of F from L
     val, d1, d2 = entropy_FLdelta(4.0, CutoffParams(2.0, 1e-3))

@@ -4,7 +4,10 @@ points (run / check / selftest with their exit-code contract)."""
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -523,6 +526,24 @@ def test_cli_selftest(tmp_path, capsys):
     assert "selftest: 9/9 passed" in captured.out
     report = json.loads((out / "selftest.json").read_text())
     assert len(report) == 9 and all(entry["ok"] for entry in report)
+
+
+def test_cli_ends_quietly_when_stdout_is_closed():
+    # `feneflow selftest | head -1`: the reader goes after the first line,
+    # and the next print meets a broken pipe; the command ends with 1 and
+    # writes nothing to stderr.  Unbuffered, each check's line is written
+    # as it is printed, so the later checks write to the closed pipe.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), FENEFLOW_THREADS="1",
+               PYTHONUNBUFFERED="1")
+    with subprocess.Popen([sys.executable, "-m", "feneflow.cli", "selftest"], cwd=root,
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.communicate(timeout=300)[1]
+    assert first.startswith(b"PASS  maxwellian normalizer")
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):

@@ -292,9 +292,9 @@ def test_cell_stiffness_annihilates_constants():
 
 
 def test_kron_solve_matches_solve_banded_loop(small, rng):
-    # the direct dgbsv on the band of the step's CSR runs the same LAPACK
-    # routine as the per-mode solve_banded loop on the reference CSR, so the
-    # two agree bit for bit
+    # the direct banded LU on the band of the step's CSR runs the same LAPACK
+    # steps, factor then solve, as the per-mode solve_banded loop on the
+    # reference CSR, so the two agree bit for bit
     flow, ops, params, stepper = small
     h2 = flow.h * flow.h
     n = flow.n_u + flow.n_v
