@@ -284,9 +284,10 @@ def band_storage(M: sp.spmatrix) -> Tuple[np.ndarray, int, int]:
 
 
 def banded_solver(ab: np.ndarray, kl: int, ku: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the band ``(ab, kl, ku)`` that :func:`band_storage` returns by
-    LAPACK ``dgbtrf`` (banded LU with partial pivoting), in place, and
-    return ``solve(b) -> M^{-1} b``, one ``dgbtrs`` per call.  A singular
+    """Factor the matrix ``M`` whose band :func:`band_storage` returns as
+    ``(ab, kl, ku)`` by LAPACK ``dgbtrf`` (banded LU with partial pivoting),
+    and return ``solve(b) -> M^{-1} b``, one ``dgbtrs`` per call.  The
+    factor overwrites ``ab``, and ``solve`` reads it there.  A singular
     factor raises ``LinAlgError``."""
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
