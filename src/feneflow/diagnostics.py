@@ -249,10 +249,8 @@ def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float) -> LsiResult:
     rho = float(psi_row @ grid.w)
     if rho <= 0.0:
         raise ValueError("log-Sobolev check needs positive local mass")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = psi_row / rho
-        terms = np.where(psi_row > 0.0, psi_row * np.log(np.where(x > 0, x, 1.0)), 0.0)
-    ent = float(terms @ grid.w)
+    # sum w psi log(psi / rho) = rho sum w F(psi / rho), the weights summing to 1
+    ent = rho * float(_entropy_F(psi_row / rho) @ grid.w)
     rhs = (2.0 / kappa) * float(_root_dirichlet(grid, psi_row))
     scale = max(abs(rhs), 1.0)
     return LsiResult(ent, rhs, ent <= rhs + LSI_TOL * scale)
@@ -268,8 +266,8 @@ class CKResult:
 def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) -> CKResult:
     """Distance-to-equilibrium comparison, pointwise in x and integrated.
 
-    Precondition: unit local mass, ``|rho(x) - 1| <= CK_MASS_TOL`` for every
-    cell (the comparison against the constant state requires matched mass).
+    Preconditions: unit local mass, ``|rho(x) - 1| <= CK_MASS_TOL`` in every
+    cell (matched mass for the comparison with the constant state), and ``psi >= -1e-10``.
     """
     psi = np.asarray(psi, dtype=float)
     rho = psi @ grid.w
@@ -277,6 +275,7 @@ def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) ->
     if not drift <= CK_MASS_TOL:
         raise ValueError(f"local mass deviates from 1 by {drift:.3e} "
                          f"(tolerance {CK_MASS_TOL:.1e})")
+    _check_nonnegative(psi, 1.0e-10)
     F_cell = _entropy_F(psi) @ grid.w
     l1_cell = np.abs(psi - 1.0) @ grid.w
     point_margin = float((np.sqrt(2.0 * np.maximum(F_cell, 0.0)) - l1_cell).min())

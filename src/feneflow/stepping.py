@@ -20,6 +20,10 @@ and the fixed-point controls) lives on ``StepParams``; the node weights and
 eigenbasis live on ``ConfigOperators``.
 
 The two solves are alternated to a fixed point; each inner solve is linear.
+A step builds its momentum map ``psi -> u`` and its ``K_x`` once; a sweep
+``psi_it -> (u*, psi*)`` is the momentum map at ``psi_it``, then the density
+solve driven by ``u*``, and one driver alone owns the increment norms, the
+stop test, the ``FixedPointReport`` and the stall error.
 The configuration solve exploits the Kronecker structure
 
     K_x (x) M_q + M_x (x) S_q
@@ -35,9 +39,9 @@ The density solve's run constants (mode shifts, stop tolerance and
 preconditioner) are built once per stepper, in one ``_DensitySystem``;
 every sweep of a step transports by the same velocity, so a step builds
 only ``K_x``, a CSR matrix on the cells written from its five-point stencil
-straight from the face velocities, and the momentum data term.  All modes are solved at once by preconditioned Richardson
-iteration, one sparse product ``K_x X`` per residual.  Every term but the
-upwind transport is diagonal in DCT-II along both cell axes times the
+straight from the face velocities.  All modes are solved at once by
+preconditioned Richardson iteration, one sparse product ``K_x X`` per
+residual.  Every term but the upwind transport is diagonal in DCT-II along both cell axes times the
 configuration eigenbasis (fast diagonalization), so the preconditioner is
 a diagonal scaling between two small DCT matmuls.  Each solve starts from
 the previous fixed-point iterate.  The iteration stops at a max-norm
@@ -59,7 +63,7 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,8 +128,8 @@ class StepParams:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
         if not (self.k >= 0.0) or not math.isfinite(self.k):
             raise ValueError(f"stress scale k must be nonnegative and finite, got {self.k}")
-        if not (self.fp_tol > 0.0):
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
+        if not (self.fp_tol > 0.0) or not math.isfinite(self.fp_tol):
+            raise ValueError(f"fp_tol must be positive and finite, got {self.fp_tol}")
         if (isinstance(self.fp_max_iter, bool) or not isinstance(self.fp_max_iter, Integral)
                 or self.fp_max_iter < 1):
             raise ValueError(f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
@@ -143,6 +147,11 @@ class SystemState:
 
 @dataclass
 class FixedPointReport:
+    """One step's fixed point: ``iterations`` sweeps, ``len(increments)``;
+    ``converged`` if the last increment is at most ``fp_tol``; the last
+    sweep's ``final_du`` and ``final_dpsi``; and per sweep ``increments``,
+    ``max(du, dpsi)``; all relative to the joint state scale."""
+
     iterations: int
     converged: bool
     final_du: float = math.inf
@@ -352,58 +361,34 @@ class CoupledStepper:
 
     # ---- momentum ---------------------------------------------------------
 
-    def _momentum_solver(self, u_prev: np.ndarray):
-        """Factored momentum solve ``r -> u`` for convection frozen at ``u_prev``."""
-        fg = self.flow
-        A = (fg.h * fg.h) * (self._momentum_base + convection_matrix(fg, u_prev))
-        return stokes_solver(fg, A)
-
-    def _momentum_data(self, u_prev: np.ndarray, f: Optional[np.ndarray]) -> np.ndarray:
-        """The density-independent part ``h^2 (u_prev / dt) + h^2 f`` of the
-        momentum right-hand side, the same for every sweep of a step."""
-        h2 = self.flow.h * self.flow.h
-        data = h2 * (u_prev / self.params.dt)
+    def momentum_map(self, u_prev: np.ndarray, f: Optional[np.ndarray] = None
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+        """One step's implicit momentum solve as a map ``psi -> u``, the
+        operator with convection frozen at ``u_prev`` factored and the data
+        ``h^2 (u_prev / dt) + h^2 f`` formed once.  The new velocity is
+        ``C s`` for the solved stream function ``s``, a test function of
+        the solve that kills convection (skew), so it satisfies the
+        discrete kinetic-energy identity to direct-solver residual."""
+        fg, p = self.flow, self.params
+        h2 = fg.h * fg.h
+        u_prev = np.asarray(u_prev, dtype=float)
+        solve = stokes_solver(fg, h2 * (self._momentum_base + convection_matrix(fg, u_prev)))
+        data = h2 * (u_prev / p.dt)
         if f is not None:
             data = data + h2 * f
-        return data
 
-    def _momentum_solve(self, solve, data: np.ndarray, psi_candidate: np.ndarray) -> np.ndarray:
-        # the weak polymer force w -> -k sum_cells h^2 C_hat : grad w, one
-        # product with the transpose of the drag's velocity gradient
-        fg = self.flow
-        h2 = fg.h * fg.h
-        C_hat = self.ops.stress_matrix(psi_candidate)
-        rhs = data - self.params.k * h2 * (fg._grad_t @ C_hat.reshape(-1))
-        out = solve(rhs)
-        if not np.isfinite(out).all():
-            raise FloatingPointError("momentum solve produced non-finite values")
-        return out
+        def momentum(psi_candidate: np.ndarray) -> np.ndarray:
+            # the weak polymer force w -> -k sum_cells h^2 C_hat : grad w, one
+            # product with the transpose of the drag's velocity gradient
+            C_hat = self.ops.stress_matrix(psi_candidate)
+            out = solve(data - p.k * h2 * (fg._grad_t @ C_hat.reshape(-1)))
+            if not np.isfinite(out).all():
+                raise FloatingPointError("momentum solve produced non-finite values")
+            return out
 
-    def momentum_step(self, u_prev: np.ndarray, psi_candidate: np.ndarray,
-                      f: Optional[np.ndarray] = None) -> np.ndarray:
-        """One implicit momentum solve against a frozen candidate density.
-
-        Satisfies the discrete kinetic-energy identity exactly (to direct-
-        solver residual): the new velocity is ``C s`` for the solved stream
-        function ``s``, so it is a test function of the solve, and testing
-        with it kills convection (skew); no pressure enters.
-        """
-        u_prev = np.asarray(u_prev, dtype=float)
-        return self._momentum_solve(self._momentum_solver(u_prev),
-                                    self._momentum_data(u_prev, f), psi_candidate)
+        return momentum
 
     # ---- configuration density --------------------------------------------
-
-    def _drag_rhs(self, u_candidate: np.ndarray, coeff_field: np.ndarray) -> np.ndarray:
-        """Edge-based drag source, one row per cell.
-
-        The per-edge coefficient is the divided difference of the density
-        through the regularized entropy derivative, so that testing the
-        result with that derivative telescopes to the plain density jump —
-        the discrete chain rule behind the exact drag/stress cancellation.
-        """
-        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff)
-        return self.ops.drag_rhs(self.flow.cell_velocity_gradient(u_candidate), c)
 
     def density_operator(self, u_transport: np.ndarray) -> sp.csr_matrix:
         """The density solve's CSR ``K_x`` for transport by ``u_transport``."""
@@ -419,9 +404,16 @@ class CoupledStepper:
         uses the gradient of ``u_candidate`` (current candidate)
         with the truncated coefficient evaluated on ``coeff_field``
         (previous fixed-point iterate), which also starts the iteration.
+        The coefficient is the regularized entropy derivative's divided
+        difference, so the drag tested with that derivative telescopes to the
+        density jump: the discrete chain rule behind the exact drag/stress
+        cancellation.
         """
         h2 = self.flow.h * self.flow.h
-        rhs = self._drag_rhs(np.asarray(u_candidate, dtype=float), coeff_field)
+        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff)
+        rhs = self.ops.drag_rhs(
+            self.flow.cell_velocity_gradient(np.asarray(u_candidate, dtype=float)), c)
+        del c  # not held through the solve
         rhs *= h2
         rhs += (h2 / self.params.dt) * psi_prev * self.ops.grid.w
         out = self._density.solve(K, rhs, coeff_field)
@@ -437,15 +429,27 @@ class CoupledStepper:
 
         Both inner solves are linear: the nonlinearities (stress, drag
         coefficient) are evaluated on the previous iterate. At equilibrium
-        data the first sweep reproduces the state exactly and the loop
-        reports convergence after one iteration with zero increments.
+        data the first sweep reproduces the state exactly and the step
+        reports convergence after one sweep with zero increments.
         """
-        p = self.params
-        solve = self._momentum_solver(state.u)
-        data = self._momentum_data(state.u, f)
+        momentum = self.momentum_map(state.u, f)
         K = self.density_operator(state.u)
-        u_it = state.u
-        psi_it = state.psi
+
+        def sweep(psi_it: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            u_star = momentum(psi_it)
+            return u_star, self.fokker_planck_step(state.psi, u_star, K, coeff_field=psi_it)
+
+        u, psi, report = self._fixed_point(sweep, state)
+        return SystemState(u, psi, state.t + self.params.dt, state.n + 1), report
+
+    def _fixed_point(self, sweep: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+                     state: SystemState) -> Tuple[np.ndarray, np.ndarray, FixedPointReport]:
+        """Run ``sweep: psi_it -> (u*, psi*)`` from ``state`` to an increment
+        of at most ``fp_tol``, giving ``(u, psi, report)``; raise
+        ``RuntimeError`` after ``fp_max_iter`` sweeps.  Increments are relative
+        to the joint state scale: a component relaxed to rounding level around
+        zero must not be judged relative to itself (noise ratios do not contract)."""
+        p = self.params
         h2, w = self.flow.h * self.flow.h, self.ops.grid.w
 
         def psi_norm(sq):
@@ -454,14 +458,11 @@ class CoupledStepper:
 
         floor = max(math.sqrt(self.flow.norm_sq(state.u)
                               + psi_norm(state.psi * state.psi) ** 2), 1.0e-12)
+        u_it, psi_it = state.u, state.psi
         report = FixedPointReport(iterations=0, converged=False)
         for _ in range(p.fp_max_iter):
-            u_star = self._momentum_solve(solve, data, psi_it)
-            psi_star = self.fokker_planck_step(state.psi, u_star, K, coeff_field=psi_it)
-            # both increments are measured against the joint state scale:
-            # a component that has relaxed to rounding level around zero must
-            # not be judged relative to itself (the ratio of two noise vectors
-            # does not contract).  One buffer squares the increment, then psi_star
+            u_star, psi_star = sweep(psi_it)
+            # one buffer squares the increment, then psi_star
             sq = psi_star - psi_it
             dpsi = psi_norm(np.multiply(sq, sq, out=sq))
             scale = max(math.sqrt(self.flow.norm_sq(u_star)
@@ -480,7 +481,7 @@ class CoupledStepper:
             raise RuntimeError(
                 f"coupled fixed point stalled after {report.iterations} iterations "
                 f"(last increment {report.increments[-1]:.3e})")
-        return SystemState(u_it, psi_it, state.t + p.dt, state.n + 1), report
+        return u_it, psi_it, report
 
 
 # --------------------------------------------------------------------------

@@ -250,6 +250,17 @@ def test_csiszar_kullback_requires_unit_mass(flow8, grid16):
                                                              grid16.n_nodes)))
 
 
+def test_csiszar_kullback_rejects_a_negative_density(grid16):
+    # a row dipping to -0.51 at one node, renormalized to unit mass, meets
+    # the mass precondition; it was taken as F(0) = 1 there and passed
+    flow = build_flow_grid(4)
+    psi = np.ones((flow.n_c, grid16.n_nodes))
+    psi[0, 5] = -0.51
+    psi[0] /= psi[0] @ grid16.w
+    with pytest.raises(ValueError, match="negative"):
+        csiszar_kullback_check(flow, grid16, psi)
+
+
 def test_csiszar_kullback_margins(flow8, grid16, rng):
     eq = csiszar_kullback_check(flow8, grid16,
                                 np.ones((flow8.n_c, grid16.n_nodes)))

@@ -178,7 +178,7 @@ def test_free_energy_monotone_unregularized_in_the_bulk(small, rng):
 def test_momentum_energy_identity(small, rng):
     flow, ops, params, stepper = small
     state = perturbed_state(flow, ops, rng, amp=0.4)
-    u_new = stepper.momentum_step(state.u, state.psi)
+    u_new = stepper.momentum_map(state.u)(state.psi)
     C_hat = ops.stress_matrix(state.psi)
     sigma = flow.cell_velocity_gradient(u_new)
     pairing = flow.h**2 * float(np.sum(C_hat * sigma))
@@ -196,7 +196,7 @@ def test_momentum_energy_identity_at_n32(small, wide, rng, amp):
     params = small[2]
     stepper = CoupledStepper(flow, ops, params)
     state = perturbed_state(flow, ops, rng, amp=amp)
-    u_new = stepper.momentum_step(state.u, state.psi)
+    u_new = stepper.momentum_map(state.u)(state.psi)
     C_hat = ops.stress_matrix(state.psi)
     sigma = flow.cell_velocity_gradient(u_new)
     pairing = flow.h**2 * float(np.sum(C_hat * sigma))
@@ -210,28 +210,30 @@ def test_stress_force_linear_in_k(small, rng):
     flow, ops, params, stepper = small
     import dataclasses
     state = perturbed_state(flow, ops, rng, amp=0.4)
-    base = stepper.momentum_step(state.u, state.psi)
+    base = stepper.momentum_map(state.u)(state.psi)
     free = CoupledStepper(flow, ops, dataclasses.replace(params, k=0.0)) \
-        .momentum_step(state.u, state.psi)
+        .momentum_map(state.u)(state.psi)
     double = CoupledStepper(flow, ops, dataclasses.replace(params, k=2.0)) \
-        .momentum_step(state.u, state.psi)
+        .momentum_map(state.u)(state.psi)
     np.testing.assert_allclose(double - free, 2.0 * (base - free), atol=1e-12)
 
 
 @pytest.mark.parametrize("N", [12, 32])
-def test_stress_force_is_the_adjoint_of_the_velocity_gradient(N, small):
+def test_stress_force_is_the_adjoint_of_the_velocity_gradient(N, small, monkeypatch):
     # w . F(psi) = -k h^2 sum_cells sigma(w) : C_hat(psi), F being the stress
-    # part of the momentum right-hand side: with no data term and the
-    # identity for the solve, the momentum solve returns F itself
+    # part of the momentum right-hand side: mapped from u_prev = 0 (no data
+    # term) with the identity for the solve, the momentum map returns F itself
     flow = build_flow_grid(N)
     ops = assemble_fp_operators(build_config_grid(4.0, N_r=8, N_theta=8))
     params = dataclasses.replace(small[2], k=2.5)
     stepper = CoupledStepper(flow, ops, params)
+    monkeypatch.setattr(stepping, "stokes_solver", lambda grid, A: lambda r: r)
+    momentum = stepper.momentum_map(np.zeros(flow.n_u + flow.n_v))
     rng = np.random.default_rng(N)
     for _ in range(3):
         w = rng.standard_normal(flow.n_u + flow.n_v)
         psi = rng.uniform(0.2, 3.0, (flow.n_c, ops.grid.n_nodes))
-        force = stepper._momentum_solve(lambda r: r, np.zeros_like(w), psi)
+        force = momentum(psi)
         want = -params.k * flow.h ** 2 * float(
             np.sum(flow.cell_velocity_gradient(w) * ops.stress_matrix(psi)))
         assert abs(float(w @ force) - want) <= 1e-13 * abs(want)
@@ -538,11 +540,15 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
 
 
 def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, monkeypatch):
-    # the CSR K_x is written once per coupled step whatever its sweep count,
-    # and the fast-diagonalization scaling once per stepper
+    # the CSR K_x and the momentum factorization are built once per coupled
+    # step whatever its sweep count, and the fast-diagonalization scaling
+    # once per stepper
     flow, ops, params, _ = small
-    stencils, scalings = [], []
-    stencil, system = stepping._transport_csr, stepping._DensitySystem
+    stencils, scalings, factorizations = [], [], []
+    stencil, system, solver = stepping._transport_csr, stepping._DensitySystem, \
+        stepping.stokes_solver
+    monkeypatch.setattr(stepping, "stokes_solver",
+                        lambda *args: factorizations.append(1) or solver(*args))
     monkeypatch.setattr(stepping, "_transport_csr",
                         lambda *args: stencils.append(1) or stencil(*args))
     monkeypatch.setattr(stepping, "_DensitySystem",
@@ -555,6 +561,7 @@ def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, mo
         sweeps.append(report.iterations)
     assert min(sweeps) > 1 and fallbacks == []
     assert len(stencils) == 2 and len(scalings) == 1
+    assert len(factorizations) == 2
 
 
 # --------------------------------------------------------------------------
@@ -627,6 +634,26 @@ def test_fixed_point_stall_raises(small, rng):
         stepper.coupled_step(perturbed_state(flow, ops, rng, amp=0.5))
 
 
+def test_fixed_point_driver_on_fake_sweeps(small, rng):
+    # the driver alone, on sweeps that solve nothing: a contraction by 1/2
+    # towards (u0, 0) stops at its first increment within fp_tol, each
+    # increment half the one before; a 2-cycle never settles and stalls
+    flow, ops, params, stepper = small
+    u0 = project_divergence_free(flow, rng.standard_normal(flow.n_u + flow.n_v))
+    psi0 = 1e-3 * rng.standard_normal((flow.n_c, ops.grid.n_nodes))
+    state = SystemState(u=u0, psi=psi0, t=0.0, n=0)
+    u, psi, report = stepper._fixed_point(lambda psi_it: (u0, 0.5 * psi_it), state)
+    inc = report.increments
+    assert report.converged and report.iterations == len(inc) > 2
+    assert inc[-1] <= params.fp_tol < inc[-2]
+    np.testing.assert_allclose(np.array(inc[1:]) / inc[:-1], 0.5, rtol=1e-6)
+    assert u is u0 and np.array_equal(psi, psi0 / 2 ** report.iterations)
+
+    c = 3.0 * np.ones_like(psi0)
+    with pytest.raises(RuntimeError, match=f"stalled after {params.fp_max_iter} iterations"):
+        stepper._fixed_point(lambda psi_it: (u0, c - psi_it), equilibrium_state(flow, ops))
+
+
 def test_step_params_validation():
     good = dict(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
                 cutoff=CutoffParams(L=5.0, delta=1e-4))
@@ -637,6 +664,8 @@ def test_step_params_validation():
                      ("k", math.nan), ("k", math.inf), ("fp_max_iter", 0),
                      ("fp_max_iter", -1), ("fp_tol", 0.0), ("fp_tol", -1e-12),
                      ("fp_tol", math.nan),
+                     # every coupled step accepted its first sweep
+                     ("fp_tol", math.inf),
                      # range() in the first coupled step needs an integer
                      ("fp_max_iter", 2.5), ("fp_max_iter", True)]:
         with pytest.raises(ValueError):
