@@ -545,8 +545,8 @@ def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, mo
     # once per stepper
     flow, ops, params, _ = small
     stencils, scalings, factorizations = [], [], []
-    stencil, system, solver = stepping._transport_csr, stepping._DensitySystem, \
-        stepping.stokes_solver
+    stencil, system = stepping._transport_csr, stepping._DensitySystem
+    solver = stepping.stokes_solver
     monkeypatch.setattr(stepping, "stokes_solver",
                         lambda *args: factorizations.append(1) or solver(*args))
     monkeypatch.setattr(stepping, "_transport_csr",
