@@ -23,11 +23,17 @@ b, d = 4.0, 2        # the planar dumbbell: d = 2 is fixed, b is the only parame
 
 print(f"FENE spring with b = {b} in d = {d}\n")
 
-Z_closed = 2.0 * math.pi * b / (b + 2.0)        # = 4 pi / 3 at b = 4
-Z = maxwellian_normalizer(b)
-print(f"normalizer Z: beta-function route {Z:.15f}")
-print(f"              2 pi b/(b+2)        {Z_closed:.15f}   "
-      f"(diff {abs(Z - Z_closed):.1e})")
+# Z = 2 pi int_0^sqrt(b) r (1 - r^2/b)^{b/2} dr by Gauss-Legendre quadrature,
+# exact for this degree-5 polynomial integrand at b = 4, against the closed
+# form that the package uses
+half = 0.5 * math.sqrt(b)                       # maps [-1, 1] onto [0, sqrt(b)]
+x, wx = np.polynomial.legendre.leggauss(4)
+r = half * (x + 1.0)
+Z_quad = 2.0 * math.pi * half * float(wx @ (r * (1.0 - r**2 / b) ** (b / 2)))
+Z = maxwellian_normalizer(b)                    # 2 pi b/(b+2) = 4 pi / 3 at b = 4
+print(f"normalizer Z: Gauss-Legendre quadrature {Z_quad:.15f}")
+print(f"              closed form 2 pi b/(b+2)  {Z:.15f}   "
+      f"(diff {abs(Z - Z_quad):.1e})")
 
 grid = build_config_grid(b, N_r=64, N_theta=64)
 m2 = weighted_integral(grid, grid.qx**2 + grid.qy**2)

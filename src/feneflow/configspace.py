@@ -95,37 +95,22 @@ def _rows_in_place():
         np.setbufsize(size)
 
 
-def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at ``x0`` on nodes ``x``."""
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c1, c4 = 1.0, x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5 = 1.0, c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
 def _radial_diff_matrix(r: np.ndarray) -> np.ndarray:
-    """Dense d/dr on the ``N_r >= 8`` radial nodes (5-point Fornberg stencils)."""
+    """Dense d/dr on the ``N_r >= 8`` radial nodes, by 5-point stencils.
+
+    Row ``i`` reads the window ``clip(i - 2, 0, N_r - 5)`` and its weights
+    differentiate ``1, r, ..., r^4`` exactly at ``r[i]``: with the window's
+    offsets ``x_j = (r_j - r_i) / s`` scaled by their largest magnitude
+    ``s``, they solve ``sum_j c_j x_j^p = delta_{p1} / s`` for ``p < 5``,
+    one Vandermonde system per row, all in one batched solve."""
     n = len(r)
+    cols = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(5)
+    offsets = r[cols] - r[:, None]
+    scale = np.abs(offsets).max(axis=1, keepdims=True)
+    V = (offsets / scale)[:, None, :] ** np.arange(5)[:, None]     # V[i, p, j] = x_j^p
+    e1 = np.eye(5)[:, 1:2]     # a (5, 1) column, which solve broadcasts over the rows
     D = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - 2, 0), n - 5)
-        D[i, lo:lo + 5] = _fornberg_weights(r[i], r[lo:lo + 5], 1)
+    np.put_along_axis(D, cols, np.linalg.solve(V, e1)[..., 0] / scale, axis=1)
     return D
 
 
@@ -370,24 +355,16 @@ def weighted_integral(grid: ConfigGrid, field: np.ndarray) -> float:
 
 
 def kramers_stress(grid: ConfigGrid, psi_hat: np.ndarray, k: float) -> np.ndarray:
-    """Kramers stress ``tau = k (int M psi U' q q^T dq - rho I)`` (symmetric).
-
-    ``psi_hat`` may carry leading axes (e.g. one row per flow cell); the
-    result then has shape ``(..., 2, 2)``.
-    """
+    """Kramers stress ``tau = k (int M psi U' q q^T dq - rho I)``, exactly
+    symmetric, from one product with the moment weights ``w U' (q_x^2,
+    q_x q_y, q_y^2)``.  ``psi_hat`` may carry leading axes (e.g. one row per
+    flow cell); the result then has shape ``(..., 2, 2)``."""
     psi_hat = np.asarray(psi_hat, dtype=float)
-    coords = (grid.qx, grid.qy)
-    wU = grid.w * grid.uprime
+    wU, qx, qy = grid.w * grid.uprime, grid.qx, grid.qy
+    moments = psi_hat @ np.stack([wU * qx * qx, wU * qx * qy, wU * qy * qy]).T
+    m0, m1, m2 = np.moveaxis(moments, -1, 0)
     rho = psi_hat @ grid.w
-    tau = np.empty(psi_hat.shape[:-1] + (2, 2))
-    for a in range(2):
-        for c in range(a, 2):
-            moment = psi_hat @ (wU * coords[a] * coords[c])
-            tau[..., a, c] = moment
-            tau[..., c, a] = moment
-    for a in range(2):
-        tau[..., a, a] -= rho
-    return k * tau
+    return k * np.stack([np.stack([m0 - rho, m1], -1), np.stack([m1, m2 - rho], -1)], -2)
 
 
 # --------------------------------------------------------------------------

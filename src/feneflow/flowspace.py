@@ -11,7 +11,9 @@ is ``u = C s`` for exactly one ``s`` (Nicolaides, SIAM J. Numer. Anal. 29,
 1992).  So a velocity update is solved in the stream-function basis, with
 no pressure at all (the null-space method, Benzi, Golub & Liesen, Acta
 Numerica 14, 2005, section 6): ``A u = r`` tested with every ``C t`` gives
-``C^T A C s = C^T r``.  Testing with the solution ``u = C s`` itself gives
+``C^T A C s = C^T r``, with ``A`` and ``r`` taken as written: a common
+factor such as the ``h^2`` face measure cancels, so no caller applies it.
+Testing with the solution ``u = C s`` itself gives
 ``u^T A u = u^T r`` exactly, which is the identity that the pressure's
 adjointness gave in the saddle-point form.
 
@@ -300,7 +302,6 @@ def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.n
     """Factor the velocity update ``A u = r`` restricted to discretely
     divergence-free ``u``, and return ``solve(r) -> u``.
 
-    ``A`` is the face operator already scaled by the ``h^2`` face measure.
     The update is solved for the stream function: ``u = C s`` with
     ``C^T A C s = C^T r``, where ``C`` is ``grid.curl``.  ``C^T A C`` is
     nonsingular when the symmetric part of ``A`` is positive definite, as
@@ -318,13 +319,11 @@ def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.n
 
 def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
     """L2-orthogonal projection onto the discretely divergence-free subspace:
-    the constrained solve with ``A = h^2 I``, which returns
+    the constrained solve with ``A = I``, which returns
     ``C (C^T C)^{-1} C^T w``.  Idempotent to rounding; gradients ``-D^T p``
     project to zero, because ``C^T D^T = (D C)^T = 0``."""
     w = np.asarray(w, dtype=float)
-    h2 = grid.h * grid.h
-    A = h2 * sp.identity(grid.n_u + grid.n_v, format="csr")
-    return stokes_solver(grid, A)(h2 * w)
+    return stokes_solver(grid, sp.identity(grid.n_u + grid.n_v, format="csr"))(w)
 
 
 def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.ndarray:
@@ -332,16 +331,15 @@ def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.nda
 
         (u, v) + dt (grad u, grad v) = (u0, v)   for all div-free v,
 
-    realized as the constrained solve with ``A = h^2 (I + dt K)``.
+    realized as the constrained solve with ``A = I + dt K``.
     Guarantees ``|u|^2 + dt |grad u|^2 <= |u0|^2`` (checked by the caller's
     tests).
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"smoothing step needs a positive finite dt, got {dt}")
     u0 = np.asarray(u0, dtype=float)
-    h2 = grid.h * grid.h
-    A = h2 * (sp.identity(grid.n_u + grid.n_v, format="csr") + dt * grid.K)
-    return stokes_solver(grid, A)(h2 * u0)
+    A = sp.identity(grid.n_u + grid.n_v, format="csr") + dt * grid.K
+    return stokes_solver(grid, A)(u0)
 
 
 # --------------------------------------------------------------------------

@@ -468,13 +468,7 @@ def _write_outputs(result: RunResult, out_dir: str, fg: FlowGrid,
         },
     }
     if result.decay is not None:
-        summary["decay"] = {
-            "final_energy": result.decay.final_energy,
-            "bound_at_final_time": result.decay.bound_at_final_time,
-            "gamma0": result.decay.gamma0,
-            "fitted_rate": result.decay.fitted_rate,
-            "satisfied": result.decay.satisfied,
-        }
+        summary["decay"] = asdict(result.decay)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -365,23 +365,23 @@ class CoupledStepper:
                      ) -> Callable[[np.ndarray], np.ndarray]:
         """One step's implicit momentum solve as a map ``psi -> u``, the
         operator with convection frozen at ``u_prev`` factored and the data
-        ``h^2 (u_prev / dt) + h^2 f`` formed once.  The new velocity is
+        ``u_prev / dt + f`` formed once.  The new velocity is
         ``C s`` for the solved stream function ``s``, a test function of
         the solve that kills convection (skew), so it satisfies the
         discrete kinetic-energy identity to direct-solver residual."""
         fg, p = self.flow, self.params
-        h2 = fg.h * fg.h
         u_prev = np.asarray(u_prev, dtype=float)
-        solve = stokes_solver(fg, h2 * (self._momentum_base + convection_matrix(fg, u_prev)))
-        data = h2 * (u_prev / p.dt)
+        solve = stokes_solver(fg, self._momentum_base + convection_matrix(fg, u_prev))
+        data = u_prev / p.dt
         if f is not None:
-            data = data + h2 * f
+            data = data + f
 
         def momentum(psi_candidate: np.ndarray) -> np.ndarray:
-            # the weak polymer force w -> -k sum_cells h^2 C_hat : grad w, one
-            # product with the transpose of the drag's velocity gradient
+            # the polymer force F, (w, F) = -k sum_cells h^2 C_hat : grad w in
+            # the face inner product: one product with the transpose of the
+            # drag's velocity gradient
             C_hat = self.ops.stress_matrix(psi_candidate)
-            out = solve(data - p.k * h2 * (fg._grad_t @ C_hat.reshape(-1)))
+            out = solve(data - p.k * (fg._grad_t @ C_hat.reshape(-1)))
             if not np.isfinite(out).all():
                 raise FloatingPointError("momentum solve produced non-finite values")
             return out

@@ -156,6 +156,19 @@ def test_node_gradient_exact_on_polynomials(grid16):
     np.testing.assert_allclose(grad2[1], g.qx, atol=1e-12)
 
 
+@pytest.mark.parametrize("b", [4.0, 50.0])
+@pytest.mark.parametrize("N_r", [8, 16, 64])
+def test_radial_stencils_differentiate_quartics_exactly(b, N_r):
+    # each 5-point stencil differentiates 1, r, ..., r^4 exactly at its node,
+    # the one-sided windows at both ends included
+    r = build_config_grid(b, N_r=N_r, N_theta=8).r
+    D = configspace._radial_diff_matrix(r)
+    for p in range(5):
+        want = p * r ** max(p - 1, 0)
+        got = D @ r**p
+        assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0), p
+
+
 def test_ibp_identity_on_polynomials(grid32):
     # both sides of int M (Bq).grad phi = int M phi U' q^T B q are quadrature
     # exact for polynomial phi, so the residual is pure rounding
@@ -191,6 +204,7 @@ def test_kramers_stress_symmetry_linearity_batching(grid16, rng):
     batch = kramers_stress(g, np.stack([psi1, psi2]), k=2.0)
     assert batch.shape == (2, 2, 2)
     np.testing.assert_allclose(batch[0], t1, atol=1e-14)
+    assert np.array_equal(batch, batch.swapaxes(-1, -2))
 
 
 def test_drag_stress_pairing_is_exact(ops16, rng):

@@ -220,9 +220,10 @@ def test_stress_force_linear_in_k(small, rng):
 
 @pytest.mark.parametrize("N", [12, 32])
 def test_stress_force_is_the_adjoint_of_the_velocity_gradient(N, small, monkeypatch):
-    # w . F(psi) = -k h^2 sum_cells sigma(w) : C_hat(psi), F being the stress
-    # part of the momentum right-hand side: mapped from u_prev = 0 (no data
-    # term) with the identity for the solve, the momentum map returns F itself
+    # (w, F(psi)) = -k h^2 sum_cells sigma(w) : C_hat(psi) in the face inner
+    # product, F being the stress part of the momentum right-hand side: mapped
+    # from u_prev = 0 (no data term) with the identity for the solve, the
+    # momentum map returns F itself
     flow = build_flow_grid(N)
     ops = assemble_fp_operators(build_config_grid(4.0, N_r=8, N_theta=8))
     params = dataclasses.replace(small[2], k=2.5)
@@ -236,7 +237,7 @@ def test_stress_force_is_the_adjoint_of_the_velocity_gradient(N, small, monkeypa
         force = momentum(psi)
         want = -params.k * flow.h ** 2 * float(
             np.sum(flow.cell_velocity_gradient(w) * ops.stress_matrix(psi)))
-        assert abs(float(w @ force) - want) <= 1e-13 * abs(want)
+        assert abs(flow.ip(w, force) - want) <= 1e-13 * abs(want)
 
 
 def test_beta_saturation_inactive_for_moderate_data(small, rng):
