@@ -27,7 +27,9 @@ continuation of ``F`` beyond ``delta`` and ``L``.  Its second derivative is
 the reciprocal of the cut-off ``beta^L_delta(s) = max(min(s, L), delta)``,
 whose secant form along configuration-grid edges
 (``secant_cutoff_coefficient``, which forms only ``[F^L_delta]'`` per node
-and pairs it along the grid's edges) is the drag coefficient of the scheme.
+and pairs it along the grid's edges, building the near-coincident edges'
+midpoints only for a field that has such an edge) is the drag coefficient
+of the scheme.
 Both take the cut-off pair as one :class:`CutoffParams`, the one check of it.
 """
 
@@ -97,7 +99,7 @@ def fene_potential(s, b: float):
     Parameters
     ----------
     s : array_like
-        Squared-half-extension ``|q|^2 / 2``; must lie in ``[0, b/2)``.
+        Squared-half-extension ``|q|^2 / 2``; must lie in ``[0, b/2)``, not NaN.
     b : float
         Extensibility parameter, ``b > 2``.
 
@@ -109,8 +111,8 @@ def fene_potential(s, b: float):
     s = np.asarray(s, dtype=float)
     check_extensibility(b)
     arg = 1.0 - 2.0 * s / b
-    if np.any(s < 0.0) or np.any(arg <= 0.0):
-        raise DomainError("s must lie in [0, b/2) for the FENE potential")
+    if not np.all((s >= 0.0) & (arg > 0.0)):
+        raise DomainError("s must lie in [0, b/2) for the FENE potential, and not be NaN")
     U = -(b / 2.0) * np.log(arg)
     Uprime = 1.0 / arg
     return U, Uprime
@@ -152,21 +154,36 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
         coeff * ( [F^L_delta]'(c) - [F^L_delta]'(a) ) = c - a
 
     exact, which is what the discrete free-energy identity needs.
+
+    Rounding is monotone, so no edge's near-coincidence bound
+    ``1e-12 (|a| + |c| + 1)`` exceeds ``1e-12 (2 max|psi| + 1)``: a field
+    whose every ``|c - a|`` clears that screen costs two edge differences,
+    one division and one clip, and only another one builds the per-edge
+    bounds and midpoints.  Inside ``[delta, L]``, ``[F^L_delta]'`` is
+    ``log m`` alone.  Both shortcuts keep every bit of the full form.
     """
-    # node- and edge-sized buffers are reused in place (m, bound, out): at
-    # run sizes a fresh array costs about as much in page faults as the
-    # arithmetic done on it.  Every buffer, and the result, keeps the memory
-    # layout of psi, so no pass transposes.
+    # node- and edge-sized buffers are reused in place (m, out, and bound on
+    # the full path): at run sizes a fresh array costs about as much in page
+    # faults as the arithmetic done on it.  Every buffer, and the result,
+    # keeps the memory layout of psi, so no pass transposes.
     psi = np.asarray(psi, dtype=float)
-    m = np.clip(psi, cutoff.delta, cutoff.L)
-    d1 = psi - m
-    d1 /= m
-    d1 += np.log(m, out=m)                  # [F^L_delta]' as entropy_FLdelta forms it
+    delta, L = cutoff.delta, cutoff.L
+    lo, hi = float(psi.min()), float(psi.max())     # Python floats overflow silently
+    m = np.clip(psi, delta, L)
+    if delta <= lo and hi <= L:
+        d1 = np.log(m, out=m)               # + (psi - m)/m = +0.0 changes no bit of a log
+    else:
+        d1 = psi - m
+        d1 /= m
+        d1 += np.log(m, out=m)              # [F^L_delta]' as entropy_FLdelta forms it
     dnum = grid.edge_pairs(np.subtract, psi)
-    bound = grid.edge_pairs(np.add, np.abs(psi, out=m))
+    out = np.abs(dnum)
+    if out.min() > (2.0 * max(hi, -lo) + 1.0) * 1e-12:     # False on a NaN
+        dden = grid.edge_pairs(np.subtract, d1, out=out)
+        return np.clip(np.divide(dnum, dden, out=out), delta, L, out=out)
+    bound = grid.edge_pairs(np.add, np.abs(psi))
     bound += 1.0
     bound *= 1e-12
-    out = np.abs(dnum)
     tiny = out <= bound
     dden = grid.edge_pairs(np.subtract, d1, out=bound)
     # tiny increments are dominated by rounding: those edges keep the
@@ -174,7 +191,7 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
     grid.edge_pairs(np.add, psi, out=out)
     out *= 0.5
     np.divide(dnum, dden, out=out, where=np.logical_not(tiny, out=tiny))
-    return np.clip(out, cutoff.delta, cutoff.L, out=out)
+    return np.clip(out, delta, L, out=out)
 
 
 # --------------------------------------------------------------------------

@@ -296,12 +296,12 @@ class _DensitySystem:
         """
         ops = self.ops
         B = ops.to_modes(rhs_nodal)
-        tol = self.rtol * np.abs(B).max()
+        tol = self.rtol * max(B.max(), -B.min())          # max|B|, with no |B| temporary
         X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
         for _ in range(_MAX_ITERATIONS):
             R = _residual(K, self.shifts, X, B, work)
-            if np.abs(R).max() <= tol:
+            if max(R.max(), -R.min()) <= tol:
                 return ops.to_nodes(X)
             X += self.precondition(R, work)
         return _kron_solve(K, self.shifts, ops, rhs_nodal)

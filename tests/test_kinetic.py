@@ -72,6 +72,14 @@ def test_potential_domain_errors():
         fene_potential(0.5, 2.0)  # b must exceed 2
 
 
+def test_fene_potential_rejects_nan():
+    # s in [0, b/2) is the domain, and a NaN compares false against both ends
+    with pytest.raises(DomainError):
+        fene_potential(np.nan, 4.0)
+    with pytest.raises(DomainError):
+        fene_potential(np.array([0.5, np.nan]), 4.0)
+
+
 def test_potential_derivative_is_consistent():
     # central differences of U against the returned U'
     s = np.linspace(0.05, 1.8, 40)
@@ -400,6 +408,92 @@ def test_entropy_and_secant_match_routed_reference_bitwise(grid16):
         assert got.tobytes() == want.tobytes()
     got = secant_cutoff_coefficient(psi, grid16, CutoffParams(L, delta))
     assert got.tobytes() == routed_secant_coefficient(psi, ea, eb, L, delta).tobytes()
+
+
+def _at_own_bound():
+    """``(a, c) = (0, c)`` with ``c - a`` equal to the edge's near-coincidence
+    bound ``1e-12 (|a| + |c| + 1)``, as floats: the fixed point of
+    ``c -> (c + 1) 1e-12``, which rounding makes stationary in a few steps."""
+    c = 0.0
+    for _ in range(10):
+        c = ((0.0 + c) + 1.0) * 1e-12
+    return 0.0, c
+
+
+def _decay_n16_field(grid16, kind):
+    """A 256-row field on the 16 x 16 grid's nodes that takes the secant's
+    screened path (``kind`` ``in_range`` or ``out_of_range``, no edge
+    near-coincident) or its full path (``equal_pair``, ``own_bound``,
+    ``near_max``, ``nan``, ``huge``); returns the field and the cut-off pair."""
+    L, delta = 5.0, 1e-4
+    ea, eb = edge_lists(grid16)
+    rng = np.random.default_rng(28)
+    psi = delta + (L - delta) * rng.random((256, grid16.w.size))
+    if kind == "out_of_range":
+        psi = rng.uniform(-2.0, 4.0 * L, psi.shape)
+        assert psi.min() < 0.0 and psi.max() > L
+    elif kind == "equal_pair":
+        psi[7, eb[100]] = psi[7, ea[100]]
+    elif kind == "own_bound":
+        psi[3, ea[40]], psi[3, eb[40]] = a, c = _at_own_bound()
+        assert c - a == ((abs(a) + abs(c)) + 1.0) * 1e-12
+        assert np.abs(psi).max() > 1.0                # max|psi| sits elsewhere
+    elif kind == "near_max":
+        # a pair at max|psi| = L, closer than its own bound but not than
+        # half the screen 1e-12 (2 max|psi| + 1)
+        psi[5, ea[60]], psi[5, eb[60]] = L, L - 8e-12
+    elif kind == "nan":
+        psi[200, 17] = np.nan
+    elif kind == "huge":
+        psi[9, 30] = 1.5e308                          # the screen overflows to inf
+    return psi, L, delta
+
+
+@pytest.mark.parametrize("kind", ["in_range", "out_of_range", "equal_pair", "own_bound",
+                                  "near_max", "nan"])
+def test_secant_paths_match_routed_reference_bitwise(grid16, kind):
+    psi, L, delta = _decay_n16_field(grid16, kind)
+    ea, eb = edge_lists(grid16)
+    got = secant_cutoff_coefficient(psi, grid16, CutoffParams(L, delta))
+    if kind == "nan":
+        # the reference's entropy rejects a NaN; every edge but the four at
+        # the NaN node depends only on its own endpoints, so those are
+        # checked against the reference on the field with the NaN filled in
+        at_nan = np.zeros(got.shape, dtype=bool)
+        at_nan[200] = (ea == 17) | (eb == 17)
+        assert np.count_nonzero(at_nan) == 4 and np.isnan(got[at_nan]).all()
+        want = routed_secant_coefficient(np.nan_to_num(psi, nan=1.0), ea, eb, L, delta)
+        assert got[~at_nan].tobytes() == want[~at_nan].tobytes()
+        return
+    want = routed_secant_coefficient(psi, ea, eb, L, delta)
+    assert got.tobytes() == want.tobytes()
+    if kind == "own_bound":
+        # the edge at its own bound is near-coincident: beta of the midpoint
+        assert got[3, 40] == delta
+
+
+class CountingEdges(GatherEdges):
+    """``GatherEdges`` that counts its ``edge_pairs`` calls."""
+
+    calls = 0
+
+    def edge_pairs(self, op, field, out=None):
+        self.calls += 1
+        return super().edge_pairs(op, field, out=out)
+
+
+@pytest.mark.parametrize("kind, passes", [("in_range", 2), ("out_of_range", 2),
+                                          ("equal_pair", 4), ("own_bound", 4), ("near_max", 4),
+                                          ("nan", 4), ("huge", 4)])
+def test_secant_screen_skips_bound_and_midpoint_passes(grid16, kind, passes):
+    # a field whose every |c - a| clears 1e-12 (2 max|psi| + 1) needs only the
+    # two edge differences; any other builds the bound and the midpoints too.
+    # No kind warns (warnings fail the suite), not even where 2 max|psi|
+    # overflows and no edge's own bound does
+    psi, L, delta = _decay_n16_field(grid16, kind)
+    edges = CountingEdges(*edge_lists(grid16))
+    secant_cutoff_coefficient(psi, edges, CutoffParams(L, delta))
+    assert edges.calls == passes
 
 
 @settings(max_examples=200, deadline=None)
