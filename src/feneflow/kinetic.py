@@ -26,10 +26,12 @@ regularization ``F^L_delta`` (``entropy_FLdelta``), the quadratic Taylor
 continuation of ``F`` beyond ``delta`` and ``L``.  Its second derivative is
 the reciprocal of the cut-off ``beta^L_delta(s) = max(min(s, L), delta)``,
 whose secant form along configuration-grid edges
-(``secant_cutoff_coefficient``, which forms only ``[F^L_delta]'`` per node
-and pairs it along the grid's edges, building the near-coincident edges'
-midpoints only for a field that has such an edge) is the drag coefficient
-of the scheme.
+(``secant_cutoff_coefficient``) is the drag coefficient of the scheme.  It
+forms only ``[F^L_delta]'`` per node and pairs it along the grid's edges,
+after three screens read off the field's minimum and maximum: a flat field
+(the equilibrium density) has every edge near-coincident and takes only the
+midpoints, a field with no near-coincident edge only the two edge
+differences, and only another builds the per-edge bounds and midpoints.
 Both take the cut-off pair as one :class:`CutoffParams`, the one check of it.
 """
 
@@ -155,12 +157,22 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
 
     exact, which is what the discrete free-energy identity needs.
 
-    Rounding is monotone, so no edge's near-coincidence bound
-    ``1e-12 (|a| + |c| + 1)`` exceeds ``1e-12 (2 max|psi| + 1)``: a field
-    whose every ``|c - a|`` clears that screen costs two edge differences,
-    one division and one clip, and only another one builds the per-edge
-    bounds and midpoints.  Inside ``[delta, L]``, ``[F^L_delta]'`` is
-    ``log m`` alone.  Both shortcuts keep every bit of the full form.
+    Rounding is monotone, so each edge's near-coincidence bound
+    ``1e-12 (|a| + |c| + 1)`` lies between ``1e-12 (2 min|psi| + 1)`` and
+    ``1e-12 (2 max|psi| + 1)``, and ``|c - a|`` is at most
+    ``max psi - min psi``.  That gives three screens, each decided from
+    ``min psi`` and ``max psi`` alone:
+
+    * a flat field, finite with a spread within the lower bound, has every
+      edge near-coincident: it costs one edge sum, a halving and at most one
+      clip, and no node pass (the state at equilibrium, where the paper's
+      decay leads every long unforced run);
+    * a field whose every ``|c - a|`` clears the upper bound has no such
+      edge: it costs two edge differences, one division and one clip;
+    * only another field builds the per-edge bounds and midpoints.
+
+    Inside ``[delta, L]``, ``[F^L_delta]'`` is ``log m`` alone.  Every
+    shortcut keeps every bit of the full form.
     """
     # node- and edge-sized buffers are reused in place (m, out, and bound on
     # the full path): at run sizes a fresh array costs about as much in page
@@ -169,6 +181,16 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
     psi = np.asarray(psi, dtype=float)
     delta, L = cutoff.delta, cutoff.L
     lo, hi = float(psi.min()), float(psi.max())     # Python floats overflow silently
+    spread = hi - lo                                # inf or NaN on a field with an inf
+    if spread <= (2.0 * max(lo, -hi, 0.0) + 1.0) * 1e-12 and spread < math.inf:
+        # every edge is near-coincident (False on a NaN; an infinite screen
+        # would pass an inf, whose edges with equal ends divide to NaN):
+        # each edge's coefficient is its midpoint, which lies in [lo, hi]
+        out = grid.edge_pairs(np.add, psi)
+        out *= 0.5
+        if delta <= lo and hi <= L:
+            return out
+        return np.clip(out, delta, L, out=out)
     m = np.clip(psi, delta, L)
     if delta <= lo and hi <= L:
         d1 = np.log(m, out=m)               # + (psi - m)/m = +0.0 changes no bit of a log

@@ -415,7 +415,10 @@ class CoupledStepper:
             self.flow.cell_velocity_gradient(np.asarray(u_candidate, dtype=float)), c)
         del c  # not held through the solve
         rhs *= h2
-        rhs += (h2 / self.params.dt) * psi_prev * self.ops.grid.w
+        mass = np.multiply(h2 / self.params.dt, psi_prev)      # (h2/dt) psi_prev w, one temporary
+        mass *= self.ops.grid.w
+        rhs += mass
+        del mass
         out = self._density.solve(K, rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")

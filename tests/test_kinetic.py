@@ -420,16 +420,39 @@ def _at_own_bound():
     return 0.0, c
 
 
+def _at_screen():
+    """``(lo, hi)`` inside ``(delta, L)`` whose spread ``hi - lo = 2**-39``
+    equals the flat screen ``(2 lo + 1) 1e-12`` as floats: ``lo`` is chosen
+    so that the screen rounds to that power of two, which ``lo`` adds exactly."""
+    lo = (2.0 ** -39 / 1e-12 - 1.0) / 2.0
+    return lo, lo + 2.0 ** -39
+
+
+FLAT_KINDS = ["flat_one", "flat_below_delta", "flat_negative", "at_screen"]
+
+
 def _decay_n16_field(grid16, kind):
     """A 256-row field on the 16 x 16 grid's nodes that takes the secant's
-    screened path (``kind`` ``in_range`` or ``out_of_range``, no edge
+    flat path (``kind`` in ``FLAT_KINDS``, every edge near-coincident), its
+    screened path (``in_range`` or ``out_of_range``, no edge
     near-coincident) or its full path (``equal_pair``, ``own_bound``,
-    ``near_max``, ``nan``, ``huge``); returns the field and the cut-off pair."""
+    ``near_max``, ``nan``, ``huge``, ``above_screen``); returns the field
+    and the cut-off pair."""
     L, delta = 5.0, 1e-4
     ea, eb = edge_lists(grid16)
     rng = np.random.default_rng(28)
-    psi = delta + (L - delta) * rng.random((256, grid16.w.size))
-    if kind == "out_of_range":
+    shape = (256, grid16.w.size)
+    psi = delta + (L - delta) * rng.random(shape)
+    flat_at = {"flat_one": 1.0, "flat_below_delta": 0.5 * delta, "flat_negative": -1.0}
+    if kind in flat_at:                               # flat_one: the equilibrium density
+        psi = flat_at[kind] + 1e-13 * rng.random(shape)
+    elif kind in ("at_screen", "above_screen"):
+        lo, hi = _at_screen()
+        assert hi - lo == (2.0 * lo + 1.0) * 1e-12 and delta < lo < hi < L
+        if kind == "above_screen":
+            hi = np.nextafter(hi, np.inf)
+        psi = np.where(rng.random(shape) < 0.5, lo, hi)
+    elif kind == "out_of_range":
         psi = rng.uniform(-2.0, 4.0 * L, psi.shape)
         assert psi.min() < 0.0 and psi.max() > L
     elif kind == "equal_pair":
@@ -450,7 +473,7 @@ def _decay_n16_field(grid16, kind):
 
 
 @pytest.mark.parametrize("kind", ["in_range", "out_of_range", "equal_pair", "own_bound",
-                                  "near_max", "nan"])
+                                  "near_max", "nan", *FLAT_KINDS, "above_screen"])
 def test_secant_paths_match_routed_reference_bitwise(grid16, kind):
     psi, L, delta = _decay_n16_field(grid16, kind)
     ea, eb = edge_lists(grid16)
@@ -484,16 +507,35 @@ class CountingEdges(GatherEdges):
 
 @pytest.mark.parametrize("kind, passes", [("in_range", 2), ("out_of_range", 2),
                                           ("equal_pair", 4), ("own_bound", 4), ("near_max", 4),
-                                          ("nan", 4), ("huge", 4)])
+                                          ("nan", 4), ("huge", 4), ("above_screen", 4),
+                                          *((kind, 1) for kind in FLAT_KINDS)])
 def test_secant_screen_skips_bound_and_midpoint_passes(grid16, kind, passes):
-    # a field whose every |c - a| clears 1e-12 (2 max|psi| + 1) needs only the
-    # two edge differences; any other builds the bound and the midpoints too.
-    # No kind warns (warnings fail the suite), not even where 2 max|psi|
-    # overflows and no edge's own bound does
+    # a field whose spread is within 1e-12 (2 min|psi| + 1) needs only the
+    # edge sums for its midpoints; one whose every |c - a| clears
+    # 1e-12 (2 max|psi| + 1) only the two edge differences; any other builds
+    # the bound and the midpoints too.  No kind warns (warnings fail the
+    # suite), not even where 2 max|psi| overflows and no edge's own bound does
     psi, L, delta = _decay_n16_field(grid16, kind)
     edges = CountingEdges(*edge_lists(grid16))
     secant_cutoff_coefficient(psi, edges, CutoffParams(L, delta))
     assert edges.calls == passes
+
+
+def test_flat_screen_refuses_a_field_with_an_inf(grid16):
+    # at min|psi| = 1e308 the flat screen 1e-12 (2 min|psi| + 1) overflows
+    # to inf, which an infinite spread would pass; yet an edge with both
+    # ends inf is not near-coincident (inf - inf is NaN), and its
+    # coefficient is NaN, not the clipped midpoint L
+    L, delta = 5.0, 1e-4
+    ea, eb = edge_lists(grid16)
+    psi = np.full((4, grid16.w.size), 1e308)
+    psi[1, :40] = np.inf
+    edges = CountingEdges(ea, eb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = secant_cutoff_coefficient(psi, edges, CutoffParams(L, delta))
+        want = routed_secant_coefficient(psi, ea, eb, L, delta)
+    assert edges.calls == 4
+    assert np.isnan(got[1]).any() and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

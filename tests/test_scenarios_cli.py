@@ -353,6 +353,35 @@ def test_run_evaluates_each_observable_once_per_state(monkeypatch):
     assert counts == {"fisher_x": 6, "fisher_q": 6, "relative_entropy": 7}
 
 
+def test_secant_takes_the_flat_path_exactly_at_equilibrium(monkeypatch):
+    # the equilibrium density stays flat at 1 to rounding, so every secant
+    # call of an equilibrium run takes the flat path, its one edge_pairs
+    # pass; a decay run's density is not flat, and no call of it does
+    import feneflow.configspace as configspace
+    import feneflow.stepping as stepping
+
+    calls, passes = [0], []
+    edge_pairs, secant = configspace.ConfigGrid.edge_pairs, stepping.secant_cutoff_coefficient
+
+    def counting_pairs(self, *args, **kwargs):
+        calls[0] += 1
+        return edge_pairs(self, *args, **kwargs)
+
+    def counting_secant(*args):
+        before = calls[0]
+        out = secant(*args)
+        passes.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(configspace.ConfigGrid, "edge_pairs", counting_pairs)
+    monkeypatch.setattr(stepping, "secant_cutoff_coefficient", counting_secant)
+    for scenario, flat in (("equilibrium", True), ("decay", False)):
+        passes.clear()
+        result = run_scenario(tiny(scenario, N_x=6, T=0.03))
+        assert result.n_steps == 3 and len(passes) >= 3
+        assert all(n == 1 for n in passes) if flat else all(n > 1 for n in passes)
+
+
 def test_ledger_row_zero_is_the_smoothing_evaluation(monkeypatch):
     # row 0 holds the smoothed density's entropy and Fisher terms as the
     # smoothing step computed them, bit for bit equal to evaluating them
