@@ -36,8 +36,7 @@ from .configspace import (                               # noqa: E402
     GridConstructionError,
     assemble_fp_operators,
     build_config_grid,
-    grid_metadata_from_json,
-    grid_metadata_json,
+    grid_metadata,
     ibp_residual,
     kramers_stress,
     node_gradient,
@@ -77,7 +76,6 @@ from .diagnostics import (                               # noqa: E402
     energy_inequality_check,
     fisher_q,
     fisher_x,
-    free_energy,
     gamma0,
     lsi_check,
     momentum_energy_residual,

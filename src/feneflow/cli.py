@@ -7,6 +7,8 @@ the configuration grid cannot be built for and a rejected command-line
 option such as a negative ``--seed``), 1 a missing config file or an
 execution error.  A standard output closed by its reader (``feneflow
 selftest | head -1``) also ends the command with 1, and with no message.
+Each distinct warning is printed once, as ``warning: <message>`` on
+standard error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import List, Optional
 
 
@@ -258,26 +261,31 @@ def _cmd_selftest(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        return 1
-    except KeyboardInterrupt:
-        return 1
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull, so that the
-        # interpreter's final flush of what is buffered stays silent too
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
-    except Exception as exc:
-        print(f"execution error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # each message once, alone on its line: a run validates its
+        # configuration in parse_config and again in run_scenario
+        warnings.simplefilter("once")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "check":
+                return _cmd_check(args)
+            if args.command == "selftest":
+                return _cmd_selftest(args)
+            return 1
+        except KeyboardInterrupt:
+            return 1
+        except BrokenPipeError:
+            # the reader is gone: point stdout at devnull, so that the
+            # interpreter's final flush of what is buffered stays silent too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
+        except Exception as exc:
+            print(f"execution error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ integration-by-parts diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,8 +64,7 @@ __all__ = [
     "IbpResult",
     "assemble_fp_operators",
     "spectral_gap",
-    "grid_metadata_json",
-    "grid_metadata_from_json",
+    "grid_metadata",
 ]
 
 MASS_TOL = 1e-8
@@ -600,8 +598,9 @@ def spectral_gap(ops: ConfigOperators) -> float:
 # --------------------------------------------------------------------------
 
 
-def grid_metadata_json(grid: ConfigGrid) -> str:
-    """Structured-text description of the grid (counts, b, Z, defects, tolerances)."""
+def grid_metadata(grid: ConfigGrid) -> dict:
+    """The grid's description (counts, b, Z, defects, tolerances), keys in
+    sorted order; a checkpoint stores it and compares it on reload."""
     meta = {
         "kind": "fene-config-grid",
         "b": grid.b,
@@ -614,11 +613,4 @@ def grid_metadata_json(grid: ConfigGrid) -> str:
         "mass_tol": MASS_TOL,
         "moment_tol": MOMENT_TOL,
     }
-    return json.dumps(meta, indent=2, sort_keys=True)
-
-
-def grid_metadata_from_json(text: str) -> dict:
-    meta = json.loads(text)
-    if meta.get("kind") != "fene-config-grid":
-        raise ValueError("not a configuration-grid description")
-    return meta
+    return dict(sorted(meta.items()))

@@ -32,7 +32,6 @@ __all__ = [
     "relative_entropy",
     "fisher_x",
     "fisher_q",
-    "free_energy",
     "decay_energy",
     "gamma0",
     "energy_inequality_check",
@@ -107,11 +106,6 @@ def fisher_q(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
     return 4.0 * flow.h * flow.h * float(_root_dirichlet(grid, psi).sum())
-
-
-def free_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
-                psi: np.ndarray, k: float) -> float:
-    return 0.5 * flow.norm_sq(u) + k * relative_entropy(flow, grid, psi)
 
 
 def decay_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,

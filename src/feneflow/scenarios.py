@@ -65,10 +65,12 @@ class RunConfig:
     """Everything a run needs, JSON keys = field names.
 
     The chain is one planar FENE spring (a dumbbell, ``d = 2``, Rouse
-    matrix ``[1]``), so ``b`` is its only parameter.  Exactly
-    one of ``dt`` / ``C0`` is required (both present is allowed and
-    cross-checked: an explicit ``dt`` above ``C0 / (L log L)`` warns, and is
-    rejected under strict validation).
+    matrix ``[1]``), so ``b`` is its only parameter.  ``dt`` (default
+    0.01) is the step size whenever it is set; with ``dt = None`` the step
+    comes from ``C0`` by the cut-off step rule ``dt <= C0 / (L log L)``
+    (:func:`~feneflow.stepping.dt_schedule`).  With both set, a ``dt`` above
+    that cap warns, and is rejected under strict validation; a ``dt`` that
+    does not divide ``T`` warns.  The initial density is clipped at ``L``.
     """
 
     scenario: str = "decay"
@@ -85,7 +87,6 @@ class RunConfig:
     C0: Optional[float] = None
     L: float = 5.0
     delta: float = 1.0e-4
-    clip_level: Optional[float] = None    # smoothing clip; defaults to L
     N_x: int = 20
     N_r: int = 20
     N_theta: int = 20
@@ -140,8 +141,6 @@ class RunConfig:
             cutoff = None
         if not abs(self.amplitude) <= 1.0:
             v.append(f"amplitude must lie in [-1, 1], got {self.amplitude}")
-        if self.clip_level is not None and self.clip_level <= 1.0:
-            v.append(f"clip_level must exceed 1, got {self.clip_level}")
         if self.dt is None and self.C0 is None:
             v.append("one of dt / C0 is required")
         if self.dt is not None and self.dt <= 0.0:
@@ -149,6 +148,11 @@ class RunConfig:
         elif self.dt is not None and self.T > 0.0 and not math.isfinite(self.T / self.dt):
             v.append(f"dt = {self.dt} is too small for T = {self.T}: "
                      f"the step count T / dt is not finite")
+        elif self.dt is not None and self.T > 0.0:
+            n = _step_count(self.T, self.dt)
+            if abs(n * self.dt - self.T) > 1.0e-9 * max(self.T, 1.0):
+                warnings.warn(f"dt = {self.dt} does not divide T = {self.T}; "
+                              f"running {n} steps to t = {n * self.dt:.6g}", stacklevel=2)
         if self.C0 is not None and self.C0 <= 0.0:
             v.append(f"C0 must be positive, got {self.C0}")
         elif self.dt is None and self.C0 is not None and self.T > 0.0:
@@ -306,13 +310,13 @@ class RunResult:
     n_steps: int
 
 
+def _step_count(T: float, dt: float) -> int:
+    return max(1, round(T / dt))
+
+
 def _resolve_dt(cfg: RunConfig) -> Tuple[float, int]:
     if cfg.dt is not None:
-        n = max(1, round(cfg.T / cfg.dt))
-        if abs(n * cfg.dt - cfg.T) > 1.0e-9 * max(cfg.T, 1.0):
-            warnings.warn(f"dt = {cfg.dt} does not divide T = {cfg.T}; "
-                          f"running {n} steps to t = {n * cfg.dt:.6g}", stacklevel=2)
-        return cfg.dt, n
+        return cfg.dt, _step_count(cfg.T, cfg.dt)
     return dt_schedule(cfg.L, cfg.C0, cfg.T)
 
 
@@ -342,10 +346,9 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     u0_raw, psi0_raw, forcing = _scenario_data(cfg, fg, grid, rng)
 
     # data smoothing: velocity through one implicit constrained Helmholtz
-    # step, density through clipping plus one unit-coefficient heat step
+    # step, density through clipping at L plus one unit-coefficient heat step
     u0 = smooth_initial_velocity(fg, u0_raw, dt)
-    clip = cfg.clip_level if cfg.clip_level is not None else cfg.L
-    psi0, smooth_rep = smooth_initial_density(fg, ops, psi0_raw, dt, clip)
+    psi0, smooth_rep = smooth_initial_density(fg, ops, psi0_raw, dt, cfg.L)
 
     cp, _ = poincare_constant(cfg.N_x, cfg.side)
     kappa, _ = bakry_emery_kappa(cfg.b)

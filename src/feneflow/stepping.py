@@ -71,7 +71,7 @@ from scipy.linalg import LinAlgError
 
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
-from .configspace import ConfigOperators, grid_metadata_json
+from .configspace import ConfigOperators, grid_metadata
 from .flowspace import (FlowGrid, band_storage, banded_solver, convection_matrix, five_point_csr,
                         stokes_solver)
 
@@ -147,16 +147,18 @@ class SystemState:
 
 @dataclass
 class FixedPointReport:
-    """One step's fixed point: ``iterations`` sweeps, ``len(increments)``;
-    ``converged`` if the last increment is at most ``fp_tol``; the last
-    sweep's ``final_du`` and ``final_dpsi``; and per sweep ``increments``,
-    ``max(du, dpsi)``; all relative to the joint state scale."""
+    """One converged step's fixed point (a stalled one raises instead): per
+    sweep ``increments``, ``max(du, dpsi)``, the last at most ``fp_tol``;
+    the last sweep's ``final_du`` and ``final_dpsi``; all relative to the
+    joint state scale.  ``iterations`` is the sweep count."""
 
-    iterations: int
-    converged: bool
     final_du: float = math.inf
     final_dpsi: float = math.inf
     increments: List[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
 
 @dataclass
@@ -462,7 +464,7 @@ class CoupledStepper:
         floor = max(math.sqrt(self.flow.norm_sq(state.u)
                               + psi_norm(state.psi * state.psi) ** 2), 1.0e-12)
         u_it, psi_it = state.u, state.psi
-        report = FixedPointReport(iterations=0, converged=False)
+        report = FixedPointReport()
         for _ in range(p.fp_max_iter):
             u_star, psi_star = sweep(psi_it)
             # one buffer squares the increment, then psi_star
@@ -474,17 +476,13 @@ class CoupledStepper:
             du = math.sqrt(self.flow.norm_sq(u_star - u_it)) / scale
             dpsi /= scale
             u_it, psi_it = u_star, psi_star
-            report.iterations += 1
             report.increments.append(max(du, dpsi))
             report.final_du, report.final_dpsi = du, dpsi
             if max(du, dpsi) <= p.fp_tol:
-                report.converged = True
-                break
-        if not report.converged:
-            raise RuntimeError(
-                f"coupled fixed point stalled after {report.iterations} iterations "
-                f"(last increment {report.increments[-1]:.3e})")
-        return u_it, psi_it, report
+                return u_it, psi_it, report
+        raise RuntimeError(
+            f"coupled fixed point stalled after {report.iterations} iterations "
+            f"(last increment {report.increments[-1]:.3e})")
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +592,7 @@ def save_checkpoint(path: str, state: SystemState, params: StepParams,
         "t": state.t,
         "n": state.n,
         "flow": {"N": flow.N, "side": flow.side},
-        "config": json.loads(grid_metadata_json(ops.grid)),
+        "config": grid_metadata(ops.grid),
         "params": {
             "dt": params.dt, "nu": params.nu, "k": params.k,
             "lam": params.lam, "eps": params.eps,
@@ -614,7 +612,9 @@ def load_checkpoint(path: str, flow: Optional[FlowGrid] = None,
     A file that is not an ``.npz`` archive (a ``.npy`` array, text, an
     empty or truncated file) or whose arrays or ``meta`` fields are missing
     or malformed raises ``ValueError("... is not a coupled-state
-    checkpoint")``; a missing file raises ``FileNotFoundError``."""
+    checkpoint")``, and a checkpoint of another format version a
+    ``ValueError`` naming both versions; a missing file raises
+    ``FileNotFoundError``."""
     try:
         # opened here so it is closed whatever np.load raises
         with open(path, "rb") as fh:
@@ -626,13 +626,16 @@ def load_checkpoint(path: str, flow: Optional[FlowGrid] = None,
                 state = SystemState(u=data["u"].copy(), psi=data["psi"].copy(),
                                     t=float(meta["t"]), n=int(meta["n"]))
         flow_N, flow_side, config = meta["flow"]["N"], meta["flow"]["side"], meta["config"]
-        foreign = meta["kind"] != _CHECKPOINT_KIND
+        foreign, version = meta["kind"] != _CHECKPOINT_KIND, meta["version"]
     except (KeyError, TypeError, ValueError, OverflowError, EOFError, zipfile.BadZipFile):
         foreign = True
     if foreign:
         raise ValueError(f"{path} is not a coupled-state checkpoint")
+    if version != _CHECKPOINT_VERSION:
+        raise ValueError(f"{path} is a version {version!r} checkpoint; "
+                         f"this release reads version {_CHECKPOINT_VERSION}")
     if flow is not None and (flow_N != flow.N or flow_side != flow.side):
         raise ValueError("checkpoint flow grid does not match the current grid")
-    if ops is not None and json.loads(grid_metadata_json(ops.grid)) != config:
+    if ops is not None and grid_metadata(ops.grid) != config:
         raise ValueError("checkpoint configuration grid does not match")
     return state, meta

@@ -30,8 +30,7 @@ from feneflow import (
     build_config_grid,
     build_flow_grid,
     fisher_q,
-    grid_metadata_from_json,
-    grid_metadata_json,
+    grid_metadata,
     ibp_residual,
     kramers_stress,
     lsi_check,
@@ -454,12 +453,12 @@ def test_weighted_integral_shape_check(grid16):
 
 
 def test_metadata_round_trip(grid16):
-    text = grid_metadata_json(grid16)
-    meta = grid_metadata_from_json(text)
+    meta = grid_metadata(grid16)
+    assert meta["kind"] == "fene-config-grid" and meta["n_nodes"] == grid16.n_nodes
     assert meta["N_r"] == grid16.N_r and meta["N_theta"] == grid16.N_theta
     assert meta["Z"] == grid16.Z
     assert meta["mass_defect"] == grid16.mass_defect
-    # stable serialization: parse -> dump gives the same text
-    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
-    with pytest.raises(ValueError):
-        grid_metadata_from_json(json.dumps({"kind": "something-else"}))
+    # sorted keys, so a checkpoint's JSON text does not depend on the
+    # order they are written in; the JSON round trip is exact
+    assert list(meta) == sorted(meta)
+    assert json.loads(json.dumps(meta)) == meta

@@ -19,7 +19,6 @@ from feneflow import (
     entropy_F,
     fisher_q,
     fisher_x,
-    free_energy,
     gamma0,
     lsi_check,
     momentum_energy_residual,
@@ -130,7 +129,6 @@ def test_fisher_quadratic_in_small_amplitude(flow8, grid16):
 def test_free_and_decay_energy_at_equilibrium(flow8, grid16):
     psi = np.ones((flow8.n_c, grid16.n_nodes))
     u = np.zeros(flow8.n_u + flow8.n_v)
-    assert free_energy(flow8, grid16, u, psi, k=1.0) == 0.0
     assert decay_energy(flow8, grid16, u, psi, k=1.0) == 0.0
 
 

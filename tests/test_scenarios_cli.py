@@ -101,11 +101,24 @@ def test_config_rejects_removed_geometry_keys():
     assert err.value.violations == ["unknown key 'rouse'"]
 
 
+def test_config_rejects_the_retired_clip_level_key(tmp_path, capsys):
+    # the smoothing clips at L; a config.json written while clip_level was a
+    # key carries "clip_level": null, which is now an unknown key (exit 2)
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"scenario": "decay", "clip_level": null}')
+    assert err.value.violations == ["unknown key 'clip_level'"]
+    old = tmp_path / "config.json"
+    old.write_text(json.dumps(json.loads(emit_config(tiny("decay"))) | {"clip_level": None}))
+    for command in ("check", "run"):
+        assert main([command, str(old)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'clip_level'\n"
+
+
 def test_readme_lists_every_config_key():
     # the "Configuration keys" paragraph of the README names each RunConfig
     # field once, in backquoted comma-separated groups
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    listing = text[text.index("`RunConfig` fields):"):text.index("Exactly one of")]
+    listing = text[text.index("`RunConfig` fields):"):text.index("The step size is")]
     listing = listing[len("`RunConfig` fields):"):]
     keys = {k.strip() for group in re.findall(r"`([^`]+)`", listing) for k in group.split(",")}
     assert keys == {f.name for f in dataclasses.fields(RunConfig)}
@@ -411,6 +424,22 @@ def test_ledger_row_zero_is_the_smoothing_evaluation(monkeypatch):
     assert min(got) > 0.0
 
 
+def test_run_clips_the_initial_density_at_L(monkeypatch):
+    import feneflow.scenarios as scenarios
+
+    clips = []
+    smooth = scenarios.smooth_initial_density
+
+    def keeping(flow, ops, psi0, dt, clip_level):
+        clips.append(clip_level)
+        return smooth(flow, ops, psi0, dt, clip_level)
+
+    monkeypatch.setattr(scenarios, "smooth_initial_density", keeping)
+    cfg = tiny("decay", L=7.5)
+    run_scenario(cfg)
+    assert clips == [cfg.L]
+
+
 # --------------------------------------------------------------------------
 # command line
 # --------------------------------------------------------------------------
@@ -573,6 +602,30 @@ def test_cli_ends_quietly_when_stdout_is_closed():
     assert first.startswith(b"PASS  maxwellian normalizer")
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_cli_prints_each_warning_once(tmp_path, capsys):
+    # a dt above the step rule's cap that does not divide T: check and run
+    # each print both warnings once, one line each and no source line.  Each
+    # command runs in a fresh process, as the warnings module's "once"
+    # registry lives as long as the process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), FENEFLOW_THREADS="1")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "decay", "T": 0.025, "dt": 0.01, "C0": 0.01,
+                                "N_x": 4, "N_r": 8, "N_theta": 8}))
+    expected = ["warning: dt = 0.01 does not divide T = 0.025; running 2 steps to t = 0.02",
+                "warning: dt = 0.01 exceeds the step rule C0/(L log L) = 0.00124267"]
+    for command in ("check", "run"):
+        proc = subprocess.run([sys.executable, "-m", "feneflow.cli", command, str(path)],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == expected
+    # the filter and the printer are main's alone
+    before = (warnings.filters[:], warnings.showwarning)
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert (warnings.filters, warnings.showwarning) == before
 
 
 def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):
