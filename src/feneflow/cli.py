@@ -7,8 +7,8 @@ the configuration grid cannot be built for and a rejected command-line
 option such as a negative ``--seed``), 1 a missing config file or an
 execution error.  A standard output closed by its reader (``feneflow
 selftest | head -1``) also ends the command with 1, and with no message.
-Each distinct warning is printed once, as ``warning: <message>`` on
-standard error.
+Each warning is printed once, as ``warning: <message>`` on standard error;
+``check`` also prints the step count and ``dt`` that a run would take.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run.add_argument("--out-dir", default=None, help="write ledger/checkpoint/summary here")
     run.add_argument("--strict", action="store_true",
-                     help="turn schedule warnings into rejections")
+                     help="reject every schedule warning: dt over the step rule or not dividing T")
 
     chk = sub.add_parser("check", help="validate a JSON config without running it")
     chk.add_argument("config", help="path to the JSON run configuration")
     chk.add_argument("--strict", action="store_true",
-                     help="turn schedule warnings into rejections")
+                     help="reject every schedule warning: dt over the step rule or not dividing T")
 
     selftest = sub.add_parser("selftest", help="run the built-in structural property suite")
     selftest.add_argument("--seed", type=_seed, default=0)
@@ -115,12 +115,15 @@ def _cmd_check(args) -> int:
     cfg, status = _load_config(args)
     if cfg is None:
         return status
+    dt, n_steps, notes = cfg.schedule()
+    for note in notes:
+        warnings.warn(note)
     try:
         config_grid(cfg)
     except ConfigError as exc:
         return _config_error(exc)
     print(f"config ok: scenario={cfg.scenario} grids {cfg.N_x}^2 flow / "
-          f"{cfg.N_r}x{cfg.N_theta} config, horizon T={cfg.T}")
+          f"{cfg.N_r}x{cfg.N_theta} config, {n_steps} steps of dt={dt!r} to t={n_steps * dt:.6g}")
     return 0
 
 
@@ -262,9 +265,8 @@ def _cmd_selftest(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        # each message once, alone on its line: a run validates its
-        # configuration in parse_config and again in run_scenario
-        warnings.simplefilter("once")
+        # every warning reaches the printer; no caller's filter makes it exit 1
+        warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             if args.command == "run":

@@ -36,6 +36,7 @@ from .stepping import (
     dt_schedule,
     save_checkpoint,
     smooth_initial_density,
+    step_cap,
 )
 
 __all__ = [
@@ -68,9 +69,9 @@ class RunConfig:
     matrix ``[1]``), so ``b`` is its only parameter.  ``dt`` (default
     0.01) is the step size whenever it is set; with ``dt = None`` the step
     comes from ``C0`` by the cut-off step rule ``dt <= C0 / (L log L)``
-    (:func:`~feneflow.stepping.dt_schedule`).  With both set, a ``dt`` above
-    that cap warns, and is rejected under strict validation; a ``dt`` that
-    does not divide ``T`` warns.  The initial density is clipped at ``L``.
+    (:func:`~feneflow.stepping.dt_schedule`).  :meth:`schedule` resolves the
+    step and warns of a set ``dt`` above that cap or not dividing ``T``;
+    validation emits nothing, and strict validation rejects each warning.
     """
 
     scenario: str = "decay"
@@ -119,6 +120,23 @@ class RunConfig:
                 v.append(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {val!r}")
         return v
 
+    def schedule(self) -> Tuple[float, int, List[str]]:
+        """``(dt, n_steps, warnings)`` of a valid config, or ScheduleError."""
+        if self.dt is None:
+            return (*dt_schedule(self.L, self.C0, self.T), [])
+        if not math.isfinite(self.T / self.dt):
+            raise ScheduleError(f"dt = {self.dt} is too small for T = {self.T}: "
+                                f"the step count T / dt is not finite")
+        n = max(1, round(self.T / self.dt))
+        notes = []
+        if abs(n * self.dt - self.T) > 1.0e-9 * max(self.T, 1.0):
+            notes.append(f"dt = {self.dt} does not divide T = {self.T}; "
+                         f"running {n} steps to t = {n * self.dt:.6g}")
+        cap = math.inf if self.C0 is None else step_cap(self.L, self.C0)
+        if self.dt > cap * (1.0 + 1.0e-12):
+            notes.append(f"dt = {self.dt} exceeds the step rule C0/(L log L) = {cap:.6g}")
+        return self.dt, n, notes
+
     def validate(self, strict: bool = False) -> List[str]:
         v = self._type_violations()
         if v:
@@ -129,8 +147,8 @@ class RunConfig:
             check_extensibility(self.b)
         except DomainError as exc:
             v.append(str(exc))
-        for name in ("nu", "lam", "eps", "T", "side"):
-            if not (getattr(self, name) > 0.0):
+        for name in ("nu", "lam", "eps", "T", "side", "dt", "C0"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0.0:
                 v.append(f"{name} must be positive, got {getattr(self, name)}")
         if self.k < 0.0:
             v.append(f"k must be nonnegative, got {self.k}")
@@ -143,31 +161,13 @@ class RunConfig:
             v.append(f"amplitude must lie in [-1, 1], got {self.amplitude}")
         if self.dt is None and self.C0 is None:
             v.append("one of dt / C0 is required")
-        if self.dt is not None and self.dt <= 0.0:
-            v.append(f"dt must be positive, got {self.dt}")
-        elif self.dt is not None and self.T > 0.0 and not math.isfinite(self.T / self.dt):
-            v.append(f"dt = {self.dt} is too small for T = {self.T}: "
-                     f"the step count T / dt is not finite")
-        elif self.dt is not None and self.T > 0.0:
-            n = _step_count(self.T, self.dt)
-            if abs(n * self.dt - self.T) > 1.0e-9 * max(self.T, 1.0):
-                warnings.warn(f"dt = {self.dt} does not divide T = {self.T}; "
-                              f"running {n} steps to t = {n * self.dt:.6g}", stacklevel=2)
-        if self.C0 is not None and self.C0 <= 0.0:
-            v.append(f"C0 must be positive, got {self.C0}")
-        elif self.dt is None and self.C0 is not None and self.T > 0.0:
+        elif cutoff is not None and all(x is None or x > 0.0 for x in (self.T, self.dt, self.C0)):
             try:
-                dt_schedule(self.L, self.C0, self.T)
+                notes = self.schedule()[2]
+                if strict:
+                    v += notes
             except ScheduleError as exc:
                 v.append(str(exc))
-        if self.dt is not None and self.C0 is not None and cutoff is not None:
-            cap = self.C0 / (self.L * math.log(self.L))
-            if self.dt > cap * (1.0 + 1.0e-12):
-                msg = (f"dt = {self.dt} exceeds the step rule C0/(L log L) = {cap:.6g}")
-                if strict:
-                    v.append(msg)
-                else:
-                    warnings.warn(msg, stacklevel=2)
         if self.N_x < 4:
             v.append(f"N_x must be at least 4, got {self.N_x}")
         if self.N_r < 8 or self.N_theta < 8:
@@ -310,16 +310,6 @@ class RunResult:
     n_steps: int
 
 
-def _step_count(T: float, dt: float) -> int:
-    return max(1, round(T / dt))
-
-
-def _resolve_dt(cfg: RunConfig) -> Tuple[float, int]:
-    if cfg.dt is not None:
-        return cfg.dt, _step_count(cfg.T, cfg.dt)
-    return dt_schedule(cfg.L, cfg.C0, cfg.T)
-
-
 def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
                  progress: Optional[Callable[[int, int], None]] = None) -> RunResult:
     """Execute one configured run end to end.
@@ -332,7 +322,9 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     violations = cfg.validate()
     if violations:
         raise ConfigError(violations)
-    dt, n_steps = _resolve_dt(cfg)
+    dt, n_steps, notes = cfg.schedule()
+    for note in notes:
+        warnings.warn(note, stacklevel=2)
 
     grid = config_grid(cfg)
     ops = assemble_fp_operators(grid)

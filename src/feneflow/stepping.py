@@ -83,6 +83,7 @@ __all__ = [
     "CoupledStepper",
     "smooth_initial_density",
     "dt_schedule",
+    "step_cap",
     "ScheduleError",
     "ConstructionError",
     "save_checkpoint",
@@ -553,6 +554,11 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
 DT_FLOOR = 1.0e-8
 
 
+def step_cap(L: float, C0: float) -> float:
+    """The cut-off step rule's bound ``C0 / (L log L)``, for ``L > 1``."""
+    return C0 / (L * math.log(L))
+
+
 def dt_schedule(L: float, C0: float, horizon: float) -> Tuple[float, int]:
     """Largest admissible step ``dt <= C0 / (L log L)`` dividing the horizon.
 
@@ -564,7 +570,7 @@ def dt_schedule(L: float, C0: float, horizon: float) -> Tuple[float, int]:
         raise ScheduleError(f"the step rule needs L > e (so log L > 1), got L={L}")
     if C0 <= 0.0 or horizon <= 0.0:
         raise ScheduleError("C0 and the horizon must be positive")
-    dt_max = C0 / (L * math.log(L))
+    dt_max = step_cap(L, C0)
     n_min = horizon / dt_max if dt_max > 0.0 else math.inf
     if not math.isfinite(n_min):
         raise ScheduleError(

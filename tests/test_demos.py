@@ -11,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_equilibrium_and_mass.py", "03_quadrature_and_stress.py"])
+@pytest.mark.parametrize("demo", ["01_equilibrium_and_mass.py", "02_entropy_decay.py",
+                                  "03_quadrature_and_stress.py", "04_shear_driven_polymer.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), FENEFLOW_THREADS="1")
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,

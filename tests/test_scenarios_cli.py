@@ -165,12 +165,46 @@ def test_config_requires_a_step_rule():
 
 
 def test_config_step_cap_warns_then_rejects():
-    # dt above C0/(L log L) warns by default and fails strict validation
+    # dt above C0/(L log L) is a schedule warning, which fails strict validation
     raw = {"scenario": "decay", "dt": 0.5, "C0": 1.0, "L": 5.0}
-    with pytest.warns(UserWarning, match="step rule"):
-        parse_config(json.dumps(raw))
+    notes = parse_config(json.dumps(raw)).schedule()[2]
+    assert len(notes) == 1 and "step rule" in notes[0]
     with pytest.raises(ConfigError, match="step rule"):
         parse_config(json.dumps(raw), strict=True)
+
+
+SCHEDULE_WARNED = {"scenario": "decay", "T": 0.025, "dt": 0.01, "C0": 0.01,
+                   "N_x": 4, "N_r": 8, "N_theta": 8}
+
+
+def test_strict_rejects_a_dt_that_does_not_divide_T():
+    raw = dict(SCHEDULE_WARNED, C0=None)
+    with pytest.raises(ConfigError, match="does not divide") as info:
+        parse_config(json.dumps(raw), strict=True)
+    assert len(info.value.violations) == 1
+    assert parse_config(json.dumps(raw)).schedule() == (
+        0.01, 2, ["dt = 0.01 does not divide T = 0.025; running 2 steps to t = 0.02"])
+
+
+def test_validation_emits_no_warning_and_a_run_emits_each_once():
+    # an over-cap dt that does not divide T: parse_config only validates, so
+    # an "error" filter raises nothing there; run_scenario emits each once
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(json.dumps(SCHEDULE_WARNED))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = parse_config(json.dumps(SCHEDULE_WARNED))
+        assert caught == []
+        run_scenario(cfg)
+    assert [str(w.message) for w in caught] == cfg.schedule()[2]
+    assert len(caught) == 2
+
+
+def test_config_reports_both_nonpositive_step_rules():
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"scenario": "decay", "dt": -1, "C0": -1}))
+    assert info.value.violations == ["dt must be positive, got -1", "C0 must be positive, got -1"]
 
 
 def test_config_resolves_dt_from_c0():
@@ -606,9 +640,7 @@ def test_cli_ends_quietly_when_stdout_is_closed():
 
 def test_cli_prints_each_warning_once(tmp_path, capsys):
     # a dt above the step rule's cap that does not divide T: check and run
-    # each print both warnings once, one line each and no source line.  Each
-    # command runs in a fresh process, as the warnings module's "once"
-    # registry lives as long as the process
+    # each print both warnings once, one line each and no source line
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), FENEFLOW_THREADS="1")
     path = tmp_path / "config.json"
@@ -626,6 +658,19 @@ def test_cli_prints_each_warning_once(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     capsys.readouterr()
     assert (warnings.filters, warnings.showwarning) == before
+
+
+@pytest.mark.parametrize("over", [{"T": 0.02, "dt": 0.01}, {"T": 0.025, "dt": 0.01},
+                                  {"T": 0.02, "dt": None, "C0": 0.5}])
+def test_cli_check_prints_the_schedule_that_run_takes(tmp_path, capsys, over):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict({"scenario": "decay", "N_x": 4, "N_r": 8, "N_theta": 8},
+                                    **over)))
+    assert main(["check", str(path)]) == 0
+    match = re.search(r"config, (\d+) steps of dt=(\S+) to t=", capsys.readouterr().out)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (int(match[1]), float(match[2])) == (summary["n_steps"], summary["dt"])
 
 
 def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):
