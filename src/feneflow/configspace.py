@@ -498,7 +498,7 @@ class ConfigOperators:
         sg *= coeff_edges
         return self.grid.edge_divergence(sg)
 
-    def stress_matrix(self, psi_hat: np.ndarray) -> np.ndarray:
+    def stress_matrix(self, psi_hat: np.ndarray, dpsi: Optional[np.ndarray] = None) -> np.ndarray:
         """Edge-difference stress ``C_hat`` with ``sigma : C_hat(psi)`` equal to the
         drag form tested on ``[F^L_delta]'(psi)`` (exact discrete pairing).
 
@@ -507,11 +507,12 @@ class ConfigOperators:
         The edge differences keep the layout of ``psi_hat``, and the pairing
         is taken as ``(Gamma^T dpsi^T)^T`` on their ``(rows, n_edges)``
         view: BLAS rounds that as the edge-major ``dpsi @ edge_gamma``,
-        which it rounds differently on a C-ordered ``dpsi``.
+        which it rounds differently on a C-ordered ``dpsi``.  ``dpsi``, if
+        given, is those edge differences, and no pass forms them.
         """
         g = self.grid
         psi_hat = np.asarray(psi_hat, dtype=float)
-        dpsi = g.edge_pairs(np.subtract, psi_hat).reshape(-1, g.n_edges)
+        dpsi = (g.edge_pairs(np.subtract, psi_hat) if dpsi is None else dpsi).reshape(-1, g.n_edges)
         return (g.edge_gamma.T @ dpsi.T).T.reshape(psi_hat.shape[:-1] + (2, 2))
 
 

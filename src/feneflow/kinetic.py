@@ -138,7 +138,7 @@ def maxwellian_value(r, b: float, Z: float):
 # --------------------------------------------------------------------------
 
 
-def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
+def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
     """Divided-difference form of ``beta^L_delta`` along grid edges.
 
     ``grid`` is the ``ConfigGrid`` whose edges are paired (its
@@ -172,7 +172,8 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
     * only another field builds the per-edge bounds and midpoints.
 
     Inside ``[delta, L]``, ``[F^L_delta]'`` is ``log m`` alone.  Every
-    shortcut keeps every bit of the full form.
+    shortcut keeps every bit of the full form.  ``dpsi``, if given, is
+    ``grid.edge_pairs(np.subtract, psi)``, read in place of that pass.
     """
     # node- and edge-sized buffers are reused in place (m, out, and bound on
     # the full path): at run sizes a fresh array costs about as much in page
@@ -198,7 +199,7 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams):
         d1 = psi - m
         d1 /= m
         d1 += np.log(m, out=m)              # [F^L_delta]' as entropy_FLdelta forms it
-    dnum = grid.edge_pairs(np.subtract, psi)
+    dnum = grid.edge_pairs(np.subtract, psi) if dpsi is None else dpsi
     out = np.abs(dnum)
     if out.min() > (2.0 * max(hi, -lo) + 1.0) * 1e-12:     # False on a NaN
         dden = grid.edge_pairs(np.subtract, d1, out=out)

@@ -39,12 +39,15 @@ The density solve's run constants (mode shifts, stop tolerance and
 preconditioner) are built once per stepper, in one ``_DensitySystem``;
 every sweep of a step transports by the same velocity, so a step builds
 only ``K_x``, a CSR matrix on the cells written from its five-point stencil
-straight from the face velocities.  All modes are solved at once by
-preconditioned Richardson iteration, one sparse product ``K_x X`` per
-residual.  Every term but the upwind transport is diagonal in DCT-II along both cell axes times the
-configuration eigenbasis (fast diagonalization), so the preconditioner is
-a diagonal scaling between two small DCT matmuls.  Each solve starts from
-the previous fixed-point iterate.  The iteration stops at a max-norm
+straight from the face velocities, and from the same pass its upwind part
+``Adv``.  All modes are solved at once by preconditioned Richardson
+iteration.  Every term but ``Adv`` is diagonal in DCT-II along both cell
+axes times the configuration eigenbasis (fast diagonalization), so the
+preconditioner, a diagonal scaling between two small DCT matmuls, inverts
+all but ``Adv``: a step ``D`` leaves the residual ``-Adv D``, and only a
+solve's first residual is a full product ``K_x X``.  Each solve starts
+from the previous fixed-point iterate, returned as it is if its residual
+already meets the stop rule.  The iteration stops at a max-norm
 residual of ``1e-14`` of the right-hand side's, or of the rounding floor
 ``4 eps_mach (1 + 8 diffusion / mass)`` if larger; one that has not
 converged after 30 residuals (transport far beyond a cell per step) falls
@@ -53,7 +56,9 @@ band that ``flowspace.band_storage`` reads off the step's CSR ``K_x``.  The
 smoothing step has no transport: its exact solve is one ``P^{-1}``.
 
 The drag reads the velocity gradient ``FlowGrid.grad @ u`` per cell, and
-the stress force is one product with its transpose: exact adjoints.
+the stress force is one product with its transpose: exact adjoints.  A
+sweep forms the edge differences of its iterate once, for the stress and
+the drag's secant coefficient both.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
+from scipy.sparse import _sparsetools
 
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
@@ -195,7 +201,9 @@ def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
     The stencil is written into five slots per cell, which
     :func:`~feneflow.flowspace.five_point_csr` gathers into the CSR arrays
     (those outside the walls left out), so ``K_x X`` is one pass per
-    nonzero.
+    nonzero.  The same pass gives ``-Adv(u)``, which ``K.neg_upwind`` holds
+    as a CSR matrix of its nonzeros alone (the diagonal and at most one
+    entry per face), for the density solve's residual recurrence.
     """
     N, h = grid.N, grid.h
     flux_x = h * u[: grid.n_u].reshape(N - 1, N)   # cell (i, j) -> (i+1, j)
@@ -203,21 +211,25 @@ def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
     # the donor is the lower cell of a positive flux, the upper one otherwise
     up_x, down_x = np.where(flux_x > 0.0, flux_x, 0.0), np.where(flux_x > 0.0, 0.0, -flux_x)
     up_y, down_y = np.where(flux_y > 0.0, flux_y, 0.0), np.where(flux_y > 0.0, 0.0, -flux_y)
-    outflow = np.zeros((N, N))
-    outflow[:-1] += up_x
-    outflow[1:] += down_x
-    outflow[:, :-1] += up_y
-    outflow[:, 1:] += down_y
+    flows = np.zeros((N, N, 5))                    # -Adv(u): inflows, and minus the outflow
+    flows[1:, :, 0] = up_x
+    flows[:, 1:, 1] = up_y
+    flows[:-1, :, 2] -= up_x
+    flows[1:, :, 2] -= down_x
+    flows[:, :-1, 2] -= up_y
+    flows[:, 1:, 2] -= down_y
+    flows[:, :-1, 3] = down_y
+    flows[:-1, :, 4] = down_x
     neighbours = np.full((N, N), 4.0)
     neighbours[[0, -1], :] -= 1.0
     neighbours[:, [0, -1]] -= 1.0
-    slots = np.zeros((N, N, 5))
-    slots[1:, :, 0] = -diffusion - up_x
-    slots[:, 1:, 1] = -diffusion - up_y
-    slots[:, :, 2] = (mass + diffusion * neighbours) + outflow
-    slots[:, :-1, 3] = -diffusion - down_y
-    slots[:-1, :, 4] = -diffusion - down_x
-    return five_point_csr(slots)
+    slots = np.full((N, N, 5), -diffusion)
+    slots[:, :, 2] = mass + diffusion * neighbours
+    slots -= flows
+    K = five_point_csr(slots)
+    K.neg_upwind = five_point_csr(flows)
+    K.neg_upwind.eliminate_zeros()
+    return K
 
 
 def _cell_dct(N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -246,11 +258,20 @@ _MAX_ITERATIONS = 30
 _RESIDUAL_RTOL = 1.0e-14
 
 
-def _residual(K: sp.csr_matrix, shifts: np.ndarray, X: np.ndarray, B: np.ndarray,
-              work: np.ndarray) -> np.ndarray:
-    """``B - (K_x X + X diag(shifts))`` in a new array, for mode
-    coefficients ``X`` of shape ``(n_c, n_modes)``; ``work`` is scratch."""
-    R = K @ X
+def _residual(K: sp.csr_matrix, X: np.ndarray, R: np.ndarray,
+              B: Optional[np.ndarray] = None, shifts: Optional[np.ndarray] = None,
+              work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Overwrite ``R`` with ``B - (K X + X diag(shifts))`` for mode
+    coefficients ``X`` (C-ordered, shape ``(n_c, n_modes)``; ``work`` is
+    scratch), or with ``K X`` alone when ``B`` is None, and return it.  The
+    product runs in SciPy's CSR kernel straight into ``R``: ``K @ X`` would
+    allocate a zeroed result per residual, a churn that has glibc trim the
+    heap and fault it back in between sweeps."""
+    R.fill(0.0)
+    _sparsetools.csr_matvecs(K.shape[0], K.shape[1], X.shape[1], K.indptr, K.indices, K.data,
+                             X.ravel(), R.ravel())
+    if B is None:
+        return R
     R += np.multiply(X, shifts, out=work)
     return np.subtract(B, R, out=R)
 
@@ -289,24 +310,35 @@ class _DensitySystem:
         with this system's diffusion and mass.
 
         All modes are iterated at once from the modes of ``guess_nodal``,
-        ``X <- X + P^{-1} (B - K X)``; the upwind part that ``P`` drops has
-        columns summing to zero, so every update conserves mass to
-        rounding.  The iteration stops at a max-norm residual of
-        ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8 diffusion / mass)) max|B|``,
-        the second term being its rounding floor; one that has not got
-        there after ``_MAX_ITERATIONS`` residuals (strong upwinding, cell
-        CFL >> 1) is abandoned for the direct :func:`_kron_solve`.
+        ``X <- X + D`` with ``D = P^{-1} R``.  ``P`` is all of ``K`` and the
+        shifts but the upwind part ``Adv``, so a step leaves the residual
+        ``R <- -Adv D``: only the first residual ``B - (K X + X
+        diag(shifts))`` is formed in full, and every later one is one
+        product with ``K.neg_upwind``.  ``Adv``'s columns sum to zero, so
+        every update conserves mass to rounding.  The iteration stops at a
+        max-norm residual of ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8
+        diffusion / mass)) max|B|``, the second term being its rounding
+        floor, and a guess whose first residual meets it is returned as it
+        is.  The iteration allocates nothing: ``B``'s array, not read after
+        the first residual, takes every other one.  One that has not got
+        there after ``_MAX_ITERATIONS`` residuals
+        (strong upwinding, cell CFL >> 1) is abandoned for the direct
+        :func:`_kron_solve`.
         """
         ops = self.ops
         B = ops.to_modes(rhs_nodal)
         tol = self.rtol * max(B.max(), -B.min())          # max|B|, with no |B| temporary
         X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
-        for _ in range(_MAX_ITERATIONS):
-            R = _residual(K, self.shifts, X, B, work)
-            if max(R.max(), -R.min()) <= tol:
+        R, spare = _residual(K, X, np.empty_like(B), B, self.shifts, work), B
+        # max|R| <= tol, with no |R| temporary; R.max() alone fails most tests
+        if R.max() <= tol and -R.min() <= tol:
+            return guess_nodal
+        for _ in range(_MAX_ITERATIONS - 1):
+            X += self.precondition(R, work)                 # R holds the step D
+            R, spare = _residual(K.neg_upwind, R, spare), R
+            if R.max() <= tol and -R.min() <= tol:
                 return ops.to_nodes(X)
-            X += self.precondition(R, work)
         return _kron_solve(K, self.shifts, ops, rhs_nodal)
 
 
@@ -358,6 +390,7 @@ class CoupledStepper:
         self._cq = 1.0 / (2.0 * params.lam)
         h2 = flow.h * flow.h
         self._density = _DensitySystem(flow, ops, params.eps, h2 / params.dt, self._cq * h2)
+        self._mass_w = (h2 / params.dt) * ops.grid.w          # the density's mass term per node
         # the velocity-independent part of the momentum operator
         self._momentum_base = ((1.0 / params.dt) * sp.identity(flow.n_u + flow.n_v, format="csr")
                                + params.nu * flow.K)
@@ -379,11 +412,11 @@ class CoupledStepper:
         if f is not None:
             data = data + f
 
-        def momentum(psi_candidate: np.ndarray) -> np.ndarray:
+        def momentum(psi_candidate: np.ndarray, dpsi: Optional[np.ndarray] = None) -> np.ndarray:
             # the polymer force F, (w, F) = -k sum_cells h^2 C_hat : grad w in
             # the face inner product: one product with the transpose of the
             # drag's velocity gradient
-            C_hat = self.ops.stress_matrix(psi_candidate)
+            C_hat = self.ops.stress_matrix(psi_candidate, dpsi)
             out = solve(data - p.k * (fg._grad_t @ C_hat.reshape(-1)))
             if not np.isfinite(out).all():
                 raise FloatingPointError("momentum solve produced non-finite values")
@@ -399,7 +432,8 @@ class CoupledStepper:
         return _transport_csr(d.grid, np.asarray(u_transport, dtype=float), d.diffusion, d.mass)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
-                           K: sp.csr_matrix, coeff_field: np.ndarray) -> np.ndarray:
+                           K: sp.csr_matrix, coeff_field: np.ndarray,
+                           edges: Optional[List[np.ndarray]] = None) -> np.ndarray:
         """One implicit density solve.
 
         Transport (upwind) is ``K``, ``density_operator(u)`` of the previous
@@ -410,18 +444,18 @@ class CoupledStepper:
         The coefficient is the regularized entropy derivative's divided
         difference, so the drag tested with that derivative telescopes to the
         density jump: the discrete chain rule behind the exact drag/stress
-        cancellation.
+        cancellation.  ``edges``, if given, is a list holding
+        ``coeff_field``'s edge differences, which the secant reads rather
+        than forms; the step takes them out of it, so they are freed once
+        the secant returns, not held through the solve.
         """
-        h2 = self.flow.h * self.flow.h
-        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff)
-        rhs = self.ops.drag_rhs(
-            self.flow.cell_velocity_gradient(np.asarray(u_candidate, dtype=float)), c)
-        del c  # not held through the solve
-        rhs *= h2
-        mass = np.multiply(h2 / self.params.dt, psi_prev)      # (h2/dt) psi_prev w, one temporary
-        mass *= self.ops.grid.w
-        rhs += mass
-        del mass
+        c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff,
+                                      edges.pop() if edges else None)
+        sigma = self.flow.cell_velocity_gradient(np.asarray(u_candidate, dtype=float))
+        sigma *= self.flow.h * self.flow.h
+        rhs = self.ops.drag_rhs(sigma, c)
+        del c, sigma  # not held through the solve
+        rhs += psi_prev * self._mass_w
         out = self._density.solve(K, rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
@@ -442,8 +476,10 @@ class CoupledStepper:
         K = self.density_operator(state.u)
 
         def sweep(psi_it: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            u_star = momentum(psi_it)
-            return u_star, self.fokker_planck_step(state.psi, u_star, K, coeff_field=psi_it)
+            # one edge-difference pass of psi_it, for the stress and the secant
+            edges = [self.ops.grid.edge_pairs(np.subtract, psi_it)]
+            u_star = momentum(psi_it, edges[0])
+            return u_star, self.fokker_planck_step(state.psi, u_star, K, psi_it, edges)
 
         u, psi, report = self._fixed_point(sweep, state)
         return SystemState(u, psi, state.t + self.params.dt, state.n + 1), report

@@ -15,6 +15,7 @@ from feneflow import (
     CutoffParams,
     DomainError,
     RunConfig,
+    assemble_fp_operators,
     bakry_emery_kappa,
     build_config_grid,
     check_extensibility,
@@ -493,6 +494,23 @@ def test_secant_paths_match_routed_reference_bitwise(grid16, kind):
     if kind == "own_bound":
         # the edge at its own bound is near-coincident: beta of the midpoint
         assert got[3, 40] == delta
+
+
+@pytest.mark.parametrize("kind", ["flat_one", "in_range", "out_of_range", "equal_pair"])
+def test_stress_and_secant_from_shared_edge_differences(grid16, kind):
+    # a sweep forms its iterate's edge differences once; the stress and the
+    # secant read them there and are bitwise what each forms on its own, on
+    # the flat, the two screened (inside [delta, L] and not) and the full
+    # path; the shared differences are left as they were
+    psi, L, delta = _decay_n16_field(grid16, kind)
+    ops = assemble_fp_operators(grid16)
+    dpsi = grid16.edge_pairs(np.subtract, psi)
+    kept = dpsi.copy()
+    cutoff = CutoffParams(L, delta)
+    assert (secant_cutoff_coefficient(psi, grid16, cutoff, dpsi).tobytes()
+            == secant_cutoff_coefficient(psi, grid16, cutoff).tobytes())
+    assert ops.stress_matrix(psi, dpsi).tobytes() == ops.stress_matrix(psi).tobytes()
+    assert dpsi.tobytes() == kept.tobytes()
 
 
 class CountingEdges(GatherEdges):

@@ -403,30 +403,69 @@ def test_run_evaluates_each_observable_once_per_state(monkeypatch):
 def test_secant_takes_the_flat_path_exactly_at_equilibrium(monkeypatch):
     # the equilibrium density stays flat at 1 to rounding, so every secant
     # call of an equilibrium run takes the flat path, its one edge_pairs
-    # pass; a decay run's density is not flat, and no call of it does
+    # pass being the np.add of the midpoints; a decay run's density is not
+    # flat, and every call of it differences [F^L_delta]' along the edges
+    # (the np.subtract of psi itself comes with the sweep's shared pass)
     import feneflow.configspace as configspace
     import feneflow.stepping as stepping
 
-    calls, passes = [0], []
+    ops, passes = [], []
     edge_pairs, secant = configspace.ConfigGrid.edge_pairs, stepping.secant_cutoff_coefficient
 
-    def counting_pairs(self, *args, **kwargs):
-        calls[0] += 1
-        return edge_pairs(self, *args, **kwargs)
+    def recording_pairs(self, op, *args, **kwargs):
+        ops.append(op)
+        return edge_pairs(self, op, *args, **kwargs)
 
-    def counting_secant(*args):
-        before = calls[0]
+    def recording_secant(*args):
+        before = len(ops)
         out = secant(*args)
-        passes.append(calls[0] - before)
+        passes.append(ops[before:])
         return out
 
-    monkeypatch.setattr(configspace.ConfigGrid, "edge_pairs", counting_pairs)
-    monkeypatch.setattr(stepping, "secant_cutoff_coefficient", counting_secant)
+    monkeypatch.setattr(configspace.ConfigGrid, "edge_pairs", recording_pairs)
+    monkeypatch.setattr(stepping, "secant_cutoff_coefficient", recording_secant)
     for scenario, flat in (("equilibrium", True), ("decay", False)):
         passes.clear()
         result = run_scenario(tiny(scenario, N_x=6, T=0.03))
         assert result.n_steps == 3 and len(passes) >= 3
-        assert all(n == 1 for n in passes) if flat else all(n > 1 for n in passes)
+        if flat:
+            assert all(p == [np.add] for p in passes)
+        else:
+            assert all(np.subtract in p for p in passes)
+
+
+def test_equilibrium_run_keeps_the_smoothed_density_bitwise(monkeypatch):
+    # each density solve of an equilibrium run starts from a density whose
+    # residual already meets the stop rule, and returns that start as it
+    # is: the density is the smoothed one, bit for bit, after every step,
+    # and every step takes one sweep and no preconditioner
+    import feneflow.scenarios as scenarios
+    import feneflow.stepping as stepping
+
+    smoothed, densities, preconditions = [], [], []
+    smooth, step = scenarios.smooth_initial_density, stepping.CoupledStepper.coupled_step
+    precondition = stepping._DensitySystem.precondition
+
+    def keeping(*args):
+        smoothed.append(smooth(*args))
+        return smoothed[-1]
+
+    def stepping_on(self, *args):
+        state, report = step(self, *args)
+        densities.append(state.psi)
+        return state, report
+
+    monkeypatch.setattr(scenarios, "smooth_initial_density", keeping)
+    monkeypatch.setattr(stepping.CoupledStepper, "coupled_step", stepping_on)
+    monkeypatch.setattr(stepping._DensitySystem, "precondition",
+                        lambda *args: preconditions.append(1) or precondition(*args))
+    result = run_scenario(tiny("equilibrium"))
+    [(psi0, _)] = smoothed
+    assert len(densities) == result.n_steps == 5
+    assert all(psi.tobytes() == psi0.tobytes() for psi in densities)
+    assert list(result.ledger.column("fp_iters")[1:]) == [1] * 5
+    # the smoothing's one exact solve is the only preconditioner applied
+    assert len(preconditions) == 1
 
 
 def test_ledger_row_zero_is_the_smoothing_evaluation(monkeypatch):

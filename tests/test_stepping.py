@@ -487,6 +487,70 @@ def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
     assert fallbacks == []
 
 
+def count_preconditions(monkeypatch):
+    """Spy on the iteration's preconditioner applications."""
+    calls = []
+    precondition = _DensitySystem.precondition
+    monkeypatch.setattr(_DensitySystem, "precondition",
+                        lambda *args: calls.append(1) or precondition(*args))
+    return calls
+
+
+def test_density_solve_exit_residual_is_the_true_residual(small, wide, rng, monkeypatch):
+    # the residual after a step is found by recurrence, -Adv D; at exit the
+    # true residual B - (K X + X diag(shifts)), formed afresh from the modes
+    # the solve returns, meets the stop rule, cold and warm, on the density
+    # and smoothing steps and on the wide fixture, where the rule's
+    # rounding floor decides
+    flow, ops, params, stepper = small
+    wflow, wops = wide
+    n = wflow.n_u + wflow.n_v
+    cases = [(flow, ops, u, diffusion, shift_scale)
+             for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng)]
+    cases += [(wflow, wops, u, 1.0, wflow.h ** 2)
+              for u in (np.zeros(n), project_divergence_free(wflow, rng.standard_normal(n)))]
+    exits = []
+    for basis in (ops, wops):
+        to_nodes = basis.to_nodes
+        monkeypatch.setattr(basis, "to_nodes",
+                            lambda X, to_nodes=to_nodes: exits.append(X) or to_nodes(X))
+    fallbacks = count_fallbacks(monkeypatch)
+    for fg, basis, u, diffusion, shift_scale in cases:
+        mass = fg.h ** 2 / 0.01
+        system = _DensitySystem(fg, basis, diffusion, mass, shift_scale)
+        K = _transport_csr(fg, u, diffusion, mass)
+        R = mass * (1.0 + 0.5 * rng.random((fg.n_c, basis.grid.n_nodes))) * basis.grid.w
+        B = basis.to_modes(R)
+        warm = R / (mass * basis.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
+        for guess in (np.zeros_like(R), warm):
+            exits.clear()
+            system.solve(K, R, guess)
+            [X] = exits
+            true = B - (K @ X + X * system.shifts)
+            assert np.abs(true).max() <= system.rtol * np.abs(B).max()
+    assert fallbacks == []
+
+
+def test_density_solve_returns_a_start_that_meets_the_stop_rule(small, rng, monkeypatch):
+    # a solve started from its own answer, or from the uniform density that
+    # solves a uniform right-hand side under any projected transport, finds
+    # its first residual within the stop rule: it returns that start itself
+    # and applies no preconditioner
+    flow, ops, params, stepper = small
+    mass = flow.h ** 2 / params.dt
+    ones = np.ones((flow.n_c, ops.grid.n_nodes))
+    for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
+        system = _DensitySystem(flow, ops, diffusion, mass, shift_scale)
+        K = _transport_csr(flow, u, diffusion, mass)
+        R = mass * (1.0 + 0.5 * rng.random(ones.shape)) * ops.grid.w
+        answer = system.solve(K, R, np.zeros_like(R))
+        preconditions = count_preconditions(monkeypatch)
+        assert system.solve(K, R, answer) is answer
+        assert system.solve(K, mass * ones * ops.grid.w, ones) is ones
+        assert preconditions == []
+        monkeypatch.undo()
+
+
 def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch):
     # at cell CFL ~ 100 the upwind part the preconditioner drops dominates,
     # the iteration does not reach its tolerance in 30 residuals, and the
@@ -564,6 +628,50 @@ def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, mo
     assert min(sweeps) > 1 and fallbacks == []
     assert len(stencils) == 2 and len(scalings) == 1
     assert len(factorizations) == 2
+
+
+def test_a_sweep_forms_its_iterate_edge_differences_once(small, rng, monkeypatch):
+    # the stress and the secant share one edge_pairs(np.subtract, psi_it)
+    # per sweep, and the coupled step is bitwise that of a stepper whose
+    # stress and secant each form their own
+    import feneflow.configspace as configspace
+
+    flow, ops, params, stepper = small
+    state = perturbed_state(flow, ops, rng)
+    iterates, differenced = [], []
+    edge_pairs, fp_step = configspace.ConfigGrid.edge_pairs, CoupledStepper.fokker_planck_step
+
+    def recording_pairs(self, op, field, *args, **kwargs):
+        if op is np.subtract:
+            differenced.append(field)
+        return edge_pairs(self, op, field, *args, **kwargs)
+
+    def recording_step(self, psi_prev, u, K, coeff_field, *args):
+        iterates.append(coeff_field)
+        return fp_step(self, psi_prev, u, K, coeff_field, *args)
+
+    monkeypatch.setattr(configspace.ConfigGrid, "edge_pairs", recording_pairs)
+    monkeypatch.setattr(CoupledStepper, "fokker_planck_step", recording_step)
+    got, report = stepper.coupled_step(state)
+    assert len(iterates) == report.iterations > 1
+    assert [sum(field is psi for field in differenced) for psi in iterates] \
+        == [1] * report.iterations
+    monkeypatch.undo()
+
+    # the same step with the stress and the secant each forming their own
+    momentum_map = CoupledStepper.momentum_map
+
+    def own_momentum_map(self, *args):
+        momentum = momentum_map(self, *args)
+        return lambda psi, dpsi=None: momentum(psi)
+
+    def own_step(self, psi_prev, u, K, coeff_field, edges=None):
+        return fp_step(self, psi_prev, u, K, coeff_field)
+
+    monkeypatch.setattr(CoupledStepper, "momentum_map", own_momentum_map)
+    monkeypatch.setattr(CoupledStepper, "fokker_planck_step", own_step)
+    want, _ = CoupledStepper(flow, ops, params).coupled_step(state)
+    assert got.u.tobytes() == want.u.tobytes() and got.psi.tobytes() == want.psi.tobytes()
 
 
 # --------------------------------------------------------------------------
