@@ -498,22 +498,20 @@ class ConfigOperators:
         sg *= coeff_edges
         return self.grid.edge_divergence(sg)
 
-    def stress_matrix(self, psi_hat: np.ndarray, dpsi: Optional[np.ndarray] = None) -> np.ndarray:
+    def stress_matrix(self, dpsi: np.ndarray) -> np.ndarray:
         """Edge-difference stress ``C_hat`` with ``sigma : C_hat(psi)`` equal to the
-        drag form tested on ``[F^L_delta]'(psi)`` (exact discrete pairing).
+        drag form tested on ``[F^L_delta]'(psi)`` (exact discrete pairing),
+        from the edge differences ``dpsi = grid.edge_pairs(np.subtract, psi)``
+        alone.
 
         Consistent with ``C(M psi)`` up to the integration-by-parts residual
-        for trace-free contractions.  ``psi_hat`` may carry leading axes.
-        The edge differences keep the layout of ``psi_hat``, and the pairing
-        is taken as ``(Gamma^T dpsi^T)^T`` on their ``(rows, n_edges)``
-        view: BLAS rounds that as the edge-major ``dpsi @ edge_gamma``,
-        which it rounds differently on a C-ordered ``dpsi``.  ``dpsi``, if
-        given, is those edge differences, and no pass forms them.
+        for trace-free contractions.  ``dpsi`` may carry leading axes.  The
+        pairing is taken as ``(Gamma^T dpsi^T)^T`` on the ``(rows, n_edges)``
+        view of ``dpsi``: BLAS rounds that as the edge-major ``dpsi @
+        edge_gamma``, which it rounds differently on a C-ordered ``dpsi``.
         """
         g = self.grid
-        psi_hat = np.asarray(psi_hat, dtype=float)
-        dpsi = (g.edge_pairs(np.subtract, psi_hat) if dpsi is None else dpsi).reshape(-1, g.n_edges)
-        return (g.edge_gamma.T @ dpsi.T).T.reshape(psi_hat.shape[:-1] + (2, 2))
+        return (g.edge_gamma.T @ dpsi.reshape(-1, g.n_edges).T).T.reshape(dpsi.shape[:-1] + (2, 2))
 
 
 def _radial_stiffness(a: np.ndarray):

@@ -117,9 +117,9 @@ def decay_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
     return flow.norm_sq(u) + (k / area) * l1 * l1
 
 
-def gamma0(nu: float, poincare: float, kappa: float, a0: float, lam: float) -> float:
-    """Exponential rate ``min(nu / C_P^2, kappa a0 / (2 lam))``."""
-    return min(nu / (poincare * poincare), kappa * a0 / (2.0 * lam))
+def gamma0(nu: float, poincare: float, kappa: float, lam: float) -> float:
+    """Exponential rate ``min(nu / C_P^2, kappa / (2 lam))`` (Rouse eigenvalue ``a0 = 1``)."""
+    return min(nu / (poincare * poincare), kappa / (2.0 * lam))
 
 
 # --------------------------------------------------------------------------

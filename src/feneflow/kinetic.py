@@ -192,10 +192,10 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
         if delta <= lo and hi <= L:
             return out
         return np.clip(out, delta, L, out=out)
-    m = np.clip(psi, delta, L)
     if delta <= lo and hi <= L:
-        d1 = np.log(m, out=m)               # + (psi - m)/m = +0.0 changes no bit of a log
+        d1 = np.log(psi)                    # the clip changes no value, and + 0.0 no bit of a log
     else:
+        m = np.clip(psi, delta, L)
         d1 = psi - m
         d1 /= m
         d1 += np.log(m, out=m)              # [F^L_delta]' as entropy_FLdelta forms it

@@ -344,9 +344,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
 
     cp, _ = poincare_constant(cfg.N_x, cfg.side)
     kappa, _ = bakry_emery_kappa(cfg.b)
-    # a0 = 1.0 is the smallest eigenvalue of the dumbbell Rouse matrix [1]
-    a0 = 1.0
-    g0 = dg.gamma0(cfg.nu, cp, kappa, a0, cfg.lam)
+    g0 = dg.gamma0(cfg.nu, cp, kappa, cfg.lam)
 
     # data-only majorant: raw velocity, full-horizon forcing, raw entropy;
     # the forcing is sampled at each step's midpoint, here and in the loop
@@ -376,7 +374,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
             free_energy=0.5 * u_sq + cfg.k * ent,
             energy_lhs=(u_sq + cfg.nu * visc_hist + cfg.k * ent
                         + cfg.k * cfg.eps * fx_hist
-                        + (a0 * cfg.k / (4.0 * cfg.lam)) * fq_hist),
+                        + (cfg.k / (4.0 * cfg.lam)) * fq_hist),
             B2=B2,
             rho_min=float(rho.min()),
             rho_max=float(rho.max()),

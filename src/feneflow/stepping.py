@@ -35,30 +35,31 @@ grid): the monolithic system splits into one x-system per configuration
 eigenmode, and neither the full operator nor the dense configuration
 stiffness is ever formed.
 
-The density solve's run constants (mode shifts, stop tolerance and
-preconditioner) are built once per stepper, in one ``_DensitySystem``;
+The density solve's run constants (mode shifts, mass term, stop tolerance
+and preconditioner) are built once per stepper, in one ``_DensitySystem``;
 every sweep of a step transports by the same velocity, so a step builds
-only ``K_x``, a CSR matrix on the cells written from its five-point stencil
-straight from the face velocities, and from the same pass its upwind part
-``Adv``.  All modes are solved at once by preconditioned Richardson
-iteration.  Every term but ``Adv`` is diagonal in DCT-II along both cell
-axes times the configuration eigenbasis (fast diagonalization), so the
-preconditioner, a diagonal scaling between two small DCT matmuls, inverts
-all but ``Adv``: a step ``D`` leaves the residual ``-Adv D``, and only a
-solve's first residual is a full product ``K_x X``.  Each solve starts
-from the previous fixed-point iterate, returned as it is if its residual
-already meets the stop rule.  The iteration stops at a max-norm
-residual of ``1e-14`` of the right-hand side's, or of the rounding floor
-``4 eps_mach (1 + 8 diffusion / mass)`` if larger; one that has not
-converged after 30 residuals (transport far beyond a cell per step) falls
-back to one direct banded LU per mode, ``flowspace.banded_solver`` on the
-band that ``flowspace.band_storage`` reads off the step's CSR ``K_x``.  The
-smoothing step has no transport: its exact solve is one ``P^{-1}``.
+only the pair ``(K_x, -Adv)``: ``K_x``, a CSR matrix on the cells written
+from its five-point stencil straight from the face velocities, and from
+the same pass its upwind part.  All modes are solved at once by
+preconditioned Richardson iteration.  Every term but ``Adv`` is diagonal
+in DCT-II along both cell axes times the configuration eigenbasis (fast
+diagonalization), so the preconditioner, a diagonal scaling between two
+small DCT matmuls, inverts all but ``Adv``: a step ``D`` leaves the
+residual ``-Adv D``, and only a solve's first residual is formed from a
+full product ``K_x X``.  Each solve starts from the previous fixed-point
+iterate, returned as it is if its residual already meets the stop rule.
+The iteration stops at a max-norm residual of ``1e-14`` of the right-hand
+side's, or of the rounding floor ``4 eps_mach (1 + 8 diffusion / mass)``
+if larger; one that has not converged after 30 residuals (transport far
+beyond a cell per step) falls back to one direct banded LU per mode,
+``flowspace.banded_solver`` on the band that ``flowspace.band_storage``
+reads off the step's CSR ``K_x``.  The smoothing step has no transport:
+its exact solve is one ``P^{-1}``.
 
 The drag reads the velocity gradient ``FlowGrid.grad @ u`` per cell, and
-the stress force is one product with its transpose: exact adjoints.  A
-sweep forms the edge differences of its iterate once, for the stress and
-the drag's secant coefficient both.
+the stress force is one product with its transpose: exact adjoints.  The
+stress is a function of the iterate's edge differences alone, and a sweep
+forms them once, for the stress and the drag's secant coefficient both.
 """
 
 from __future__ import annotations
@@ -184,10 +185,14 @@ class SmoothingReport:
 # --------------------------------------------------------------------------
 
 
+_Transport = Tuple[sp.csr_matrix, sp.csr_matrix]       # (K_x, -Adv(u))
+
+
 def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
-                   mass: float) -> sp.csr_matrix:
-    """``K_x = mass I + diffusion S_cell + Adv(u)`` as a CSR matrix on the
-    cells ``i N + j``, written from its five-point stencil.
+                   mass: float) -> _Transport:
+    """The pair ``(K_x, -Adv(u))``: ``K_x = mass I + diffusion S_cell +
+    Adv(u)`` as a CSR matrix on the cells ``i N + j``, written from its
+    five-point stencil, and its upwind part.
 
     ``S_cell = h^2 D D^T`` is the 5-point cell stiffness with no-flux walls
     (rows sum to 0) and ``Adv(u)`` the donor-cell upwinding, scaled so the
@@ -201,9 +206,9 @@ def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
     The stencil is written into five slots per cell, which
     :func:`~feneflow.flowspace.five_point_csr` gathers into the CSR arrays
     (those outside the walls left out), so ``K_x X`` is one pass per
-    nonzero.  The same pass gives ``-Adv(u)``, which ``K.neg_upwind`` holds
-    as a CSR matrix of its nonzeros alone (the diagonal and at most one
-    entry per face), for the density solve's residual recurrence.
+    nonzero.  The same pass gives ``-Adv(u)``, a CSR matrix of its nonzeros
+    alone (the diagonal and at most one entry per face), for the density
+    solve's residual recurrence.
     """
     N, h = grid.N, grid.h
     flux_x = h * u[: grid.n_u].reshape(N - 1, N)   # cell (i, j) -> (i+1, j)
@@ -226,10 +231,9 @@ def _transport_csr(grid: FlowGrid, u: np.ndarray, diffusion: float,
     slots = np.full((N, N, 5), -diffusion)
     slots[:, :, 2] = mass + diffusion * neighbours
     slots -= flows
-    K = five_point_csr(slots)
-    K.neg_upwind = five_point_csr(flows)
-    K.neg_upwind.eliminate_zeros()
-    return K
+    neg_upwind = five_point_csr(flows)
+    neg_upwind.eliminate_zeros()
+    return five_point_csr(slots), neg_upwind
 
 
 def _cell_dct(N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -258,36 +262,32 @@ _MAX_ITERATIONS = 30
 _RESIDUAL_RTOL = 1.0e-14
 
 
-def _residual(K: sp.csr_matrix, X: np.ndarray, R: np.ndarray,
-              B: Optional[np.ndarray] = None, shifts: Optional[np.ndarray] = None,
-              work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Overwrite ``R`` with ``B - (K X + X diag(shifts))`` for mode
-    coefficients ``X`` (C-ordered, shape ``(n_c, n_modes)``; ``work`` is
-    scratch), or with ``K X`` alone when ``B`` is None, and return it.  The
-    product runs in SciPy's CSR kernel straight into ``R``: ``K @ X`` would
-    allocate a zeroed result per residual, a churn that has glibc trim the
-    heap and fault it back in between sweeps."""
-    R.fill(0.0)
-    _sparsetools.csr_matvecs(K.shape[0], K.shape[1], X.shape[1], K.indptr, K.indices, K.data,
-                             X.ravel(), R.ravel())
-    if B is None:
-        return R
-    R += np.multiply(X, shifts, out=work)
-    return np.subtract(B, R, out=R)
+def _product(A: sp.csr_matrix, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Overwrite ``out`` with ``A X`` for mode coefficients ``X`` (C-ordered,
+    shape ``(n_c, n_modes)``) and return it.  The product runs in SciPy's
+    CSR kernel straight into ``out``: ``A @ X`` would allocate a zeroed
+    result per residual, a churn that has glibc trim the heap and fault it
+    back in between sweeps."""
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(A.shape[0], A.shape[1], X.shape[1], A.indptr, A.indices, A.data,
+                             X.ravel(), out.ravel())
+    return out
 
 
 class _DensitySystem:
     """The density solve ``Kx Psi M_q + shift_scale * Psi S_q = R``, ``Kx``
     being :func:`_transport_csr`'s, with all that does not depend on the
     transport velocity computed once: the mode shifts ``shift_scale *
-    evals``, the stop tolerance, and ``P = mass + diffusion S_cell +
-    diag(shifts)``, ``Kx`` without its upwind part, which is ``mass +
-    diffusion (mu_a + mu_b) + shifts[j]`` in DCT-II along both cell axes
-    (fast diagonalization), so ``P^{-1}`` costs four small matmuls."""
+    evals``, the mass term per node ``mass_w = mass * w``, the stop
+    tolerance, and ``P = mass + diffusion S_cell + diag(shifts)``, ``Kx``
+    without its upwind part, which is ``mass + diffusion (mu_a + mu_b) +
+    shifts[j]`` in DCT-II along both cell axes (fast diagonalization), so
+    ``P^{-1}`` costs four small matmuls."""
 
     def __init__(self, grid: FlowGrid, ops: ConfigOperators, diffusion: float, mass: float,
                  shift_scale: float):
         self.grid, self.ops, self.diffusion, self.mass = grid, ops, diffusion, mass
+        self.mass_w = mass * ops.grid.w
         self.shifts = shift_scale * ops.evals
         self.rtol = max(_RESIDUAL_RTOL,
                         4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass))
@@ -304,17 +304,18 @@ class _DensitySystem:
         _along_cells(self._dct.T, R, work)
         return R
 
-    def solve(self, K: sp.csr_matrix, rhs_nodal: np.ndarray,
+    def solve(self, transport: _Transport, rhs_nodal: np.ndarray,
               guess_nodal: np.ndarray) -> np.ndarray:
-        """Nodal ``Psi`` for ``rhs_nodal``, ``K`` being :func:`_transport_csr`'s
-        with this system's diffusion and mass.
+        """Nodal ``Psi`` for ``rhs_nodal``, ``transport`` being the pair
+        ``(K, -Adv)`` of :func:`_transport_csr` with this system's diffusion
+        and mass.
 
         All modes are iterated at once from the modes of ``guess_nodal``,
         ``X <- X + D`` with ``D = P^{-1} R``.  ``P`` is all of ``K`` and the
         shifts but the upwind part ``Adv``, so a step leaves the residual
         ``R <- -Adv D``: only the first residual ``B - (K X + X
         diag(shifts))`` is formed in full, and every later one is one
-        product with ``K.neg_upwind``.  ``Adv``'s columns sum to zero, so
+        :func:`_product` with ``-Adv``.  ``Adv``'s columns sum to zero, so
         every update conserves mass to rounding.  The iteration stops at a
         max-norm residual of ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8
         diffusion / mass)) max|B|``, the second term being its rounding
@@ -325,18 +326,20 @@ class _DensitySystem:
         (strong upwinding, cell CFL >> 1) is abandoned for the direct
         :func:`_kron_solve`.
         """
-        ops = self.ops
+        ops, (K, neg_upwind) = self.ops, transport
         B = ops.to_modes(rhs_nodal)
         tol = self.rtol * max(B.max(), -B.min())          # max|B|, with no |B| temporary
         X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
-        R, spare = _residual(K, X, np.empty_like(B), B, self.shifts, work), B
+        R = _product(K, X, np.empty_like(B))
+        R += np.multiply(X, self.shifts, out=work)
+        R, spare = np.subtract(B, R, out=R), B
         # max|R| <= tol, with no |R| temporary; R.max() alone fails most tests
         if R.max() <= tol and -R.min() <= tol:
             return guess_nodal
         for _ in range(_MAX_ITERATIONS - 1):
             X += self.precondition(R, work)                 # R holds the step D
-            R, spare = _residual(K.neg_upwind, R, spare), R
+            R, spare = _product(neg_upwind, R, spare), R
             if R.max() <= tol and -R.min() <= tol:
                 return ops.to_nodes(X)
         return _kron_solve(K, self.shifts, ops, rhs_nodal)
@@ -390,7 +393,6 @@ class CoupledStepper:
         self._cq = 1.0 / (2.0 * params.lam)
         h2 = flow.h * flow.h
         self._density = _DensitySystem(flow, ops, params.eps, h2 / params.dt, self._cq * h2)
-        self._mass_w = (h2 / params.dt) * ops.grid.w          # the density's mass term per node
         # the velocity-independent part of the momentum operator
         self._momentum_base = ((1.0 / params.dt) * sp.identity(flow.n_u + flow.n_v, format="csr")
                                + params.nu * flow.K)
@@ -399,12 +401,13 @@ class CoupledStepper:
 
     def momentum_map(self, u_prev: np.ndarray, f: Optional[np.ndarray] = None
                      ) -> Callable[[np.ndarray], np.ndarray]:
-        """One step's implicit momentum solve as a map ``psi -> u``, the
-        operator with convection frozen at ``u_prev`` factored and the data
-        ``u_prev / dt + f`` formed once.  The new velocity is
-        ``C s`` for the solved stream function ``s``, a test function of
-        the solve that kills convection (skew), so it satisfies the
-        discrete kinetic-energy identity to direct-solver residual."""
+        """One step's implicit momentum solve as a map ``dpsi -> u`` from the
+        candidate density's edge differences, the operator with convection
+        frozen at ``u_prev`` factored and the data ``u_prev / dt + f`` formed
+        once.  The new velocity is ``C s`` for the solved stream function
+        ``s``, a test function of the solve that kills convection (skew), so
+        it satisfies the discrete kinetic-energy identity to direct-solver
+        residual."""
         fg, p = self.flow, self.params
         u_prev = np.asarray(u_prev, dtype=float)
         solve = stokes_solver(fg, self._momentum_base + convection_matrix(fg, u_prev))
@@ -412,11 +415,11 @@ class CoupledStepper:
         if f is not None:
             data = data + f
 
-        def momentum(psi_candidate: np.ndarray, dpsi: Optional[np.ndarray] = None) -> np.ndarray:
+        def momentum(dpsi: np.ndarray) -> np.ndarray:
             # the polymer force F, (w, F) = -k sum_cells h^2 C_hat : grad w in
             # the face inner product: one product with the transpose of the
             # drag's velocity gradient
-            C_hat = self.ops.stress_matrix(psi_candidate, dpsi)
+            C_hat = self.ops.stress_matrix(dpsi)
             out = solve(data - p.k * (fg._grad_t @ C_hat.reshape(-1)))
             if not np.isfinite(out).all():
                 raise FloatingPointError("momentum solve produced non-finite values")
@@ -426,17 +429,17 @@ class CoupledStepper:
 
     # ---- configuration density --------------------------------------------
 
-    def density_operator(self, u_transport: np.ndarray) -> sp.csr_matrix:
-        """The density solve's CSR ``K_x`` for transport by ``u_transport``."""
+    def density_operator(self, u_transport: np.ndarray) -> _Transport:
+        """The density solve's CSR pair ``(K_x, -Adv)`` for transport by ``u_transport``."""
         d = self._density
         return _transport_csr(d.grid, np.asarray(u_transport, dtype=float), d.diffusion, d.mass)
 
     def fokker_planck_step(self, psi_prev: np.ndarray, u_candidate: np.ndarray,
-                           K: sp.csr_matrix, coeff_field: np.ndarray,
+                           transport: _Transport, coeff_field: np.ndarray,
                            edges: Optional[List[np.ndarray]] = None) -> np.ndarray:
         """One implicit density solve.
 
-        Transport (upwind) is ``K``, ``density_operator(u)`` of the previous
+        Transport (upwind) is ``transport``, ``density_operator(u)`` of the previous
         macro step's velocity, one for all sweeps of a coupled step; drag
         uses the gradient of ``u_candidate`` (current candidate)
         with the truncated coefficient evaluated on ``coeff_field``
@@ -455,8 +458,8 @@ class CoupledStepper:
         sigma *= self.flow.h * self.flow.h
         rhs = self.ops.drag_rhs(sigma, c)
         del c, sigma  # not held through the solve
-        rhs += psi_prev * self._mass_w
-        out = self._density.solve(K, rhs, coeff_field)
+        rhs += psi_prev * self._density.mass_w
+        out = self._density.solve(transport, rhs, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
         return out
@@ -473,13 +476,13 @@ class CoupledStepper:
         reports convergence after one sweep with zero increments.
         """
         momentum = self.momentum_map(state.u, f)
-        K = self.density_operator(state.u)
+        transport = self.density_operator(state.u)
 
         def sweep(psi_it: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             # one edge-difference pass of psi_it, for the stress and the secant
             edges = [self.ops.grid.edge_pairs(np.subtract, psi_it)]
-            u_star = momentum(psi_it, edges[0])
-            return u_star, self.fokker_planck_step(state.psi, u_star, K, psi_it, edges)
+            u_star = momentum(edges[0])
+            return u_star, self.fokker_planck_step(state.psi, u_star, transport, psi_it, edges)
 
         u, psi, report = self._fixed_point(sweep, state)
         return SystemState(u, psi, state.t + self.params.dt, state.n + 1), report

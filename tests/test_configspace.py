@@ -207,11 +207,11 @@ def test_kramers_stress_symmetry_linearity_batching(grid16, rng):
 
 
 def test_drag_stress_pairing_is_exact(ops16, rng):
-    # sigma : stress_matrix(psi) == drag_rhs(sigma, 1) . psi by construction
+    # sigma : stress_matrix(dpsi) == drag_rhs(sigma, 1) . psi by construction
     g = ops16.grid
     sigma = rng.standard_normal((2, 2))
     psi = rng.standard_normal(g.n_nodes)
-    lhs = float(np.sum(sigma * ops16.stress_matrix(psi)))
+    lhs = float(np.sum(sigma * ops16.stress_matrix(g.edge_pairs(np.subtract, psi))))
     rhs = float(ops16.drag_rhs(sigma, np.ones(g.n_edges)) @ psi)
     assert lhs == pytest.approx(rhs, abs=1e-13 * max(1.0, abs(lhs)))
 
@@ -291,7 +291,8 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
         for psi in (field(lead), np.ascontiguousarray(field(lead))):
             _same_bits(secant_cutoff_coefficient(psi, g, CutoffParams(L, delta)),
                        routed_secant_coefficient(psi, edges_a, edges_b, L, delta))
-            _same_bits(ops.stress_matrix(psi), gather_stress_matrix(g, psi))
+            _same_bits(ops.stress_matrix(g.edge_pairs(np.subtract, psi)),
+                       gather_stress_matrix(g, psi))
         sigma = rng.standard_normal(lead + (2, 2))
         coeff = rng.uniform(delta, L, lead + (2 * g.n_edges,))[..., ::2]
         # every edge at every fifth node carries a zero coefficient, so
@@ -328,7 +329,7 @@ def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
     psi = rng.uniform(-0.5, 8.0, (n_c, g.n_nodes))
     sigma = rng.standard_normal((n_c, 2, 2))
     coeff = secant_cutoff_coefficient(psi, g, cutoff)
-    stress, drag = ops.stress_matrix(psi), ops.drag_rhs(sigma, coeff)
+    stress, drag = ops.stress_matrix(g.edge_pairs(np.subtract, psi)), ops.drag_rhs(sigma, coeff)
     assert coeff.flags.c_contiguous and drag.flags.c_contiguous
 
     lhs = float(np.sum(sigma * stress))
@@ -342,12 +343,13 @@ def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
     psi_nm, coeff_nm = node_major(psi), node_major(coeff)
     assert not psi_nm.flags.c_contiguous and not coeff_nm.flags.c_contiguous
     _same_bits(secant_cutoff_coefficient(psi_nm, g, cutoff), coeff)
-    _same_bits(ops.stress_matrix(psi_nm), stress)
+    _same_bits(ops.stress_matrix(g.edge_pairs(np.subtract, psi_nm)), stress)
     _same_bits(ops.drag_rhs(sigma, coeff_nm), drag)
 
     for row in range(n_c):
         _same_bits(secant_cutoff_coefficient(psi[row], g, cutoff), coeff[row])
-        np.testing.assert_allclose(ops.stress_matrix(psi[row]), stress[row],
+        np.testing.assert_allclose(ops.stress_matrix(g.edge_pairs(np.subtract, psi[row])),
+                                   stress[row],
                                    rtol=0.0, atol=1e-13 * np.abs(stress[row]).max())
         np.testing.assert_allclose(ops.drag_rhs(sigma[row], coeff[row]), drag[row],
                                    rtol=0.0, atol=1e-14 * np.abs(drag[row]).max())

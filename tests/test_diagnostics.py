@@ -143,9 +143,9 @@ def test_decay_energy_combines_kinetic_and_l1(flow8, grid16, rng):
 
 def test_gamma0_rate():
     # nu / C_P^2 = 2 pi^2 dominates, the configuration rate 1 wins
-    assert gamma0(1.0, 1.0 / (math.pi * math.sqrt(2.0)), 1.0, 1.0, 0.5) == \
+    assert gamma0(1.0, 1.0 / (math.pi * math.sqrt(2.0)), 1.0, 0.5) == \
         pytest.approx(1.0, abs=1e-12)
-    assert gamma0(0.01, 1.0 / (math.pi * math.sqrt(2.0)), 1.0, 1.0, 0.5) == \
+    assert gamma0(0.01, 1.0 / (math.pi * math.sqrt(2.0)), 1.0, 0.5) == \
         pytest.approx(0.01 * 2.0 * math.pi**2, rel=1e-12)
 
 

@@ -124,8 +124,8 @@ def test_per_step_matrices_store_every_in_grid_slot(N):
     conv = ((N - 1, N), (N, N - 1))
     for u in (faces, np.zeros_like(faces)):
         for M, shapes in ((convection_matrix(grid, u), conv),
-                          (_transport_csr(grid, u, 1.0, 0.5), ((N, N),)),
-                          (_transport_csr(grid, u, 0.0, 0.0), ((N, N),))):
+                          (_transport_csr(grid, u, 1.0, 0.5)[0], ((N, N),)),
+                          (_transport_csr(grid, u, 0.0, 0.0)[0], ((N, N),))):
             indptr, indices = five_point_pattern(*shapes)
             assert M.format == "csr" and M.has_canonical_format
             assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
@@ -140,7 +140,7 @@ def test_cell_stiffness_matches_reference_bitwise(N):
     # no transport) is bitwise the explicit 1D-stencil reference; it is also
     # h^2 D D^T
     grid = build_flow_grid(N, 0.7)
-    S = band_storage(_transport_csr(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0))[0]
+    S = band_storage(_transport_csr(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0)[0])[0]
     assert S.tobytes(order="F") == band_layout(cell_neumann_stiffness(N)).tobytes(order="F")
     np.testing.assert_allclose((grid.D @ grid.D.T).toarray() * grid.h**2, band_to_dense(S),
                                rtol=1e-14, atol=0.0)

@@ -26,7 +26,7 @@ from feneflow import (
     maxwellian_value,
     secant_cutoff_coefficient,
 )
-from edge_reference import GatherEdges, edge_lists
+from edge_reference import GatherEdges, edge_lists, gather_stress_matrix
 from entropy_reference import routed_FLdelta, routed_secant_coefficient
 
 # Frozen reference values, computed independently (closed forms and adaptive
@@ -498,10 +498,11 @@ def test_secant_paths_match_routed_reference_bitwise(grid16, kind):
 
 @pytest.mark.parametrize("kind", ["flat_one", "in_range", "out_of_range", "equal_pair"])
 def test_stress_and_secant_from_shared_edge_differences(grid16, kind):
-    # a sweep forms its iterate's edge differences once; the stress and the
-    # secant read them there and are bitwise what each forms on its own, on
-    # the flat, the two screened (inside [delta, L] and not) and the full
-    # path; the shared differences are left as they were
+    # a sweep forms its iterate's edge differences once; the secant reads
+    # them there and is bitwise what it forms on its own, on the flat, the
+    # two screened (inside [delta, L] and not) and the full path, and the
+    # stress from them is bitwise the gathered reference's; the shared
+    # differences are left as they were
     psi, L, delta = _decay_n16_field(grid16, kind)
     ops = assemble_fp_operators(grid16)
     dpsi = grid16.edge_pairs(np.subtract, psi)
@@ -509,8 +510,25 @@ def test_stress_and_secant_from_shared_edge_differences(grid16, kind):
     cutoff = CutoffParams(L, delta)
     assert (secant_cutoff_coefficient(psi, grid16, cutoff, dpsi).tobytes()
             == secant_cutoff_coefficient(psi, grid16, cutoff).tobytes())
-    assert ops.stress_matrix(psi, dpsi).tobytes() == ops.stress_matrix(psi).tobytes()
+    assert ops.stress_matrix(dpsi).tobytes() == gather_stress_matrix(grid16, psi).tobytes()
     assert dpsi.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["in_range", "equal_pair", "near_max", "flat_one", "at_screen"])
+def test_secant_in_range_takes_no_node_sized_clip(grid16, kind, monkeypatch):
+    # inside [delta, L] the clip of psi changes no value, so no path clips a
+    # node-sized array (edge-sized clips of the result remain); the result is
+    # bitwise the routed reference's
+    psi, L, delta = _decay_n16_field(grid16, kind)
+    assert delta <= psi.min() and psi.max() <= L
+    shapes, clip = [], np.clip
+    monkeypatch.setattr(np, "clip", lambda a, *args, **kwargs:
+                        shapes.append(np.shape(a)) or clip(a, *args, **kwargs))
+    got = secant_cutoff_coefficient(psi, grid16, CutoffParams(L, delta))
+    monkeypatch.undo()
+    assert psi.shape not in shapes
+    assert got.tobytes() == routed_secant_coefficient(psi, *edge_lists(grid16), L,
+                                                      delta).tobytes()
 
 
 class CountingEdges(GatherEdges):

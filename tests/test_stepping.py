@@ -60,6 +60,11 @@ def equilibrium_state(flow, ops):
                        psi=np.ones((flow.n_c, ops.grid.n_nodes)), t=0.0, n=0)
 
 
+def edges_of(ops, psi):
+    """The edge differences the momentum map and the stress take."""
+    return ops.grid.edge_pairs(np.subtract, psi)
+
+
 def perturbed_state(flow, ops, rng, amp=0.3):
     u = project_divergence_free(flow, amp * rng.standard_normal(flow.n_u + flow.n_v))
     psi = 1.0 + amp * ops.grid.qx[None, :] / math.sqrt(ops.grid.b) \
@@ -179,8 +184,8 @@ def test_free_energy_monotone_unregularized_in_the_bulk(small, rng):
 def test_momentum_energy_identity(small, rng):
     flow, ops, params, stepper = small
     state = perturbed_state(flow, ops, rng, amp=0.4)
-    u_new = stepper.momentum_map(state.u)(state.psi)
-    C_hat = ops.stress_matrix(state.psi)
+    u_new = stepper.momentum_map(state.u)(edges_of(ops, state.psi))
+    C_hat = ops.stress_matrix(edges_of(ops, state.psi))
     sigma = flow.cell_velocity_gradient(u_new)
     pairing = flow.h**2 * float(np.sum(C_hat * sigma))
     res = momentum_energy_residual(flow, state.u, u_new, pairing,
@@ -197,8 +202,8 @@ def test_momentum_energy_identity_at_n32(small, wide, rng, amp):
     params = small[2]
     stepper = CoupledStepper(flow, ops, params)
     state = perturbed_state(flow, ops, rng, amp=amp)
-    u_new = stepper.momentum_map(state.u)(state.psi)
-    C_hat = ops.stress_matrix(state.psi)
+    u_new = stepper.momentum_map(state.u)(edges_of(ops, state.psi))
+    C_hat = ops.stress_matrix(edges_of(ops, state.psi))
     sigma = flow.cell_velocity_gradient(u_new)
     pairing = flow.h**2 * float(np.sum(C_hat * sigma))
     res = momentum_energy_residual(flow, state.u, u_new, pairing,
@@ -211,11 +216,12 @@ def test_stress_force_linear_in_k(small, rng):
     flow, ops, params, stepper = small
     import dataclasses
     state = perturbed_state(flow, ops, rng, amp=0.4)
-    base = stepper.momentum_map(state.u)(state.psi)
+    dpsi = edges_of(ops, state.psi)
+    base = stepper.momentum_map(state.u)(dpsi)
     free = CoupledStepper(flow, ops, dataclasses.replace(params, k=0.0)) \
-        .momentum_map(state.u)(state.psi)
+        .momentum_map(state.u)(dpsi)
     double = CoupledStepper(flow, ops, dataclasses.replace(params, k=2.0)) \
-        .momentum_map(state.u)(state.psi)
+        .momentum_map(state.u)(dpsi)
     np.testing.assert_allclose(double - free, 2.0 * (base - free), atol=1e-12)
 
 
@@ -235,9 +241,10 @@ def test_stress_force_is_the_adjoint_of_the_velocity_gradient(N, small, monkeypa
     for _ in range(3):
         w = rng.standard_normal(flow.n_u + flow.n_v)
         psi = rng.uniform(0.2, 3.0, (flow.n_c, ops.grid.n_nodes))
-        force = momentum(psi)
+        dpsi = edges_of(ops, psi)
+        force = momentum(dpsi)
         want = -params.k * flow.h ** 2 * float(
-            np.sum(flow.cell_velocity_gradient(w) * ops.stress_matrix(psi)))
+            np.sum(flow.cell_velocity_gradient(w) * ops.stress_matrix(dpsi)))
         assert abs(flow.ip(w, force) - want) <= 1e-13 * abs(want)
 
 
@@ -268,7 +275,7 @@ def test_transport_band_matches_reference(N):
     u = project_divergence_free(grid, rng.standard_normal(n))
     u[rng.random(n) < 0.3] = 0.0
     for faces, diffusion in ((u, eps), (np.zeros(n), eps), (np.zeros(n), 1.0)):
-        got, kl, ku = band_storage(_transport_csr(grid, faces, diffusion, h2 / dt))
+        got, kl, ku = band_storage(_transport_csr(grid, faces, diffusion, h2 / dt)[0])
         want = band_layout(transport_matrix(grid, faces, diffusion, h2 / dt))
         assert kl == ku == N
         assert got.flags.f_contiguous and got.shape == (3 * N + 1, N * N)
@@ -279,7 +286,7 @@ def test_transport_band_matches_reference(N):
     # no diffusion, an off-diagonal entry that no flux reaches is -0.0);
     # each flux sits +/- in its donor's column, so the columns sum to zero
     # up to that rounding
-    upwind = band_storage(_transport_csr(grid, u, 0.0, 0.0))[0]
+    upwind = band_storage(_transport_csr(grid, u, 0.0, 0.0)[0])[0]
     assert np.array_equal(upwind, band_layout(upwind_advection(grid, u)))
     assert np.abs(band_to_dense(upwind).sum(axis=0)).max() <= 1e-15 * grid.h * np.abs(u).max()
 
@@ -290,7 +297,7 @@ def test_cell_stiffness_annihilates_constants():
     for N in (4, 5, 8, 16):
         grid = build_flow_grid(N, 0.7)
         S = band_to_dense(band_storage(
-            _transport_csr(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0))[0])
+            _transport_csr(grid, np.zeros(grid.n_u + grid.n_v), 1.0, 0.0)[0])[0])
         assert np.abs(S @ np.ones(N * N)).max() == 0.0
         assert np.abs(S - S.T).max() == 0.0
 
@@ -309,7 +316,7 @@ def test_kron_solve_matches_solve_banded_loop(small, rng):
         (np.zeros(n), 1.0, h2),   # the smoothing operator
     ]
     for u, diffusion, shift_scale in cases:
-        K = _transport_csr(flow, u, diffusion, h2 / params.dt)
+        K = _transport_csr(flow, u, diffusion, h2 / params.dt)[0]
         Kx = transport_matrix(flow, u, diffusion, h2 / params.dt)
         R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
         got = _kron_solve(K, shift_scale * ops.evals, ops, R)
@@ -322,7 +329,7 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     # is then singular while every shifted mode is not
     flow, ops, params, stepper = small
     K = _transport_csr(flow, np.zeros(flow.n_u + flow.n_v), params.eps,
-                       flow.h ** 2 / params.dt)
+                       flow.h ** 2 / params.dt)[0]
     K.data[K.indices == 0] = 0.0                     # column 0
     K.data[K.indptr[0]:K.indptr[1]] = 0.0            # row 0
     dense = K.toarray()
@@ -343,9 +350,27 @@ def test_transport_csr_matches_reference_matrix(small, rng):
     X = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n)),
               rng.standard_normal(n)):
-        got = stepper.density_operator(u) @ X
+        got = stepper.density_operator(u)[0] @ X
         want = transport_matrix(flow, u, params.eps, h2 / params.dt) @ X
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_upwind_part_is_the_transport_difference_and_conserves_mass(small, rng):
+    # the pair's upwind part -Adv(u) is -(K(u) - K(0)) to rounding, holds the
+    # diagonal and at most one entry per face, and its columns sum to zero
+    # to rounding, which is what keeps every update of the density solve
+    # mass-conserving; for zero, projected and random face velocities
+    flow, ops, params, stepper = small
+    N, n = flow.N, flow.n_u + flow.n_v
+    K0 = stepper.density_operator(np.zeros(n))[0].toarray()
+    for u in (np.zeros(n), project_divergence_free(flow, rng.standard_normal(n)),
+              rng.standard_normal(n)):
+        K, neg_upwind = stepper.density_operator(u)
+        assert neg_upwind.nnz <= N * N + 2 * N * (N - 1)
+        K = K.toarray()
+        got = neg_upwind.toarray()
+        assert np.abs(got + (K - K0)).max() <= 1e-14 * np.abs(K).max()
+        assert np.abs(got.sum(axis=0)).max() <= 1e-15 * flow.h * max(np.abs(u).max(), 1.0)
 
 
 def density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess):
@@ -368,15 +393,15 @@ def count_fallbacks(monkeypatch):
 
 
 def count_residuals(monkeypatch):
-    """Spy on the iteration's residual products."""
+    """Spy on the iteration's residual products, one per residual."""
     calls = []
-    residual = stepping._residual
+    product = stepping._product
 
     def spy(*args):
         calls.append(1)
-        return residual(*args)
+        return product(*args)
 
-    monkeypatch.setattr(stepping, "_residual", spy)
+    monkeypatch.setattr(stepping, "_product", spy)
     return calls
 
 
@@ -399,8 +424,8 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
     mass = flow.h ** 2 / params.dt
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-        want = _kron_solve(_transport_csr(flow, u, diffusion, mass), shift_scale * ops.evals,
-                           ops, R)
+        want = _kron_solve(_transport_csr(flow, u, diffusion, mass)[0],
+                           shift_scale * ops.evals, ops, R)
         for guess in (np.zeros_like(R), want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
             got = density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -417,7 +442,7 @@ def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
     mass = flow.h ** 2 / params.dt
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
-        K = _transport_csr(flow, u, diffusion, mass)
+        K = _transport_csr(flow, u, diffusion, mass)[0]
         want = _kron_solve(K, shift_scale * dense.evals, dense, R)
         for got in (density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
                                   np.zeros_like(R)),
@@ -482,7 +507,7 @@ def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
         got = density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
-        want = _kron_solve(_transport_csr(flow, u, 1.0, mass), h2 * ops.evals, ops, R)
+        want = _kron_solve(_transport_csr(flow, u, 1.0, mass)[0], h2 * ops.evals, ops, R)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
 
@@ -518,13 +543,14 @@ def test_density_solve_exit_residual_is_the_true_residual(small, wide, rng, monk
     for fg, basis, u, diffusion, shift_scale in cases:
         mass = fg.h ** 2 / 0.01
         system = _DensitySystem(fg, basis, diffusion, mass, shift_scale)
-        K = _transport_csr(fg, u, diffusion, mass)
+        transport = _transport_csr(fg, u, diffusion, mass)
+        K = transport[0]
         R = mass * (1.0 + 0.5 * rng.random((fg.n_c, basis.grid.n_nodes))) * basis.grid.w
         B = basis.to_modes(R)
         warm = R / (mass * basis.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
         for guess in (np.zeros_like(R), warm):
             exits.clear()
-            system.solve(K, R, guess)
+            system.solve(transport, R, guess)
             [X] = exits
             true = B - (K @ X + X * system.shifts)
             assert np.abs(true).max() <= system.rtol * np.abs(B).max()
@@ -541,12 +567,12 @@ def test_density_solve_returns_a_start_that_meets_the_stop_rule(small, rng, monk
     ones = np.ones((flow.n_c, ops.grid.n_nodes))
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         system = _DensitySystem(flow, ops, diffusion, mass, shift_scale)
-        K = _transport_csr(flow, u, diffusion, mass)
+        transport = _transport_csr(flow, u, diffusion, mass)
         R = mass * (1.0 + 0.5 * rng.random(ones.shape)) * ops.grid.w
-        answer = system.solve(K, R, np.zeros_like(R))
+        answer = system.solve(transport, R, np.zeros_like(R))
         preconditions = count_preconditions(monkeypatch)
-        assert system.solve(K, R, answer) is answer
-        assert system.solve(K, mass * ones * ops.grid.w, ones) is ones
+        assert system.solve(transport, R, answer) is answer
+        assert system.solve(transport, mass * ones * ops.grid.w, ones) is ones
         assert preconditions == []
         monkeypatch.undo()
 
@@ -566,7 +592,7 @@ def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch
     fallbacks = count_fallbacks(monkeypatch)
     got = density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
     assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
-    want = _kron_solve(_transport_csr(flow, u, params.eps, mass), shift_scale * ops.evals,
+    want = _kron_solve(_transport_csr(flow, u, params.eps, mass)[0], shift_scale * ops.evals,
                        ops, R)
     assert got.tobytes() == want.tobytes()
 
@@ -581,7 +607,7 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
     u = project_divergence_free(flow, rng.standard_normal(n))
     h2 = flow.h * flow.h
     mass, shift_scale = h2 / params.dt, stepper._cq * h2
-    K = _transport_csr(flow, u, params.eps, mass)
+    K = _transport_csr(flow, u, params.eps, mass)[0]
     operator = stepper.density_operator(u)
     system = stepper._density
     base = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
@@ -633,7 +659,7 @@ def test_one_operator_per_step_and_one_preconditioner_per_stepper(small, rng, mo
 def test_a_sweep_forms_its_iterate_edge_differences_once(small, rng, monkeypatch):
     # the stress and the secant share one edge_pairs(np.subtract, psi_it)
     # per sweep, and the coupled step is bitwise that of a stepper whose
-    # stress and secant each form their own
+    # secant forms its own (the stress takes the differences alone)
     import feneflow.configspace as configspace
 
     flow, ops, params, stepper = small
@@ -646,9 +672,9 @@ def test_a_sweep_forms_its_iterate_edge_differences_once(small, rng, monkeypatch
             differenced.append(field)
         return edge_pairs(self, op, field, *args, **kwargs)
 
-    def recording_step(self, psi_prev, u, K, coeff_field, *args):
+    def recording_step(self, psi_prev, u, transport, coeff_field, *args):
         iterates.append(coeff_field)
-        return fp_step(self, psi_prev, u, K, coeff_field, *args)
+        return fp_step(self, psi_prev, u, transport, coeff_field, *args)
 
     monkeypatch.setattr(configspace.ConfigGrid, "edge_pairs", recording_pairs)
     monkeypatch.setattr(CoupledStepper, "fokker_planck_step", recording_step)
@@ -658,17 +684,10 @@ def test_a_sweep_forms_its_iterate_edge_differences_once(small, rng, monkeypatch
         == [1] * report.iterations
     monkeypatch.undo()
 
-    # the same step with the stress and the secant each forming their own
-    momentum_map = CoupledStepper.momentum_map
+    # the same step with the secant forming its own
+    def own_step(self, psi_prev, u, transport, coeff_field, edges=None):
+        return fp_step(self, psi_prev, u, transport, coeff_field)
 
-    def own_momentum_map(self, *args):
-        momentum = momentum_map(self, *args)
-        return lambda psi, dpsi=None: momentum(psi)
-
-    def own_step(self, psi_prev, u, K, coeff_field, edges=None):
-        return fp_step(self, psi_prev, u, K, coeff_field)
-
-    monkeypatch.setattr(CoupledStepper, "momentum_map", own_momentum_map)
     monkeypatch.setattr(CoupledStepper, "fokker_planck_step", own_step)
     want, _ = CoupledStepper(flow, ops, params).coupled_step(state)
     assert got.u.tobytes() == want.u.tobytes() and got.psi.tobytes() == want.psi.tobytes()
@@ -847,7 +866,7 @@ def test_smoothing_is_one_exact_solve(wide, monkeypatch):
     psi0 = np.tile(1.0 + 0.1 * ops.grid.qx / math.sqrt(ops.grid.b), (flow.n_c, 1))
     zeta, _ = smooth_initial_density(flow, ops, psi0, dt=dt, clip_level=5.0)
     assert fallbacks == [] and iterations == []
-    want = _kron_solve(_transport_csr(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt),
+    want = _kron_solve(_transport_csr(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt)[0],
                        h2 * ops.evals, ops, (h2 / dt) * psi0 * ops.grid.w)
     assert np.abs(zeta - want).max() <= 1e-12 * np.abs(want).max()
 
