@@ -5,16 +5,16 @@
 #   E(t) = |u|^2 + (k/|Omega|) * (int int M |psi_hat - 1|)^2
 #
 # fall underneath the exponential envelope  exp(-gamma0 t) * E_budget,
-# where gamma0 = min(nu / C_P^2, kappa a0 / (2 lambda)) combines the viscous
+# where gamma0 = min(nu / C_P^2, kappa / (2 lambda)) combines the viscous
 # rate (through the domain's Poincare constant) with the configuration-space
-# relaxation rate, and E_budget = |u_0|^2 + 2 k Ent(psi_0) comes from the
+# relaxation rate (kappa = 1, the Maxwellian's curvature), and E_budget = |u_0|^2 + 2 k Ent(psi_0) comes from the
 # initial data alone. The run also carries the accumulated energy ledger;
 # its left side must stay below the data functional B^2 at every step.
 #
 # Usage: python3 demos/02_entropy_decay.py
 import math
 
-from feneflow import RunConfig, energy_inequality_check, run_scenario
+from feneflow import KAPPA, RunConfig, energy_inequality_check, run_scenario
 
 cfg = RunConfig(scenario="decay", T=1.0, dt=0.01, N_x=12, N_r=12, N_theta=12,
                 nu=1.0, k=1.0, lam=0.5, eps=0.1, amplitude=0.3,
@@ -22,7 +22,7 @@ cfg = RunConfig(scenario="decay", T=1.0, dt=0.01, N_x=12, N_r=12, N_theta=12,
 result = run_scenario(cfg)
 
 print(f"gamma0 = {result.gamma0:.4f}  (Poincare constant {result.poincare:.5f}, "
-      f"curvature kappa = {result.kappa})")
+      f"curvature kappa = {KAPPA})")
 print(f"initial budget |u0|^2 + 2k Ent = {result.initial_budget:.6e}")
 print(f"B^2 (adds the forcing history; zero here beyond the data) = {result.B2:.6e}\n")
 

@@ -18,10 +18,10 @@ if _threads:
 del _os, _threads
 
 from .kinetic import (                                   # noqa: E402
+    KAPPA,
     CutoffParams,
     DomainError,
     InternalConsistencyError,
-    bakry_emery_kappa,
     check_extensibility,
     entropy_F,
     entropy_FLdelta,

@@ -140,7 +140,6 @@ def _selftest_checks(seed: int):
         csiszar_kullback_check,
         ibp_residual,
         lsi_check,
-        maxwellian_normalizer,
         maxwellian_value,
         project_divergence_free,
         run_scenario,
@@ -161,7 +160,7 @@ def _selftest_checks(seed: int):
         half = 0.5 * math.sqrt(b)               # maps [-1, 1] onto [0, sqrt(b)]
         x, wx = np.polynomial.legendre.leggauss(4)
         r = half * (x + 1.0)
-        profile = maxwellian_value(r, b, maxwellian_normalizer(b))
+        profile = maxwellian_value(r, b)
         mass = 2.0 * math.pi * half * float(wx @ (profile * r))
         return abs(mass - 1.0) < 1.0e-12, f"mass={mass!r}"
 
@@ -198,7 +197,7 @@ def _selftest_checks(seed: int):
         for _ in range(25):
             psi = np.abs(1.0 + 0.5 * rng.standard_normal() * grid.qx
                          + 0.5 * rng.standard_normal() * grid.qy) + 0.01
-            r = lsi_check(grid, psi, kappa=1.0)
+            r = lsi_check(grid, psi)
             if not r.satisfied:
                 return False, f"entropy {r.entropy_term:.3e} > fisher {r.fisher_term:.3e}"
         return True, "25 fields"

@@ -284,7 +284,7 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     rbar = 0.5 * (r[:-1] + r[1:])
     dr = r[1:] - r[:-1]
     er = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    w_edge_r = maxwellian_value(rbar, b, Z) * rbar * dth
+    w_edge_r = maxwellian_value(rbar, b) * rbar * dth
     gamma_r = gamma(w_edge_r, er, rbar, er)
 
     # angular edges (m, n) -> (m, n+1 mod N_theta)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .configspace import ConfigGrid
 from .flowspace import FlowGrid
-from .kinetic import _entropy_F
+from .kinetic import KAPPA, _entropy_F
 
 __all__ = [
     "LEDGER_COLUMNS",
@@ -49,6 +49,8 @@ __all__ = [
 # pointwise functionals
 # --------------------------------------------------------------------------
 
+NEG_TOL = 1.0e-10       # default slack of the nonnegativity checks below
+
 
 def _check_nonnegative(psi: np.ndarray, tol: float) -> None:
     """Raise unless ``psi >= -tol``, which a NaN fails; the callers clamp the
@@ -60,7 +62,7 @@ def _check_nonnegative(psi: np.ndarray, tol: float) -> None:
 
 
 def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
-                     neg_tol: float = 1.0e-10) -> float:
+                     neg_tol: float = NEG_TOL) -> float:
     """``int int M F(psi)``; requires ``psi >= -neg_tol`` (clamps the rest).
 
     ``F`` is the form behind :func:`~feneflow.kinetic.entropy_F`, without
@@ -71,7 +73,7 @@ def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
 
 
 def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
-             neg_tol: float = 1.0e-10) -> float:
+             neg_tol: float = NEG_TOL) -> float:
     """x-direction Fisher information, edge form: 4 sum (d sqrt(psi))^2 w_q."""
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
@@ -101,7 +103,7 @@ def _root_dirichlet(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
 
 
 def fisher_q(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
-             neg_tol: float = 1.0e-10) -> float:
+             neg_tol: float = NEG_TOL) -> float:
     """configuration Fisher information: 4 h^2 sum_cells W_e (d sqrt(psi))^2."""
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
@@ -117,9 +119,11 @@ def decay_energy(flow: FlowGrid, grid: ConfigGrid, u: np.ndarray,
     return flow.norm_sq(u) + (k / area) * l1 * l1
 
 
-def gamma0(nu: float, poincare: float, kappa: float, lam: float) -> float:
-    """Exponential rate ``min(nu / C_P^2, kappa / (2 lam))`` (Rouse eigenvalue ``a0 = 1``)."""
-    return min(nu / (poincare * poincare), kappa / (2.0 * lam))
+def gamma0(nu: float, poincare: float, lam: float) -> float:
+    """Exponential rate ``min(nu / C_P^2, KAPPA / (2 lam))``, the Rouse
+    eigenvalue of the dumbbell being 1 and ``KAPPA = 1`` the Maxwellian's
+    curvature."""
+    return min(nu / (poincare * poincare), KAPPA / (2.0 * lam))
 
 
 # --------------------------------------------------------------------------
@@ -235,17 +239,18 @@ class LsiResult:
     satisfied: bool
 
 
-def lsi_check(grid: ConfigGrid, psi_row: np.ndarray, kappa: float) -> LsiResult:
+def lsi_check(grid: ConfigGrid, psi_row: np.ndarray) -> LsiResult:
     """Log-Sobolev comparison for a single spatial point:
-    ``sum w psi log(psi / rho) <= (2 / kappa) sum W_e (d sqrt(psi))^2``
-    with ``rho`` the local mass, to ``LSI_TOL`` of the right side's scale."""
+    ``sum w psi log(psi / rho) <= (2 / KAPPA) sum W_e (d sqrt(psi))^2``
+    with ``rho`` the local mass and ``KAPPA = 1`` the Maxwellian's
+    curvature, to ``LSI_TOL`` of the right side's scale."""
     psi_row = np.maximum(np.asarray(psi_row, dtype=float), 0.0)
     rho = float(psi_row @ grid.w)
     if rho <= 0.0:
         raise ValueError("log-Sobolev check needs positive local mass")
     # sum w psi log(psi / rho) = rho sum w F(psi / rho), the weights summing to 1
     ent = rho * float(_entropy_F(psi_row / rho) @ grid.w)
-    rhs = (2.0 / kappa) * float(_root_dirichlet(grid, psi_row))
+    rhs = (2.0 / KAPPA) * float(_root_dirichlet(grid, psi_row))
     scale = max(abs(rhs), 1.0)
     return LsiResult(ent, rhs, ent <= rhs + LSI_TOL * scale)
 
@@ -261,7 +266,8 @@ def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) ->
     """Distance-to-equilibrium comparison, pointwise in x and integrated.
 
     Preconditions: unit local mass, ``|rho(x) - 1| <= CK_MASS_TOL`` in every
-    cell (matched mass for the comparison with the constant state), and ``psi >= -1e-10``.
+    cell (matched mass for the comparison with the constant state), and
+    ``psi >= -NEG_TOL``.
     """
     psi = np.asarray(psi, dtype=float)
     rho = psi @ grid.w
@@ -269,7 +275,7 @@ def csiszar_kullback_check(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray) ->
     if not drift <= CK_MASS_TOL:
         raise ValueError(f"local mass deviates from 1 by {drift:.3e} "
                          f"(tolerance {CK_MASS_TOL:.1e})")
-    _check_nonnegative(psi, 1.0e-10)
+    _check_nonnegative(psi, NEG_TOL)
     F_cell = _entropy_F(psi) @ grid.w
     l1_cell = np.abs(psi - 1.0) @ grid.w
     point_margin = float((np.sqrt(2.0 * np.maximum(F_cell, 0.0)) - l1_cell).min())

@@ -15,10 +15,11 @@ whose normalized Boltzmann factor is the Maxwellian
 ``M`` satisfies the structural identity ``grad_q M = -M U'(|q|^2/2) q`` on
 which every integration-by-parts manipulation in the coupled solver rests,
 and ``-log M`` is uniformly convex with Hessian bounded below by the
-identity (curvature constant ``kappa = 1``), which is what powers the
+identity: its Bakry-Emery curvature is ``KAPPA = 1``, the constant of the
 logarithmic Sobolev inequality used by the equilibration diagnostics.
 Each fact about ``M`` has one home here: ``check_extensibility`` (``2 < b < inf``),
-``maxwellian_normalizer`` (closed form) and ``maxwellian_value`` (the profile).
+``maxwellian_normalizer`` and ``KAPPA`` (closed forms) and ``maxwellian_value``
+(the profile).
 
 The module also provides the relative-entropy integrands: the value of
 ``F(s) = s (log s - 1) + 1`` (``entropy_F``) and its two-sided ``C^2``
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "KAPPA",
     "CutoffParams",
     "check_extensibility",
     "fene_potential",
@@ -51,7 +53,6 @@ __all__ = [
     "entropy_F",
     "entropy_FLdelta",
     "secant_cutoff_coefficient",
-    "bakry_emery_kappa",
 ]
 
 
@@ -127,15 +128,26 @@ def maxwellian_normalizer(b: float) -> float:
     return 2.0 * math.pi * b / (b + 2.0)
 
 
-def maxwellian_value(r, b: float, Z: float):
-    """Normalized Maxwellian ``M = Z^{-1} (1 - r^2/b)^{b/2}`` at radius ``r``."""
+def maxwellian_value(r, b: float):
+    """Normalized Maxwellian ``M = Z^{-1} (1 - r^2/b)^{b/2}`` at radius ``r``,
+    ``Z`` from :func:`maxwellian_normalizer`."""
+    Z = maxwellian_normalizer(b)                # checks b before any arithmetic
     r = np.asarray(r, dtype=float)
     return (1.0 - r * r / b) ** (b / 2.0) / Z
+
+
+# Bakry-Emery curvature of M: Hess(-log M) = U'(s) I + U''(s) q q^T has the
+# eigenvalues U' (orthogonal to q) and U' + U'' |q|^2 (along q).  For FENE,
+# U' = 1 / (1 - 2s/b) >= 1 and U'' = (2/b) U'^2 >= 0, so both are >= 1 for
+# every b.
+KAPPA = 1.0
 
 
 # --------------------------------------------------------------------------
 # cut-offs
 # --------------------------------------------------------------------------
+
+_COINCIDENCE_TOL = 1.0e-12      # edges with |c - a| <= this (|a| + |c| + 1) take the midpoint
 
 
 def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
@@ -158,10 +170,10 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
     exact, which is what the discrete free-energy identity needs.
 
     Rounding is monotone, so each edge's near-coincidence bound
-    ``1e-12 (|a| + |c| + 1)`` lies between ``1e-12 (2 min|psi| + 1)`` and
-    ``1e-12 (2 max|psi| + 1)``, and ``|c - a|`` is at most
-    ``max psi - min psi``.  That gives three screens, each decided from
-    ``min psi`` and ``max psi`` alone:
+    ``tol (|a| + |c| + 1)``, ``tol = _COINCIDENCE_TOL = 1e-12``, lies
+    between ``tol (2 min|psi| + 1)`` and ``tol (2 max|psi| + 1)``, and
+    ``|c - a|`` is at most ``max psi - min psi``.  That gives three
+    screens, each decided from ``min psi`` and ``max psi`` alone:
 
     * a flat field, finite with a spread within the lower bound, has every
       edge near-coincident: it costs one edge sum, a halving and at most one
@@ -183,7 +195,7 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
     delta, L = cutoff.delta, cutoff.L
     lo, hi = float(psi.min()), float(psi.max())     # Python floats overflow silently
     spread = hi - lo                                # inf or NaN on a field with an inf
-    if spread <= (2.0 * max(lo, -hi, 0.0) + 1.0) * 1e-12 and spread < math.inf:
+    if spread <= (2.0 * max(lo, -hi, 0.0) + 1.0) * _COINCIDENCE_TOL and spread < math.inf:
         # every edge is near-coincident (False on a NaN; an infinite screen
         # would pass an inf, whose edges with equal ends divide to NaN):
         # each edge's coefficient is its midpoint, which lies in [lo, hi]
@@ -201,12 +213,12 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
         d1 += np.log(m, out=m)              # [F^L_delta]' as entropy_FLdelta forms it
     dnum = grid.edge_pairs(np.subtract, psi) if dpsi is None else dpsi
     out = np.abs(dnum)
-    if out.min() > (2.0 * max(hi, -lo) + 1.0) * 1e-12:     # False on a NaN
+    if out.min() > (2.0 * max(hi, -lo) + 1.0) * _COINCIDENCE_TOL:     # False on a NaN
         dden = grid.edge_pairs(np.subtract, d1, out=out)
         return np.clip(np.divide(dnum, dden, out=out), delta, L, out=out)
     bound = grid.edge_pairs(np.add, np.abs(psi))
     bound += 1.0
-    bound *= 1e-12
+    bound *= _COINCIDENCE_TOL
     tiny = out <= bound
     dden = grid.edge_pairs(np.subtract, d1, out=bound)
     # tiny increments are dominated by rounding: those edges keep the
@@ -273,40 +285,3 @@ def entropy_FLdelta(s, cutoff: CutoffParams):
     ds = s - m
     return (_entropy_F(m) + log_m * ds + ds * ds / (2.0 * m),
             log_m + ds / m, 1.0 / m)
-
-
-# --------------------------------------------------------------------------
-# curvature of -log M
-# --------------------------------------------------------------------------
-
-KAPPA_SAMPLES = 512
-KAPPA_TOL = 1e-9
-
-
-def bakry_emery_kappa(b: float):
-    """Curvature constant of the Maxwellian and a sampled verification.
-
-    ``Hess(-log M) = U'(s) I + U''(s) q q^T`` has eigenvalues ``U'`` (in the
-    directions orthogonal to ``q``) and ``U' + U'' |q|^2`` (along ``q``);
-    for the FENE potential both are ``>= 1``, so ``kappa = 1``.
-
-    Returns
-    -------
-    kappa : float
-        The curvature lower bound (1 for FENE).
-    min_eig : float
-        Smallest Hessian eigenvalue over ``KAPPA_SAMPLES`` radii of the disc
-        ``|q| < sqrt(b)``; an :class:`InternalConsistencyError` is raised if
-        it drops below ``kappa - KAPPA_TOL``.
-    """
-    check_extensibility(b)
-    kappa = 1.0
-    r = np.linspace(0.0, math.sqrt(b), KAPPA_SAMPLES + 2)[1:-1]
-    _, Uprime = fene_potential(0.5 * r * r, b)
-    radial = Uprime + (2.0 / b) * Uprime * Uprime * r * r     # U' + U'' |q|^2, U'' = (2/b) U'^2
-    min_eig = min(float(np.min(Uprime)), float(np.min(radial)))
-    if min_eig < kappa - KAPPA_TOL:
-        raise InternalConsistencyError(
-            f"sampled Hessian eigenvalue {min_eig} fell below kappa={kappa}"
-        )
-    return kappa, min_eig

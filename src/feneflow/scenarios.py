@@ -26,7 +26,7 @@ from .configspace import (
     build_config_grid,
 )
 from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constant, smooth_initial_velocity
-from .kinetic import CutoffParams, DomainError, bakry_emery_kappa, check_extensibility
+from .kinetic import KAPPA, CutoffParams, DomainError, check_extensibility
 from .stepping import (
     CoupledStepper,
     ScheduleError,
@@ -300,7 +300,6 @@ class RunResult:
     verdicts: Dict[str, bool]
     gamma0: float
     poincare: float
-    kappa: float
     B2: float
     initial_budget: float
     decay_times: np.ndarray
@@ -343,8 +342,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     psi0, smooth_rep = smooth_initial_density(fg, ops, psi0_raw, dt, cfg.L)
 
     cp, _ = poincare_constant(cfg.N_x, cfg.side)
-    kappa, _ = bakry_emery_kappa(cfg.b)
-    g0 = dg.gamma0(cfg.nu, cp, kappa, cfg.lam)
+    g0 = dg.gamma0(cfg.nu, cp, cfg.lam)
 
     # data-only majorant: raw velocity, full-horizon forcing, raw entropy;
     # the forcing is sampled at each step's midpoint, here and in the loop
@@ -423,7 +421,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     result = RunResult(
         config=cfg, state=state, ledger=ledger, decay=decay,
         exit_status=exit_status, verdicts=verdicts, gamma0=g0, poincare=cp,
-        kappa=kappa, B2=B2, initial_budget=initial_budget,
+        B2=B2, initial_budget=initial_budget,
         decay_times=np.asarray(times), decay_energies=np.asarray(energies),
         smoothing=smooth_rep, dt=dt, n_steps=n_steps,
     )
@@ -447,7 +445,7 @@ def _write_outputs(result: RunResult, out_dir: str, fg: FlowGrid,
         "verdicts": result.verdicts,
         "gamma0": result.gamma0,
         "poincare": result.poincare,
-        "kappa": result.kappa,
+        "kappa": KAPPA,
         "B2": result.B2,
         "initial_budget": result.initial_budget,
         "dt": result.dt,

@@ -35,26 +35,10 @@ grid): the monolithic system splits into one x-system per configuration
 eigenmode, and neither the full operator nor the dense configuration
 stiffness is ever formed.
 
-The density solve's run constants (mode shifts, mass term, stop tolerance
-and preconditioner) are built once per stepper, in one ``_DensitySystem``;
-every sweep of a step transports by the same velocity, so a step builds
-only the pair ``(K_x, -Adv)``: ``K_x``, a CSR matrix on the cells written
-from its five-point stencil straight from the face velocities, and from
-the same pass its upwind part.  All modes are solved at once by
-preconditioned Richardson iteration.  Every term but ``Adv`` is diagonal
-in DCT-II along both cell axes times the configuration eigenbasis (fast
-diagonalization), so the preconditioner, a diagonal scaling between two
-small DCT matmuls, inverts all but ``Adv``: a step ``D`` leaves the
-residual ``-Adv D``, and only a solve's first residual is formed from a
-full product ``K_x X``.  Each solve starts from the previous fixed-point
-iterate, returned as it is if its residual already meets the stop rule.
-The iteration stops at a max-norm residual of ``1e-14`` of the right-hand
-side's, or of the rounding floor ``4 eps_mach (1 + 8 diffusion / mass)``
-if larger; one that has not converged after 30 residuals (transport far
-beyond a cell per step) falls back to one direct banded LU per mode,
-``flowspace.banded_solver`` on the band that ``flowspace.band_storage``
-reads off the step's CSR ``K_x``.  The smoothing step has no transport:
-its exact solve is one ``P^{-1}``.
+The density solve's run constants live on one ``_DensitySystem`` per
+stepper, a step builds only the transport pair ``(K_x, -Adv)`` of
+``_transport_csr``, and ``_DensitySystem.solve`` (all modes at once, its
+stop rule) and ``_kron_solve`` (its direct fallback) say how it is solved.
 
 The drag reads the velocity gradient ``FlowGrid.grad @ u`` per cell, and
 the stress force is one product with its transpose: exact adjoints.  The
@@ -560,9 +544,14 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
 
     h2 = flow.h * flow.h
     m = ops.grid.w
-    rhs = ops.to_modes((h2 / dt) * zeta0 * m[None, :])
-    zeta1 = ops.to_nodes(_DensitySystem(flow, ops, 1.0, h2 / dt, h2).precondition(
-        rhs, np.empty_like(rhs)))
+    system = _DensitySystem(flow, ops, 1.0, h2 / dt, h2)
+    rhs = ops.to_modes(zeta0 * system.mass_w)
+    rhs = system.precondition(rhs, np.empty_like(rhs))
+    # released before the smoothed density, which outlives this call, is
+    # allocated: released after, it leaves a heap from which every later
+    # step faults about three times as many pages back in (N_x = 12, 40 x 40)
+    del system
+    zeta1 = ops.to_nodes(rhs)
 
     # checked before the entropy and Fisher terms, which reject densities
     # below -SMOOTHING_SLACK themselves

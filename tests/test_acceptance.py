@@ -122,7 +122,7 @@ def test_criterion_07_log_sobolev_sweep(grid16, rng):
     for 500 random nonnegative configuration fields."""
     for _ in range(500):
         field = rng.random(grid16.n_nodes) * rng.uniform(0.2, 3.0) + 1e-4
-        assert lsi_check(grid16, field, kappa=1.0).satisfied
+        assert lsi_check(grid16, field).satisfied
 
 
 def test_criterion_08_csiszar_kullback_sweep(grid16, rng):

@@ -309,7 +309,7 @@ def test_edge_paths_match_gather_and_scatter_reference_bitwise(N_r, N_theta):
     psi = field((flow.N * flow.N,), 0.0)
     _same_bits(fisher_q(flow, g, psi), gather_fisher_q(flow.h, g, np.sqrt(psi)))
     row = field((), 0.0)
-    _same_bits(lsi_check(g, row, kappa=1.0).fisher_term,
+    _same_bits(lsi_check(g, row).fisher_term,
                2.0 * gather_lsi_fisher(g, np.sqrt(row)))
 
 

@@ -143,9 +143,9 @@ def test_decay_energy_combines_kinetic_and_l1(flow8, grid16, rng):
 
 def test_gamma0_rate():
     # nu / C_P^2 = 2 pi^2 dominates, the configuration rate 1 wins
-    assert gamma0(1.0, 1.0 / (math.pi * math.sqrt(2.0)), 1.0, 0.5) == \
+    assert gamma0(1.0, 1.0 / (math.pi * math.sqrt(2.0)), 0.5) == \
         pytest.approx(1.0, abs=1e-12)
-    assert gamma0(0.01, 1.0 / (math.pi * math.sqrt(2.0)), 1.0, 0.5) == \
+    assert gamma0(0.01, 1.0 / (math.pi * math.sqrt(2.0)), 0.5) == \
         pytest.approx(0.01 * 2.0 * math.pi**2, rel=1e-12)
 
 
@@ -232,14 +232,14 @@ def test_energy_inequality_degenerate_zero_data():
 
 
 def test_lsi_check_equilibrium_and_random_rows(grid16, rng):
-    eq = lsi_check(grid16, np.ones(grid16.n_nodes), kappa=1.0)
+    eq = lsi_check(grid16, np.ones(grid16.n_nodes))
     assert eq.satisfied and eq.entropy_term == pytest.approx(0.0, abs=1e-14)
     for _ in range(50):
         row = rng.random(grid16.n_nodes) + 1e-3
-        res = lsi_check(grid16, row, kappa=1.0)
+        res = lsi_check(grid16, row)
         assert res.satisfied
     with pytest.raises(ValueError):
-        lsi_check(grid16, np.zeros(grid16.n_nodes), kappa=1.0)
+        lsi_check(grid16, np.zeros(grid16.n_nodes))
 
 
 def test_csiszar_kullback_requires_unit_mass(flow8, grid16):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from feneflow import (
+    KAPPA,
     CutoffParams,
     DomainError,
     RunConfig,
     assemble_fp_operators,
-    bakry_emery_kappa,
     build_config_grid,
     check_extensibility,
     entropy_F,
@@ -108,15 +108,13 @@ def test_normalizer_against_quadrature(b):
 
 @pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
 def test_maxwellian_second_moment(b):
-    Z = maxwellian_normalizer(b)
-    val, _ = quad(lambda r: maxwellian_value(r, b, Z) * r ** 3, 0.0, math.sqrt(b))
+    val, _ = quad(lambda r: maxwellian_value(r, b) * r ** 3, 0.0, math.sqrt(b))
     assert 2.0 * math.pi * val == pytest.approx(SECOND_MOMENT_ORACLE[b], abs=1e-9)
 
 
 def test_maxwellian_integrates_to_one():
     b = 4.0
-    Z = maxwellian_normalizer(b)
-    val, _ = quad(lambda r: maxwellian_value(r, b, Z) * r, 0.0, math.sqrt(b))
+    val, _ = quad(lambda r: maxwellian_value(r, b) * r, 0.0, math.sqrt(b))
     assert 2.0 * math.pi * val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -139,7 +137,7 @@ def test_every_b_check_is_check_extensibility():
         with pytest.raises(DomainError) as want:
             check_extensibility(b)
         for call in (lambda: fene_potential(0.5, b), lambda: maxwellian_normalizer(b),
-                     lambda: bakry_emery_kappa(b)):
+                     lambda: maxwellian_value(0.0, b)):
             with pytest.raises(DomainError) as got:
                 call()
             assert str(got.value) == str(want.value)
@@ -173,16 +171,23 @@ def test_infinite_extensibility_is_a_domain_error():
     for call in (lambda: build_config_grid(b, N_r=16, N_theta=16),
                  lambda: maxwellian_normalizer(b),
                  lambda: fene_potential(0.5, b),
-                 lambda: bakry_emery_kappa(b)):
+                 lambda: maxwellian_value(0.0, b)):
         with pytest.raises(DomainError, match="must be finite"):
             call()
 
 
-@pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
+@pytest.mark.parametrize("b", [2.0 + 1e-6, 3.0, 4.0, 8.0, 50.0, 2000.0])
 def test_curvature_constant(b):
-    kappa, min_eig = bakry_emery_kappa(b)
-    assert kappa == 1.0
-    assert min_eig >= 1.0 - 1e-9
+    # Hess(-log M) = U' I + U'' q q^T has the eigenvalues U' (orthogonal to
+    # q) and U' + U'' |q|^2 (along q), U'' = (2/b) U'^2; on 512 radii of the
+    # open disc neither falls below KAPPA, and U' near q = 0 shows that no
+    # larger constant holds
+    assert KAPPA == 1.0
+    r = np.linspace(0.0, math.sqrt(b), 514)[1:-1]
+    _, Uprime = fene_potential(0.5 * r * r, b)
+    radial = Uprime + (2.0 / b) * Uprime * Uprime * r * r
+    assert min(Uprime.min(), radial.min()) >= KAPPA - 1e-9
+    assert Uprime.min() <= KAPPA + 1e-5
 
 
 # --------------------------------------------------------------------------

@@ -334,6 +334,18 @@ def test_run_writes_the_output_contract(tmp_path):
     assert cfg_again == result.config
 
 
+def test_summary_records_the_curvature_and_the_decay_rate(tmp_path):
+    # kappa = 1 for every FENE spring, and gamma0 is the smaller of the
+    # viscous rate nu / C_P^2 and the configuration rate kappa / (2 lam),
+    # bitwise as the run forms it from the recorded Poincare constant
+    cfg = tiny("decay")
+    run_scenario(cfg, out_dir=str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["kappa"] == 1.0
+    cp = summary["poincare"]
+    assert summary["gamma0"] == min(cfg.nu / (cp * cp), 1.0 / (2.0 * cfg.lam))
+
+
 def test_emit_ledger_round_trip(tmp_path):
     result = run_scenario(tiny("equilibrium"))
     path = tmp_path / "ledger.tsv"
@@ -720,7 +732,8 @@ def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):
 
     assert dict(_selftest_checks(0))["maxwellian normalizer"]()[0]
     monkeypatch.setattr(feneflow, "maxwellian_value",
-                        lambda r, b, Z: (1.0 - r * r / b) ** (b / 2.0 + 1.0) / Z)
+                        lambda r, b: (1.0 - r * r / b) ** (b / 2.0 + 1.0)
+                        / feneflow.maxwellian_normalizer(b))
     ok, detail = dict(_selftest_checks(0))["maxwellian normalizer"]()
     assert not ok and detail.startswith("mass=")
 
