@@ -17,6 +17,42 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
+# Heap policy, set before anything allocates: glibc otherwise gives the freed
+# heap top back to the kernel and maps each array above its dynamic mmap
+# threshold afresh, so every step faults the pages of its node-, edge- and
+# mode-sized temporaries in again.  Arrays up to 32 MiB (the 64-bit ceiling)
+# come from the heap, and the heap top is never trimmed, so the process holds
+# its heap at its high-water mark.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's malloc.h
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2**31 - 1                     # the largest C int mallopt takes
+
+
+def _hold_heap(mallopt) -> bool:
+    """Fix both malloc thresholds through ``mallopt``; False, with nothing
+    called, where it is None.  Fixing either turns glibc's dynamic
+    thresholds off, so the trim threshold is set only once the mmap one is
+    taken: alone it would leave every array over 128 KiB mapped afresh."""
+    if mallopt is None:
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+def _process_mallopt():
+    """The C library's ``int mallopt(int, int)``, or None where it has none
+    (macOS) or gives no handle to the loaded process (Windows)."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+_hold_heap(_process_mallopt())
+
 from .kinetic import (                                   # noqa: E402
     KAPPA,
     CutoffParams,

@@ -188,9 +188,9 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
     ``grid.edge_pairs(np.subtract, psi)``, read in place of that pass.
     """
     # node- and edge-sized buffers are reused in place (m, out, and bound on
-    # the full path): at run sizes a fresh array costs about as much in page
-    # faults as the arithmetic done on it.  Every buffer, and the result,
-    # keeps the memory layout of psi, so no pass transposes.
+    # the full path), so a call allocates one array per buffer rather than
+    # one per operation, and its peak stays at those few.  Every buffer, and
+    # the result, keeps the memory layout of psi, so no pass transposes.
     psi = np.asarray(psi, dtype=float)
     delta, L = cutoff.delta, cutoff.L
     lo, hi = float(psi.min()), float(psi.max())     # Python floats overflow silently

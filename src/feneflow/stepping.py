@@ -249,9 +249,9 @@ _RESIDUAL_RTOL = 1.0e-14
 def _product(A: sp.csr_matrix, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Overwrite ``out`` with ``A X`` for mode coefficients ``X`` (C-ordered,
     shape ``(n_c, n_modes)``) and return it.  The product runs in SciPy's
-    CSR kernel straight into ``out``: ``A @ X`` would allocate a zeroed
-    result per residual, a churn that has glibc trim the heap and fault it
-    back in between sweeps."""
+    CSR kernel straight into ``out``: ``A @ X`` would allocate a fresh
+    result per residual, one more mode-sized array live at each product
+    than the solve's reused pair."""
     out.fill(0.0)
     _sparsetools.csr_matvecs(A.shape[0], A.shape[1], X.shape[1], A.indptr, A.indices, A.data,
                              X.ravel(), out.ravel())
@@ -548,8 +548,9 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
     rhs = ops.to_modes(zeta0 * system.mass_w)
     rhs = system.precondition(rhs, np.empty_like(rhs))
     # released before the smoothed density, which outlives this call, is
-    # allocated: released after, it leaves a heap from which every later
-    # step faults about three times as many pages back in (N_x = 12, 40 x 40)
+    # allocated, so the call never holds the system's inverse diagonal and
+    # the Fisher terms' temporaries at once: a lower peak by one mode-sized
+    # array (1.8 MB at N_x = 12, 40 x 40)
     del system
     zeta1 = ops.to_nodes(rhs)
 

@@ -1,0 +1,37 @@
+"""The decay rate as an exact discrete oracle.
+
+With no body force the velocity decays, and after it each backward-Euler
+step divides the slowest configuration mode by ``1 + dt g / (2 lam)``,
+``g = spectral_gap(ops)``.  The relative entropy is quadratic in that mode
+near ``M``, so the late ratio of successive ``entropy`` rows of the ledger
+is ``(1 + dt g / (2 lam))^-2`` whatever the centre-of-mass diffusion or
+the coupling ``k``, and at each extensibility ``b`` with its own ``g``."""
+
+import pytest
+
+from feneflow import RunConfig, assemble_fp_operators, run_scenario, spectral_gap
+from feneflow.scenarios import config_grid
+
+# each bound is MARGIN times the relative error measured for that config
+# (N_x = 8, 10 x 10 configuration grid, lam = 0.5, dt = 0.02, T = 4 unless
+# overridden): room for another rounding of the late entropies, which sit
+# near 4e-10 (3e-7 at b = 20), while a wrong rate misses by percents
+MARGIN = 10.0
+CASES = [
+    (dict(), 2.2e-11),
+    (dict(eps=0.01), 2.8e-7),
+    (dict(k=0.0), 2.3e-11),
+    (dict(b=20.0, dt=0.05, T=3.0), 1.9e-8),
+]
+
+
+@pytest.mark.parametrize("overrides, measured", CASES,
+                         ids=["as_given", "eps_0.01", "k_0", "b_20"])
+def test_late_entropy_ratio_is_the_backward_euler_factor(overrides, measured):
+    cfg = RunConfig(**dict(dict(scenario="decay", N_x=8, N_r=10, N_theta=10, lam=0.5,
+                                dt=0.02, T=4.0), **overrides))
+    ent = run_scenario(cfg).ledger.column("entropy")
+    g = spectral_gap(assemble_fp_operators(config_grid(cfg)))
+    factor = (1.0 + cfg.dt * g / (2.0 * cfg.lam)) ** -2
+    assert factor < 0.97                    # a rate the ratio can tell from 1
+    assert abs(ent[-1] / ent[-2] / factor - 1.0) <= MARGIN * measured
