@@ -22,7 +22,12 @@ angular neighbours of the polar node layout, so every edge difference
 (``ConfigGrid.edge_pairs``) and its transpose, the drag's edge divergence
 (``ConfigGrid.edge_divergence``), are shift and slice operations on a
 node field, in whatever memory layout it has, so the secant coefficient,
-the drag and the Kramers pairing all run in the density's own layout.  The
+the drag and the Kramers pairing all run in the density's own layout.
+The run's density is node-major, every node's cells one contiguous row
+(``psi.T`` C-contiguous), as ``ConfigOperators.to_nodes`` writes it: the
+cell axis, along which each of those stencils repeats, is the contiguous
+one, and every shift or slice of the node axis is a block of whole rows.
+Mode coefficients stay C-ordered, one row per cell.  The
 node weights and both edge-weight families depend on the radius alone, so
 the mass-weighted stiffness is one symmetric tridiagonal ``N_r x N_r``
 radial block per angular wavenumber times a real Fourier basis in the
@@ -81,11 +86,15 @@ def _rows_in_place():
 
     NumPy 2 runs a ufunc whose operands' rows are shorter than its buffer
     (8192 elements by default) by copying several rows at a time through
-    the buffer, to lengthen the inner loop.  On the node and edge fields of
-    a cell-major density the copies cost more than the arithmetic: a field
-    of 144 cells on the 40 x 40 grid takes 1.7 times as long.  A 16-element
-    buffer is shorter than any row, so every operand stays in place.  Only
-    elementwise ufuncs run inside, so no bit changes."""
+    the buffer, to lengthen the inner loop.  On the run's node-major
+    fields every shift is one contiguous block, and only the wrap edges'
+    per-radius rows of cells are short: their buffers take no measurable
+    time but raise a step's traced peak (``fisher_q`` at 36 cells on the
+    24 x 24 grid from 2.98 to 3.10 density arrays).  On a C-ordered field
+    every node row is short, and the copies cost more than the arithmetic:
+    a field of 144 cells on the 40 x 40 grid takes 1.7 times as long.  A
+    16-element buffer is shorter than any row, so every operand stays in
+    place.  Only elementwise ufuncs run inside, so no bit changes."""
     size = np.setbufsize(16)
     try:
         yield
@@ -200,8 +209,10 @@ class ConfigGrid:
         ``op`` is a binary ufunc and ``field`` a node field (last axis:
         nodes).  The result is written to ``out`` if given, else to a new
         array in the memory layout of ``field``: cell-major for a C-ordered
-        field, edge-major for a node-major one.  Each entry is one ``op`` of
-        two node values, so its bits do not depend on the layout.
+        field, edge-major for a node-major one such as the run's density,
+        whose radial and angular shifts are then one contiguous block each.
+        Each entry is one ``op`` of two node values, so its bits do not
+        depend on the layout.
         """
         field = np.asarray(field)
         if out is None:
@@ -467,19 +478,35 @@ class ConfigOperators:
         """Rows of a mass-weighted nodal right-hand side ``R`` -> mode
         coefficients ``R M^{-1/2} Q``: one product with ``F`` along the
         angle, then one radial product (``M^{-1/2}`` folded in) per Fourier
-        column, written straight into the ``(row, j, i)`` layout."""
+        column, written straight into the ``(row, j, i)`` layout.
+
+        ``R`` is read in place, C-ordered or node-major (``R.T``
+        C-contiguous, the run's layout), where the angular product runs
+        once per radius; any other layout is copied.  The modes come out
+        C-ordered, with the same bits from either layout."""
         n, (N_theta, N_r) = rhs_nodal.shape[0], self.radial.shape[:2]
-        y = (self.F.T @ rhs_nodal.reshape(n * N_r, N_theta).T).reshape(N_theta, n, N_r)
+        if rhs_nodal.T.flags.c_contiguous:
+            y = np.empty((N_theta, N_r, n))
+            np.matmul(self.F.T, rhs_nodal.T.reshape(N_r, N_theta, n), out=y.transpose(1, 0, 2))
+            y = y.transpose(0, 2, 1)
+        else:
+            y = (self.F.T @ rhs_nodal.reshape(n * N_r, N_theta).T).reshape(N_theta, n, N_r)
         modes = np.empty((n, N_theta, N_r))
         np.matmul(y, self.radial, out=modes.transpose(1, 0, 2))
         return modes.reshape(n, -1)
 
     def to_nodes(self, modes: np.ndarray) -> np.ndarray:
         """Mode coefficients ``Phi`` -> nodal values ``Phi Q^T M^{-1/2}``, so
-        ``to_nodes(to_modes(R)) = R M^{-1}``."""
+        ``to_nodes(to_modes(R)) = R M^{-1}``.
+
+        The result is node-major (its transpose C-contiguous): the radial
+        products are written in ``(radius, j, row)`` order, so the angular
+        product is one ``F`` product per radius on contiguous rows."""
         n, (N_theta, N_r) = modes.shape[0], self.radial.shape[:2]
-        y = np.matmul(modes.reshape(n, N_theta, N_r).transpose(1, 0, 2), self._radial_t)
-        return (y.reshape(N_theta, n * N_r).T @ self.F.T).reshape(n, -1)
+        y = np.empty((N_r, N_theta, n))
+        np.matmul(modes.reshape(n, N_theta, N_r).transpose(1, 0, 2), self._radial_t,
+                  out=y.transpose(1, 2, 0))
+        return np.matmul(self.F, y).reshape(-1, n).T
 
     def drag_rhs(self, sigma: np.ndarray, coeff_edges: np.ndarray) -> np.ndarray:
         """Assembled drag functional, batched over leading axes (one row per
@@ -494,7 +521,12 @@ class ConfigOperators:
         in edge form, i.e. ``sum_e (sigma : Gamma_e) c_e (phi_b - phi_a)``.
         """
         sigma = np.asarray(sigma, dtype=float)
-        sg = sigma.reshape(sigma.shape[:-2] + (4,)) @ self.grid.edge_gamma.T  # sigma : Gamma_e
+        sigma4, gamma = sigma.reshape(sigma.shape[:-2] + (4,)), self.grid.edge_gamma
+        edge_major = np.moveaxis(coeff_edges, -1, 0)
+        if coeff_edges.flags.c_contiguous or not edge_major.flags.c_contiguous:
+            sg = sigma4 @ gamma.T                                       # sigma : Gamma_e
+        else:   # the coefficients of a node-major density: sigma : Gamma_e edge-major
+            sg = np.moveaxis((gamma @ sigma4.reshape(-1, 4).T).reshape(edge_major.shape), 0, -1)
         sg *= coeff_edges
         return self.grid.edge_divergence(sg)
 
@@ -507,8 +539,10 @@ class ConfigOperators:
         Consistent with ``C(M psi)`` up to the integration-by-parts residual
         for trace-free contractions.  ``dpsi`` may carry leading axes.  The
         pairing is taken as ``(Gamma^T dpsi^T)^T`` on the ``(rows, n_edges)``
-        view of ``dpsi``: BLAS rounds that as the edge-major ``dpsi @
-        edge_gamma``, which it rounds differently on a C-ordered ``dpsi``.
+        view of ``dpsi``, whose transpose is C-contiguous for the run's
+        edge-major ``dpsi``: BLAS rounds that product alike for both
+        layouts, where ``dpsi @ edge_gamma`` would round a C-ordered
+        ``dpsi`` differently.
         """
         g = self.grid
         return (g.edge_gamma.T @ dpsi.reshape(-1, g.n_edges).T).T.reshape(dpsi.shape[:-1] + (2, 2))

@@ -74,26 +74,35 @@ def relative_entropy(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
 
 def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
              neg_tol: float = NEG_TOL) -> float:
-    """x-direction Fisher information, edge form: 4 sum (d sqrt(psi))^2 w_q."""
+    """x-direction Fisher information, edge form: 4 sum (d sqrt(psi))^2 w_q.
+
+    The root is written node-major, so each node's cells ``i N + j`` are one
+    contiguous row, and each cell difference is one shift of the whole root:
+    by ``N`` for ``i``, by 1 for ``j``.  The pairs a shift forms across two
+    nodes, or across two values of ``i``, are set to zero."""
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
-    root = np.maximum(psi, 0.0)
-    cube = np.sqrt(root, out=root).reshape(flow.N, flow.N, grid.n_nodes)
+    N = flow.N
+    root = np.empty((grid.n_nodes, flow.n_c))
+    np.maximum(psi.T, 0.0, out=root)
+    np.sqrt(root, out=root)
+    flat, d = root.reshape(-1), np.empty_like(root)
     acc = 0.0
-    for axis in (0, 1):
-        d = np.diff(cube, axis=axis)
+    for shift, across in ((N, np.s_[:, -N:]), (1, np.s_[:, N - 1::N])):
+        np.subtract(flat[shift:], flat[:-shift], out=d.reshape(-1)[:-shift])
+        d[across] = 0.0
         d *= d
-        acc = acc + d.sum(axis=(0, 1))
+        acc = acc + d.sum(axis=1)
     return 4.0 * float(acc @ grid.w)
 
 
 def _root_dirichlet(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
     """``sum_e W_e (d sqrt(psi))^2`` per row, ``psi`` clamped at 0.
 
-    The root is written node-major, so its edge differences come out
-    edge-major and their product with ``edge_w`` rounds as the ledger's
-    Fisher columns always have; the same product on a C-ordered array
-    rounds differently."""
+    The root is written node-major, the run's layout, so its edge
+    differences come out edge-major and their product with ``edge_w``
+    rounds as the ledger's Fisher columns always have, whatever the layout
+    of ``psi``; the same product on a C-ordered array rounds differently."""
     root = np.moveaxis(np.empty((grid.n_nodes,) + psi.shape[:-1]), 0, -1)
     np.maximum(psi, 0.0, out=root)
     np.sqrt(root, out=root)

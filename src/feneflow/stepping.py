@@ -58,7 +58,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
-from scipy.sparse import _sparsetools
 
 from . import diagnostics as dg
 from .kinetic import CutoffParams, secant_cutoff_coefficient
@@ -129,7 +128,8 @@ class StepParams:
 
 @dataclass
 class SystemState:
-    """Velocity (packed face vector), density (cells x config nodes), clock."""
+    """Velocity (packed face vector), density (cells x config nodes, which a
+    run stores node-major), clock."""
 
     u: np.ndarray
     psi: np.ndarray
@@ -246,18 +246,6 @@ _MAX_ITERATIONS = 30
 _RESIDUAL_RTOL = 1.0e-14
 
 
-def _product(A: sp.csr_matrix, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Overwrite ``out`` with ``A X`` for mode coefficients ``X`` (C-ordered,
-    shape ``(n_c, n_modes)``) and return it.  The product runs in SciPy's
-    CSR kernel straight into ``out``: ``A @ X`` would allocate a fresh
-    result per residual, one more mode-sized array live at each product
-    than the solve's reused pair."""
-    out.fill(0.0)
-    _sparsetools.csr_matvecs(A.shape[0], A.shape[1], X.shape[1], A.indptr, A.indices, A.data,
-                             X.ravel(), out.ravel())
-    return out
-
-
 class _DensitySystem:
     """The density solve ``Kx Psi M_q + shift_scale * Psi S_q = R``, ``Kx``
     being :func:`_transport_csr`'s, with all that does not depend on the
@@ -299,14 +287,15 @@ class _DensitySystem:
         shifts but the upwind part ``Adv``, so a step leaves the residual
         ``R <- -Adv D``: only the first residual ``B - (K X + X
         diag(shifts))`` is formed in full, and every later one is one
-        :func:`_product` with ``-Adv``.  ``Adv``'s columns sum to zero, so
+        sparse product with ``-Adv``.  ``Adv``'s columns sum to zero, so
         every update conserves mass to rounding.  The iteration stops at a
         max-norm residual of ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8
         diffusion / mass)) max|B|``, the second term being its rounding
         floor, and a guess whose first residual meets it is returned as it
-        is.  The iteration allocates nothing: ``B``'s array, not read after
-        the first residual, takes every other one.  One that has not got
-        there after ``_MAX_ITERATIONS`` residuals
+        is.  ``B`` is released after the first residual, so the iteration
+        holds ``X``, the preconditioner's scratch and at most two
+        residuals.  One that has not got there after ``_MAX_ITERATIONS``
+        residuals
         (strong upwinding, cell CFL >> 1) is abandoned for the direct
         :func:`_kron_solve`.
         """
@@ -315,15 +304,16 @@ class _DensitySystem:
         tol = self.rtol * max(B.max(), -B.min())          # max|B|, with no |B| temporary
         X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
-        R = _product(K, X, np.empty_like(B))
+        R = K @ X
         R += np.multiply(X, self.shifts, out=work)
-        R, spare = np.subtract(B, R, out=R), B
+        R = np.subtract(B, R, out=R)
+        del B
         # max|R| <= tol, with no |R| temporary; R.max() alone fails most tests
         if R.max() <= tol and -R.min() <= tol:
             return guess_nodal
         for _ in range(_MAX_ITERATIONS - 1):
             X += self.precondition(R, work)                 # R holds the step D
-            R, spare = _product(neg_upwind, R, spare), R
+            R = neg_upwind @ R
             if R.max() <= tol and -R.min() <= tol:
                 return ops.to_nodes(X)
         return _kron_solve(K, self.shifts, ops, rhs_nodal)
@@ -635,7 +625,7 @@ def save_checkpoint(path: str, state: SystemState, params: StepParams,
             "fp_tol": params.fp_tol, "fp_max_iter": params.fp_max_iter,
         },
     }
-    np.savez(path, u=state.u, psi=state.psi,
+    np.savez(path, u=state.u, psi=np.ascontiguousarray(state.psi),
              meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
 

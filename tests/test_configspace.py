@@ -5,6 +5,7 @@ Kramers stress and operator assembly."""
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,40 @@ def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
                                    rtol=0.0, atol=1e-13 * np.abs(stress[row]).max())
         np.testing.assert_allclose(ops.drag_rhs(sigma[row], coeff[row]), drag[row],
                                    rtol=0.0, atol=1e-14 * np.abs(drag[row]).max())
+
+
+@pytest.mark.parametrize("N_r,N_theta", [(8, 8), (10, 12), (40, 40)])
+def test_mode_transforms_read_either_layout_and_write_node_major(N_r, N_theta):
+    # the run's density is node-major (its transpose C-contiguous): to_modes
+    # reads it in place and gives the C-ordered field's modes bit for bit,
+    # to_nodes writes node-major, and to_nodes(to_modes(R)) = R M^{-1} from
+    # either layout
+    ops = assemble_fp_operators(build_config_grid(4.0, N_r, N_theta))
+    w = ops.grid.w
+    R = np.random.default_rng(N_r * N_theta).standard_normal((37, w.size))
+    R_nm = np.asfortranarray(R)
+    assert R_nm.T.flags.c_contiguous and not R_nm.flags.c_contiguous
+    modes = ops.to_modes(R)
+    assert modes.flags.c_contiguous
+    _same_bits(ops.to_modes(R_nm), modes)
+    nodes = ops.to_nodes(modes)
+    assert nodes.shape == R.shape and nodes.T.flags.c_contiguous
+    for field in (R, R_nm):
+        np.testing.assert_allclose(ops.to_nodes(ops.to_modes(field)), R / w,
+                                   rtol=0.0, atol=1e-12 * np.abs(R / w).max())
+
+    def peak(field):
+        ops.to_modes(field)
+        tracemalloc.start()
+        try:
+            ops.to_modes(field)
+            return tracemalloc.get_traced_memory()[1] / field.nbytes
+        finally:
+            tracemalloc.stop()
+
+    # the angular stage and the modes, each the field's size; a copy of
+    # the field would be a third
+    assert peak(R) <= 2.1 and peak(R_nm) <= 2.1
 
 
 @pytest.mark.parametrize("b", [4.0, 10.0])

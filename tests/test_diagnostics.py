@@ -119,6 +119,19 @@ def test_fisher_x_sees_only_x_variation(flow8, grid16, rng):
     assert fisher_x(flow8, grid16, psi_x) > 0.0
 
 
+def test_fisher_x_reads_either_layout(flow8, grid16, rng):
+    # the cell differences are shifts along the node-major root: a
+    # C-ordered density and the same one node-major give the same bits,
+    # the squared cell differences' sum up to its summation order
+    psi = rng.uniform(0.0, 2.0, (flow8.n_c, grid16.n_nodes))
+    got = fisher_x(flow8, grid16, psi)
+    assert fisher_x(flow8, grid16, np.asfortranarray(psi)) == got
+    cube = np.sqrt(psi).reshape(flow8.N, flow8.N, grid16.n_nodes)
+    want = 4.0 * sum(float((np.diff(cube, axis=axis) ** 2).sum(axis=(0, 1)) @ grid16.w)
+                     for axis in (0, 1))
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_fisher_quadratic_in_small_amplitude(flow8, grid16):
     # sqrt(1 + a g) - 1 ~ a g / 2, so the functional scales like a^2
     f4 = fisher_q(flow8, grid16, tilted(flow8, grid16, 4e-3))

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
 from feneflow import (
@@ -393,15 +394,16 @@ def count_fallbacks(monkeypatch):
 
 
 def count_residuals(monkeypatch):
-    """Spy on the iteration's residual products, one per residual."""
+    """Spy on the iteration's residual products, one per residual: each is
+    one product of a transport CSR matrix with the mode coefficients."""
     calls = []
-    product = stepping._product
+    product = sp.csr_matrix.__matmul__
 
-    def spy(*args):
+    def spy(A, X):
         calls.append(1)
-        return product(*args)
+        return product(A, X)
 
-    monkeypatch.setattr(stepping, "_product", spy)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
     return calls
 
 
@@ -713,31 +715,33 @@ def test_density_step_and_ledger_allocate_few_density_arrays():
     stepper = CoupledStepper(flow, ops, StepParams(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
                                                    cutoff=CutoffParams(L=5.0, delta=1e-4)))
     u = project_divergence_free(flow, rng.standard_normal(flow.n_u + flow.n_v))
-    psi = rng.uniform(0.5, 2.0, (flow.n_c, ops.grid.n_nodes))
+    psi_c = rng.uniform(0.5, 2.0, (flow.n_c, ops.grid.n_nodes))
     operator = stepper.density_operator(u)
 
-    def step():
+    def step(psi):
         stepper.fokker_planck_step(psi, u, operator, psi)
 
-    def ledger():
+    def ledger(psi):
         g = ops.grid
         fisher_x(flow, g, psi, neg_tol=math.inf)
         fisher_q(flow, g, psi, neg_tol=math.inf)
         decay_energy(flow, g, u, psi, 1.0)
         relative_entropy(flow, g, psi, neg_tol=math.inf)
 
-    def peak(call):
-        call()
+    def peak(call, psi):
+        call(psi)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            call()
+            call(psi)
             return (tracemalloc.get_traced_memory()[1] - start) / psi.nbytes
         finally:
             tracemalloc.stop()
 
-    assert peak(step) <= FP_STEP_PEAK
-    assert peak(ledger) <= LEDGER_PEAK
+    # C-ordered, and node-major as the run stores it
+    for psi in (psi_c, np.asfortranarray(psi_c)):
+        assert peak(step, psi) <= FP_STEP_PEAK
+        assert peak(ledger, psi) <= LEDGER_PEAK
 
 
 def test_non_finite_input_is_detected(small):
@@ -815,6 +819,28 @@ def test_smoothing_contract(small, rng):
     assert report.fisher_budget <= report.entropy_before + 1e-8
     assert report.mass_drift <= 1e-10
     assert zeta.shape == psi0.shape
+
+
+def test_the_run_density_is_node_major(small, rng, tmp_path):
+    # the smoothing writes the density node-major (every node's cells one
+    # contiguous row) and each coupled step keeps it so; a checkpoint
+    # stores it C-ordered, the bytes of the C-ordered copy's checkpoint
+    flow, ops, params, stepper = small
+    raw = perturbed_state(flow, ops, rng)
+    assert raw.psi.flags.c_contiguous
+    zeta, _ = smooth_initial_density(flow, ops, raw.psi, dt=params.dt, clip_level=5.0)
+    assert zeta.T.flags.c_contiguous and not zeta.flags.c_contiguous
+    state = SystemState(u=raw.u, psi=zeta, t=0.0, n=0)
+    for _ in range(3):
+        state, report = stepper.coupled_step(state)
+        assert report.iterations > 1 and state.psi.T.flags.c_contiguous
+    paths = [str(tmp_path / name) for name in ("node_major.npz", "c_ordered.npz")]
+    for path, psi in zip(paths, (state.psi, np.ascontiguousarray(state.psi))):
+        save_checkpoint(path, dataclasses.replace(state, psi=psi), params, flow, ops)
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()
+    restored, _ = load_checkpoint(paths[0])
+    assert restored.psi.flags.c_contiguous and np.array_equal(restored.psi, state.psi)
 
 
 def test_smoothing_clips_at_the_level(small):
