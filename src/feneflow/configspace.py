@@ -515,20 +515,29 @@ class ConfigOperators:
         Parameters
         ----------
         sigma : ``(..., 2, 2)`` velocity gradients.
-        coeff_edges : ``(..., n_edges)`` per-edge cut-off coefficients.
+        coeff_edges : ``(..., n_edges)`` per-edge cut-off coefficients.  The
+            call takes this buffer over: it is overwritten with the edge
+            values ``(sigma : Gamma_e) c_e``, so a caller that reads the
+            coefficients afterwards passes a copy.
 
         Returns ``v`` with ``v . phi = int_D M (sigma q) beta . grad phi dq``
         in edge form, i.e. ``sum_e (sigma : Gamma_e) c_e (phi_b - phi_a)``.
+        ``sigma : Gamma_e`` is formed one edge family at a time (radial, then
+        angular) and multiplied into ``coeff_edges``, so no edge-sized array
+        is allocated; each entry has the bits of the one-product form.
         """
         sigma = np.asarray(sigma, dtype=float)
         sigma4, gamma = sigma.reshape(sigma.shape[:-2] + (4,)), self.grid.edge_gamma
         edge_major = np.moveaxis(coeff_edges, -1, 0)
-        if coeff_edges.flags.c_contiguous or not edge_major.flags.c_contiguous:
-            sg = sigma4 @ gamma.T                                       # sigma : Gamma_e
-        else:   # the coefficients of a node-major density: sigma : Gamma_e edge-major
-            sg = np.moveaxis((gamma @ sigma4.reshape(-1, 4).T).reshape(edge_major.shape), 0, -1)
-        sg *= coeff_edges
-        return self.grid.edge_divergence(sg)
+        by_cell = coeff_edges.flags.c_contiguous or not edge_major.flags.c_contiguous
+        n_rad = (self.grid.N_r - 1) * self.grid.N_theta
+        for family in (slice(None, n_rad), slice(n_rad, None)):
+            if by_cell:
+                coeff_edges[..., family] *= sigma4 @ gamma[family].T    # sigma : Gamma_e
+            else:   # the coefficients of a node-major density: sigma : Gamma_e edge-major
+                block = edge_major[family]
+                block *= (gamma[family] @ sigma4.reshape(-1, 4).T).reshape(block.shape)
+        return self.grid.edge_divergence(coeff_edges)
 
     def stress_matrix(self, dpsi: np.ndarray) -> np.ndarray:
         """Edge-difference stress ``C_hat`` with ``sigma : C_hat(psi)`` equal to the

@@ -185,12 +185,16 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
 
     Inside ``[delta, L]``, ``[F^L_delta]'`` is ``log m`` alone.  Every
     shortcut keeps every bit of the full form.  ``dpsi``, if given, is
-    ``grid.edge_pairs(np.subtract, psi)``, read in place of that pass.
+    ``grid.edge_pairs(np.subtract, psi)``, read in place of that pass.  The
+    call takes that buffer over: the flat path writes its midpoints, and
+    so the result, into it, so a caller that reads the differences
+    afterwards passes a copy.
     """
     # node- and edge-sized buffers are reused in place (m, out, and bound on
-    # the full path), so a call allocates one array per buffer rather than
-    # one per operation, and its peak stays at those few.  Every buffer, and
-    # the result, keeps the memory layout of psi, so no pass transposes.
+    # the full path; a given dpsi holds the flat path's result), so a call
+    # allocates one array per buffer rather than one per operation, and its
+    # peak stays at those few.  Every buffer, and the result, keeps the
+    # memory layout of psi, so no pass transposes.
     psi = np.asarray(psi, dtype=float)
     delta, L = cutoff.delta, cutoff.L
     lo, hi = float(psi.min()), float(psi.max())     # Python floats overflow silently
@@ -199,7 +203,7 @@ def secant_cutoff_coefficient(psi, grid, cutoff: CutoffParams, dpsi=None):
         # every edge is near-coincident (False on a NaN; an infinite screen
         # would pass an inf, whose edges with equal ends divide to NaN):
         # each edge's coefficient is its midpoint, which lies in [lo, hi]
-        out = grid.edge_pairs(np.add, psi)
+        out = grid.edge_pairs(np.add, psi, out=dpsi)
         out *= 0.5
         if delta <= lo and hi <= L:
             return out

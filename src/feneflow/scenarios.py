@@ -331,15 +331,21 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     params = StepParams(dt=dt, nu=cfg.nu, k=cfg.k, lam=cfg.lam, eps=cfg.eps,
                         cutoff=CutoffParams(delta=cfg.delta, L=cfg.L),
                         fp_tol=cfg.fp_tol, fp_max_iter=cfg.fp_max_iter)
-    stepper = CoupledStepper(fg, ops, params)
     rng = np.random.default_rng(cfg.seed)
 
     u0_raw, psi0_raw, forcing = _scenario_data(cfg, fg, grid, rng)
 
     # data smoothing: velocity through one implicit constrained Helmholtz
-    # step, density through clipping at L plus one unit-coefficient heat step
+    # step, density through clipping at L plus one unit-coefficient heat step.
+    # The state is the one owner of the smoothed data, and the raw density
+    # is released once smoothed, so neither stays on the steps' working set;
+    # the stepper is built after the smoothing, so the smoothing's inverse
+    # diagonal is never alive next to the stepper's
     u0 = smooth_initial_velocity(fg, u0_raw, dt)
     psi0, smooth_rep = smooth_initial_density(fg, ops, psi0_raw, dt, cfg.L)
+    state = SystemState(u=u0, psi=psi0, t=0.0, n=0)
+    del psi0_raw, psi0
+    stepper = CoupledStepper(fg, ops, params)
 
     cp, _ = poincare_constant(cfg.N_x, cfg.side)
     g0 = dg.gamma0(cfg.nu, cp, cfg.lam)
@@ -354,7 +360,6 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     B2 = fg.norm_sq(u0_raw) + f_dual_sum / cfg.nu + 2.0 * cfg.k * ent_raw
     initial_budget = fg.norm_sq(u0_raw) + 2.0 * cfg.k * ent_raw
 
-    state = SystemState(u=u0, psi=psi0, t=0.0, n=0)
     ledger = dg.EnergyLedger()
     visc_hist = fx_hist = fq_hist = 0.0
     times = [0.0]

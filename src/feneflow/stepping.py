@@ -264,9 +264,8 @@ class _DensitySystem:
         self.rtol = max(_RESIDUAL_RTOL,
                         4.0 * np.finfo(float).eps * (1.0 + 8.0 * diffusion / mass))
         self._dct, mu = _cell_dct(grid.N)
-        inv_p = 1.0 / ((mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None]
-                       + self.shifts)
-        self._inv_p = inv_p.reshape(grid.n_c, -1)
+        inv_p = (mass + diffusion * (mu[:, None] + mu[None, :]))[:, :, None] + self.shifts
+        self._inv_p = np.divide(1.0, inv_p, out=inv_p).reshape(grid.n_c, -1)
 
     def precondition(self, R: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Overwrite mode coefficients ``R`` (shape ``(n_c, n_modes)``) with
@@ -276,11 +275,11 @@ class _DensitySystem:
         _along_cells(self._dct.T, R, work)
         return R
 
-    def solve(self, transport: _Transport, rhs_nodal: np.ndarray,
-              guess_nodal: np.ndarray) -> np.ndarray:
-        """Nodal ``Psi`` for ``rhs_nodal``, ``transport`` being the pair
-        ``(K, -Adv)`` of :func:`_transport_csr` with this system's diffusion
-        and mass.
+    def solve(self, transport: _Transport, B: np.ndarray, guess_nodal: np.ndarray) -> np.ndarray:
+        """Nodal ``Psi`` for the right-hand side whose mode coefficients are
+        ``B`` (``ops.to_modes`` of the nodal right-hand side), ``transport``
+        being the pair ``(K, -Adv)`` of :func:`_transport_csr` with this
+        system's diffusion and mass.
 
         All modes are iterated at once from the modes of ``guess_nodal``,
         ``X <- X + D`` with ``D = P^{-1} R``.  ``P`` is all of ``K`` and the
@@ -292,22 +291,20 @@ class _DensitySystem:
         max-norm residual of ``max(_RESIDUAL_RTOL, 4 eps_mach (1 + 8
         diffusion / mass)) max|B|``, the second term being its rounding
         floor, and a guess whose first residual meets it is returned as it
-        is.  ``B`` is released after the first residual, so the iteration
-        holds ``X``, the preconditioner's scratch and at most two
-        residuals.  One that has not got there after ``_MAX_ITERATIONS``
-        residuals
-        (strong upwinding, cell CFL >> 1) is abandoned for the direct
-        :func:`_kron_solve`.
+        is.  The iteration holds ``B``, ``X``, the preconditioner's scratch
+        and at most two residuals, and releases the residual and the
+        scratch before ``to_nodes``.  One that has not got there after
+        ``_MAX_ITERATIONS`` residuals (strong upwinding, cell CFL >> 1) is
+        abandoned for the direct :func:`_kron_solve` of ``B``, which is
+        left unchanged for it.
         """
         ops, (K, neg_upwind) = self.ops, transport
-        B = ops.to_modes(rhs_nodal)
         tol = self.rtol * max(B.max(), -B.min())          # max|B|, with no |B| temporary
         X = ops.to_modes(guess_nodal * ops.grid.w[None, :])
         work = np.empty_like(B)
         R = K @ X
         R += np.multiply(X, self.shifts, out=work)
         R = np.subtract(B, R, out=R)
-        del B
         # max|R| <= tol, with no |R| temporary; R.max() alone fails most tests
         if R.max() <= tol and -R.min() <= tol:
             return guess_nodal
@@ -315,16 +312,19 @@ class _DensitySystem:
             X += self.precondition(R, work)                 # R holds the step D
             R = neg_upwind @ R
             if R.max() <= tol and -R.min() <= tol:
+                del R, work                                 # not held through to_nodes
                 return ops.to_nodes(X)
-        return _kron_solve(K, self.shifts, ops, rhs_nodal)
+        del X, R, work
+        return _kron_solve(K, self.shifts, ops, B)
 
 
 def _kron_solve(K: sp.csr_matrix, shifts: np.ndarray, ops: ConfigOperators,
-                rhs_nodal: np.ndarray) -> np.ndarray:
+                B: np.ndarray) -> np.ndarray:
     """Direct fallback of :meth:`_DensitySystem.solve`: solve ``Kx Psi
-    M_q + shift_scale * Psi S_q = R`` for nodal ``Psi``, ``K`` being the
-    CSR ``Kx`` from :func:`_transport_csr` and ``shifts`` the system's
-    ``shift_scale * evals``.
+    M_q + shift_scale * Psi S_q = R`` for nodal ``Psi`` from the mode
+    coefficients ``B = ops.to_modes(R)``, ``K`` being the CSR ``Kx`` from
+    :func:`_transport_csr` and ``shifts`` the system's ``shift_scale *
+    evals``.
 
     Mode ``j`` is the banded system ``(Kx + shifts[j] I) phi_j = r_j`` on
     the band that ``flowspace.band_storage`` reads off ``K``.  Each mode
@@ -338,7 +338,7 @@ def _kron_solve(K: sp.csr_matrix, shifts: np.ndarray, ops: ConfigOperators,
     ab, kl, ku = band_storage(K)
     work = np.empty_like(ab)
     diagonal = work[kl + ku]
-    modes = np.ascontiguousarray(ops.to_modes(rhs_nodal).T)
+    modes = np.ascontiguousarray(B.T)
     for jmode, shift in enumerate(shifts):
         np.copyto(work, ab)
         diagonal += shift
@@ -423,17 +423,25 @@ class CoupledStepper:
         density jump: the discrete chain rule behind the exact drag/stress
         cancellation.  ``edges``, if given, is a list holding
         ``coeff_field``'s edge differences, which the secant reads rather
-        than forms; the step takes them out of it, so they are freed once
-        the secant returns, not held through the solve.
+        than forms; the step takes them out of it and hands them on.
+
+        Each buffer has one owner and is handed on to the next phase: the
+        secant may write the coefficient into the edge differences, the
+        drag multiplies ``sigma : Gamma_e`` into the coefficient, and the
+        nodal right-hand side is released once its modes exist, so no
+        phase's buffer is held through the solve.  ``psi_prev``,
+        ``u_candidate`` and ``coeff_field`` are only read.
         """
         c = secant_cutoff_coefficient(coeff_field, self.ops.grid, self.params.cutoff,
                                       edges.pop() if edges else None)
         sigma = self.flow.cell_velocity_gradient(np.asarray(u_candidate, dtype=float))
         sigma *= self.flow.h * self.flow.h
         rhs = self.ops.drag_rhs(sigma, c)
-        del c, sigma  # not held through the solve
+        del c, sigma
         rhs += psi_prev * self._density.mass_w
-        out = self._density.solve(transport, rhs, coeff_field)
+        B = self.ops.to_modes(rhs)
+        del rhs
+        out = self._density.solve(transport, B, coeff_field)
         if not np.isfinite(out).all():
             raise FloatingPointError("density solve produced non-finite values")
         return out
@@ -530,19 +538,24 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
         raise ValueError("raw initial density must be finite")
     if psi0.min() < 0.0:
         raise ValueError("raw initial density must be nonnegative")
-    zeta0 = np.minimum(psi0, clip_level)
-
     h2 = flow.h * flow.h
     m = ops.grid.w
+    # each array is released once its successor exists: the clipped copy,
+    # whose mass is taken first, is scaled in place into the right-hand side
+    # and released once its modes exist; the system (its inverse diagonal)
+    # once the modes are preconditioned, before the smoothed density, which
+    # outlives this call, is allocated; the modes once they are back on the
+    # nodes.  psi0 is only read
+    zeta0 = np.minimum(psi0, clip_level)
+    mass0 = h2 * float((zeta0 @ m).sum())
     system = _DensitySystem(flow, ops, 1.0, h2 / dt, h2)
-    rhs = ops.to_modes(zeta0 * system.mass_w)
+    zeta0 *= system.mass_w
+    rhs = ops.to_modes(zeta0)
+    del zeta0
     rhs = system.precondition(rhs, np.empty_like(rhs))
-    # released before the smoothed density, which outlives this call, is
-    # allocated, so the call never holds the system's inverse diagonal and
-    # the Fisher terms' temporaries at once: a lower peak by one mode-sized
-    # array (1.8 MB at N_x = 12, 40 x 40)
     del system
     zeta1 = ops.to_nodes(rhs)
+    del rhs
 
     # checked before the entropy and Fisher terms, which reject densities
     # below -SMOOTHING_SLACK themselves
@@ -555,7 +568,7 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
     fx = dg.fisher_x(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
     fq = dg.fisher_q(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
     fisher_budget = dt * (fx + fq)
-    mass_drift = abs(h2 * float((zeta1 @ m).sum()) - h2 * float((zeta0 @ m).sum()))
+    mass_drift = abs(h2 * float((zeta1 @ m).sum()) - mass0)
     scale = max(abs(ent0), 1.0)
     if ent1 > ent0 + SMOOTHING_SLACK * scale:
         raise ConstructionError(

@@ -219,13 +219,15 @@ def test_drag_stress_pairing_is_exact(ops16, rng):
 
 def test_drag_rhs_batches_over_cells(ops16, rng):
     # one row per flow cell equals the single-cell functional row by row
+    # (drag_rhs overwrites the coefficients it is given, so each call gets
+    # a copy)
     n_e = ops16.grid.n_edges
     sigma = rng.standard_normal((5, 2, 2))
     coeff = rng.uniform(0.5, 2.0, (5, n_e))
-    batch = ops16.drag_rhs(sigma, coeff)
+    batch = ops16.drag_rhs(sigma, coeff.copy())
     assert batch.shape == (5, ops16.grid.n_nodes)
     for row in range(5):
-        np.testing.assert_allclose(batch[row], ops16.drag_rhs(sigma[row], coeff[row]),
+        np.testing.assert_allclose(batch[row], ops16.drag_rhs(sigma[row], coeff[row].copy()),
                                    rtol=0.0, atol=1e-14 * np.abs(batch).max())
 
 
@@ -330,7 +332,8 @@ def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
     psi = rng.uniform(-0.5, 8.0, (n_c, g.n_nodes))
     sigma = rng.standard_normal((n_c, 2, 2))
     coeff = secant_cutoff_coefficient(psi, g, cutoff)
-    stress, drag = ops.stress_matrix(g.edge_pairs(np.subtract, psi)), ops.drag_rhs(sigma, coeff)
+    stress = ops.stress_matrix(g.edge_pairs(np.subtract, psi))
+    drag = ops.drag_rhs(sigma, coeff.copy())
     assert coeff.flags.c_contiguous and drag.flags.c_contiguous
 
     lhs = float(np.sum(sigma * stress))
@@ -352,8 +355,25 @@ def test_drag_pass_keeps_the_layout_and_the_exact_pairing(N_r, N_theta):
         np.testing.assert_allclose(ops.stress_matrix(g.edge_pairs(np.subtract, psi[row])),
                                    stress[row],
                                    rtol=0.0, atol=1e-13 * np.abs(stress[row]).max())
-        np.testing.assert_allclose(ops.drag_rhs(sigma[row], coeff[row]), drag[row],
+        np.testing.assert_allclose(ops.drag_rhs(sigma[row], coeff[row].copy()), drag[row],
                                    rtol=0.0, atol=1e-14 * np.abs(drag[row]).max())
+
+
+@pytest.mark.parametrize("node_major", [False, True])
+def test_drag_rhs_multiplies_into_the_coefficients_it_is_given(ops16, rng, node_major):
+    # the hand-over contract: drag_rhs overwrites the coefficient buffer it
+    # is given with the edge values (sigma : Gamma_e) c_e, one edge family
+    # at a time, with the bits of the one-product form, in either layout,
+    # and returns their edge divergence
+    g = ops16.grid
+    sigma = rng.standard_normal((6, 2, 2))
+    coeff = rng.uniform(0.5, 2.0, (6, g.n_edges))
+    want = (sigma.reshape(6, 4) @ g.edge_gamma.T) * coeff
+    buf = np.asfortranarray(coeff) if node_major else coeff.copy()
+    got = ops16.drag_rhs(sigma, buf)
+    assert buf.flags.f_contiguous == node_major
+    assert np.array_equal(buf, want)
+    _same_bits(got, g.edge_divergence(want))
 
 
 @pytest.mark.parametrize("N_r,N_theta", [(8, 8), (10, 12), (40, 40)])

@@ -503,20 +503,19 @@ def test_secant_paths_match_routed_reference_bitwise(grid16, kind):
 
 @pytest.mark.parametrize("kind", ["flat_one", "in_range", "out_of_range", "equal_pair"])
 def test_stress_and_secant_from_shared_edge_differences(grid16, kind):
-    # a sweep forms its iterate's edge differences once; the secant reads
-    # them there and is bitwise what it forms on its own, on the flat, the
-    # two screened (inside [delta, L] and not) and the full path, and the
-    # stress from them is bitwise the gathered reference's; the shared
-    # differences are left as they were
+    # a sweep forms its iterate's edge differences once; the stress from
+    # them is bitwise the gathered reference's, and the secant then takes
+    # them over and is bitwise what it forms on its own, on the flat, the
+    # two screened (inside [delta, L] and not) and the full path; the flat
+    # path writes its result into the differences it was handed
     psi, L, delta = _decay_n16_field(grid16, kind)
     ops = assemble_fp_operators(grid16)
     dpsi = grid16.edge_pairs(np.subtract, psi)
-    kept = dpsi.copy()
     cutoff = CutoffParams(L, delta)
-    assert (secant_cutoff_coefficient(psi, grid16, cutoff, dpsi).tobytes()
-            == secant_cutoff_coefficient(psi, grid16, cutoff).tobytes())
     assert ops.stress_matrix(dpsi).tobytes() == gather_stress_matrix(grid16, psi).tobytes()
-    assert dpsi.tobytes() == kept.tobytes()
+    got = secant_cutoff_coefficient(psi, grid16, cutoff, dpsi)
+    assert got.tobytes() == secant_cutoff_coefficient(psi, grid16, cutoff).tobytes()
+    assert (got is dpsi) == (kind == "flat_one")
 
 
 @pytest.mark.parametrize("kind", ["in_range", "equal_pair", "near_max", "flat_one", "at_screen"])

@@ -37,7 +37,7 @@ from feneflow import (
     smooth_initial_density,
     spectral_gap,
 )
-from feneflow import stepping
+from feneflow import RunConfig, run_scenario, stepping
 from feneflow.flowspace import band_storage
 from feneflow.stepping import _DensitySystem, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
@@ -320,7 +320,7 @@ def test_kron_solve_matches_solve_banded_loop(small, rng):
         K = _transport_csr(flow, u, diffusion, h2 / params.dt)[0]
         Kx = transport_matrix(flow, u, diffusion, h2 / params.dt)
         R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
-        got = _kron_solve(K, shift_scale * ops.evals, ops, R)
+        got = _kron_solve(K, shift_scale * ops.evals, ops, ops.to_modes(R))
         assert np.array_equal(got, loop_kron_solve(Kx, shift_scale, ops, R))
 
 
@@ -338,7 +338,7 @@ def test_kron_solve_names_a_singular_mode(small, rng):
     assert ops.evals[0] == 0.0
     R = rng.standard_normal((flow.n_c, ops.grid.n_nodes))
     with pytest.raises(LinAlgError, match=r"^configuration mode 0: .*singular matrix"):
-        _kron_solve(K, stepper._cq * flow.h ** 2 * ops.evals, ops, R)
+        _kron_solve(K, stepper._cq * flow.h ** 2 * ops.evals, ops, ops.to_modes(R))
 
 
 def test_transport_csr_matches_reference_matrix(small, rng):
@@ -378,7 +378,7 @@ def density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess):
     """One solve of ``Kx Psi M_q + shift_scale * Psi S_q = R`` from
     ``guess`` on an operator built for it alone."""
     system = _DensitySystem(flow, ops, diffusion, mass, shift_scale)
-    return system.solve(_transport_csr(flow, u, diffusion, mass), R, guess)
+    return system.solve(_transport_csr(flow, u, diffusion, mass), ops.to_modes(R), guess)
 
 
 def count_fallbacks(monkeypatch):
@@ -427,7 +427,7 @@ def test_density_solve_matches_kron_solve(small, rng, monkeypatch):
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         want = _kron_solve(_transport_csr(flow, u, diffusion, mass)[0],
-                           shift_scale * ops.evals, ops, R)
+                           shift_scale * ops.evals, ops, ops.to_modes(R))
         for guess in (np.zeros_like(R), want * (1.0 + 1e-3 * rng.standard_normal(want.shape))):
             got = density_solve(flow, u, diffusion, mass, shift_scale, ops, R, guess)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -445,10 +445,10 @@ def test_separable_solves_match_the_dense_eigenbasis(small, rng, monkeypatch):
     for u, diffusion, shift_scale in density_cases(flow, params, stepper, rng):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         K = _transport_csr(flow, u, diffusion, mass)[0]
-        want = _kron_solve(K, shift_scale * dense.evals, dense, R)
+        want = _kron_solve(K, shift_scale * dense.evals, dense, dense.to_modes(R))
         for got in (density_solve(flow, u, diffusion, mass, shift_scale, ops, R,
                                   np.zeros_like(R)),
-                    _kron_solve(K, shift_scale * ops.evals, ops, R)):
+                    _kron_solve(K, shift_scale * ops.evals, ops, ops.to_modes(R))):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
     # the dense eigh is accurate to a few eps * max eval, 1.5e-13 of the gap
@@ -509,7 +509,8 @@ def test_density_solve_stops_at_its_rounding_floor(wide, rng, monkeypatch):
         R = mass * (1.0 + 0.5 * rng.random((flow.n_c, ops.grid.n_nodes))) * ops.grid.w
         guess = R / (mass * ops.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
         got = density_solve(flow, u, 1.0, mass, h2, ops, R, guess)
-        want = _kron_solve(_transport_csr(flow, u, 1.0, mass)[0], h2 * ops.evals, ops, R)
+        want = _kron_solve(_transport_csr(flow, u, 1.0, mass)[0], h2 * ops.evals, ops,
+                           ops.to_modes(R))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert fallbacks == []
 
@@ -552,7 +553,7 @@ def test_density_solve_exit_residual_is_the_true_residual(small, wide, rng, monk
         warm = R / (mass * basis.grid.w) * (1.0 + 1e-2 * rng.standard_normal(R.shape))
         for guess in (np.zeros_like(R), warm):
             exits.clear()
-            system.solve(transport, R, guess)
+            system.solve(transport, B, guess)
             [X] = exits
             true = B - (K @ X + X * system.shifts)
             assert np.abs(true).max() <= system.rtol * np.abs(B).max()
@@ -571,10 +572,11 @@ def test_density_solve_returns_a_start_that_meets_the_stop_rule(small, rng, monk
         system = _DensitySystem(flow, ops, diffusion, mass, shift_scale)
         transport = _transport_csr(flow, u, diffusion, mass)
         R = mass * (1.0 + 0.5 * rng.random(ones.shape)) * ops.grid.w
-        answer = system.solve(transport, R, np.zeros_like(R))
+        B = ops.to_modes(R)
+        answer = system.solve(transport, B, np.zeros_like(R))
         preconditions = count_preconditions(monkeypatch)
-        assert system.solve(transport, R, answer) is answer
-        assert system.solve(transport, mass * ones * ops.grid.w, ones) is ones
+        assert system.solve(transport, B, answer) is answer
+        assert system.solve(transport, ops.to_modes(mass * ones * ops.grid.w), ones) is ones
         assert preconditions == []
         monkeypatch.undo()
 
@@ -595,7 +597,7 @@ def test_density_solve_falls_back_under_strong_advection(small, rng, monkeypatch
     got = density_solve(flow, u, params.eps, mass, shift_scale, ops, R, R / (mass * ops.grid.w))
     assert len(residuals) == stepping._MAX_ITERATIONS and len(fallbacks) == 1
     want = _kron_solve(_transport_csr(flow, u, params.eps, mass)[0], shift_scale * ops.evals,
-                       ops, R)
+                       ops, ops.to_modes(R))
     assert got.tobytes() == want.tobytes()
 
 
@@ -620,11 +622,11 @@ def test_density_operator_serves_every_sweep_of_a_step(small, rng, monkeypatch):
         if sweep == 3:
             monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 0)
         R = base + 10.0 ** -sweep * drag
-        got = system.solve(operator, R, guess)
-        fresh = system.solve(stepper.density_operator(u), R, guess)
+        got = system.solve(operator, ops.to_modes(R), guess)
+        fresh = system.solve(stepper.density_operator(u), ops.to_modes(R), guess)
         monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 30)
         assert got.tobytes() == fresh.tobytes()
-        want = _kron_solve(K, shift_scale * ops.evals, ops, R)
+        want = _kron_solve(K, shift_scale * ops.evals, ops, ops.to_modes(R))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         total = mass * float((got @ ops.grid.w).sum())
         assert abs(total - R.sum()) <= 1e-12 * abs(R.sum())
@@ -700,12 +702,15 @@ def test_a_sweep_forms_its_iterate_edge_differences_once(small, rng, monkeypatch
 # --------------------------------------------------------------------------
 
 
-# peak traced memory, in (n_c, n_nodes) arrays, of one density solve and of
-# one step's ledger calls on a fine configuration grid: the values this code
-# measures with NumPy 2.4, against 11.22 and 6.05 before the drag pass and
-# the ledger kept their arrays' layout (NumPy's ufunc buffers included)
-FP_STEP_PEAK = 8.15
+# peak traced memory, in (n_c, n_nodes) arrays, of one density solve, of
+# one step's ledger calls and of the initial-data smoothing on a fine
+# configuration grid: the values this code measures with NumPy 2.4
+# (NumPy's ufunc buffers included), against 6.01, 2.98 and 5.98 before each
+# phase handed its buffers on to the next (11.22 and 6.05 for the first two
+# before the drag pass and the ledger kept their arrays' layout)
+FP_STEP_PEAK = 5.02
 LEDGER_PEAK = 2.98
+SMOOTHING_PEAK = 4.07
 
 
 def test_density_step_and_ledger_allocate_few_density_arrays():
@@ -728,20 +733,87 @@ def test_density_step_and_ledger_allocate_few_density_arrays():
         decay_energy(flow, g, u, psi, 1.0)
         relative_entropy(flow, g, psi, neg_tol=math.inf)
 
-    def peak(call, psi):
-        call(psi)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            call(psi)
-            return (tracemalloc.get_traced_memory()[1] - start) / psi.nbytes
-        finally:
-            tracemalloc.stop()
+    def smoothing(psi):
+        smooth_initial_density(flow, ops, psi, 0.01, 5.0)
 
     # C-ordered, and node-major as the run stores it
     for psi in (psi_c, np.asfortranarray(psi_c)):
-        assert peak(step, psi) <= FP_STEP_PEAK
-        assert peak(ledger, psi) <= LEDGER_PEAK
+        assert traced_peak(step, psi) / psi.nbytes <= FP_STEP_PEAK
+        assert traced_peak(ledger, psi) / psi.nbytes <= LEDGER_PEAK
+        assert traced_peak(smoothing, psi) / psi.nbytes <= SMOOTHING_PEAK
+
+
+def traced_peak(call, *args):
+    """Peak traced memory in bytes that ``call(*args)`` allocates above what
+    is allocated on entry, measured on a second call after an untraced
+    first one."""
+    call(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# peak traced memory of one whole run (equilibrium, N_x = 12, 24 x 24
+# configuration nodes, three steps), in (n_c, n_nodes) arrays: this code
+# measures 6.89 with NumPy 2.4, set in the first sweep's density solve while
+# it forms the guess's modes; a run that holds the raw density, or a phase
+# that holds its buffers past their last use, reads 8 or more
+RUN_PEAK = 7.0
+
+
+def test_a_run_holds_few_density_arrays():
+    cfg = RunConfig(scenario="equilibrium", N_x=12, N_r=24, N_theta=24, dt=0.01, T=0.03)
+    density = cfg.N_x ** 2 * cfg.N_r * cfg.N_theta * 8
+    assert traced_peak(run_scenario, cfg) / density <= RUN_PEAK
+
+
+def test_phases_leave_what_their_callers_read_unchanged(small, rng, monkeypatch):
+    # every phase hands its own temporaries on to the next phase, and only
+    # those: the smoothing leaves its raw density as it was, a density step
+    # its previous density, transport velocity and coefficient field, and a
+    # coupled step the state it advances and every sweep's iterate, on the
+    # flat equilibrium state, a perturbed one, and a step whose every
+    # density solve falls back to the direct solve
+    flow, ops, params, stepper = small
+
+    def kept(*arrays):
+        return [(a, a.tobytes()) for a in arrays]
+
+    def unchanged(held):
+        return all(a.tobytes() == b for a, b in held)
+
+    psi0 = 1.0 + rng.random((flow.n_c, ops.grid.n_nodes))
+    for raw in (psi0, np.asfortranarray(psi0), 10.0 * psi0):
+        held = kept(raw)
+        smooth_initial_density(flow, ops, raw, 0.01, 5.0)
+        assert unchanged(held)
+
+    iterates = []
+    fp_step = CoupledStepper.fokker_planck_step
+
+    def checked_step(self, psi_prev, u, transport, coeff_field, edges=None):
+        held = kept(psi_prev, u, coeff_field)
+        out = fp_step(self, psi_prev, u, transport, coeff_field, edges)
+        iterates.append(unchanged(held))
+        return out
+
+    monkeypatch.setattr(CoupledStepper, "fokker_planck_step", checked_step)
+    fallbacks = count_fallbacks(monkeypatch)
+    for state in (equilibrium_state(flow, ops), perturbed_state(flow, ops, rng)):
+        held = kept(state.u, state.psi)
+        stepper.coupled_step(state)
+        assert unchanged(held)
+    monkeypatch.setattr(stepping, "_MAX_ITERATIONS", 1)
+    state = perturbed_state(flow, ops, rng)
+    held = kept(state.u, state.psi)
+    _, report = stepper.coupled_step(state)
+    assert unchanged(held)
+    assert len(fallbacks) == report.iterations > 1
+    assert len(iterates) > 3 and all(iterates)
 
 
 def test_non_finite_input_is_detected(small):
@@ -893,7 +965,7 @@ def test_smoothing_is_one_exact_solve(wide, monkeypatch):
     zeta, _ = smooth_initial_density(flow, ops, psi0, dt=dt, clip_level=5.0)
     assert fallbacks == [] and iterations == []
     want = _kron_solve(_transport_csr(flow, np.zeros(flow.n_u + flow.n_v), 1.0, h2 / dt)[0],
-                       h2 * ops.evals, ops, (h2 / dt) * psi0 * ops.grid.w)
+                       h2 * ops.evals, ops, ops.to_modes((h2 / dt) * psi0 * ops.grid.w))
     assert np.abs(zeta - want).max() <= 1e-12 * np.abs(want).max()
 
 
