@@ -6,8 +6,12 @@
 #      int M U' q_a q_c dq = delta_ac (which is what makes the polymer
 #      stress vanish identically at equilibrium).
 #   2. The Maxwellian integration-by-parts identity that links the drag
-#      term to the stress term; its residual on a smooth test density
-#      shrinks at second order under grid refinement.
+#      term to the stress term, through the drag's edge form
+#      sum_e (sigma : Gamma_e) dphi_e = int M phi (U' q^T sigma q - tr sigma):
+#      for sigma = I its residual on a smooth test density shrinks at second
+#      order under grid refinement; for a trace-free sigma it does not yet,
+#      because the angular edges' factor carries an extra 1/dtheta (ROADMAP
+#      item 1).
 #   3. The Kramers stress of a sheared density: tilt the equilibrium with
 #      a q_x q_y correlation and read off the off-diagonal stress it buys.
 #
@@ -16,8 +20,8 @@ import math
 
 import numpy as np
 
-from feneflow import (build_config_grid, ibp_residual, kramers_stress,
-                      maxwellian_normalizer, weighted_integral)
+from feneflow import (assemble_fp_operators, build_config_grid, kramers_stress,
+                      maxwellian_normalizer)
 
 b, d = 4.0, 2        # the planar dumbbell: d = 2 is fixed, b is the only parameter
 
@@ -36,7 +40,7 @@ print(f"              closed form 2 pi b/(b+2)  {Z:.15f}   "
       f"(diff {abs(Z - Z_quad):.1e})")
 
 grid = build_config_grid(b, N_r=64, N_theta=64)
-m2 = weighted_integral(grid, grid.qx**2 + grid.qy**2)
+m2 = (grid.qx**2 + grid.qy**2) @ grid.w
 m2_closed = d * b / (b + d + 2.0)
 print(f"second moment int M |q|^2: grid {m2:.12f}, closed form {m2_closed} "
       f"(diff {abs(m2 - m2_closed):.1e})")
@@ -44,26 +48,31 @@ print(f"second moment int M |q|^2: grid {m2:.12f}, closed form {m2_closed} "
 print("\nelastic identity C(M) = int M U' q q^T dq (want the identity matrix):")
 coords = (grid.qx, grid.qy)
 for a in range(d):
-    row = [weighted_integral(grid, grid.uprime * coords[a] * coords[c])
-           for c in range(d)]
+    row = [(grid.uprime * coords[a] * coords[c]) @ grid.w for c in range(d)]
     print("   [" + "  ".join(f"{v: .2e}" for v in row) + "]")
 
 # --- integration by parts under refinement --------------------------------
-B = np.array([[0.3, -0.7], [1.1, -0.3]])        # any trace-free matrix works
+B = np.array([[0.3, -0.7], [1.1, -0.3]])        # a trace-free matrix
 rng = np.random.default_rng(7)
 c = rng.uniform(0.2, 0.8, size=4)
 
-print("\nintegration-by-parts residual, smooth test density, trace-free B:")
-print("   N      lhs           rhs           |lhs-rhs|   ratio")
-prev = None
-for N in (16, 32, 64):
-    g = build_config_grid(b, N_r=N, N_theta=N)
-    phi = (np.exp(c[0] * g.qx + c[1] * g.qy)
-           + c[2] * np.sin(g.qx) * np.cos(g.qy) + c[3] * g.qx * g.qy)
-    res = ibp_residual(g, B, phi)
-    ratio = "" if prev is None else f"{prev / res.residual:7.1f}"
-    print(f"  {N:3d}  {res.lhs: .8f}  {res.rhs: .8f}   {res.residual:.2e}  {ratio}")
-    prev = res.residual
+print("\nintegration by parts through the drag's edge form, smooth test density:")
+print("   sigma       N      edge form     quadrature    |diff|     ratio")
+for name, sigma in (("identity  ", np.eye(2)), ("trace-free", B)):
+    prev = None
+    for N in (16, 32, 64):
+        ops = assemble_fp_operators(build_config_grid(b, N_r=N, N_theta=N))
+        g = ops.grid
+        phi = (np.exp(c[0] * g.qx + c[1] * g.qy)
+               + c[2] * np.sin(g.qx) * np.cos(g.qy) + c[3] * g.qx * g.qy)
+        q = np.stack([g.qx, g.qy])
+        lhs = float(ops.drag_rhs(sigma, np.ones(g.n_edges)) @ phi)
+        rhs = float(g.w @ (phi * (g.uprime * np.sum(q * (sigma @ q), axis=0)
+                                  - np.trace(sigma))))
+        diff = abs(lhs - rhs)
+        ratio = "" if prev is None else f"{prev / diff:7.2f}"
+        print(f"   {name}  {N:3d}  {lhs: .8f}  {rhs: .8f}   {diff:.2e}  {ratio}")
+        prev = diff
 
 # --- Kramers stress of a sheared density -----------------------------------
 # psi_hat = 1 + a q_x q_y is the leading response to a simple shear: mass is

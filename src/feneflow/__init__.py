@@ -73,11 +73,8 @@ from .configspace import (                               # noqa: E402
     assemble_fp_operators,
     build_config_grid,
     grid_metadata,
-    ibp_residual,
     kramers_stress,
-    node_gradient,
     spectral_gap,
-    weighted_integral,
 )
 from .flowspace import (                                 # noqa: E402
     FlowGrid,

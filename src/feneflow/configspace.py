@@ -35,8 +35,6 @@ angle (the tensor-product fast diagonalization of Lynch, Rice & Thomas,
 1964).  The assembled operators carry that separable eigenbasis, computed
 once per grid without ever forming the ``n_nodes x n_nodes`` stiffness; the
 stepper's Kronecker solves and the spectral gap both read it.
-Node-wise spectral/4th-order gradients are provided separately for the
-integration-by-parts diagnostics.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .kinetic import (
-    DomainError,
     InternalConsistencyError,
     fene_potential,
     maxwellian_normalizer,
@@ -62,11 +59,7 @@ __all__ = [
     "ConfigGrid",
     "ConfigOperators",
     "build_config_grid",
-    "weighted_integral",
     "kramers_stress",
-    "node_gradient",
-    "ibp_residual",
-    "IbpResult",
     "assemble_fp_operators",
     "spectral_gap",
     "grid_metadata",
@@ -90,35 +83,14 @@ def _rows_in_place():
     fields every shift is one contiguous block, and only the wrap edges'
     per-radius rows of cells are short: their buffers take no measurable
     time but raise a step's traced peak (``fisher_q`` at 36 cells on the
-    24 x 24 grid from 2.98 to 3.10 density arrays).  On a C-ordered field
-    every node row is short, and the copies cost more than the arithmetic:
-    a field of 144 cells on the 40 x 40 grid takes 1.7 times as long.  A
-    16-element buffer is shorter than any row, so every operand stays in
-    place.  Only elementwise ufuncs run inside, so no bit changes."""
+    24 x 24 grid from 2.98 to 3.10 density arrays).  A 16-element buffer
+    is shorter than any row, so every operand stays in place.  Only
+    elementwise ufuncs run inside, so no bit changes."""
     size = np.setbufsize(16)
     try:
         yield
     finally:
         np.setbufsize(size)
-
-
-def _radial_diff_matrix(r: np.ndarray) -> np.ndarray:
-    """Dense d/dr on the ``N_r >= 8`` radial nodes, by 5-point stencils.
-
-    Row ``i`` reads the window ``clip(i - 2, 0, N_r - 5)`` and its weights
-    differentiate ``1, r, ..., r^4`` exactly at ``r[i]``: with the window's
-    offsets ``x_j = (r_j - r_i) / s`` scaled by their largest magnitude
-    ``s``, they solve ``sum_j c_j x_j^p = delta_{p1} / s`` for ``p < 5``,
-    one Vandermonde system per row, all in one batched solve."""
-    n = len(r)
-    cols = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(5)
-    offsets = r[cols] - r[:, None]
-    scale = np.abs(offsets).max(axis=1, keepdims=True)
-    V = (offsets / scale)[:, None, :] ** np.arange(5)[:, None]     # V[i, p, j] = x_j^p
-    e1 = np.eye(5)[:, 1:2]     # a (5, 1) column, which solve broadcasts over the rows
-    D = np.zeros((n, n))
-    np.put_along_axis(D, cols, np.linalg.solve(V, e1)[..., 0] / scale, axis=1)
-    return D
 
 
 @dataclass
@@ -355,14 +327,6 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
 # --------------------------------------------------------------------------
 
 
-def weighted_integral(grid: ConfigGrid, field: np.ndarray) -> float:
-    """``int_D M field dq`` by the grid's exact-moment quadrature."""
-    field = np.asarray(field, dtype=float)
-    if field.shape[-1] != grid.n_nodes:
-        raise ValueError(f"field has {field.shape[-1]} nodes, grid has {grid.n_nodes}")
-    return field @ grid.w
-
-
 def kramers_stress(grid: ConfigGrid, psi_hat: np.ndarray, k: float) -> np.ndarray:
     """Kramers stress ``tau = k (int M psi U' q q^T dq - rho I)``, exactly
     symmetric, from one product with the moment weights ``w U' (q_x^2,
@@ -374,69 +338,6 @@ def kramers_stress(grid: ConfigGrid, psi_hat: np.ndarray, k: float) -> np.ndarra
     m0, m1, m2 = np.moveaxis(moments, -1, 0)
     rho = psi_hat @ grid.w
     return k * np.stack([np.stack([m0 - rho, m1], -1), np.stack([m1, m2 - rho], -1)], -2)
-
-
-# --------------------------------------------------------------------------
-# node gradients and integration by parts
-# --------------------------------------------------------------------------
-
-
-def node_gradient(grid: ConfigGrid, field: np.ndarray) -> np.ndarray:
-    """Cartesian gradient of a node field: spectral in the periodic angle,
-    fourth-order one-sided-at-the-rim finite differences radially.
-
-    Returns shape ``(2, n_nodes)``.
-    """
-    field = np.asarray(field, dtype=float)
-    F = field.reshape(grid.N_r, grid.N_theta)
-    dFr = (_radial_diff_matrix(grid.r) @ F).reshape(-1)
-    k = np.fft.rfftfreq(grid.N_theta, d=1.0 / grid.N_theta) * 1j
-    dFth = np.fft.irfft(k * np.fft.rfft(F, axis=1), n=grid.N_theta, axis=1).reshape(-1)
-    rr = np.repeat(grid.r, grid.N_theta)
-    th = np.tile(grid.theta, grid.N_r)
-    cs, sn = np.cos(th), np.sin(th)
-    gx = cs * dFr - sn * dFth / rr
-    gy = sn * dFr + cs * dFth / rr
-    return np.stack([gx, gy])
-
-
-@dataclass(frozen=True)
-class IbpResult:
-    lhs: float
-    rhs: float
-    residual: float
-    relative: float
-
-
-def ibp_residual(grid: ConfigGrid, B: np.ndarray, phi_hat: np.ndarray) -> IbpResult:
-    """Residual of the Maxwellian integration-by-parts identity.
-
-    Checks ``int_D M (B q) . grad phi dq  =  int_D M phi U' q^T B q dq`` for
-    a trace-free matrix ``B`` (both sides evaluated with the grid's own
-    quadrature; the left side uses the node gradient).
-
-    Raises
-    ------
-    DomainError
-        If ``trace(B)`` is not numerically zero — the identity only holds
-        trace-free (the divergence of ``q -> B q`` must vanish against the
-        density part).
-    """
-    B = np.asarray(B, dtype=float)
-    if B.shape != (2, 2):
-        raise ValueError(f"B must be 2x2, got {B.shape}")
-    if abs(np.trace(B)) > 1e-12 * (1.0 + np.abs(B).max()):
-        raise DomainError(f"integration-by-parts identity needs trace(B)=0, got trace {np.trace(B)!r}")
-    phi_hat = np.asarray(phi_hat, dtype=float)
-    coords = np.stack([grid.qx, grid.qy])
-    Bq = np.tensordot(B, coords, axes=1)
-    grad = node_gradient(grid, phi_hat)
-    lhs = float(np.sum(grid.w * np.sum(Bq * grad, axis=0)))
-    qBq = np.sum(coords * Bq, axis=0)
-    rhs = float(np.sum(grid.w * phi_hat * grid.uprime * qBq))
-    residual = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return IbpResult(lhs=lhs, rhs=rhs, residual=residual, relative=residual / scale)
 
 
 # --------------------------------------------------------------------------
@@ -480,19 +381,16 @@ class ConfigOperators:
         angle, then one radial product (``M^{-1/2}`` folded in) per Fourier
         column, written straight into the ``(row, j, i)`` layout.
 
-        ``R`` is read in place, C-ordered or node-major (``R.T``
-        C-contiguous, the run's layout), where the angular product runs
-        once per radius; any other layout is copied.  The modes come out
-        C-ordered, with the same bits from either layout."""
+        ``R.T`` is read in place through one reshape: for a node-major ``R``
+        (``R.T`` C-contiguous, the run's layout, as :meth:`to_nodes` writes
+        it) the angular product runs once per radius on contiguous rows,
+        and a C-ordered ``R`` (the smoothing's clipped density) gives the
+        same bits.  The modes come out C-ordered."""
         n, (N_theta, N_r) = rhs_nodal.shape[0], self.radial.shape[:2]
-        if rhs_nodal.T.flags.c_contiguous:
-            y = np.empty((N_theta, N_r, n))
-            np.matmul(self.F.T, rhs_nodal.T.reshape(N_r, N_theta, n), out=y.transpose(1, 0, 2))
-            y = y.transpose(0, 2, 1)
-        else:
-            y = (self.F.T @ rhs_nodal.reshape(n * N_r, N_theta).T).reshape(N_theta, n, N_r)
+        y = np.empty((N_theta, N_r, n))
+        np.matmul(self.F.T, rhs_nodal.T.reshape(N_r, N_theta, n), out=y.transpose(1, 0, 2))
         modes = np.empty((n, N_theta, N_r))
-        np.matmul(y, self.radial, out=modes.transpose(1, 0, 2))
+        np.matmul(y.transpose(0, 2, 1), self.radial, out=modes.transpose(1, 0, 2))
         return modes.reshape(n, -1)
 
     def to_nodes(self, modes: np.ndarray) -> np.ndarray:
@@ -522,21 +420,18 @@ class ConfigOperators:
 
         Returns ``v`` with ``v . phi = int_D M (sigma q) beta . grad phi dq``
         in edge form, i.e. ``sum_e (sigma : Gamma_e) c_e (phi_b - phi_a)``.
-        ``sigma : Gamma_e`` is formed one edge family at a time (radial, then
-        angular) and multiplied into ``coeff_edges``, so no edge-sized array
-        is allocated; each entry has the bits of the one-product form.
+        ``sigma : Gamma_e`` is formed edge-major, one edge family at a time
+        (radial, then angular), and multiplied into the family's block of
+        ``coeff_edges``, so no edge-sized array is allocated; each entry has
+        the bits of the one-product form.
         """
         sigma = np.asarray(sigma, dtype=float)
-        sigma4, gamma = sigma.reshape(sigma.shape[:-2] + (4,)), self.grid.edge_gamma
+        sigma4, gamma = sigma.reshape(-1, 4), self.grid.edge_gamma
         edge_major = np.moveaxis(coeff_edges, -1, 0)
-        by_cell = coeff_edges.flags.c_contiguous or not edge_major.flags.c_contiguous
         n_rad = (self.grid.N_r - 1) * self.grid.N_theta
         for family in (slice(None, n_rad), slice(n_rad, None)):
-            if by_cell:
-                coeff_edges[..., family] *= sigma4 @ gamma[family].T    # sigma : Gamma_e
-            else:   # the coefficients of a node-major density: sigma : Gamma_e edge-major
-                block = edge_major[family]
-                block *= (gamma[family] @ sigma4.reshape(-1, 4).T).reshape(block.shape)
+            block = edge_major[family]
+            block *= (gamma[family] @ sigma4.T).reshape(block.shape)    # sigma : Gamma_e
         return self.grid.edge_divergence(coeff_edges)
 
     def stress_matrix(self, dpsi: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ With no body force the velocity decays, and after it each backward-Euler
 step divides the slowest configuration mode by ``1 + dt g / (2 lam)``,
 ``g = spectral_gap(ops)``.  The relative entropy is quadratic in that mode
 near ``M``, so the late ratio of successive ``entropy`` rows of the ledger
-is ``(1 + dt g / (2 lam))^-2`` whatever the centre-of-mass diffusion or
-the coupling ``k``, and at each extensibility ``b`` with its own ``g``."""
+is ``(1 + dt g / (2 lam))^-2`` whatever the centre-of-mass diffusion, the
+initial data or the coupling ``k``, and at each extensibility ``b`` with its
+own ``g``."""
 
 import pytest
 
@@ -22,11 +23,17 @@ CASES = [
     (dict(eps=0.01), 2.8e-7),
     (dict(k=0.0), 2.3e-11),
     (dict(b=20.0, dt=0.05, T=3.0), 1.9e-8),
+    (dict(eps=0.2), 2.1e-11),
+    (dict(amplitude=0.5), 4.4e-10),
+    (dict(amplitude=1.0), 1.8e-9),
+    (dict(stream_amplitude=0.5), 2.7e-11),
+    (dict(stream_amplitude=1.0), 4.6e-11),
 ]
 
 
 @pytest.mark.parametrize("overrides, measured", CASES,
-                         ids=["as_given", "eps_0.01", "k_0", "b_20"])
+                         ids=["as_given", "eps_0.01", "k_0", "b_20", "eps_0.2", "amplitude_0.5",
+                              "amplitude_1", "stream_0.5", "stream_1"])
 def test_late_entropy_ratio_is_the_backward_euler_factor(overrides, measured):
     cfg = RunConfig(**dict(dict(scenario="decay", N_x=8, N_r=10, N_theta=10, lam=0.5,
                                 dt=0.02, T=4.0), **overrides))
