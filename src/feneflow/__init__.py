@@ -53,75 +53,12 @@ def _process_mallopt():
 
 _hold_heap(_process_mallopt())
 
-from .kinetic import (                                   # noqa: E402
-    KAPPA,
-    CutoffParams,
-    DomainError,
-    InternalConsistencyError,
-    check_extensibility,
-    entropy_F,
-    entropy_FLdelta,
-    fene_potential,
-    maxwellian_normalizer,
-    maxwellian_value,
-    secant_cutoff_coefficient,
-)
-from .configspace import (                               # noqa: E402
-    ConfigGrid,
-    ConfigOperators,
-    GridConstructionError,
-    assemble_fp_operators,
-    build_config_grid,
-    grid_metadata,
-    kramers_stress,
-    spectral_gap,
-)
-from .flowspace import (                                 # noqa: E402
-    FlowGrid,
-    build_flow_grid,
-    convection_matrix,
-    dual_norm_sq,
-    poincare_constant,
-    project_divergence_free,
-    smooth_initial_velocity,
-)
-from .stepping import (                                  # noqa: E402
-    ConstructionError,
-    CoupledStepper,
-    FixedPointReport,
-    ScheduleError,
-    StepParams,
-    SystemState,
-    dt_schedule,
-    load_checkpoint,
-    save_checkpoint,
-    smooth_initial_density,
-)
-from .diagnostics import (                               # noqa: E402
-    LEDGER_COLUMNS,
-    CKResult,
-    DecayVerdict,
-    EnergyLedger,
-    LsiResult,
-    csiszar_kullback_check,
-    decay_energy,
-    decay_verdict,
-    energy_inequality_check,
-    fisher_q,
-    fisher_x,
-    gamma0,
-    lsi_check,
-    momentum_energy_residual,
-    relative_entropy,
-)
-from .scenarios import (                                 # noqa: E402
-    SCENARIOS,
-    ConfigError,
-    RunConfig,
-    RunResult,
-    emit_config,
-    parse_config,
-    run_scenario,
-)
+# The public API is each module's ``__all__``, republished here as it stands.
+from .kinetic import *       # noqa: E402,F401,F403
+from .configspace import *   # noqa: E402,F401,F403
+from .flowspace import *     # noqa: E402,F401,F403
+from .stepping import *      # noqa: E402,F401,F403
+from .diagnostics import *   # noqa: E402,F401,F403
+from .scenarios import *     # noqa: E402,F401,F403
 
 __version__ = "0.1.0"

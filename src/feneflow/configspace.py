@@ -49,6 +49,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .kinetic import (
+    ConstructionError,
     InternalConsistencyError,
     fene_potential,
     maxwellian_normalizer,
@@ -67,10 +68,6 @@ __all__ = [
 
 MASS_TOL = 1e-8
 MOMENT_TOL = 1e-6
-
-
-class GridConstructionError(RuntimeError):
-    """Raised when a freshly built grid fails its own acceptance checks."""
 
 
 @contextmanager
@@ -241,7 +238,7 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     except ValueError:                      # SciPy forms no rule from about b = 1e155
         t = wt = np.full(N_r, np.nan)
     if not np.all(np.abs(t) < 1.0):         # its nodes leave (-1, 1) from about 1e16
-        raise GridConstructionError(f"no Gauss-Jacobi rule with nodes in (-1, 1) for b={b}")
+        raise ConstructionError(f"no Gauss-Jacobi rule with nodes in (-1, 1) for b={b}")
     order = np.argsort(t)
     t, wt = t[order], wt[order]
     r = np.sqrt(b * (1.0 + t) / 2.0)
@@ -293,7 +290,7 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
         If a direction has fewer than 8 nodes.
     DomainError
         If ``b <= 2`` (``gamma = b/2`` must exceed 1) or ``b`` is not finite.
-    GridConstructionError
+    ConstructionError
         If the normalized mass misses 1 by more than 1e-8 or the second moment
         misses its closed form ``2b/(b+4)`` by more than 1e-6, or either defect
         is not finite (the message reports the defect), or SciPy gives no
@@ -311,11 +308,11 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     grid.mass_defect = abs(mass - 1.0)
     grid.moment_defect = abs(m2 - m2_exact)
     if not grid.mass_defect <= MASS_TOL:
-        raise GridConstructionError(
+        raise ConstructionError(
             f"normalized Maxwellian mass defect {grid.mass_defect:.3e} exceeds {MASS_TOL}"
         )
     if not grid.moment_defect <= MOMENT_TOL:
-        raise GridConstructionError(
+        raise ConstructionError(
             f"second-moment defect {grid.moment_defect:.3e} exceeds {MOMENT_TOL} "
             f"(got {m2!r}, expected {m2_exact!r})"
         )

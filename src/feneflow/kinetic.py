@@ -34,6 +34,7 @@ after three screens read off the field's minimum and maximum: a flat field
 midpoints, a field with no near-coincident edge only the two edge
 differences, and only another builds the per-edge bounds and midpoints.
 Both take the cut-off pair as one :class:`CutoffParams`, the one check of it.
+The package's error classes live here too, beside the domain they guard.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ __all__ = [
     "entropy_F",
     "entropy_FLdelta",
     "secant_cutoff_coefficient",
+    "DomainError",
+    "InternalConsistencyError",
+    "ConstructionError",
 ]
 
 
@@ -62,6 +66,11 @@ class DomainError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """Raised when a structural identity fails beyond tolerance at runtime."""
+
+
+class ConstructionError(RuntimeError):
+    """Raised when a freshly built object (a configuration grid, a smoothed
+    initial datum) fails its own acceptance check."""
 
 
 # --------------------------------------------------------------------------

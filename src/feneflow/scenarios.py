@@ -21,12 +21,11 @@ from . import diagnostics as dg
 from .configspace import (
     ConfigGrid,
     ConfigOperators,
-    GridConstructionError,
     assemble_fp_operators,
     build_config_grid,
 )
 from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constant, smooth_initial_velocity
-from .kinetic import KAPPA, CutoffParams, DomainError, check_extensibility
+from .kinetic import KAPPA, ConstructionError, CutoffParams, DomainError, check_extensibility
 from .stepping import (
     CoupledStepper,
     ScheduleError,
@@ -97,7 +96,7 @@ class RunConfig:
     record_every: int = 1
     seed: int = 0
     # scenario parameters
-    amplitude: float = 0.1            # decay: a in 1 + a q_x / sqrt(b), |a| <= 1
+    amplitude: float = 0.1            # decay: a in 1 + a q_x / sqrt(b), |a| <= min(1, L - 1)
     stream_amplitude: float = 0.25    # decay: stream-function scale
     force_amplitude: float = 1.0      # couette / forced: body-force scale
 
@@ -159,6 +158,11 @@ class RunConfig:
             cutoff = None
         if not abs(self.amplitude) <= 1.0:
             v.append(f"amplitude must lie in [-1, 1], got {self.amplitude}")
+        # the decay datum reaches 1 + |a| on the disc; a lower L would clip
+        # configuration mass off it, and every verdict assumes that mass is 1
+        if self.scenario == "decay" and not self.L >= 1.0 + abs(self.amplitude):
+            v.append(f"decay needs L >= 1 + |amplitude| = {1.0 + abs(self.amplitude)}, "
+                     f"got L = {self.L}")
         if self.dt is None and self.C0 is None:
             v.append("one of dt / C0 is required")
         elif cutoff is not None and all(x is None or x > 0.0 for x in (self.T, self.dt, self.C0)):
@@ -217,7 +221,7 @@ def config_grid(cfg: RunConfig) -> ConfigGrid:
     grid cannot be built is a ConfigError, as is every other rejected value."""
     try:
         return build_config_grid(cfg.b, N_r=cfg.N_r, N_theta=cfg.N_theta)
-    except GridConstructionError as exc:
+    except ConstructionError as exc:
         raise ConfigError([f"b = {cfg.b} gives no configuration grid: {exc}"]) from exc
 
 

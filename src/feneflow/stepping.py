@@ -60,7 +60,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
 from . import diagnostics as dg
-from .kinetic import CutoffParams, secant_cutoff_coefficient
+from .kinetic import ConstructionError, CutoffParams, secant_cutoff_coefficient
 from .configspace import ConfigOperators, grid_metadata
 from .flowspace import (FlowGrid, band_storage, banded_solver, convection_matrix, five_point_csr,
                         stokes_solver)
@@ -75,7 +75,6 @@ __all__ = [
     "dt_schedule",
     "step_cap",
     "ScheduleError",
-    "ConstructionError",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -83,10 +82,6 @@ __all__ = [
 
 class ScheduleError(ValueError):
     """Raised when the cutoff-coupled time-step rule cannot be satisfied."""
-
-
-class ConstructionError(RuntimeError):
-    """Raised when a smoothed initial datum violates its guarantees."""
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from edge_reference import (
 )
 from entropy_reference import routed_secant_coefficient
 from feneflow import (
+    ConstructionError,
     CutoffParams,
-    GridConstructionError,
     InternalConsistencyError,
     assemble_fp_operators,
     build_config_grid,
@@ -480,7 +480,7 @@ def test_build_validation():
 
 def test_build_self_check_trips(monkeypatch):
     monkeypatch.setattr(configspace, "MASS_TOL", 0.0)
-    with pytest.raises(GridConstructionError, match="mass defect"):
+    with pytest.raises(ConstructionError, match="mass defect"):
         build_config_grid(4.0, N_r=16, N_theta=16)
 
 
@@ -488,13 +488,13 @@ def test_grids_past_the_jacobi_range_fail_their_own_checks():
     # the grid builds up to about b = 2000; past that the Jacobi rule's
     # weight scale overflows and a defect is nan, which a plain "defect >
     # tol" test lets through.  Every finite b must end in a built grid or a
-    # GridConstructionError, with no RuntimeWarning (the suite turns those
+    # ConstructionError, with no RuntimeWarning (the suite turns those
     # into errors) and no other exception.
     assert build_config_grid(2000.0, N_r=12, N_theta=12).mass_defect <= configspace.MASS_TOL
-    with pytest.raises(GridConstructionError, match="mass defect nan"):
+    with pytest.raises(ConstructionError, match="mass defect nan"):
         build_config_grid(1e4, N_r=12, N_theta=12)
     for b in [2100.0, 1e6, 1e16, 1e17, 1e20, 1e155, 1e200, 1e300, 1.7e308]:
-        with pytest.raises(GridConstructionError):
+        with pytest.raises(ConstructionError):
             build_config_grid(b, N_r=12, N_theta=12)
 
 

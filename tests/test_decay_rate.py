@@ -18,6 +18,9 @@ from feneflow.scenarios import config_grid
 # overridden): room for another rounding of the late entropies, which sit
 # near 4e-10 (3e-7 at b = 20), while a wrong rate misses by percents
 MARGIN = 10.0
+# the one datum whose density passes the cut-off L = 5: in 3 ledger rows,
+# with beta_saturation_fraction up to 1.4e-2; every other case stays below L
+REACHES_L = dict(amplitude=1.0, stream_amplitude=2.0)
 CASES = [
     (dict(), 2.2e-11),
     (dict(eps=0.01), 2.8e-7),
@@ -28,16 +31,19 @@ CASES = [
     (dict(amplitude=1.0), 1.8e-9),
     (dict(stream_amplitude=0.5), 2.7e-11),
     (dict(stream_amplitude=1.0), 4.6e-11),
+    (REACHES_L, 1.8e-9),
 ]
 
 
 @pytest.mark.parametrize("overrides, measured", CASES,
                          ids=["as_given", "eps_0.01", "k_0", "b_20", "eps_0.2", "amplitude_0.5",
-                              "amplitude_1", "stream_0.5", "stream_1"])
+                              "amplitude_1", "stream_0.5", "stream_1", "reaches_L"])
 def test_late_entropy_ratio_is_the_backward_euler_factor(overrides, measured):
     cfg = RunConfig(**dict(dict(scenario="decay", N_x=8, N_r=10, N_theta=10, lam=0.5,
                                 dt=0.02, T=4.0), **overrides))
-    ent = run_scenario(cfg).ledger.column("entropy")
+    ledger = run_scenario(cfg).ledger
+    assert ledger.column("beta_saturation_fraction").any() == (overrides is REACHES_L)
+    ent = ledger.column("entropy")
     g = spectral_gap(assemble_fp_operators(config_grid(cfg)))
     factor = (1.0 + cfg.dt * g / (2.0 * cfg.lam)) ** -2
     assert factor < 0.97                    # a rate the ratio can tell from 1

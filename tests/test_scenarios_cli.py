@@ -603,9 +603,28 @@ def test_cli_rejects_an_amplitude_outside_the_unit_interval(tmp_path, capsys):
         assert RunConfig(amplitude=amplitude).validate() == []
 
 
+def test_cli_rejects_an_L_that_clips_the_decay_datum(tmp_path, capsys):
+    # the decay density reaches 1 + |a| on the disc, and the raw density is
+    # clipped at L; below 1 + |a| the clip removes configuration mass, so
+    # the run's mass verdict fails (it conserves 0.98956 at L = 1.5).  That
+    # is a config error for check and run alike
+    bad = tmp_path / "bad.json"
+    for amplitude, L in ((1.0, 1.5), (1.0, 1.9), (-0.5, 1.4)):
+        bad.write_text(json.dumps({"scenario": "decay", "amplitude": amplitude, "L": L,
+                                   "T": 0.02, "dt": 0.01, "N_x": 4, "N_r": 8, "N_theta": 8}))
+        for command in ("check", "run"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: decay needs L >= 1 + |amplitude|" in err
+            assert f"got L = {L}" in err
+    assert RunConfig(amplitude=1.0, L=2.0).validate() == []
+    # the other scenarios start at psi = 1 < L and ignore the amplitude
+    assert RunConfig(scenario="couette", amplitude=1.0, L=1.5).validate() == []
+
+
 def test_cli_rejects_a_b_the_configuration_grid_cannot_build(tmp_path, capsys):
     # b = 3000 passes every rule of RunConfig.validate, but its Gauss-Jacobi
-    # weights overflow, so build_config_grid raises GridConstructionError;
+    # weights overflow, so build_config_grid raises ConstructionError;
     # check builds the grid too, and both commands report a config error
     # (exit 2), as run_scenario raises ConfigError
     config = {"scenario": "decay", "b": 3000, "T": 0.02, "dt": 0.01,
@@ -741,3 +760,20 @@ def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):
 def test_cli_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_the_package_republishes_each_module_all():
+    # each module's __all__ is the one list of its public names: feneflow
+    # re-exports exactly their union, and no name is listed twice
+    import feneflow
+    from feneflow import configspace, diagnostics, flowspace, kinetic, scenarios, stepping
+
+    modules = (kinetic, configspace, flowspace, stepping, diagnostics, scenarios)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(feneflow, name) is getattr(module, name)
+    public = {name for name, value in vars(feneflow).items()
+              if not name.startswith("_") and not isinstance(value, type(feneflow))}
+    assert public == set(names)
