@@ -304,15 +304,17 @@ class DecayVerdict:
     gamma0: float
     fitted_rate: float
     satisfied: bool
+    predicted_rate: float
 
 
 def decay_verdict(times: Sequence[float], energies: Sequence[float],
-                  initial_budget: float, rate: float) -> DecayVerdict:
+                  initial_budget: float, rate: float, predicted_rate: float) -> DecayVerdict:
     """Check ``E(T) <= exp(-rate T) * initial_budget * (1 + DECAY_TOL)`` and fit
     the observed exponential rate of ``E`` for reporting.
 
     ``initial_budget`` is the data-only majorant of ``E(0)`` (kinetic plus
-    twice the weighted entropy of the raw density).
+    twice the weighted entropy of the raw density).  ``predicted_rate``, the
+    scheme's late decay rate of the entropy, is only reported.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(energies, dtype=float)
@@ -324,7 +326,7 @@ def decay_verdict(times: Sequence[float], energies: Sequence[float],
         fitted = -float(np.polyfit(t[positive], np.log(e[positive]), 1)[0])
     else:
         fitted = math.inf
-    return DecayVerdict(float(e[-1]), bound, rate, fitted, float(e[-1]) <= bound)
+    return DecayVerdict(float(e[-1]), bound, rate, fitted, float(e[-1]) <= bound, predicted_rate)
 
 
 def momentum_energy_residual(flow: FlowGrid, u_prev: np.ndarray, u_new: np.ndarray,

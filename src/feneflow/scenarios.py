@@ -23,19 +23,17 @@ from .configspace import (
     ConfigOperators,
     assemble_fp_operators,
     build_config_grid,
+    spectral_gap,
 )
 from .flowspace import FlowGrid, build_flow_grid, dual_norm_sq, poincare_constant, smooth_initial_velocity
 from .kinetic import KAPPA, ConstructionError, CutoffParams, DomainError, check_extensibility
 from .stepping import (
     CoupledStepper,
-    ScheduleError,
     SmoothingReport,
     StepParams,
     SystemState,
-    dt_schedule,
     save_checkpoint,
     smooth_initial_density,
-    step_cap,
 )
 
 __all__ = [
@@ -50,6 +48,7 @@ __all__ = [
 ]
 
 SCENARIOS = ("equilibrium", "decay", "couette", "forced")
+DT_FLOOR = 1.0e-8       # the smallest step the cut-off step rule may choose
 
 
 class ConfigError(ValueError):
@@ -67,10 +66,10 @@ class RunConfig:
     The chain is one planar FENE spring (a dumbbell, ``d = 2``, Rouse
     matrix ``[1]``), so ``b`` is its only parameter.  ``dt`` (default
     0.01) is the step size whenever it is set; with ``dt = None`` the step
-    comes from ``C0`` by the cut-off step rule ``dt <= C0 / (L log L)``
-    (:func:`~feneflow.stepping.dt_schedule`).  :meth:`schedule` resolves the
-    step and warns of a set ``dt`` above that cap or not dividing ``T``;
-    validation emits nothing, and strict validation rejects each warning.
+    comes from ``C0`` by the cut-off step rule ``dt <= C0 / (L log L)``.
+    :meth:`schedule` is that rule's one home: it resolves the step and warns
+    of a set ``dt`` above the rule's cap or not dividing ``T``; validation
+    emits nothing, and strict validation rejects each warning.
     """
 
     scenario: str = "decay"
@@ -120,18 +119,38 @@ class RunConfig:
         return v
 
     def schedule(self) -> Tuple[float, int, List[str]]:
-        """``(dt, n_steps, warnings)`` of a valid config, or ScheduleError."""
+        """``(dt, n_steps, warnings)`` of a valid config, or ConfigError.
+
+        With ``dt = None`` the step is the largest ``dt <= C0 / (L log L)``
+        that divides ``T`` exactly, no smaller than ``DT_FLOOR``; the rule
+        needs ``L > e``, so a larger cut-off never allows a larger step.
+        A set ``dt`` runs ``round(T / dt)`` steps.
+        """
         if self.dt is None:
-            return (*dt_schedule(self.L, self.C0, self.T), [])
+            if self.L <= math.e:
+                raise ConfigError([f"the step rule needs L > e (so log L > 1), got L={self.L}"])
+            if self.C0 <= 0.0 or self.T <= 0.0:
+                raise ConfigError(["C0 and the horizon must be positive"])
+        cap = math.inf if self.C0 is None else self.C0 / (self.L * math.log(self.L))
+        if self.dt is None:
+            n_min = self.T / cap if cap > 0.0 else math.inf
+            if not math.isfinite(n_min):
+                raise ConfigError([f"the step rule C0/(L log L) = {cap:.3e} gives no finite "
+                                   f"step count for the horizon {self.T}"])
+            n = max(1, math.ceil(n_min - 1.0e-12))
+            dt = self.T / n
+            if dt < DT_FLOOR:
+                raise ConfigError([f"schedule for L={self.L} needs dt={dt:.3e} below the floor "
+                                   f"{DT_FLOOR:.1e}"])
+            return dt, n, []
         if not math.isfinite(self.T / self.dt):
-            raise ScheduleError(f"dt = {self.dt} is too small for T = {self.T}: "
-                                f"the step count T / dt is not finite")
+            raise ConfigError([f"dt = {self.dt} is too small for T = {self.T}: "
+                               f"the step count T / dt is not finite"])
         n = max(1, round(self.T / self.dt))
         notes = []
         if abs(n * self.dt - self.T) > 1.0e-9 * max(self.T, 1.0):
             notes.append(f"dt = {self.dt} does not divide T = {self.T}; "
                          f"running {n} steps to t = {n * self.dt:.6g}")
-        cap = math.inf if self.C0 is None else step_cap(self.L, self.C0)
         if self.dt > cap * (1.0 + 1.0e-12):
             notes.append(f"dt = {self.dt} exceeds the step rule C0/(L log L) = {cap:.6g}")
         return self.dt, n, notes
@@ -170,8 +189,8 @@ class RunConfig:
                 notes = self.schedule()[2]
                 if strict:
                     v += notes
-            except ScheduleError as exc:
-                v.append(str(exc))
+            except ConfigError as exc:
+                v += exc.violations
         if self.N_x < 4:
             v.append(f"N_x must be at least 4, got {self.N_x}")
         if self.N_r < 8 or self.N_theta < 8:
@@ -423,7 +442,11 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     verdicts["nonnegativity"] = bool(ledger.column("psi_min").min() >= -1.0e-8)
     decay = None
     if cfg.scenario == "decay":
-        decay = dg.decay_verdict(times, energies, initial_budget, g0)
+        # once u has decayed, each step divides the slowest configuration
+        # mode by 1 + dt g / (2 lam), so the entropy, quadratic in it, decays
+        # at 2 log(1 + dt g / (2 lam)) / dt
+        predicted = 2.0 * math.log1p(dt * spectral_gap(ops) / (2.0 * cfg.lam)) / dt
+        decay = dg.decay_verdict(times, energies, initial_budget, g0, predicted)
         verdicts["exponential_decay"] = decay.satisfied
 
     exit_status = 0 if all(verdicts.values()) else 2

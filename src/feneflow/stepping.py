@@ -72,16 +72,9 @@ __all__ = [
     "SmoothingReport",
     "CoupledStepper",
     "smooth_initial_density",
-    "dt_schedule",
-    "step_cap",
-    "ScheduleError",
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-
-class ScheduleError(ValueError):
-    """Raised when the cutoff-coupled time-step rule cannot be satisfied."""
 
 
 @dataclass(frozen=True)
@@ -552,16 +545,16 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
     zeta1 = ops.to_nodes(rhs)
     del rhs
 
-    # checked before the entropy and Fisher terms, which reject densities
-    # below -SMOOTHING_SLACK themselves
+    # the one nonnegativity check of both densities (a NaN fails it): the raw
+    # one was checked above, so the entropy and Fisher terms only clamp
     min_val = float(zeta1.min())
-    if min_val < -SMOOTHING_SLACK:
+    if not min_val >= -SMOOTHING_SLACK:
         raise ConstructionError(f"smoothed density dips to {min_val:.3e}")
     g = ops.grid
-    ent0 = dg.relative_entropy(flow, g, psi0)
-    ent1 = dg.relative_entropy(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
-    fx = dg.fisher_x(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
-    fq = dg.fisher_q(flow, g, zeta1, neg_tol=SMOOTHING_SLACK)
+    ent0 = dg.relative_entropy(flow, g, psi0, neg_tol=math.inf)
+    ent1 = dg.relative_entropy(flow, g, zeta1, neg_tol=math.inf)
+    fx = dg.fisher_x(flow, g, zeta1, neg_tol=math.inf)
+    fq = dg.fisher_q(flow, g, zeta1, neg_tol=math.inf)
     fisher_budget = dt * (fx + fq)
     mass_drift = abs(h2 * float((zeta1 @ m).sum()) - mass0)
     scale = max(abs(ent0), 1.0)
@@ -575,41 +568,8 @@ def smooth_initial_density(flow: FlowGrid, ops: ConfigOperators, psi0: np.ndarra
 
 
 # --------------------------------------------------------------------------
-# time-step schedule and checkpoints
+# checkpoints
 # --------------------------------------------------------------------------
-
-DT_FLOOR = 1.0e-8
-
-
-def step_cap(L: float, C0: float) -> float:
-    """The cut-off step rule's bound ``C0 / (L log L)``, for ``L > 1``."""
-    return C0 / (L * math.log(L))
-
-
-def dt_schedule(L: float, C0: float, horizon: float) -> Tuple[float, int]:
-    """Largest admissible step ``dt <= C0 / (L log L)`` dividing the horizon.
-
-    Returns ``(dt, n_steps)`` with ``n_steps * dt == horizon`` exactly; a
-    step below ``DT_FLOOR`` raises :class:`ScheduleError`.
-    Requires ``L > e`` so the rule is monotone (larger cutoff, smaller step).
-    """
-    if L <= math.e:
-        raise ScheduleError(f"the step rule needs L > e (so log L > 1), got L={L}")
-    if C0 <= 0.0 or horizon <= 0.0:
-        raise ScheduleError("C0 and the horizon must be positive")
-    dt_max = step_cap(L, C0)
-    n_min = horizon / dt_max if dt_max > 0.0 else math.inf
-    if not math.isfinite(n_min):
-        raise ScheduleError(
-            f"the step rule C0/(L log L) = {dt_max:.3e} gives no finite step count "
-            f"for the horizon {horizon}")
-    n = max(1, math.ceil(n_min - 1.0e-12))
-    dt = horizon / n
-    if dt < DT_FLOOR:
-        raise ScheduleError(
-            f"schedule for L={L} needs dt={dt:.3e} below the floor {DT_FLOOR:.1e}")
-    return dt, n
-
 
 _CHECKPOINT_KIND = "fene-coupled-state"
 _CHECKPOINT_VERSION = 1

@@ -294,8 +294,9 @@ def test_csiszar_kullback_margins(flow8, grid16, rng):
 def test_decay_verdict_on_synthetic_exponential():
     t = np.linspace(0.0, 2.0, 41)
     e = 3.0 * np.exp(-2.0 * t)
-    v = decay_verdict(t, e, initial_budget=3.0, rate=1.0)
+    v = decay_verdict(t, e, initial_budget=3.0, rate=1.0, predicted_rate=2.0)
     assert v.satisfied
+    assert v.predicted_rate == 2.0
     assert v.fitted_rate == pytest.approx(2.0, rel=1e-10)
     assert v.bound_at_final_time == pytest.approx(3.0 * math.exp(-2.0) * 1.001)
 
@@ -303,15 +304,15 @@ def test_decay_verdict_on_synthetic_exponential():
 def test_decay_verdict_detects_slow_decay():
     t = np.linspace(0.0, 2.0, 41)
     e = 3.0 * np.exp(-0.5 * t)
-    v = decay_verdict(t, e, initial_budget=3.0, rate=1.0)
+    v = decay_verdict(t, e, initial_budget=3.0, rate=1.0, predicted_rate=2.0)
     assert not v.satisfied
 
 
 def test_decay_verdict_input_validation():
     with pytest.raises(ValueError):
-        decay_verdict([0.0], [1.0], 1.0, 1.0)
+        decay_verdict([0.0], [1.0], 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        decay_verdict([0.0, 1.0], [1.0], 1.0, 1.0)
+        decay_verdict([0.0, 1.0], [1.0], 1.0, 1.0, 1.0)
 
 
 def test_momentum_energy_residual_trivial_case(flow8):

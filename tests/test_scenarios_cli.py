@@ -21,11 +21,14 @@ from feneflow import (
     ConfigError,
     EnergyLedger,
     RunConfig,
+    assemble_fp_operators,
     build_config_grid,
     build_flow_grid,
+    config_grid,
     emit_config,
     parse_config,
     run_scenario,
+    spectral_gap,
 )
 from feneflow.cli import main
 
@@ -337,13 +340,18 @@ def test_run_writes_the_output_contract(tmp_path):
 def test_summary_records_the_curvature_and_the_decay_rate(tmp_path):
     # kappa = 1 for every FENE spring, and gamma0 is the smaller of the
     # viscous rate nu / C_P^2 and the configuration rate kappa / (2 lam),
-    # bitwise as the run forms it from the recorded Poincare constant
+    # bitwise as the run forms it from the recorded Poincare constant; the
+    # decay block predicts the scheme's late rate 2 log(1 + dt g / (2 lam)) / dt
+    # from the spectral gap g of the configuration stiffness
     cfg = tiny("decay")
     run_scenario(cfg, out_dir=str(tmp_path))
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["kappa"] == 1.0
     cp = summary["poincare"]
     assert summary["gamma0"] == min(cfg.nu / (cp * cp), 1.0 / (2.0 * cfg.lam))
+    g = spectral_gap(assemble_fp_operators(config_grid(cfg)))
+    assert summary["decay"]["predicted_rate"] \
+        == 2.0 * math.log1p(cfg.dt * g / (2.0 * cfg.lam)) / cfg.dt
 
 
 def test_emit_ledger_round_trip(tmp_path):

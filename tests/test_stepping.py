@@ -16,14 +16,12 @@ from feneflow import (
     ConstructionError,
     CoupledStepper,
     CutoffParams,
-    ScheduleError,
     StepParams,
     SystemState,
     assemble_fp_operators,
     build_config_grid,
     build_flow_grid,
     decay_energy,
-    dt_schedule,
     entropy_F,
     entropy_FLdelta,
     fisher_q,
@@ -37,7 +35,7 @@ from feneflow import (
     smooth_initial_density,
     spectral_gap,
 )
-from feneflow import RunConfig, run_scenario, stepping
+from feneflow import ConfigError, RunConfig, run_scenario, stepping
 from feneflow.flowspace import band_storage
 from feneflow.stepping import _DensitySystem, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
@@ -974,18 +972,24 @@ def test_smoothing_failure_is_construction_error():
 
 
 # --------------------------------------------------------------------------
-# step schedule
+# step schedule: the cut-off step rule of RunConfig.schedule with dt = None
 # --------------------------------------------------------------------------
 
 
+def ruled_schedule(L, C0, T):
+    dt, n, notes = RunConfig(dt=None, L=L, C0=C0, T=T).schedule()
+    assert notes == []
+    return dt, n
+
+
 def test_dt_schedule_exact_division():
-    dt, n = dt_schedule(L=math.e**2, C0=2.0 * math.e**2, horizon=3.0)
+    dt, n = ruled_schedule(L=math.e**2, C0=2.0 * math.e**2, T=3.0)
     assert dt == 1.0 and n == 3
 
 
 def test_dt_schedule_frozen_case():
     # dt_max = 1 / (100 log 100) = 0.002171472409516259 -> 461 steps over [0, 1]
-    dt, n = dt_schedule(L=100.0, C0=1.0, horizon=1.0)
+    dt, n = ruled_schedule(L=100.0, C0=1.0, T=1.0)
     assert n == 461
     assert dt == pytest.approx(1.0 / 461.0, abs=1e-18)
     assert dt <= 0.002171472409516259
@@ -993,23 +997,23 @@ def test_dt_schedule_frozen_case():
 
 
 def test_dt_schedule_monotone_in_cutoff():
-    dts = [dt_schedule(L, 1.0, 1.0)[0] for L in (3.0, 10.0, 100.0, 1000.0)]
+    dts = [ruled_schedule(L, 1.0, 1.0)[0] for L in (3.0, 10.0, 100.0, 1000.0)]
     assert all(a >= b for a, b in zip(dts, dts[1:]))
 
 
 def test_dt_schedule_errors():
-    with pytest.raises(ScheduleError, match="needs L > e"):
-        dt_schedule(L=2.0, C0=1.0, horizon=1.0)
-    with pytest.raises(ScheduleError):
-        dt_schedule(L=100.0, C0=-1.0, horizon=1.0)
-    with pytest.raises(ScheduleError, match="below the floor"):
-        dt_schedule(L=100.0, C0=1e-12, horizon=1.0)
+    with pytest.raises(ConfigError, match="needs L > e"):
+        ruled_schedule(L=2.0, C0=1.0, T=1.0)
+    with pytest.raises(ConfigError, match="C0 and the horizon must be positive"):
+        ruled_schedule(L=100.0, C0=-1.0, T=1.0)
+    with pytest.raises(ConfigError, match="below the floor"):
+        ruled_schedule(L=100.0, C0=1e-12, T=1.0)
     # a step bound that underflows to zero, or a horizon / step ratio that
     # overflows, is reported rather than raised from the arithmetic
-    with pytest.raises(ScheduleError, match="no finite step count"):
-        dt_schedule(L=100.0, C0=5e-324, horizon=1.0)
-    with pytest.raises(ScheduleError, match="no finite step count"):
-        dt_schedule(L=100.0, C0=1e-300, horizon=1e300)
+    with pytest.raises(ConfigError, match="no finite step count"):
+        ruled_schedule(L=100.0, C0=5e-324, T=1.0)
+    with pytest.raises(ConfigError, match="no finite step count"):
+        ruled_schedule(L=100.0, C0=1e-300, T=1e300)
 
 
 # --------------------------------------------------------------------------
