@@ -46,7 +46,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.linalg import eigh_tridiagonal
 
 from .kinetic import (
     ConstructionError,
@@ -232,17 +232,21 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
 
     # Radial rule: t = 2 r^2 / b - 1 turns  int_0^sqrt(b) g Mtilde r dr  into
     # (b/4) 2^{-b/2} int (1-t)^{b/2} g dt; Jacobi(alpha=b/2-1) nodes make both
-    # the M- and the M U'-weighted polynomial moments exact.
-    try:
-        t, wt = roots_jacobi(N_r, b / 2.0 - 1.0, 0.0)
-    except ValueError:                      # SciPy forms no rule from about b = 1e155
-        t = wt = np.full(N_r, np.nan)
-    if not np.all(np.abs(t) < 1.0):         # its nodes leave (-1, 1) from about 1e16
+    # the M- and the M U'-weighted polynomial moments exact.  Golub-Welsch:
+    # the nodes are the eigenvalues (ascending) of the Jacobi matrix of the
+    # weight (1-t)^a, whose entries are ratios that overflow for no finite b,
+    # and the Gauss weights are the weight's mass 2^{a+1}/(a+1) times each
+    # eigenvector's first component squared.  That mass times (b/4) 2^{-b/2}
+    # is exactly 1/2, so the scale never forms.
+    a = b / 2.0 - 1.0
+    n = np.arange(N_r)
+    s = 2.0 * n + a
+    off = 2.0 * n[1:] * ((n[1:] + a) / s[1:]) / (np.sqrt(s[1:] - 1.0) * np.sqrt(s[1:] + 1.0))
+    t, v = eigh_tridiagonal(-(a / s) * (a / (s + 2.0)), off)
+    if not np.all(np.abs(t) < 1.0):         # its nodes reach -1 from about b = 1e16
         raise ConstructionError(f"no Gauss-Jacobi rule with nodes in (-1, 1) for b={b}")
-    order = np.argsort(t)
-    t, wt = t[order], wt[order]
     r = np.sqrt(b * (1.0 + t) / 2.0)
-    w_rad = (b / 4.0) * 2.0 ** (-b / 2.0) * wt * (1.0 - t)  # includes Mtilde * r * dr
+    w_rad = 0.5 * v[0] ** 2 * (1.0 - t)     # includes Mtilde * r * dr
 
     theta = 2.0 * math.pi * np.arange(N_theta) / N_theta
     dth = 2.0 * math.pi / N_theta
@@ -293,12 +297,16 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     ConstructionError
         If the normalized mass misses 1 by more than 1e-8 or the second moment
         misses its closed form ``2b/(b+4)`` by more than 1e-6, or either defect
-        is not finite (the message reports the defect), or SciPy gives no
-        Gauss-Jacobi rule for ``b``; grids build for ``b`` up to about 2000.
+        is not finite (the message reports the defect), or a node of the
+        radial rule is not inside ``(-1, 1)``.  Grids build for ``b`` up to
+        about 1e9 (``N_r`` from 8 to 64); from about 1e10 the nodes near
+        ``t = -1`` lose the digits of ``1 + t`` and the second moment can
+        miss its tolerance, and from about 1e16 a node reaches ``-1``.
     """
     if N_r < 8 or N_theta < 8:
         raise ValueError(f"need at least 8 nodes per direction, got N_r={N_r}, N_theta={N_theta}")
-    # from about b = 2060 the rule's weights overflow, which fails the checks below
+    # from about b = 1e15 two radii can round to one, and their edge weight
+    # divides by zero, which fails the checks below
     with np.errstate(all="ignore"):
         grid = _build_polar(b, N_r, N_theta)
 

@@ -484,16 +484,40 @@ def test_build_self_check_trips(monkeypatch):
         build_config_grid(4.0, N_r=16, N_theta=16)
 
 
+@pytest.mark.parametrize("b", [2.0 + 1e-6, 3.0, 4.0, 20.0, 100.0, 2000.0])
+@pytest.mark.parametrize("N_r", [8, 16, 40])
+def test_radial_rule_matches_the_scipy_gauss_jacobi_reference(b, N_r):
+    # the reference is SciPy's rule, its weights folded as the grid folds
+    # them, (b/4) 2^{-b/2} w (1 - t); the nodes agree to 1.3e-15 in t, and
+    # the weights to 5.3e-14 up to b = 100 and 6.1e-12 at b = 2000, where
+    # the reference's own mass defect is about 1e-12
+    from scipy.special import roots_jacobi
+
+    t_ref, w_ref = roots_jacobi(N_r, b / 2.0 - 1.0, 0.0)
+    order = np.argsort(t_ref)
+    t_ref, w_ref = t_ref[order], w_ref[order]
+    folded = (b / 4.0) * 2.0 ** (-b / 2.0) * w_ref * (1.0 - t_ref)
+    grid = build_config_grid(b, N_r=N_r, N_theta=8)
+    assert np.all(np.diff(grid.r) > 0.0)
+    t = 2.0 * grid.r ** 2 / b - 1.0
+    w_rad = grid.w_r * grid.Z / (2.0 * math.pi / grid.N_theta)
+    np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(w_rad, folded, rtol=0.0, atol=2e-13 if b <= 100.0 else 2e-11)
+
+
 def test_grids_past_the_jacobi_range_fail_their_own_checks():
-    # the grid builds up to about b = 2000; past that the Jacobi rule's
-    # weight scale overflows and a defect is nan, which a plain "defect >
-    # tol" test lets through.  Every finite b must end in a built grid or a
-    # ConstructionError, with no RuntimeWarning (the suite turns those
-    # into errors) and no other exception.
-    assert build_config_grid(2000.0, N_r=12, N_theta=12).mass_defect <= configspace.MASS_TOL
-    with pytest.raises(ConstructionError, match="mass defect nan"):
-        build_config_grid(1e4, N_r=12, N_theta=12)
-    for b in [2100.0, 1e6, 1e16, 1e17, 1e20, 1e155, 1e200, 1e300, 1.7e308]:
+    # the rule's Jacobi matrix has no overflowing entry, so grids build far
+    # past the b of about 2000 at which the weight scale 2^{-b/2} of a
+    # Gauss-Jacobi table overflows; from about b = 1e10 the nodes near
+    # t = -1 lose the digits of 1 + t and the second moment can miss its
+    # tolerance, and from about 1e16 a node reaches -1.  Every finite b must
+    # end in a built grid or a ConstructionError, with no RuntimeWarning
+    # (the suite turns those into errors) and no other exception.
+    for b in [2100.0, 3000.0, 1e4, 1e6, 1e8]:
+        grid = build_config_grid(b, N_r=12, N_theta=12)
+        assert grid.mass_defect <= configspace.MASS_TOL
+        assert grid.moment_defect <= configspace.MOMENT_TOL
+    for b in [1e12, 1e16, 1e17, 1e20, 1e155, 1e200, 1e300, 1.7e308]:
         with pytest.raises(ConstructionError):
             build_config_grid(b, N_r=12, N_theta=12)
 

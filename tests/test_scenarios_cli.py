@@ -631,20 +631,28 @@ def test_cli_rejects_an_L_that_clips_the_decay_datum(tmp_path, capsys):
 
 
 def test_cli_rejects_a_b_the_configuration_grid_cannot_build(tmp_path, capsys):
-    # b = 3000 passes every rule of RunConfig.validate, but its Gauss-Jacobi
-    # weights overflow, so build_config_grid raises ConstructionError;
-    # check builds the grid too, and both commands report a config error
-    # (exit 2), as run_scenario raises ConfigError
-    config = {"scenario": "decay", "b": 3000, "T": 0.02, "dt": 0.01,
+    # b = 1e17 passes every rule of RunConfig.validate, but a node of its
+    # Gauss-Jacobi rule rounds to t = -1, so build_config_grid raises
+    # ConstructionError; check builds the grid too, and both commands
+    # report a config error (exit 2), as run_scenario raises ConfigError
+    config = {"scenario": "decay", "b": 1e17, "T": 0.02, "dt": 0.01,
               "N_x": 4, "N_r": 8, "N_theta": 8}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     for command in ("check", "run"):
         assert main([command, str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "config error: b = 3000 gives no configuration grid" in err
-    with pytest.raises(ConfigError, match="normalized Maxwellian mass defect"):
+        assert "config error: b = 1e+17 gives no configuration grid" in err
+    with pytest.raises(ConfigError, match=r"no Gauss-Jacobi rule with nodes in \(-1, 1\)"):
         run_scenario(RunConfig(**config))
+
+
+def test_cli_runs_equilibrium_at_a_large_b(tmp_path, capsys):
+    # b = 1e4 is past the b of about 2000 at which the weight scale of a
+    # Gauss-Jacobi table overflows; the grid's rule forms no such scale
+    cfg_path = write_config(tmp_path, tiny("equilibrium", b=1e4))
+    assert main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert "PASS  energy_inequality" in capsys.readouterr().out
 
 
 def test_cli_run_passes_and_writes(tmp_path, capsys):

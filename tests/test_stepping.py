@@ -857,6 +857,18 @@ def test_fixed_point_driver_on_fake_sweeps(small, rng):
         stepper._fixed_point(lambda psi_it: (u0, c - psi_it), equilibrium_state(flow, ops))
 
 
+# at b = 100 and 1e4 step 1 stalls in a period-2 cycle of the lagged secant
+# coefficient after 80 sweeps, last weighted increments 1.733e-06 and
+# 4.673e-07, in about 0.05 s each
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP item 9: the coupled fixed point stalls at realistic b")
+@pytest.mark.parametrize("b", [100.0, 1e4])
+def test_decay_at_large_b_runs_to_its_horizon(b):
+    result = run_scenario(RunConfig(scenario="decay", b=b, N_x=8, N_r=10, N_theta=10,
+                                    dt=0.01, T=0.05))
+    assert result.exit_status == 0, result.verdicts
+
+
 def test_step_params_validation():
     good = dict(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=0.1,
                 cutoff=CutoffParams(L=5.0, delta=1e-4))
