@@ -1,5 +1,6 @@
 """Command-line entry point: run a configured scenario, validate a
-configuration, or exercise the structural self-tests.
+configuration, or self-test: run every scenario at a small size and
+require each of its verdicts.
 
 Exit codes: 0 all verdicts pass, 2 a verdict failed or the configuration
 is invalid (not UTF-8, not JSON, or a rejected value, including a ``b``
@@ -48,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--strict", action="store_true",
                      help="reject every schedule warning: dt over the step rule or not dividing T")
 
-    selftest = sub.add_parser("selftest", help="run the built-in structural property suite")
+    selftest = sub.add_parser("selftest",
+                              help="run every scenario at a small size and require its verdicts")
     selftest.add_argument("--seed", type=_seed, default=0)
     selftest.add_argument("--out-dir", default=None, help="optional report destination")
     return p
@@ -127,145 +129,32 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _selftest_checks(seed: int):
-    """Yield (name, callable) pairs; each callable returns (ok, detail)."""
-    import numpy as np
-
-    from . import (
-        RunConfig,
-        assemble_fp_operators,
-        build_config_grid,
-        build_flow_grid,
-        convection_matrix,
-        csiszar_kullback_check,
-        lsi_check,
-        maxwellian_value,
-        project_divergence_free,
-        run_scenario,
-        smooth_initial_density,
-    )
-
-    rng = np.random.default_rng(seed)
-    grid = build_config_grid(4.0, N_r=16, N_theta=16)
-    fg = build_flow_grid(12)
-
-    def check_normalizer():
-        import math
-
-        # 2 pi int_0^sqrt(b) M r dr = 1 by Gauss-Legendre quadrature, which is
-        # exact for this degree-5 polynomial integrand at b = 4 and does not
-        # use the closed form of Z
-        b = 4.0
-        half = 0.5 * math.sqrt(b)               # maps [-1, 1] onto [0, sqrt(b)]
-        x, wx = np.polynomial.legendre.leggauss(4)
-        r = half * (x + 1.0)
-        profile = maxwellian_value(r, b)
-        mass = 2.0 * math.pi * half * float(wx @ (profile * r))
-        return abs(mass - 1.0) < 1.0e-12, f"mass={mass!r}"
-
-    def check_quadrature():
-        m2 = float((grid.qx**2 + grid.qy**2) @ grid.w)
-        return abs(m2 - 1.0) < 1.0e-8, f"second moment={m2!r}"
-
-    def check_ibp():
-        # int M (B q) . grad phi = int M phi U' q^T B q for trace-free B; the
-        # grid integrates both sides exactly for this polynomial phi, whose
-        # gradient is taken in closed form
-        phi = 1.0 + 0.2 * grid.qx - 0.1 * grid.qy + 0.05 * grid.qx * grid.qy
-        grad = np.stack([0.2 + 0.05 * grid.qy, -0.1 + 0.05 * grid.qx])
-        coords = np.stack([grid.qx, grid.qy])
-        worst = 0.0
-        for _ in range(5):
-            B = rng.standard_normal((2, 2))
-            B[1, 1] = -B[0, 0]
-            Bq = B @ coords
-            lhs = float(grid.w @ np.sum(Bq * grad, axis=0))
-            rhs = float(grid.w @ (phi * grid.uprime * np.sum(coords * Bq, axis=0)))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        return worst < 1.0e-8, f"worst relative residual={worst:.2e}"
-
-    def check_projection():
-        worst = 0.0
-        for _ in range(20):
-            w = rng.standard_normal(fg.n_u + fg.n_v)
-            u = project_divergence_free(fg, w)
-            worst = max(worst, float(np.abs(fg.D @ u).max()))
-        return worst < 1.0e-10, f"worst divergence={worst:.2e}"
-
-    def check_skewness():
-        worst = 0.0
-        for _ in range(20):
-            v = rng.standard_normal(fg.n_u + fg.n_v)
-            C = convection_matrix(fg, v)
-            worst = max(worst, float(np.abs((C + C.T)).max()))
-        return worst < 1.0e-12, f"worst symmetric part={worst:.2e}"
-
-    def check_lsi():
-        for _ in range(25):
-            psi = np.abs(1.0 + 0.5 * rng.standard_normal() * grid.qx
-                         + 0.5 * rng.standard_normal() * grid.qy) + 0.01
-            r = lsi_check(grid, psi)
-            if not r.satisfied:
-                return False, f"entropy {r.entropy_term:.3e} > fisher {r.fisher_term:.3e}"
-        return True, "25 fields"
-
-    def check_ck():
-        for _ in range(25):
-            psi = 1.0 + 0.4 * np.tanh(rng.standard_normal() * grid.qx)
-            psi = np.tile(psi / float(psi @ grid.w), (fg.n_c, 1))
-            r = csiszar_kullback_check(fg, grid, psi)
-            if not r.satisfied:
-                return False, f"margins {r.worst_pointwise_margin:.2e}/{r.integrated_margin:.2e}"
-        return True, "25 fields"
-
-    def check_smoothing():
-        ops = assemble_fp_operators(grid)
-        for _ in range(5):
-            psi = np.abs(1.0 + 0.3 * rng.standard_normal() * grid.qx)[None, :] \
-                * (1.0 + 0.2 * rng.random(fg.n_c))[:, None]
-            smooth_initial_density(fg, ops, psi, dt=0.01, clip_level=10.0)
-        return True, "5 random densities"
-
-    def check_equilibrium_run():
-        cfg = RunConfig(scenario="equilibrium", T=0.1, dt=0.01,
-                        N_x=10, N_r=10, N_theta=10)
-        res = run_scenario(cfg)
-        rows = res.ledger.rows
-        drift = max(abs(rows[-1][c] - rows[0][c])
-                    for c in ("kinetic", "entropy", "free_energy"))
-        return drift <= 1.0e-10 and res.exit_status == 0, f"ledger drift={drift:.2e}"
-
-    yield "maxwellian normalizer", check_normalizer
-    yield "quadrature second moment", check_quadrature
-    yield "integration by parts", check_ibp
-    yield "divergence-free projection", check_projection
-    yield "convection skew-symmetry", check_skewness
-    yield "log-Sobolev sweep", check_lsi
-    yield "distance-to-equilibrium sweep", check_ck
-    yield "initial-data smoothing", check_smoothing
-    yield "equilibrium fixed point", check_equilibrium_run
-
-
 def _cmd_selftest(args) -> int:
+    """Run every scenario at the golden-ledger size; a scenario passes when
+    each verdict of its run holds, and a run that raises fails it."""
+    from .scenarios import SCENARIOS, RunConfig, run_scenario
+
     results = []
-    for name, fn in _selftest_checks(args.seed):
+    for scenario in SCENARIOS:
+        cfg = RunConfig(scenario=scenario, N_x=8, N_r=10, N_theta=10, dt=0.01, T=0.05,
+                        seed=args.seed)
         try:
-            ok, detail = fn()
+            verdicts = sorted(run_scenario(cfg).verdicts.items())
+            ok = all(held for _, held in verdicts)
+            detail = ", ".join(name if held else f"{name} (failed)" for name, held in verdicts)
         except Exception as exc:  # surface, keep going
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    n_fail = sum(1 for _, ok, _ in results if not ok)
-    print(f"selftest: {len(results) - n_fail}/{len(results)} passed")
+        results.append((scenario, ok, detail))
+        print(f"{'PASS' if ok else 'FAIL'}  {scenario}: {detail}")
+    n_pass = sum(1 for _, ok, _ in results if ok)
+    print(f"selftest: {n_pass}/{len(results)} passed")
     if args.out_dir:
-        import os
-
         os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "selftest.json"), "w") as fh:
             json.dump([{"name": n, "ok": ok, "detail": d} for n, ok, d in results],
                       fh, indent=2)
             fh.write("\n")
-    return 0 if n_fail == 0 else 2
+    return 0 if n_pass == len(results) else 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:

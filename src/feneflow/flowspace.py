@@ -47,7 +47,6 @@ __all__ = [
     "band_storage",
     "banded_solver",
     "stokes_solver",
-    "project_divergence_free",
     "smooth_initial_velocity",
     "convection_matrix",
     "poincare_constant",
@@ -315,15 +314,6 @@ def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.n
     Ct = grid._curl_t
     solve_nodes = banded_solver(*band_storage(Ct @ (A @ grid.curl)))
     return lambda r: grid.curl @ solve_nodes(Ct @ r)
-
-
-def project_divergence_free(grid: FlowGrid, w: np.ndarray) -> np.ndarray:
-    """L2-orthogonal projection onto the discretely divergence-free subspace:
-    the constrained solve with ``A = I``, which returns
-    ``C (C^T C)^{-1} C^T w``.  Idempotent to rounding; gradients ``-D^T p``
-    project to zero, because ``C^T D^T = (D C)^T = 0``."""
-    w = np.asarray(w, dtype=float)
-    return stokes_solver(grid, sp.identity(grid.n_u + grid.n_v, format="csr"))(w)
 
 
 def smooth_initial_velocity(grid: FlowGrid, u0: np.ndarray, dt: float) -> np.ndarray:

@@ -20,7 +20,7 @@ those slice paths are checked against bit for bit:
 * :func:`gather_stress_matrix`, :func:`gather_fisher_q` and
   :func:`gather_lsi_fisher` are ``ConfigOperators.stress_matrix``,
   ``diagnostics.fisher_q`` and the Fisher term of
-  ``diagnostics.lsi_check``;
+  ``inequality_reference.lsi_check``;
 * :func:`scatter_matrix` is the ``(nodes x edges)`` CSR with ``+1`` at each
   edge's head and ``-1`` at its tail, and :func:`scatter_drag_rhs` the drag
   functional ``(sigma : Gamma_e) c_e`` pushed through its transpose;

@@ -5,11 +5,15 @@ pressure that the stream-function ``stokes_solver`` is checked against.
 Each builder reads as the stencil it encodes; none of them is used by the
 package.  :func:`convection_reference` is the scipy assembly of the
 convection operator that ``convection_matrix`` replaced by writing its CSR
-from the five-point stencil."""
+from the five-point stencil.  :func:`project_divergence_free` is the
+L2-orthogonal projection onto divergence-free faces, through the package's
+own ``stokes_solver``; the tests draw their divergence-free fields with it."""
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from feneflow.flowspace import stokes_solver
 
 
 def _u_index(N: int):
@@ -301,3 +305,12 @@ def bordered_stokes_solver(grid, A):
         return lu.solve(np.concatenate([r, constraint_rhs]))[:n]
 
     return solve
+
+
+def project_divergence_free(grid, w):
+    """L2-orthogonal projection onto the discretely divergence-free subspace:
+    the constrained solve with ``A = I``, which returns
+    ``C (C^T C)^{-1} C^T w``.  Idempotent to rounding; gradients ``-D^T p``
+    project to zero, because ``C^T D^T = (D C)^T = 0``."""
+    w = np.asarray(w, dtype=float)
+    return stokes_solver(grid, sp.identity(grid.n_u + grid.n_v, format="csr"))(w)

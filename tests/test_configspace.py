@@ -32,10 +32,10 @@ from feneflow import (
     fisher_q,
     grid_metadata,
     kramers_stress,
-    lsi_check,
     secant_cutoff_coefficient,
     spectral_gap,
 )
+from inequality_reference import lsi_check
 
 # Closed forms used as oracles (beta-function reductions, d = 2):
 #   int M U'^2        = (b+2)/(b-2)

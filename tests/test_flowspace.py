@@ -18,7 +18,6 @@ from feneflow import (
     convection_matrix,
     dual_norm_sq,
     poincare_constant,
-    project_divergence_free,
     smooth_initial_velocity,
 )
 from feneflow.flowspace import band_storage, banded_solver, stokes_solver
@@ -29,6 +28,7 @@ from flow_reference import (
     convection_reference,
     loop_convection_matrix,
     loop_flow_operators,
+    project_divergence_free,
     scalar_dirichlet_stiffness,
 )
 from kron_reference import band_layout, band_to_dense

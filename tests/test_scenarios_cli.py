@@ -700,17 +700,57 @@ def test_cli_execution_errors_exit_one(tmp_path, capsys, monkeypatch):
 def test_cli_selftest(tmp_path, capsys):
     out = tmp_path / "st"
     assert main(["selftest", "--out-dir", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "selftest: 9/9 passed" in captured.out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "selftest: 4/4 passed"
+    assert lines[1] == ("PASS  decay: energy_inequality, exponential_decay, "
+                        "mass_conservation, nonnegativity")
     report = json.loads((out / "selftest.json").read_text())
-    assert len(report) == 9 and all(entry["ok"] for entry in report)
+    assert [entry["name"] for entry in report] == list(SCENARIOS)
+    assert all(entry["ok"] for entry in report)
+
+
+def test_cli_selftest_reports_a_failed_verdict_and_a_raising_run(tmp_path, capsys,
+                                                                 monkeypatch):
+    # one scenario's run fails a verdict and another's raises: each gets a
+    # FAIL line, the loop goes on to the rest, and the command exits 2
+    import feneflow.scenarios as scenarios
+
+    real_run = scenarios.run_scenario
+    configs = []
+
+    def run(cfg, *args, **kw):
+        configs.append(cfg)
+        if cfg.scenario == "decay":
+            raise RuntimeError("fixed point stalled")
+        result = real_run(cfg, *args, **kw)
+        if cfg.scenario == "couette":
+            result.verdicts["mass_conservation"] = False
+        return result
+
+    monkeypatch.setattr(scenarios, "run_scenario", run)
+    out = tmp_path / "st"
+    assert main(["selftest", "--seed", "3", "--out-dir", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "PASS  equilibrium: energy_inequality, mass_conservation, nonnegativity",
+        "FAIL  decay: raised RuntimeError: fixed point stalled",
+        "FAIL  couette: energy_inequality, mass_conservation (failed), nonnegativity",
+        "PASS  forced: energy_inequality, mass_conservation, nonnegativity",
+        "selftest: 2/4 passed",
+    ]
+    assert [(c.scenario, c.N_x, c.N_r, c.N_theta, c.dt, c.T, c.seed) for c in configs] \
+        == [(s, 8, 10, 10, 0.01, 0.05, 3) for s in SCENARIOS]
+    report = json.loads((out / "selftest.json").read_text())
+    assert [(entry["name"], entry["ok"]) for entry in report] == [
+        ("equilibrium", True), ("decay", False), ("couette", False), ("forced", True)]
+    assert report[1]["detail"] == "raised RuntimeError: fixed point stalled"
 
 
 def test_cli_ends_quietly_when_stdout_is_closed():
     # `feneflow selftest | head -1`: the reader goes after the first line,
     # and the next print meets a broken pipe; the command ends with 1 and
-    # writes nothing to stderr.  Unbuffered, each check's line is written
-    # as it is printed, so the later checks write to the closed pipe.
+    # writes nothing to stderr.  Unbuffered, each scenario's line is written
+    # as it is printed, so the later scenarios write to the closed pipe.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), FENEFLOW_THREADS="1",
                PYTHONUNBUFFERED="1")
@@ -719,7 +759,7 @@ def test_cli_ends_quietly_when_stdout_is_closed():
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.communicate(timeout=300)[1]
-    assert first.startswith(b"PASS  maxwellian normalizer")
+    assert first.startswith(b"PASS  equilibrium")
     assert proc.returncode == 1
     assert err == b""
 
@@ -757,20 +797,6 @@ def test_cli_check_prints_the_schedule_that_run_takes(tmp_path, capsys, over):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert (int(match[1]), float(match[2])) == (summary["n_steps"], summary["dt"])
-
-
-def test_selftest_normalizer_check_integrates_the_profile(monkeypatch):
-    # the check integrates the normalized profile by a quadrature of its own,
-    # so a profile that the closed-form Z does not normalize fails it
-    import feneflow
-    from feneflow.cli import _selftest_checks
-
-    assert dict(_selftest_checks(0))["maxwellian normalizer"]()[0]
-    monkeypatch.setattr(feneflow, "maxwellian_value",
-                        lambda r, b: (1.0 - r * r / b) ** (b / 2.0 + 1.0)
-                        / feneflow.maxwellian_normalizer(b))
-    ok, detail = dict(_selftest_checks(0))["maxwellian normalizer"]()
-    assert not ok and detail.startswith("mass=")
 
 
 def test_cli_rejects_unknown_command(capsys):

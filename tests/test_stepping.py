@@ -29,7 +29,6 @@ from feneflow import (
     grid_metadata,
     load_checkpoint,
     momentum_energy_residual,
-    project_divergence_free,
     relative_entropy,
     save_checkpoint,
     smooth_initial_density,
@@ -39,6 +38,7 @@ from feneflow import ConfigError, RunConfig, run_scenario, stepping
 from feneflow.flowspace import band_storage
 from feneflow.stepping import _DensitySystem, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
+from flow_reference import project_divergence_free
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
 
@@ -1077,6 +1077,39 @@ def test_checkpoint_grid_mismatch(small, rng, tmp_path):
         load_checkpoint(path, flow=other)
 
 
+def test_checkpoint_identifies_the_grid_by_all_but_its_defects(small, tmp_path):
+    # the stored mass and moment defects record how well the grid was built,
+    # to rounding: a checkpoint whose defects differ in their last bit loads,
+    # and one whose b differs, or one saved on a 10 x 12 grid, is refused
+    flow, ops, params, _ = small
+    path = str(tmp_path / "state.npz")
+    state = equilibrium_state(flow, ops)
+    save_checkpoint(path, state, params, flow, ops)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+
+    def rewrite(**config):
+        arrays["meta"] = np.frombuffer(
+            json.dumps(dict(meta, config=dict(meta["config"], **config))).encode(),
+            dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    grid = ops.grid
+    rewrite(mass_defect=float(np.nextafter(grid.mass_defect, 1.0)),
+            moment_defect=float(np.nextafter(grid.moment_defect, -1.0)))
+    restored, stored = load_checkpoint(path, flow=flow, ops=ops)
+    assert np.array_equal(restored.psi, state.psi)
+    assert stored["config"]["mass_defect"] != grid.mass_defect
+    rewrite(b=float(np.nextafter(grid.b, 5.0)))
+    with pytest.raises(ValueError, match="checkpoint configuration grid does not match"):
+        load_checkpoint(path, flow=flow, ops=ops)
+    other = assemble_fp_operators(build_config_grid(4.0, N_r=10, N_theta=12))
+    save_checkpoint(path, equilibrium_state(flow, other), params, flow, other)
+    with pytest.raises(ValueError, match="checkpoint configuration grid does not match"):
+        load_checkpoint(path, flow=flow, ops=ops)
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = str(tmp_path / "other.npz")
     np.savez(path, u=np.zeros(3), psi=np.zeros((2, 2)),
@@ -1101,7 +1134,8 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     bad_metas += [json.dumps(dict(full, flow=flow)).encode()
                   for flow in ({"N": 4}, {"side": 1.0}, [4, 1.0])]
     bad_metas += [json.dumps(dict(full, t="later")).encode(),
-                  json.dumps(dict(full, n=None)).encode()]
+                  json.dumps(dict(full, n=None)).encode(),
+                  json.dumps(dict(full, config=[1, 2])).encode()]
     for i, meta in enumerate(bad_metas):
         path = str(tmp_path / f"bad_meta_{i}.npz")
         np.savez(path, u=arrays["u"], psi=arrays["psi"],
