@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -90,7 +89,7 @@ def _rows_in_place():
         np.setbufsize(size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigGrid:
     """Polar quadrature/difference grid for one planar spring.
 
@@ -110,19 +109,26 @@ class ConfigGrid:
     ----------
     b:             FENE extensibility parameter, ``b > 2``.
     r, theta:      radial Gauss-Jacobi nodes and uniform angles.
-    w_r:           normalized node weight of each radius; :attr:`w` repeats
-                   it along the angle, and ``sum(w * g)`` approximates
-                   ``int_D M g dq`` (exactly, for polynomial ``g``).
+    w_r:           normalized node weight of each radius.
+    w:             read-only node weights, ``w_r`` repeated along the angle;
+                   ``sum(w * g)`` approximates ``int_D M g dq`` (exactly, for
+                   polynomial ``g``).
     uprime:        ``U'(|q|^2/2)`` at the nodes.
     qx, qy:        Cartesian node coordinates, flattened C-order.
     edge_w_r:      positive Dirichlet weight of the radial edges leaving
-    edge_w_t:      radius ``m`` and of its angular edges; :attr:`edge_w`
-                   repeats both in edge order, and ``sum(edge_w * dpsi^2)``
-                   approximates ``int_D M |grad psi|^2 dq``.
+    edge_w_t:      radius ``m`` and of its angular edges.
+    edge_w:        read-only edge weights, both families repeated along the
+                   angle in edge order; ``sum(edge_w * dpsi^2)`` approximates
+                   ``int_D M |grad psi|^2 dq``.
     edge_gamma:    per-edge ``2 x 2`` geometric factors (flattened) such that
                    ``sum_e (sigma : Gamma_e) * dpsi_e`` approximates
                    ``int_D M (sigma q) . grad psi dq``.
     Z:             Maxwellian normalizer ``2 pi b / (b + 2)``.
+    mass_defect:   ``|sum(w) - 1|``, the normalized Maxwellian mass's defect.
+    moment_defect: ``|sum(w |q|^2) - 2b/(b+4)|``, the second moment's defect.
+
+    The grid is frozen: every attribute is computed when it is built, and
+    :func:`build_config_grid` checks both defects.
     """
 
     b: float
@@ -131,15 +137,17 @@ class ConfigGrid:
     r: np.ndarray
     theta: np.ndarray
     w_r: np.ndarray
+    w: np.ndarray
     uprime: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
     edge_w_r: np.ndarray
     edge_w_t: np.ndarray
+    edge_w: np.ndarray
     edge_gamma: np.ndarray
     Z: float
-    mass_defect: float = 0.0
-    moment_defect: float = 0.0
+    mass_defect: float
+    moment_defect: float
 
     @property
     def n_nodes(self) -> int:
@@ -148,20 +156,6 @@ class ConfigGrid:
     @property
     def n_edges(self) -> int:
         return (2 * self.N_r - 1) * self.N_theta
-
-    def _along_angle(self, *per_radius) -> np.ndarray:
-        """Read-only edge or node field repeating the per-radius values."""
-        field = np.repeat(np.concatenate(per_radius), self.N_theta)
-        field.flags.writeable = False
-        return field
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return self._along_angle(self.w_r)
-
-    @cached_property
-    def edge_w(self) -> np.ndarray:
-        return self._along_angle(self.edge_w_r, self.edge_w_t)
 
     def _polar(self, field: np.ndarray) -> np.ndarray:
         """View of a node field's last axis as ``(N_r, N_theta)``."""
@@ -227,6 +221,13 @@ class ConfigGrid:
         return out
 
 
+def _along_angle(N_theta: int, *per_radius) -> np.ndarray:
+    """Read-only edge or node field repeating the per-radius values."""
+    field = np.repeat(np.concatenate(per_radius), N_theta)
+    field.flags.writeable = False
+    return field
+
+
 def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     Z = maxwellian_normalizer(b)
 
@@ -277,11 +278,18 @@ def _build_polar(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     gamma_t = gamma(w_rad / (Z * r * dth), et, r,
                     np.stack([np.cos(thbar), np.sin(thbar)], axis=1))
 
+    w_r = w_rad * dth / Z
+    edge_w_r = w_edge_r / dr
+    edge_w_t = w_rad * dth / (Z * r ** 2 * dth**2)
+    w = _along_angle(N_theta, w_r)
+    m2 = float(np.sum(w * (qx**2 + qy**2)))
     return ConfigGrid(b=b, N_r=N_r, N_theta=N_theta, r=r, theta=theta,
-                      w_r=w_rad * dth / Z, uprime=uprime, qx=qx, qy=qy,
-                      edge_w_r=w_edge_r / dr,
-                      edge_w_t=w_rad * dth / (Z * r ** 2 * dth**2),
-                      edge_gamma=np.concatenate([gamma_r, gamma_t], axis=0), Z=Z)
+                      w_r=w_r, w=w, uprime=uprime, qx=qx, qy=qy,
+                      edge_w_r=edge_w_r, edge_w_t=edge_w_t,
+                      edge_w=_along_angle(N_theta, edge_w_r, edge_w_t),
+                      edge_gamma=np.concatenate([gamma_r, gamma_t], axis=0), Z=Z,
+                      mass_defect=abs(float(np.sum(w)) - 1.0),
+                      moment_defect=abs(m2 - 2.0 * b / (b + 4.0)))
 
 
 def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
@@ -310,11 +318,6 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     with np.errstate(all="ignore"):
         grid = _build_polar(b, N_r, N_theta)
 
-    mass = float(np.sum(grid.w))
-    m2 = float(np.sum(grid.w * (grid.qx**2 + grid.qy**2)))
-    m2_exact = 2.0 * b / (b + 4.0)
-    grid.mass_defect = abs(mass - 1.0)
-    grid.moment_defect = abs(m2 - m2_exact)
     if not grid.mass_defect <= MASS_TOL:
         raise ConstructionError(
             f"normalized Maxwellian mass defect {grid.mass_defect:.3e} exceeds {MASS_TOL}"
@@ -322,7 +325,7 @@ def build_config_grid(b: float, N_r: int, N_theta: int) -> ConfigGrid:
     if not grid.moment_defect <= MOMENT_TOL:
         raise ConstructionError(
             f"second-moment defect {grid.moment_defect:.3e} exceeds {MOMENT_TOL} "
-            f"(got {m2!r}, expected {m2_exact!r})"
+            f"(expected {2.0 * b / (b + 4.0)!r})"
         )
     return grid
 

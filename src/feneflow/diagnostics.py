@@ -37,7 +37,6 @@ __all__ = [
     "energy_inequality_check",
     "DecayVerdict",
     "decay_verdict",
-    "momentum_energy_residual",
 ]
 
 
@@ -72,16 +71,15 @@ def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
              neg_tol: float = NEG_TOL) -> float:
     """x-direction Fisher information, edge form: 4 sum (d sqrt(psi))^2 w_q.
 
-    The root is written node-major, so each node's cells ``i N + j`` are one
-    contiguous row, and each cell difference is one shift of the whole root:
-    by ``N`` for ``i``, by 1 for ``j``.  The pairs a shift forms across two
-    nodes, or across two values of ``i``, are set to zero."""
+    The root is :func:`_clamped_root`'s, so each node's cells ``i N + j`` are
+    one contiguous row of its transpose, and each cell difference is one
+    shift of the whole root: by ``N`` for ``i``, by 1 for ``j``.  The pairs a
+    shift forms across two nodes, or across two values of ``i``, are set to
+    zero."""
     psi = np.asarray(psi, dtype=float)
     _check_nonnegative(psi, neg_tol)
     N = flow.N
-    root = np.empty((grid.n_nodes, flow.n_c))
-    np.maximum(psi.T, 0.0, out=root)
-    np.sqrt(root, out=root)
+    root = _clamped_root(grid, psi).T
     flat, d = root.reshape(-1), np.empty_like(root)
     acc = 0.0
     for shift, across in ((N, np.s_[:, -N:]), (1, np.s_[:, N - 1::N])):
@@ -92,17 +90,23 @@ def fisher_x(flow: FlowGrid, grid: ConfigGrid, psi: np.ndarray,
     return 4.0 * float(acc @ grid.w)
 
 
+def _clamped_root(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
+    """``sqrt(max(psi, 0))``, written node-major (the node axis outermost in
+    memory), the run's layout, whatever the layout of ``psi``: the one root
+    of both Fisher forms."""
+    root = np.moveaxis(np.empty((grid.n_nodes,) + psi.shape[:-1]), 0, -1)
+    np.maximum(psi, 0.0, out=root)
+    return np.sqrt(root, out=root)
+
+
 def _root_dirichlet(grid: ConfigGrid, psi: np.ndarray) -> np.ndarray:
     """``sum_e W_e (d sqrt(psi))^2`` per row, ``psi`` clamped at 0.
 
-    The root is written node-major, the run's layout, so its edge
-    differences come out edge-major and their product with ``edge_w``
-    rounds as the ledger's Fisher columns always have, whatever the layout
-    of ``psi``; the same product on a C-ordered array rounds differently."""
-    root = np.moveaxis(np.empty((grid.n_nodes,) + psi.shape[:-1]), 0, -1)
-    np.maximum(psi, 0.0, out=root)
-    np.sqrt(root, out=root)
-    d = grid.edge_pairs(np.subtract, root)
+    The root is node-major, so its edge differences come out edge-major and
+    their product with ``edge_w`` rounds as the ledger's Fisher columns
+    always have, whatever the layout of ``psi``; the same product on a
+    C-ordered array rounds differently."""
+    d = grid.edge_pairs(np.subtract, _clamped_root(grid, psi))
     d *= d
     return d @ grid.edge_w
 
@@ -266,18 +270,3 @@ def decay_verdict(times: Sequence[float], energies: Sequence[float],
         fitted = math.inf
     return DecayVerdict(float(e[-1]), bound, rate, fitted, float(e[-1]) <= bound, predicted_rate)
 
-
-def momentum_energy_residual(flow: FlowGrid, u_prev: np.ndarray, u_new: np.ndarray,
-                             stress_pairing: float, dt: float, nu: float,
-                             k: float, f_work: float = 0.0) -> float:
-    """Absolute defect of the discrete kinetic-energy identity
-
-        |u_n|^2 + |u_n - u_prev|^2 + 2 dt nu |grad u_n|^2
-            = |u_prev|^2 - 2 dt k (C_hat : grad u_n) + 2 dt (f, u_n).
-
-    ``stress_pairing`` is ``h^2 sum_cells C_hat : grad u_n``.
-    """
-    lhs = flow.norm_sq(u_new) + flow.norm_sq(u_new - u_prev) \
-        + 2.0 * dt * nu * flow.grad_norm_sq(u_new)
-    rhs = flow.norm_sq(u_prev) - 2.0 * dt * k * stress_pairing + 2.0 * dt * f_work
-    return abs(lhs - rhs)

@@ -17,9 +17,9 @@ Testing with the solution ``u = C s`` itself gives
 ``u^T A u = u^T r`` exactly, which is the identity that the pressure's
 adjointness gave in the saddle-point form.
 
-Both direct solves, of ``C^T A C`` and (once per grid) of the viscous
-operator behind :func:`dual_norm_sq`, are one banded LAPACK LU on the band
-that :func:`band_storage` reads off the sparse matrix.
+Both direct solves, of ``C^T A C`` and (once per forcing sum) of the
+viscous operator behind :func:`dual_norm_sq`, are one banded LAPACK LU on
+the band that :func:`band_storage` reads off the sparse matrix.
 
 Convection is written in antisymmetrized form, entry by entry from its
 five-point stencil, so the trilinear form is exactly skew-symmetric.  The
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowGrid:
     """Operators and index bookkeeping for one staggered grid.
 
@@ -66,16 +65,19 @@ class FlowGrid:
         D: divergence, faces -> cells, entries ``+-1/h``.
         curl: stream function on the ``(N-1)^2`` interior nodes -> faces,
            entries ``+-1/h``; ``D @ curl`` has no stored entry.
+        curl_t: ``curl.T`` as CSR, faces -> nodes (:func:`stokes_solver`).
         K: vector Dirichlet "stiffness" (minus Laplacian) on faces; SPD.
         grad: cell velocity gradient, faces -> ``4 n_c`` rows, row ``4 c + 2 a
            + b`` holding entry ``(a, b)`` of the tensor at cell ``c``; rows
            ``4 c`` and ``4 c + 3`` sum to the divergence row-for-row.
+        grad_t: ``grad.T`` as CSR, cell tensors -> faces (the stress force).
         xu, yu, xv, yv: face-centre coordinates for sampling analytic data.
 
     Neither convection nor the cell stiffness ``h^2 D D^T`` is stored: each
     is a five-point stencil per face or cell, written into a CSR matrix by
     :func:`five_point_csr` when it is needed (:func:`convection_matrix`,
-    ``stepping._transport_csr``).
+    ``stepping._transport_csr``).  The grid is frozen: every attribute is
+    computed by :func:`build_flow_grid`, and nothing is cached on it later.
     """
 
     N: int
@@ -86,24 +88,14 @@ class FlowGrid:
     n_c: int
     D: sp.csr_matrix
     curl: sp.csr_matrix
+    curl_t: sp.csr_matrix
     K: sp.csr_matrix
     grad: sp.csr_matrix
+    grad_t: sp.csr_matrix
     xu: np.ndarray
     yu: np.ndarray
     xv: np.ndarray
     yv: np.ndarray
-
-    @cached_property
-    def _viscous_solve(self):  # factored on first use by dual_norm_sq
-        return banded_solver(*band_storage(self.K))
-
-    @cached_property
-    def _curl_t(self) -> sp.csr_matrix:  # faces -> nodes, for stokes_solver
-        return self.curl.T.tocsr()
-
-    @cached_property
-    def _grad_t(self) -> sp.csr_matrix:  # cell tensors -> faces, for the stress force
-        return self.grad.T.tocsr()
 
     # ---- inner products ---------------------------------------------------
 
@@ -233,9 +225,10 @@ def build_flow_grid(N: int, side: float = 1.0) -> FlowGrid:
     xu, yu = np.meshgrid(ih, jh, indexing="ij")
     xv, yv = np.meshgrid(jh, ih, indexing="ij")
 
+    curl = _curl(N, h)
     return FlowGrid(
         N=N, h=h, side=side, n_u=n_u, n_v=n_v, n_c=n_c,
-        D=D, curl=_curl(N, h), K=K, grad=grad,
+        D=D, curl=curl, curl_t=curl.T.tocsr(), K=K, grad=grad, grad_t=grad.T.tocsr(),
         xu=xu.ravel(), yu=yu.ravel(), xv=xv.ravel(), yv=yv.ravel(),
     )
 
@@ -311,7 +304,7 @@ def stokes_solver(grid: FlowGrid, A: sp.spmatrix) -> Callable[[np.ndarray], np.n
     half-bandwidth ``2 (N-1)`` for the viscous and convective stencils, and
     is factored once by :func:`banded_solver`.
     """
-    Ct = grid._curl_t
+    Ct = grid.curl_t
     solve_nodes = banded_solver(*band_storage(Ct @ (A @ grid.curl)))
     return lambda r: grid.curl @ solve_nodes(Ct @ r)
 
@@ -409,11 +402,20 @@ def poincare_constant(N: int, side: float = 1.0) -> Tuple[float, float]:
     return 1.0 / math.sqrt(lam1), lam1
 
 
-def dual_norm_sq(grid: FlowGrid, f: np.ndarray) -> float:
-    """Square of the negative-Sobolev norm of a face field:
-    ``sup_w (f, w)^2 / |grad w|^2 = h^2 f . K^{-1} f``, with ``K`` factored
-    by :func:`banded_solver` once per grid."""
-    f = np.asarray(f, dtype=float)
-    if not np.any(f):
-        return 0.0
-    return float(grid.h * grid.h * (f @ grid._viscous_solve(f)))
+def dual_norm_sq(grid: FlowGrid) -> Callable[[np.ndarray], float]:
+    """Factor ``K`` once by :func:`banded_solver` and return ``f ->`` the
+    square of the negative-Sobolev norm of the face field ``f``,
+    ``sup_w (f, w)^2 / |grad w|^2 = h^2 f . K^{-1} f`` (0 for a zero ``f``).
+
+    The factor lives as long as the returned function: a caller that sums
+    the norm over many fields, as the a-priori bound sums the forcing's,
+    holds it through the sum and drops it after."""
+    solve = banded_solver(*band_storage(grid.K))
+
+    def norm_sq(f: np.ndarray) -> float:
+        f = np.asarray(f, dtype=float)
+        if not np.any(f):
+            return 0.0
+        return float(grid.h * grid.h * (f @ solve(f)))
+
+    return norm_sq

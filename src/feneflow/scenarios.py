@@ -378,8 +378,10 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
     ent_raw = smooth_rep.entropy_before
     f_dual_sum = 0.0
     if forcing is not None:
+        f_dual = dual_norm_sq(fg)           # K's banded LU, held through this sum only
         for j in range(1, n_steps + 1):
-            f_dual_sum += dt * dual_norm_sq(fg, forcing((j - 0.5) * dt))
+            f_dual_sum += dt * f_dual(forcing((j - 0.5) * dt))
+        del f_dual
     B2 = fg.norm_sq(u0_raw) + f_dual_sum / cfg.nu + 2.0 * cfg.k * ent_raw
     initial_budget = fg.norm_sq(u0_raw) + 2.0 * cfg.k * ent_raw
 

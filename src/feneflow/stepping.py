@@ -382,7 +382,7 @@ class CoupledStepper:
             # the face inner product: one product with the transpose of the
             # drag's velocity gradient
             C_hat = self.ops.stress_matrix(dpsi)
-            out = solve(data - p.k * (fg._grad_t @ C_hat.reshape(-1)))
+            out = solve(data - p.k * (fg.grad_t @ C_hat.reshape(-1)))
             if not np.isfinite(out).all():
                 raise FloatingPointError("momentum solve produced non-finite values")
             return out

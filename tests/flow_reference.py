@@ -7,7 +7,9 @@ package.  :func:`convection_reference` is the scipy assembly of the
 convection operator that ``convection_matrix`` replaced by writing its CSR
 from the five-point stencil.  :func:`project_divergence_free` is the
 L2-orthogonal projection onto divergence-free faces, through the package's
-own ``stokes_solver``; the tests draw their divergence-free fields with it."""
+own ``stokes_solver``; the tests draw their divergence-free fields with it.
+:func:`momentum_energy_residual` is the defect of the momentum step's
+discrete kinetic-energy identity."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -314,3 +316,19 @@ def project_divergence_free(grid, w):
     project to zero, because ``C^T D^T = (D C)^T = 0``."""
     w = np.asarray(w, dtype=float)
     return stokes_solver(grid, sp.identity(grid.n_u + grid.n_v, format="csr"))(w)
+
+
+def momentum_energy_residual(flow, u_prev: np.ndarray, u_new: np.ndarray,
+                             stress_pairing: float, dt: float, nu: float,
+                             k: float, f_work: float = 0.0) -> float:
+    """Absolute defect of the discrete kinetic-energy identity
+
+        |u_n|^2 + |u_n - u_prev|^2 + 2 dt nu |grad u_n|^2
+            = |u_prev|^2 - 2 dt k (C_hat : grad u_n) + 2 dt (f, u_n).
+
+    ``stress_pairing`` is ``h^2 sum_cells C_hat : grad u_n``.
+    """
+    lhs = flow.norm_sq(u_new) + flow.norm_sq(u_new - u_prev) \
+        + 2.0 * dt * nu * flow.grad_norm_sq(u_new)
+    rhs = flow.norm_sq(u_prev) - 2.0 * dt * k * stress_pairing + 2.0 * dt * f_work
+    return abs(lhs - rhs)

@@ -19,10 +19,10 @@ from feneflow import (
     fisher_q,
     fisher_x,
     gamma0,
-    momentum_energy_residual,
     relative_entropy,
     run_scenario,
 )
+from flow_reference import momentum_energy_residual
 from inequality_reference import csiszar_kullback_check, lsi_check
 
 # int int M F(1 + 0.1 qx / sqrt(b)) over the unit square at b = 4,

@@ -2,6 +2,7 @@
 antisymmetry, the domain constant in the compactness inequality, and the
 initial-data smoothing step."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
 from feneflow import (
+    build_config_grid,
     build_flow_grid,
     convection_matrix,
     dual_norm_sq,
@@ -485,7 +487,7 @@ def test_smoothing_approaches_projection(flow12, rng):
 def test_dual_norm_duality(flow12, rng):
     # |<f, w>| <= ||f||_* ||grad w|| with equality at the Riesz representer
     f = random_faces(flow12, rng)
-    dual = math.sqrt(dual_norm_sq(flow12, f))
+    dual = math.sqrt(dual_norm_sq(flow12)(f))
     for _ in range(20):
         w = random_faces(flow12, rng)
         assert abs(flow12.ip(f, w)) <= dual * math.sqrt(flow12.grad_norm_sq(w)) * (1 + 1e-10)
@@ -496,7 +498,7 @@ def test_dual_norm_of_gradient_bounded_object(flow12):
     rng = np.random.default_rng(5)
     w = random_faces(flow12, rng)
     f = flow12.K @ w
-    assert dual_norm_sq(flow12, f) == pytest.approx(flow12.grad_norm_sq(w), rel=1e-10)
+    assert dual_norm_sq(flow12)(f) == pytest.approx(flow12.grad_norm_sq(w), rel=1e-10)
 
 
 @pytest.mark.parametrize("side", [1.0, 0.7])
@@ -508,4 +510,25 @@ def test_dual_norm_matches_dense_solve(N, side):
     for f in (random_faces(grid, rng), grid.sample_faces(lambda x, y: np.sin(3 * y),
                                                          lambda x, y: x * y)):
         want = grid.h ** 2 * float(f @ np.linalg.solve(grid.K.toarray(), f))
-        assert abs(dual_norm_sq(grid, f) - want) <= 1e-12 * abs(want)
+        assert abs(dual_norm_sq(grid)(f) - want) <= 1e-12 * abs(want)
+
+
+# --------------------------------------------------------------------------
+# grids as frozen values
+# --------------------------------------------------------------------------
+
+
+def test_grids_are_frozen_values():
+    # every attribute of a grid is a field its builder computes: assignment
+    # is refused, and neither a solve nor a weight read caches anything on it
+    flow = build_flow_grid(6)
+    grid = build_config_grid(4.0, 8, 8)
+    for g, name in ((flow, "K"), (flow, "_viscous_solve"), (grid, "w"), (grid, "mass_defect")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+    f = flow.sample_faces(lambda x, y: np.sin(3 * y), lambda x, y: x * y)
+    assert dual_norm_sq(flow)(f) > 0.0
+    assert np.all(np.isfinite(stokes_solver(flow, flow.K)(f)))
+    assert grid.w.sum() > 0.0 and grid.edge_w.sum() > 0.0
+    for g in (flow, grid):
+        assert set(vars(g)) == {field.name for field in dataclasses.fields(g)}

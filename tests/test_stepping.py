@@ -28,7 +28,6 @@ from feneflow import (
     fisher_x,
     grid_metadata,
     load_checkpoint,
-    momentum_energy_residual,
     relative_entropy,
     save_checkpoint,
     smooth_initial_density,
@@ -38,7 +37,7 @@ from feneflow import ConfigError, RunConfig, run_scenario, stepping
 from feneflow.flowspace import band_storage
 from feneflow.stepping import _DensitySystem, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
-from flow_reference import project_divergence_free
+from flow_reference import momentum_energy_residual, project_divergence_free
 from kron_reference import (band_layout, band_to_dense, loop_kron_solve, transport_matrix,
                             upwind_advection)
 
