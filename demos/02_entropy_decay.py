@@ -27,7 +27,7 @@ print(f"initial budget |u0|^2 + 2k Ent = {result.initial_budget:.6e}")
 print(f"B^2 (adds the forcing history; zero here beyond the data) = {result.B2:.6e}\n")
 
 print("    t        E(t)          envelope      E/envelope")
-times, energies = result.decay_times, result.decay_energies
+times, energies = result.ledger.column("t"), result.decay_energies
 for i in range(0, len(times), 20):
     env = math.exp(-result.gamma0 * times[i]) * result.initial_budget
     print(f"  {times[i]:5.2f}  {energies[i]:.6e}  {env:.6e}  {energies[i]/env:8.4f}")

@@ -92,7 +92,6 @@ class RunConfig:
     side: float = 1.0
     fp_tol: float = 1.0e-12
     fp_max_iter: int = 80
-    record_every: int = 1
     seed: int = 0
     # scenario parameters
     amplitude: float = 0.1            # decay: a in 1 + a q_x / sqrt(b), |a| <= min(1, L - 1)
@@ -195,8 +194,6 @@ class RunConfig:
             v.append(f"N_x must be at least 4, got {self.N_x}")
         if self.N_r < 8 or self.N_theta < 8:
             v.append("configuration grid needs N_r >= 8 and N_theta >= 8")
-        if self.record_every < 1:
-            v.append(f"record_every must be >= 1, got {self.record_every}")
         if self.fp_max_iter < 1 or not self.fp_tol > 0.0:
             v.append(f"need fp_max_iter >= 1 and fp_tol > 0, got {self.fp_max_iter}, {self.fp_tol}")
         if self.seed < 0:
@@ -325,7 +322,6 @@ class RunResult:
     poincare: float
     B2: float
     initial_budget: float
-    decay_times: np.ndarray
     decay_energies: np.ndarray
     smoothing: SmoothingReport
     dt: float
@@ -387,7 +383,6 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
 
     ledger = dg.EnergyLedger()
     visc_hist = fx_hist = fq_hist = 0.0
-    times = [0.0]
     energies = [dg.decay_energy(fg, grid, state.u, state.psi, cfg.k)]
 
     def record(fp_iters: int, ent: float, fx: float, fq: float) -> None:
@@ -411,7 +406,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
             beta_saturation_fraction=float((state.psi > cfg.L).mean()),
         )
 
-    # row 0: the smoothed density, whose terms the smoothing evaluated
+    # row 0: the smoothed density, whose terms the smoothing evaluated; then a row per step
     record(0, smooth_rep.entropy_after, smooth_rep.fisher_x, smooth_rep.fisher_q)
     for j in range(1, n_steps + 1):
         try:
@@ -426,11 +421,8 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
         visc_hist += dt * fg.grad_norm_sq(state.u)
         fx_hist += dt * fx
         fq_hist += dt * fq
-        times.append(state.t)
         energies.append(dg.decay_energy(fg, grid, state.u, state.psi, cfg.k))
-        if j % cfg.record_every == 0 or j == n_steps:
-            record(rep.iterations, dg.relative_entropy(fg, grid, state.psi, neg_tol=math.inf),
-                   fx, fq)
+        record(rep.iterations, dg.relative_entropy(fg, grid, state.psi, neg_tol=math.inf), fx, fq)
         if progress is not None:
             progress(j, n_steps)
 
@@ -448,7 +440,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
         # mode by 1 + dt g / (2 lam), so the entropy, quadratic in it, decays
         # at 2 log(1 + dt g / (2 lam)) / dt
         predicted = 2.0 * math.log1p(dt * spectral_gap(ops) / (2.0 * cfg.lam)) / dt
-        decay = dg.decay_verdict(times, energies, initial_budget, g0, predicted)
+        decay = dg.decay_verdict(ledger.column("t"), energies, initial_budget, g0, predicted)
         verdicts["exponential_decay"] = decay.satisfied
 
     exit_status = 0 if all(verdicts.values()) else 2
@@ -456,7 +448,7 @@ def run_scenario(cfg: RunConfig, out_dir: Optional[str] = None,
         config=cfg, state=state, ledger=ledger, decay=decay,
         exit_status=exit_status, verdicts=verdicts, gamma0=g0, poincare=cp,
         B2=B2, initial_budget=initial_budget,
-        decay_times=np.asarray(times), decay_energies=np.asarray(energies),
+        decay_energies=np.asarray(energies),
         smoothing=smooth_rep, dt=dt, n_steps=n_steps,
     )
     if out_dir is not None:

@@ -3,8 +3,9 @@ by the package.
 
 * :func:`routed_FLdelta` evaluates ``F^L_delta`` by routing
   ``m = clip(s, delta, L)`` through ``feneflow.kinetic.entropy_F`` (its
-  ``s >= 0`` scan and ``s > 0`` masks) and adding the quadratic Taylor
-  terms, their ``log m`` taken directly.
+  ``s >= 0`` scan, then ``s log s - (s - 1)`` on ``max(s, 5e-324)``, which
+  needs no mask) and adding the quadratic Taylor terms, their ``log m``
+  taken directly.
 * :func:`cutoff_beta_delta` is ``beta^L_delta(s) = max(min(s, L), delta)``.
 * :func:`routed_secant_coefficient` is the secant coefficient built on
   :func:`routed_FLdelta`, starting near-coincident edges from

@@ -88,8 +88,8 @@ def test_relative_entropy_rejects_negative(flow8, grid16):
 
 
 def test_density_functionals_reject_nan(flow8, grid16):
-    # a NaN density fails the nonnegativity check at any finite tolerance
-    # (before, each functional returned nan); neg_tol = inf checks nothing
+    # a NaN density fails the nonnegativity check at any finite tolerance;
+    # neg_tol = inf checks nothing
     psi = np.ones((flow8.n_c, grid16.n_nodes))
     psi[3, 5] = math.nan
     for functional in (relative_entropy, fisher_x, fisher_q):

@@ -105,16 +105,18 @@ def test_config_rejects_removed_geometry_keys():
 
 
 def test_config_rejects_the_retired_clip_level_key(tmp_path, capsys):
-    # the smoothing clips at L; a config.json written while clip_level was a
-    # key carries "clip_level": null, which is now an unknown key (exit 2)
-    with pytest.raises(ConfigError) as err:
-        parse_config('{"scenario": "decay", "clip_level": null}')
-    assert err.value.violations == ["unknown key 'clip_level'"]
-    old = tmp_path / "config.json"
-    old.write_text(json.dumps(json.loads(emit_config(tiny("decay"))) | {"clip_level": None}))
-    for command in ("check", "run"):
-        assert main([command, str(old)]) == 2
-        assert capsys.readouterr().err == "config error: unknown key 'clip_level'\n"
+    # the smoothing clips at L, and the ledger holds a row per step; a
+    # config.json written while clip_level or record_every was a key carries
+    # "clip_level": null or "record_every": 1, now an unknown key (exit 2)
+    for key, value in (("clip_level", None), ("record_every", 1)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({"scenario": "decay", key: value}))
+        assert err.value.violations == [f"unknown key '{key}'"]
+        old = tmp_path / "config.json"
+        old.write_text(json.dumps(json.loads(emit_config(tiny("decay"))) | {key: value}))
+        for command in ("check", "run"):
+            assert main([command, str(old)]) == 2
+            assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
 
 
 def test_readme_lists_every_config_key():
@@ -242,7 +244,6 @@ def test_decay_run_satisfies_all_verdicts():
     assert result.verdicts["mass_conservation"]
     assert result.verdicts["nonnegativity"]
     assert result.verdicts["exponential_decay"]
-    # energy history is recorded densely even when the ledger is thinned
     assert result.decay_energies.size == result.n_steps + 1
     assert result.decay_energies[-1] < result.decay_energies[0]
 
@@ -256,12 +257,20 @@ def test_driven_scenarios_run_clean():
         assert result.ledger.column("kinetic")[-1] > 0.0, name
 
 
-def test_record_every_thins_the_ledger():
-    cfg = tiny("equilibrium", T=0.1, record_every=4)
-    result = run_scenario(cfg)
-    # rows: t=0, every 4th step, and the final step
-    assert len(result.ledger) == 2 + result.n_steps // 4
-    assert result.ledger.column("t")[-1] == pytest.approx(cfg.T)
+def test_every_step_writes_a_ledger_row(tmp_path):
+    # row 0 holds the smoothed data and row j the state after step j, so
+    # every verdict judges every step; the decay verdict fits its rate over
+    # the ledger's t column
+    for scenario in SCENARIOS:
+        result = run_scenario(tiny(scenario), out_dir=str(tmp_path / scenario))
+        ledger = EnergyLedger.read(str(tmp_path / scenario / "ledger.tsv"))
+        assert len(ledger) == result.n_steps + 1 == 6, scenario
+        t = ledger.column("t")
+        np.testing.assert_allclose(t, 0.01 * np.arange(6), rtol=1e-12, atol=0.0)
+        if scenario == "decay":
+            e = result.decay_energies
+            assert result.decay.fitted_rate == -float(np.polyfit(t, np.log(e), 1)[0])
+            assert result.decay.final_energy == e[-1]
 
 
 def test_same_seed_reproduces_the_ledger_exactly():
@@ -396,8 +405,8 @@ def test_run_builds_the_eigenbasis_once(monkeypatch):
 
 
 def test_run_evaluates_each_observable_once_per_state(monkeypatch):
-    # 5 steps recorded every step: smoothing takes the raw entropy (which is
-    # also the data majorant's) and the smoothed entropy and Fisher terms,
+    # 5 steps: smoothing takes the raw entropy (which is also the data
+    # majorant's) and the smoothed entropy and Fisher terms,
     # which ledger row 0 reuses; then each of the 5 stepped states gets one
     # entropy and one Fisher evaluation, shared by the history sums and the
     # ledger row
@@ -415,7 +424,7 @@ def test_run_evaluates_each_observable_once_per_state(monkeypatch):
 
     for name in ("fisher_x", "fisher_q", "relative_entropy"):
         monkeypatch.setattr(dg, name, counting(name))
-    result = run_scenario(tiny("decay", record_every=1))
+    result = run_scenario(tiny("decay"))
     assert result.n_steps == 5
     assert counts == {"fisher_x": 6, "fisher_q": 6, "relative_entropy": 7}
 

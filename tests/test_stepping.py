@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import spsolve
 
 from feneflow import (
     ConstructionError,
@@ -31,9 +32,10 @@ from feneflow import (
     relative_entropy,
     save_checkpoint,
     smooth_initial_density,
+    smooth_initial_velocity,
     spectral_gap,
 )
-from feneflow import ConfigError, RunConfig, run_scenario, stepping
+from feneflow import ConfigError, RunConfig, run_scenario, scenarios, stepping
 from feneflow.flowspace import band_storage
 from feneflow.stepping import _DensitySystem, _kron_solve, _transport_csr
 from edge_reference import DenseBasis, csr_weighted_stiffness
@@ -107,6 +109,32 @@ def test_density_equation_residual(small, rng):
     Kx = transport_matrix(flow, u, params.eps, h2 / params.dt).toarray()
     residual = Kx @ rho_new - (h2 / params.dt) * rho_prev
     assert np.abs(residual).max() <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_cell_mass_follows_the_scalar_transport_step(eps):
+    # the drag and the configuration diffusion conserve each cell's mass, so
+    # over a whole coupled step rho = psi . w obeys the closed scalar step
+    # (h^2/dt + K_x(u^n)) rho^1 = (h^2/dt) rho^0; started from a nonuniform
+    # rho_0 under the smoothed decay swirl, so the x-transport of rho is
+    # exercised, its diffusion and upwind parts both
+    flow = build_flow_grid(12)
+    ops = assemble_fp_operators(build_config_grid(4.0, N_r=10, N_theta=10))
+    params = StepParams(dt=0.01, nu=1.0, k=1.0, lam=0.5, eps=eps,
+                        cutoff=CutoffParams(L=5.0, delta=1e-4))
+    stepper = CoupledStepper(flow, ops, params)
+    swirl = scenarios._decay_velocity(RunConfig(scenario="decay"), flow)
+    x = (np.arange(flow.N) + 0.5) * flow.h                   # cell (i, j) sits at (x_i, x_j)
+    rho0 = 1.0 + 0.5 * np.outer(np.cos(np.pi * x), np.cos(2.0 * np.pi * x)).ravel()
+    state = SystemState(u=smooth_initial_velocity(flow, swirl, params.dt),
+                        psi=rho0[:, None] * (1.0 + 0.05 * ops.grid.qx), t=0.0, n=0)
+    mass = flow.h**2 / params.dt
+    for _ in range(5):
+        u_prev, rho_prev = state.u, state.psi @ ops.grid.w
+        state, _ = stepper.coupled_step(state)
+        want = spsolve(transport_matrix(flow, u_prev, eps, mass).tocsc(), mass * rho_prev)
+        rho = state.psi @ ops.grid.w
+        assert np.abs(rho - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_uniform_density_is_transparent_to_flow(small, rng):
